@@ -1,7 +1,9 @@
 """Command line front end for the verification suites.
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
-2 usage error, 3 an output file could not be written.
+2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
+non-finite --tol, and a --refine that is not a positive finite number),
+3 an output file could not be written.
 
 The root seed comes from --seed, falling back to the DFSBELL_SEED environment
 variable, then 0.  Each suite inside report-all consumes a named substream of
@@ -34,9 +36,19 @@ def _resolve_seed(seed):
         return seed
     raw = os.environ.get("DFSBELL_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise click.UsageError(f"DFSBELL_SEED must be an integer, got {raw!r}")
+    if seed < 0:
+        raise click.UsageError(f"DFSBELL_SEED must be non-negative, got {raw!r}")
+    return seed
+
+
+def _finite(ctx, param, value):
+    # FloatRange compares with < and >, which every NaN passes
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
 
 
 def _subseed(root: int, index: int) -> int:
@@ -235,6 +247,10 @@ def _lhv_section() -> Section:
 # Commands
 # ---------------------------------------------------------------------------
 
+_seed_option = click.option("--seed", default=None, type=click.IntRange(min=0),
+                            help="Root RNG seed.")
+
+
 @click.group()
 @click.version_option(__version__, prog_name="dfsbell")
 def main():
@@ -244,8 +260,9 @@ def main():
 @main.command("verify-correlations")
 @click.option("--rotations", "n_rotations", default=100, show_default=True,
               type=click.IntRange(min=1), help="Random rotation tuples to sample.")
-@click.option("--seed", default=None, type=int, help="Root RNG seed.")
-@click.option("--tol", default=IDENTITY_TOL, show_default=True, type=float,
+@_seed_option
+@click.option("--tol", default=IDENTITY_TOL, show_default=True,
+              type=click.FloatRange(min=0.0), callback=_finite,
               help="Allowed deviation from the closed-form values.")
 def verify_correlations_cmd(n_rotations, seed, tol):
     """Check the four correlation identities, with and without rotations."""
@@ -256,7 +273,7 @@ def verify_correlations_cmd(n_rotations, seed, tol):
 @main.command("simulate")
 @click.option("--rounds", default=100000, show_default=True,
               type=click.IntRange(min=1), help="Number of experiment rounds.")
-@click.option("--seed", default=None, type=int, help="Root RNG seed.")
+@_seed_option
 @click.option("--rotate-each-round", is_flag=True,
               help="Give each wing a fresh random reference frame every round.")
 @click.option("--out", default=None, type=click.Path(dir_okay=False),
@@ -282,7 +299,7 @@ def simulate_cmd(rounds, seed, rotate_each_round, out):
 @main.command("verify-decoherence")
 @click.option("--samples", default=1000, show_default=True,
               type=click.IntRange(min=1), help="Random rotations per state.")
-@click.option("--seed", default=None, type=int, help="Root RNG seed.")
+@_seed_option
 def verify_decoherence_cmd(samples, seed):
     """Check immunity of the protected states against collective rotations."""
     seed = _resolve_seed(seed)
@@ -293,7 +310,8 @@ def verify_decoherence_cmd(samples, seed):
 @click.option("--grid", "resolution", default=200, show_default=True,
               type=click.IntRange(min=100), help="Grid points per angle.")
 @click.option("--refine", "refine_tol", default=1e-3, show_default=True,
-              type=float, help="Cluster width for merging found angles.")
+              type=click.FloatRange(min=0.0, min_open=True), callback=_finite,
+              help="Cluster width for merging found angles.")
 def verify_distinguish_cmd(resolution, refine_tol):
     """Scan for pair angles admitting a distinguishing product basis."""
     section = _distinguish_section(resolution, refine_tol)
@@ -305,7 +323,7 @@ def verify_distinguish_cmd(resolution, refine_tol):
               help="Optimize the measurement angles along with the state.")
 @click.option("--starts", "n_starts", default=64, show_default=True,
               type=click.IntRange(min=1), help="Multistart count.")
-@click.option("--seed", default=None, type=int, help="Root RNG seed.")
+@_seed_option
 def optimize_hardy_cmd(free_angles, n_starts, seed):
     """Maximize the positive-event probability under the Hardy constraints."""
     seed = _resolve_seed(seed)
@@ -338,7 +356,7 @@ def lhv_check_cmd():
 @main.command("report-all")
 @click.option("--format", "fmt", default="json", show_default=True,
               type=click.Choice(["json", "text"]), help="Output format.")
-@click.option("--seed", default=None, type=int, help="Root RNG seed.")
+@_seed_option
 @click.option("--timing", is_flag=True,
               help="Include wall time in the metadata (breaks byte-for-byte "
                    "reproducibility between runs).")

@@ -11,6 +11,34 @@ proven reduction.  Fixing theta_a = 0 in the scans, however, loses nothing:
 rotating all four axes by a common angle is a collective SU(2) rotation,
 which leaves every singlet-sector state exactly invariant, so the component
 table depends only on the angle differences.
+
+The grid scans rest on three exact identities.
+
+Complex packing.  phi0, phi1 and the axis rows are real, so the components
+(A_w, B_w) of (phi0, phi1) on word w are the real and imaginary parts of the
+single component z_w = A_w + i B_w of phi0 + i phi1, and one contraction
+gives both.  The pair's components at angle omega are then
+
+    e^{-i omega} z_w = psi_w - i perp_w,
+
+so the support overlap is max_w min(|Re|, |Im|) of e^{-i omega} z_w and the
+summed squared support products are sum_w (Re * Im)^2.
+
+Half the words.  Flipping all four bits multiplies a component by
+(-1)^(number of zeros) (test_component_complement_symmetry), and with
+theta_a = 0 the qubit-a row of bit 0 is [1, 0].  So the 8 words 0bcd, taken
+from the first half of the state, carry everything: a sum of squares over
+16 words is twice the sum over those 8, and a maximum of magnitudes is the
+same.
+
+Closed-form omega.  Writing z^2 = (A^2 - B^2) + i 2AB, the 2x2 moment
+matrix of the vectors (A^2 - B^2, 2AB) over the 16 words has, with
+p = sum |z^2|^2 and q = sum z^4 over the 8 words 0bcd,
+
+    lam_min = p - |q|,   sxx = p + Re q,   sxy = Im q,
+
+and its small eigenvector gives the only omega that can split the pair at
+that theta tuple.
 """
 
 from __future__ import annotations
@@ -22,10 +50,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dfs_states import make_phi0, make_phi1
+from .localmeas import _axis_rows
 
 SUPPORT_TOL = 1e-8
 
 _DEGENERATE_TOL = 1e-12
+
+# theta_d values per grid block.  Small blocks run fastest and keep each
+# block array at r^2 * 24 complex values; 3 divides neither 100 nor 200, so
+# the usual resolutions also exercise the ragged last block.
+_CHUNK = 3
 
 
 @dataclass(frozen=True)
@@ -39,11 +73,6 @@ class DistinguishInstance:
         if len(self.thetas) != 4:
             raise ValueError("exactly four measurement angles required")
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-
-
-def _axis_rows(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]])
 
 
 def _product_components(state4: np.ndarray, thetas) -> np.ndarray:
@@ -102,39 +131,47 @@ def omega_from_thetas(theta_a: float, theta_b: float,
     return num / (math.sqrt(3.0) * sab * scd)
 
 
-def _front_contractions(resolution: int):
-    """Shared einsum prefix of the grid scans: contract qubits a, b, c.
+def _phi() -> np.ndarray:
+    """The complex packing phi0 + i phi1 of the two sector basis states."""
+    return make_phi0().amplitudes.real + 1j * make_phi1().amplitudes.real
 
-    Returns the theta grid and, per basis state, an array indexed by
-    (theta_b, theta_c, word bits a b c, qubit-d state index).
+
+def _grid_chunks(resolution: int):
+    """Yield ``(thetas, lo, z)`` over the theta grid, one theta_d block at a time.
+
+    ``z[i, j, k, w]`` is the product component of phi0 + i phi1 for the word
+    0bcd (w = 4b + 2c + d) at angles (0, thetas[i], thetas[j], thetas[lo + k]);
+    the 1bcd words follow by the bit-flip sign (see module docstring).
     """
-    thetas = np.arange(resolution) * (math.pi / resolution)
-    mb = np.stack([_axis_rows(t) for t in thetas])
-    ma = _axis_rows(0.0)
+    r = resolution
+    thetas = np.arange(r) * (math.pi / r)
+    rows = np.stack([_axis_rows(t) for t in thetas])
+    phi = _phi()
+    # qubit a at theta 0 keeps the i = 0 half; contract qubits b and c once
+    front = np.einsum("rbj,sck,jkl->rsbcl", rows, rows, phi.reshape(2, 2, 2, 2)[0])
+    # real columns (b, c, l, re/im) of the complex front
+    front = front.reshape(r * r, 8).view(float)
+    eye = np.eye(2)
+    for lo in range(0, r, _CHUNK):
+        md = rows[lo:lo + _CHUNK]
+        # block matrix taking (b, c, l, re/im) to (theta_d, b, c, d, re/im),
+        # so the product comes out with the words as the last axis
+        blocks = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, md, eye)
+        z = front @ blocks.reshape(16, -1)
+        yield thetas, lo, z.view(complex).reshape(r, r, len(md), 8)
 
-    def front(state4):
-        x = np.einsum("ai,ijkl->ajkl", ma, state4.reshape(2, 2, 2, 2))
-        x = np.einsum("rbj,ajkl->rabkl", mb, x)
-        return np.einsum("sck,rabkl->rsabcl", mb, x)
 
-    phi0 = make_phi0().amplitudes.real
-    phi1 = make_phi1().amplitudes.real
-    return thetas, mb, front(phi0), front(phi1)
+def _support_products(omega: float, thetas, phi: np.ndarray) -> float:
+    """Summed squared support products sum_w (psi_w perp_w)^2; zero iff disjoint."""
+    u = complex(math.cos(omega), -math.sin(omega)) * _product_components(phi, thetas)
+    return float(np.sum((u.real * u.imag) ** 2))
 
 
 def _refine(omega0, thetas0):
     """Polish a candidate by minimizing the summed squared support products."""
-    psi_parts = (make_phi0().amplitudes.real, make_phi1().amplitudes.real)
-
-    def objective(p):
-        w, tb, tc, td = p
-        a = _product_components(psi_parts[0], (0.0, tb, tc, td))
-        b = _product_components(psi_parts[1], (0.0, tb, tc, td))
-        c = math.cos(w) * a + math.sin(w) * b
-        cp = math.sin(w) * a - math.cos(w) * b
-        return float(np.sum((c * cp) ** 2))
-
-    res = minimize(objective, [omega0, *thetas0], method="Nelder-Mead",
+    phi = _phi()
+    res = minimize(lambda p: _support_products(p[0], (0.0, *p[1:]), phi),
+                   [omega0, *thetas0], method="Nelder-Mead",
                    options=dict(xatol=1e-12, fatol=1e-26, maxiter=5000))
     return res.x, res.fun
 
@@ -167,25 +204,20 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100 points per angle")
-    thetas, mb, f0, f1 = _front_contractions(resolution)
-    r = resolution
     bins = {}
-    chunk = max(1, min(16, r))
-    for lo in range(0, r, chunk):
-        md = mb[lo:lo + chunk]
-        a = np.einsum("rsabcl,tdl->rstabcd", f0, md).reshape(r, r, -1, 16)
-        b = np.einsum("rsabcl,tdl->rstabcd", f1, md).reshape(r, r, -1, 16)
-        x = a * a - b * b
-        y = 2.0 * a * b
-        sxx = np.einsum("rstj,rstj->rst", x, x)
-        sxy = np.einsum("rstj,rstj->rst", x, y)
-        syy = np.einsum("rstj,rstj->rst", y, y)
-        disc = np.sqrt(np.maximum((sxx - syy) ** 2 + 4.0 * sxy ** 2, 0.0))
-        lam = 0.5 * (sxx + syy - disc)
+    for thetas, lo, z in _grid_chunks(resolution):
+        z2 = z * z
+        sq = z2.view(float).reshape(*z.shape[:3], 16)
+        # p = sum |z^2|^2 and q = sum z^4 over the words 0bcd; lam is the
+        # 16-word lam_min of the module docstring
+        p = np.einsum("...j,...j->...", sq, sq)
+        q = np.einsum("...j,...j->...", z2, z2)
+        lam = p - np.abs(q)
         # eigenvector (u0, u1) = (sin 2w, -cos 2w) for the small eigenvalue
         cand = np.argwhere(lam < 1e-5)
         for i, j, k in cand:
-            u0, u1 = sxy[i, j, k], lam[i, j, k] - sxx[i, j, k]
+            sxx = p[i, j, k] + q[i, j, k].real
+            u0, u1 = q[i, j, k].imag, lam[i, j, k] - sxx
             if u0 == 0.0 and u1 == 0.0:
                 u0 = 1.0
             w = 0.5 * (math.atan2(u0, -u1) % math.pi)
@@ -227,18 +259,12 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100 points per angle")
-    _, mb, f0, f1 = _front_contractions(resolution)
-    r = resolution
-    c, s = math.cos(omega), math.sin(omega)
+    # Re and -Im of e^{-i omega} z are the psi and psi_perp components
+    rot = complex(math.cos(omega), -math.sin(omega))
     best = math.inf
-    chunk = max(1, min(16, r))
-    for lo in range(0, r, chunk):
-        md = mb[lo:lo + chunk]
-        a = np.einsum("rsabcl,tdl->rstabcd", f0, md).reshape(r, r, -1, 16)
-        b = np.einsum("rsabcl,tdl->rstabcd", f1, md).reshape(r, r, -1, 16)
-        psi = np.abs(c * a + s * b)
-        perp = np.abs(s * a - c * b)
-        overlap = np.minimum(psi, perp).max(axis=-1)
+    for _, _, z in _grid_chunks(resolution):
+        u = rot * z
+        overlap = np.minimum(np.abs(u.real), np.abs(u.imag)).max(axis=-1)
         best = min(best, float(overlap.min()))
     return best
 
@@ -250,28 +276,18 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100 points per angle")
-    thetas, mb, f0, f1 = _front_contractions(resolution)
-    r = resolution
-    c, s = math.cos(omega), math.sin(omega)
+    rot = complex(math.cos(omega), -math.sin(omega))
     best = (math.inf, None)
-    chunk = max(1, min(16, r))
-    for lo in range(0, r, chunk):
-        md = mb[lo:lo + chunk]
-        a = np.einsum("rsabcl,tdl->rstabcd", f0, md).reshape(r, r, -1, 16)
-        b = np.einsum("rsabcl,tdl->rstabcd", f1, md).reshape(r, r, -1, 16)
-        obj = np.sum(((c * a + s * b) * (s * a - c * b)) ** 2, axis=-1)
+    for thetas, lo, z in _grid_chunks(resolution):
+        u = rot * z
+        prod = u.real * u.imag
+        obj = np.einsum("...j,...j->...", prod, prod)
         i, j, k = np.unravel_index(np.argmin(obj), obj.shape)
         if obj[i, j, k] < best[0]:
             best = (float(obj[i, j, k]), (thetas[i], thetas[j], thetas[lo + k]))
-    phi0 = make_phi0().amplitudes.real
-    phi1 = make_phi1().amplitudes.real
-
-    def objective(p):
-        a = _product_components(phi0, (0.0, *p))
-        b = _product_components(phi1, (0.0, *p))
-        return float(np.sum(((c * a + s * b) * (s * a - c * b)) ** 2))
-
-    res = minimize(objective, list(best[1]), method="Nelder-Mead",
+    phi = _phi()
+    res = minimize(lambda p: _support_products(omega, (0.0, *p), phi),
+                   list(best[1]), method="Nelder-Mead",
                    options=dict(xatol=1e-12, fatol=1e-26, maxiter=5000))
     inst = DistinguishInstance(omega, (0.0, *res.x))
     if is_distinguishing(inst):

@@ -29,9 +29,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dfs_states import dfs_embed, DfsVector
-from .qcore import tensor, QuantumState
-
-ATOL = 1e-10
+from .qcore import ATOL, QuantumState, tensor
 
 # All four-outcome deterministic strategies (f_a, g_a, f_b, g_b).
 STRATEGIES = tuple(itertools.product((-1, +1), repeat=4))

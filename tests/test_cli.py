@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from dfsbell.cli import main
@@ -94,3 +95,41 @@ def test_verify_distinguish_small_grid():
     assert "overall: PASS" in result.output
     result = _run(["verify-distinguish", "--grid", "10"])
     assert result.exit_code == 2  # below the resolution floor
+
+
+def test_negative_seed_option_is_usage_error():
+    for cmd in (["verify-correlations", "--rotations", "2"],
+                ["simulate", "--rounds", "10"],
+                ["verify-decoherence", "--samples", "2"],
+                ["optimize-hardy", "--starts", "1"],
+                ["report-all"]):
+        result = _run(cmd + ["--seed", "-3"])
+        assert result.exit_code == 2, cmd
+        assert "--seed" in result.output
+
+
+def test_negative_seed_env_is_usage_error():
+    result = _run(["verify-correlations", "--rotations", "2"],
+                  env={"DFSBELL_SEED": "-3"})
+    assert result.exit_code == 2
+    assert "DFSBELL_SEED" in result.output
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_is_usage_error(tol):
+    result = _run(["verify-correlations", "--rotations", "2", "--tol", tol])
+    assert result.exit_code == 2
+    assert "--tol" in result.output
+
+
+def test_zero_tolerance_is_accepted():
+    result = _run(["verify-correlations", "--rotations", "2", "--seed", "5",
+                   "--tol", "0"])
+    assert result.exit_code in (0, 1)
+
+
+@pytest.mark.parametrize("refine", ["-1", "0", "nan", "inf"])
+def test_bad_refine_width_is_usage_error(refine):
+    result = _run(["verify-distinguish", "--grid", "100", "--refine", refine])
+    assert result.exit_code == 2
+    assert "--refine" in result.output

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dfsbell.distinguish import (SUPPORT_TOL, DistinguishInstance,
-                                 component_table, find_distinguishing_thetas,
+from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
+                                 _grid_chunks, component_table,
+                                 find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
                                  omega_from_thetas, pair_states,
                                  scan_distinguishable_omegas, support_overlap)
@@ -71,6 +72,44 @@ def test_omega_from_thetas_known_point_and_degeneracy():
     assert cot == pytest.approx(0.0, abs=1e-12)
     assert omega_from_thetas(0.3, 0.3, 0.1, 0.9) is None
     assert omega_from_thetas(0.1, 0.9, 0.4, 0.4 + math.pi) is None
+
+
+def test_grid_chunks_match_component_table():
+    # the kernel's z = A + iB on words 0bcd, and through the bit-flip sign
+    # on words 1bcd, against the direct product-basis components; 101 is
+    # not a multiple of the chunk width, so the last block is ragged
+    rng = np.random.default_rng(54)
+    r = 101
+    assert r % _CHUNK
+    covered = 0
+    for thetas, lo, z in _grid_chunks(r):
+        assert lo == covered
+        covered += z.shape[2]
+        assert z.shape == (r, r, z.shape[2], 8)
+        for _ in range(3):
+            i, j = rng.integers(r, size=2)
+            k = rng.integers(z.shape[2])
+            inst = DistinguishInstance(0.0, (0.0, thetas[i], thetas[j],
+                                             thetas[lo + k]))
+            table = component_table(inst)
+            # at omega 0, psi = phi0 and psi_perp = -phi1
+            full = table[:, 0] - 1j * table[:, 1]
+            assert np.allclose(z[i, j, k], full[:8], rtol=0, atol=1e-12)
+            for w in range(8):
+                sign = (-1) ** (4 - bin(w).count("1"))
+                assert abs(full[w ^ 0b1111] - sign * z[i, j, k, w]) < 1e-12
+    assert covered == r
+
+
+def test_scan_with_a_ragged_last_chunk():
+    # the exact tuples need pi/4 on the grid, so the resolution is a
+    # multiple of 4 but not of the chunk width, and other than the 100 of
+    # the test below
+    r = next(n for n in range(104, 200, 4) if n % _CHUNK)
+    found = scan_distinguishable_omegas(resolution=r)
+    assert len(found) == 6
+    for k, w in enumerate(sorted(found)):
+        assert abs(w - k * math.pi / 6) < 1e-6
 
 
 def test_scan_finds_the_pi_over_six_grid():
