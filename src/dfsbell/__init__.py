@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .qcore import (ATOL, MAX_QUBITS, DensityOperator, QuantumState, SizeError,
                     Unitary2, apply_collective, basis_state, haar_su2,
-                    measure_projective, partial_trace, permute_qubits, tensor)
+                    partial_trace, permute_qubits, tensor)
 from .dfs_states import (DfsVector, Observable, SubspaceError, dfs_embed,
                          dfs_observable, dfs_project, make_eta, make_f, make_g,
                          make_phi0, make_phi1, make_psi0, make_psi1, singlet)
@@ -23,17 +23,16 @@ from .correlations import (EXPECTED_CORRELATIONS, CorrelationSuiteResult,
                            joint_probability, verify_correlation_suite,
                            wing_marginal)
 from .localmeas import (PROTOCOLS, ExperimentRecord, classify_outcome,
-                        run_experiment, sample_wing, wing_outcome_distribution)
+                        run_experiment, wing_outcome_distribution)
 from .distinguish import (DistinguishInstance, component_table,
                           find_distinguishing_thetas, grid_min_support_overlap,
                           is_distinguishing, omega_from_thetas,
                           scan_distinguishable_omegas, support_overlap)
 from .hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, Feasible, HardyInstance,
-                    Infeasible, LhvConstraint, LhvScenario, OptimizationError,
-                    OptimizationResult, eta_instance, feasible_state,
-                    fixed_angle_maximum, hardy_probability, lhv_feasibility,
-                    optimize_constrained, optimize_unconstrained_measurements,
-                    standard_scenario, to_full_state)
+                    Infeasible, LhvConstraint, LhvScenario, OptimizationResult,
+                    eta_instance, feasible_state, fixed_angle_maximum,
+                    hardy_probability, lhv_feasibility, optimize_constrained,
+                    optimize_unconstrained_measurements, standard_scenario,
+                    to_full_state, zero_constraint_rank)
 from .decohere import (CollectiveChannel, ImmunityReport, StateImmunity,
-                       apply_channel, fidelity_samples, immunity_report,
-                       state_fidelity)
+                       fidelity_samples, immunity_report, state_fidelity)

@@ -2,8 +2,8 @@
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
 2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
-non-finite --tol, and a --refine that is not a positive finite number),
-3 an output file could not be written.
+non-finite --tol, a --refine that is not a positive finite number, and a
+--grid that is not a multiple of 4), 3 an output file could not be written.
 
 The root seed comes from --seed, falling back to the DFSBELL_SEED environment
 variable, then 0.  Each suite inside report-all consumes a named substream of
@@ -48,6 +48,13 @@ def _finite(ctx, param, value):
     # FloatRange compares with < and >, which every NaN passes
     if not math.isfinite(value):
         raise click.BadParameter(f"{value!r} is not a finite number")
+    return value
+
+
+def _multiple_of_4(ctx, param, value):
+    # the scan finds the exact distinguishing tuples only with pi/4 on the grid
+    if value % 4:
+        raise click.BadParameter(f"{value} is not a multiple of 4")
     return value
 
 
@@ -168,13 +175,13 @@ def _hardy_constrained_checks(res: hardy.OptimizationResult) -> tuple:
     return (
         approx_check(
             "fixed-angle optimum", res.probability, 9.0 / 112.0, 1e-6,
-            description=f"best of {res.n_feasible} feasible solves out of "
-                        f"{res.n_starts} starts, both angles at pi/3",
-            source="frozen numerical solve"),
+            description="the feasible state, unique up to phase, with both "
+                        "angles at pi/3",
+            source="closed form"),
         bound_check(
             "fixed-angle constraint residual", res.max_residual, 1e-9,
             description="the three zero constraints hold at the optimum",
-            source="frozen numerical solve"),
+            source="closed form"),
         approx_check(
             "shared state attains the fixed-angle optimum",
             hardy.hardy_probability(hardy.eta_instance())[0], 9.0 / 112.0, 1e-12,
@@ -188,7 +195,8 @@ def _hardy_free_checks(res: hardy.OptimizationResult) -> tuple:
         approx_check(
             "free-angle optimum", res.probability, hardy.FREE_MAXIMUM, 1e-6,
             description=f"best of {res.n_feasible} feasible solves out of "
-                        f"{res.n_starts} starts, angles free on both wings",
+                        f"{res.n_starts} starts of the 2-angle search, angles "
+                        "free on both wings",
             source="closed form"),
         bound_check(
             "free-angle constraint residual", res.max_residual, 1e-9,
@@ -208,17 +216,18 @@ def _hardy_free_checks(res: hardy.OptimizationResult) -> tuple:
 
 
 def _hardy_section(n_starts: int, seed: int) -> Section:
-    try:
-        res_c = hardy.optimize_constrained(n_starts=n_starts,
-                                           seed=_subseed(seed, 3))
-        res_f = hardy.optimize_unconstrained_measurements(
-            n_starts=n_starts, seed=_subseed(seed, 4))
-    except hardy.OptimizationError as exc:
-        return Section("Hardy optimization", (Check(
-            name="optimization feasibility", passed=False,
-            description="no start satisfied the zero constraints",
-            source="frozen numerical solve", detail=str(exc)),))
-    checks = _hardy_constrained_checks(res_c) + _hardy_free_checks(res_f)
+    res_c = hardy.optimize_constrained(n_starts=n_starts, seed=_subseed(seed, 3))
+    res_f = hardy.optimize_unconstrained_measurements(
+        n_starts=n_starts, seed=_subseed(seed, 4))
+    rank = min(hardy.zero_constraint_rank(r.instance.alpha_a, r.instance.alpha_b)
+               for r in (res_c, res_f))
+    rank_check = approx_check(
+        "zero-constraint rank", rank, 3, 0,
+        description="the three zero rows have rank 3 at both optima, so each "
+                    "optimum is the unique feasible state up to phase",
+        source="closed form")
+    checks = ((rank_check,) + _hardy_constrained_checks(res_c)
+              + _hardy_free_checks(res_f))
     return Section("Hardy optimization", checks)
 
 
@@ -308,7 +317,8 @@ def verify_decoherence_cmd(samples, seed):
 
 @main.command("verify-distinguish")
 @click.option("--grid", "resolution", default=200, show_default=True,
-              type=click.IntRange(min=100), help="Grid points per angle.")
+              type=click.IntRange(min=100), callback=_multiple_of_4,
+              help="Grid points per angle, a multiple of 4.")
 @click.option("--refine", "refine_tol", default=1e-3, show_default=True,
               type=click.FloatRange(min=0.0, min_open=True), callback=_finite,
               help="Cluster width for merging found angles.")
@@ -322,25 +332,19 @@ def verify_distinguish_cmd(resolution, refine_tol):
 @click.option("--free-angles", is_flag=True,
               help="Optimize the measurement angles along with the state.")
 @click.option("--starts", "n_starts", default=64, show_default=True,
-              type=click.IntRange(min=1), help="Multistart count.")
+              type=click.IntRange(min=1),
+              help="Starts of the free-angle search.")
 @_seed_option
 def optimize_hardy_cmd(free_angles, n_starts, seed):
     """Maximize the positive-event probability under the Hardy constraints."""
     seed = _resolve_seed(seed)
-    try:
-        if free_angles:
-            res = hardy.optimize_unconstrained_measurements(
-                n_starts=n_starts, seed=seed)
-            checks = _hardy_free_checks(res)
-        else:
-            res = hardy.optimize_constrained(n_starts=n_starts, seed=seed)
-            checks = _hardy_constrained_checks(res)
-    except hardy.OptimizationError as exc:
-        click.echo(f"optimization failed: {exc}", err=True)
-        if exc.best is not None:
-            click.echo(f"best infeasible attempt: p={exc.best.probability!r} "
-                       f"residual={exc.best.max_residual!r}", err=True)
-        sys.exit(1)
+    if free_angles:
+        res = hardy.optimize_unconstrained_measurements(
+            n_starts=n_starts, seed=seed)
+        checks = _hardy_free_checks(res)
+    else:
+        res = hardy.optimize_constrained(n_starts=n_starts, seed=seed)
+        checks = _hardy_constrained_checks(res)
     click.echo(f"probability {res.probability!r}")
     click.echo(f"angles alpha_a={res.instance.alpha_a!r} "
                f"alpha_b={res.instance.alpha_b!r}")

@@ -61,21 +61,6 @@ def _rotate_once(state, channel: CollectiveChannel, rng):
     return apply_collective(out, haar_su2(rng), wing="bob")
 
 
-def apply_channel(state, channel: CollectiveChannel, seed=0) -> DensityOperator:
-    """Sample average of the rotated state's density operator."""
-    rng = np.random.default_rng(seed)
-    if isinstance(state, DensityOperator):
-        acc = np.zeros_like(state.matrix)
-        for _ in range(channel.n_samples):
-            acc += _rotate_once(state, channel, rng).matrix
-    else:
-        acc = np.zeros((state.amplitudes.size,) * 2, dtype=complex)
-        for _ in range(channel.n_samples):
-            amps = _rotate_once(state, channel, rng).amplitudes
-            acc += np.outer(amps, amps.conj())
-    return DensityOperator(acc / channel.n_samples)
-
-
 def state_fidelity(a, b) -> float:
     """Fidelity between states or density operators (squared-overlap form).
 

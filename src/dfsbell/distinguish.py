@@ -196,7 +196,9 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
     Parameters
     ----------
     resolution : int
-        Grid points per angle; at least 100.
+        Grid points per angle; at least 100 and a multiple of 4, since the
+        exact distinguishing tuples need pi/4 on the grid (near-misses on
+        other grids stay above the candidate cut, and nothing is found).
     refine_tol : float
         Cluster width for merging validated omega values.
     omega_range : (lo, hi) or None
@@ -204,6 +206,9 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100 points per angle")
+    if resolution % 4:
+        raise ValueError("resolution must be a multiple of 4, so that pi/4 "
+                         "is on the grid")
     bins = {}
     for thetas, lo, z in _grid_chunks(resolution):
         z2 = z * z

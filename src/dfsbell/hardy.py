@@ -14,8 +14,14 @@ a fourth stays positive:
 Any local deterministic model satisfying the three zeros is forced to assign
 zero weight to every strategy consistent with the fourth event, so a positive
 fourth probability has no local account.  ``lhv_feasibility`` certifies this
-in exact rational arithmetic; the optimizers find the largest attainable
-fourth probability, with the measurement angle fixed or free.
+in exact rational arithmetic.
+
+The three zeros are real linear rows on the amplitudes c in C^4, of rank 3
+unless both angles are pi/2, so the feasible state is unique up to phase
+(``feasible_state``).  With x = sin^2(alpha_a), y = sin^2(alpha_b) its fourth
+probability is P = x (1 - x) y (1 - y) / (1 - x y): the fixed-angle optimum
+needs no search, and the free-angle optimum is a bounded search over the two
+angles alone.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dfs_states import dfs_embed, DfsVector
-from .qcore import ATOL, QuantumState, tensor
+from .qcore import QuantumState, tensor
 
 # All four-outcome deterministic strategies (f_a, g_a, f_b, g_b).
 STRATEGIES = tuple(itertools.product((-1, +1), repeat=4))
@@ -105,15 +111,15 @@ def hardy_probability(inst: HardyInstance):
 def feasible_state(alpha_a: float, alpha_b: float) -> HardyInstance:
     """The unique state satisfying all three zero constraints at these angles.
 
-    Undefined when both angles are pi/2 (the constraints then force the zero
-    vector); raises ValueError there.
+    Not unique when both angles are pi/2, where the rows lose rank and every
+    feasible state has probability zero; raises ValueError there.
     """
     sa, ca = math.sin(alpha_a), math.cos(alpha_a)
     sb, cb = math.sin(alpha_b), math.cos(alpha_b)
     raw = np.array([ca * cb, ca * sb, sa * cb, 0.0])
     norm = np.linalg.norm(raw)
     if norm < 1e-12:
-        raise ValueError("no nonzero state satisfies the constraints at these angles")
+        raise ValueError("the zero constraints lose rank at these angles")
     return HardyInstance(tuple(raw / norm), alpha_a, alpha_b)
 
 
@@ -297,16 +303,8 @@ def lhv_feasibility(scenario: LhvScenario):
 
 
 # ---------------------------------------------------------------------------
-# Numerical optimization of the positive-event probability
+# Maximizing the positive-event probability, by reduction
 # ---------------------------------------------------------------------------
-
-class OptimizationError(RuntimeError):
-    """No start produced a feasible optimum; carries the best attempt seen."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -317,137 +315,57 @@ class OptimizationResult:
     n_starts: int
 
 
-def _pack_quantity(c, coef, z=None):
-    # value |coef . c|^2 and its gradient over (re c, im c)
-    if z is None:
-        z = np.dot(coef, c)
-    val = abs(z) ** 2
-    zbar = np.conj(z)
-    return val, np.concatenate([2.0 * np.real(zbar * coef),
-                                -2.0 * np.imag(zbar * coef)])
+def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
+    """Rank of the three zero-constraint rows at these angles.
 
-
-def _angle_grads(c, coef_da, coef_db, z):
-    zbar = np.conj(z)
-    return (2.0 * np.real(zbar * np.dot(coef_da, c)),
-            2.0 * np.real(zbar * np.dot(coef_db, c)))
-
-
-def _build_problem(free_angles: bool, alpha: float):
-    """Objective and constraints with analytic gradients for SLSQP.
-
-    Parameter vector: 8 reals (re c, im c), plus (alpha_a, alpha_b) when the
-    angles are free.
+    Rank 3 makes the feasible state unique up to phase; the rank drops only
+    when both angles are pi/2.
     """
-    n_par = 10 if free_angles else 8
-
-    def split(x):
-        c = x[:4] + 1j * x[4:8]
-        if free_angles:
-            return c, x[8], x[9]
-        return c, alpha, alpha
-
-    def rows_and_derivs(aa, ab):
-        sa, ca = math.sin(aa), math.cos(aa)
-        sb, cb = math.sin(ab), math.cos(ab)
-        return {
-            "ff_plus_plus": (np.array([0.0, 0.0, 0.0, 1.0]), np.zeros(4), np.zeros(4)),
-            "fa_minus_gb_plus": (np.array([sb, -cb, 0.0, 0.0]),
-                                 np.zeros(4),
-                                 np.array([cb, sb, 0.0, 0.0])),
-            "ga_plus_fb_minus": (np.array([sa, 0.0, -ca, 0.0]),
-                                 np.array([ca, 0.0, sa, 0.0]),
-                                 np.zeros(4)),
-            "gg_plus_plus": (np.array([sa * sb, -sa * cb, -ca * sb, ca * cb]),
-                             np.array([ca * sb, -ca * cb, sa * sb, -sa * cb]),
-                             np.array([sa * cb, sa * sb, -ca * cb, -ca * sb])),
-        }
-
-    def quantity(x, name, sign=1.0):
-        c, aa, ab = split(x)
-        coef, dca, dcb = rows_and_derivs(aa, ab)[name]
-        z = np.dot(coef, c)
-        val, grad_c = _pack_quantity(c, coef, z)
-        grad = np.zeros(n_par)
-        grad[:8] = grad_c
-        if free_angles:
-            grad[8], grad[9] = _angle_grads(c, dca, dcb, z)
-        return sign * val, sign * grad
-
-    def norm_constraint(x):
-        return float(np.dot(x[:8], x[:8])) - 1.0
-
-    def norm_jac(x):
-        g = np.zeros(n_par)
-        g[:8] = 2.0 * x[:8]
-        return g
-
-    constraints = [dict(type="eq", fun=norm_constraint, jac=norm_jac)]
-    for name in ("ff_plus_plus", "fa_minus_gb_plus", "ga_plus_fb_minus"):
-        constraints.append(dict(
-            type="eq",
-            fun=lambda x, n=name: quantity(x, n)[0],
-            jac=lambda x, n=name: quantity(x, n)[1],
-        ))
-
-    def objective(x):
-        return quantity(x, "gg_plus_plus", sign=-1.0)
-
-    bounds = None
-    if free_angles:
-        bounds = [(None, None)] * 8 + [(0.0, math.pi / 2)] * 2
-    return objective, constraints, bounds, split
+    rows = _coefficient_rows(alpha_a, alpha_b)
+    rows.pop("gg_plus_plus")
+    return int(np.linalg.matrix_rank(np.array(list(rows.values()))))
 
 
-def _optimize(free_angles: bool, alpha: float, n_starts: int, seed) -> OptimizationResult:
-    rng = np.random.default_rng(seed)
-    objective, constraints, bounds, split = _build_problem(free_angles, alpha)
-    best = None
-    best_any = None
-    n_feasible = 0
-    for _ in range(n_starts):
-        x0 = rng.normal(size=10 if free_angles else 8)
-        x0[:8] /= np.linalg.norm(x0[:8])
-        if free_angles:
-            x0[8:] = rng.uniform(0.05, math.pi / 2 - 0.05, size=2)
-        res = minimize(objective, x0, jac=True, method="SLSQP",
-                       constraints=constraints, bounds=bounds,
-                       options=dict(maxiter=400, ftol=1e-14))
-        c, aa, ab = split(res.x)
-        norm = np.linalg.norm(c)
-        if norm < 1e-6:
-            continue
-        inst = HardyInstance(tuple(c / norm), aa, ab)
-        p, residuals = hardy_probability(inst)
-        viol = max(max(residuals.values()), abs(norm - 1.0))
-        candidate = OptimizationResult(p, inst, viol, 0, n_starts)
-        if best_any is None or p > best_any.probability:
-            best_any = candidate
-        if viol <= 1e-9:
-            n_feasible += 1
-            if best is None or p > best.probability:
-                best = candidate
-    if best is None:
-        raise OptimizationError(
-            f"no feasible optimum in {n_starts} starts", best=best_any)
-    return OptimizationResult(best.probability, best.instance,
-                              best.max_residual, n_feasible, n_starts)
+def _result(inst: HardyInstance, n_feasible: int, n_starts: int) -> OptimizationResult:
+    p, residuals = hardy_probability(inst)
+    return OptimizationResult(p, inst, max(residuals.values()), n_feasible, n_starts)
 
 
 def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,
                          seed=0) -> OptimizationResult:
     """Maximize the positive-event probability at a fixed common angle.
 
-    Multistart SLSQP over the normalized complex state, with the three zero
-    constraints imposed exactly.  At alpha = pi/3 the optimum is 9/112.
+    With rank-3 zero constraints the feasible state is unique up to phase,
+    so it is the maximizer: no search is needed, and ``n_starts`` and
+    ``seed`` are unused (the result reports one start).  At alpha = pi/3 the
+    optimum is 9/112.  Raises ValueError where the rank drops (alpha = pi/2).
     """
-    return _optimize(False, alpha, n_starts, seed)
+    if zero_constraint_rank(alpha, alpha) < 3:
+        raise ValueError(f"the zero constraints have rank below 3 at alpha = {alpha}")
+    return _result(feasible_state(alpha, alpha), 1, 1)
 
 
 def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> OptimizationResult:
-    """Maximize over the state and both angles jointly.
+    """Maximize over both angles, the state following as the feasible state.
 
-    The optimum is the golden-ratio point: sin^2(alpha) = (sqrt 5 - 1)/2 on
-    both wings, probability ((sqrt 5 - 1)/2)^5.
+    Seeded multistart of a bounded 2-angle solve of
+    P(feasible_state(alpha_a, alpha_b)); every start is feasible by
+    construction.  P vanishes on every edge of [0, pi/2]^2, so the upper bound
+    stops just short of pi/2 and keeps the solve off the corner where the
+    constraints lose rank.  The optimum is the golden-ratio point:
+    sin^2(alpha) = (sqrt 5 - 1)/2 on both wings, probability
+    ((sqrt 5 - 1)/2)^5.
     """
-    return _optimize(True, 0.0, n_starts, seed)
+    rng = np.random.default_rng(seed)
+    bounds = [(0.0, math.pi / 2 - 1e-6)] * 2
+
+    def objective(x):
+        return -hardy_probability(feasible_state(x[0], x[1]))[0]
+
+    best = None
+    for _ in range(n_starts):
+        x0 = rng.uniform(0.05, math.pi / 2 - 0.05, size=2)
+        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
+        if best is None or res.fun < best.fun:
+            best = res
+    return _result(feasible_state(*best.x), n_starts, n_starts)

@@ -111,16 +111,6 @@ def wing_outcome_distribution(state: QuantumState, protocol: str,
     return {-1: float(probs[signs == -1].sum()), +1: float(probs[signs == +1].sum())}
 
 
-def sample_wing(state: QuantumState, protocol: str,
-                rotation: Unitary2 | None, rng: np.random.Generator) -> tuple:
-    """Draw one outcome word from the (optionally rotated) product basis."""
-    probs = wing_distribution(state, protocol, rotation)
-    probs = np.where(probs < _PROB_CLIP, 0.0, probs)
-    probs /= probs.sum()
-    w = int(rng.choice(16, p=probs))
-    return ((w >> 3) & 1, (w >> 2) & 1, (w >> 1) & 1, w & 1)
-
-
 @dataclass(frozen=True)
 class ExperimentRecord:
     """Tallies from a simulated two-wing run; counts[(sa, sb)][(oa, ob)]."""

@@ -221,27 +221,3 @@ def partial_trace(state_or_rho, keep) -> DensityOperator:
         m = t.ndim // 2
         t = np.trace(t, axis1=q - 1, axis2=m + q - 1)
     return DensityOperator(t.reshape(2 ** len(keep), 2 ** len(keep)))
-
-
-def measure_projective(s: QuantumState, projectors) -> np.ndarray:
-    """Born-rule outcome distribution for a list of orthogonal projectors.
-
-    Returns an array of length ``len(projectors) + 1``; the last entry is the
-    probability of the residual "null" outcome (complement of the projector
-    sum).  Projectors must be pairwise orthogonal with sum at most identity.
-    """
-    mats = [np.asarray(p, dtype=complex) for p in projectors]
-    dim = s.amplitudes.size
-    total = np.zeros((dim, dim), dtype=complex)
-    for i, p in enumerate(mats):
-        if p.shape != (dim, dim):
-            raise ValueError(f"projector {i} has shape {p.shape}, expected {(dim, dim)}")
-        for q in mats[i + 1:]:
-            if np.abs(p @ q).max() > ATOL:
-                raise ValueError("projectors are not pairwise orthogonal")
-        total += p
-    if np.linalg.eigvalsh(total).max() > 1.0 + ATOL:
-        raise ValueError("projector sum exceeds identity")
-    probs = np.array([np.real(s.amplitudes.conj() @ p @ s.amplitudes) for p in mats])
-    out = np.append(probs, max(0.0, 1.0 - probs.sum()))
-    return out

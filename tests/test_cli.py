@@ -97,6 +97,13 @@ def test_verify_distinguish_small_grid():
     assert result.exit_code == 2  # below the resolution floor
 
 
+@pytest.mark.parametrize("grid", ["101", "102"])
+def test_grid_without_pi_over_four_is_usage_error(grid):
+    result = _run(["verify-distinguish", "--grid", grid])
+    assert result.exit_code == 2
+    assert "--grid" in result.output
+
+
 def test_negative_seed_option_is_usage_error():
     for cmd in (["verify-correlations", "--rotations", "2"],
                 ["simulate", "--rounds", "10"],

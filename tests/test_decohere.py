@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel, apply_channel,
+from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel,
                               fidelity_samples, immunity_report,
                               state_fidelity)
 from dfsbell.dfs_states import make_eta, make_phi0, make_phi1
@@ -72,21 +72,6 @@ def test_state_fidelity_known_values():
     rho = partial_trace(make_eta(), keep=(1, 2, 3, 4))
     assert state_fidelity(make_phi0(), rho) == pytest.approx(4.0 / 7.0)
     assert state_fidelity(rho, make_phi0().density()) == pytest.approx(4.0 / 7.0)
-
-
-def test_apply_channel_preserves_sector_states():
-    rho = apply_channel(make_phi0(), CollectiveChannel(n_samples=50), seed=6)
-    expect = make_phi0().density().matrix
-    assert np.linalg.norm(rho.matrix - expect) < 1e-10
-
-
-def test_apply_channel_scrambles_reference_states():
-    rho = apply_channel(basis_state("0101"), CollectiveChannel(n_samples=200),
-                        seed=7)
-    # averaging over rotations spreads the weight across many eigenvectors
-    ev = np.linalg.eigvalsh(rho.matrix)
-    assert ev.max() < 0.9
-    assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
 
 
 def test_density_rejects_per_wing_scope():

@@ -125,6 +125,14 @@ def test_scan_range_restriction():
     assert abs(found[0] - math.pi / 6) < 1e-6
 
 
+def test_scan_rejects_a_grid_without_pi_over_four():
+    # off such grids the exact tuples are missed and the scan would find
+    # nothing, which reads as a physics failure
+    for r in (101, 102):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            scan_distinguishable_omegas(resolution=r)
+
+
 def test_scan_resolution_floor():
     with pytest.raises(ValueError):
         scan_distinguishable_omegas(resolution=50)

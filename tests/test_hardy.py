@@ -6,12 +6,12 @@ import pytest
 
 from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
                            Feasible, HardyInstance, Infeasible, LhvConstraint,
-                           LhvScenario, OptimizationError, eta_instance,
-                           feasible_state, fixed_angle_maximum,
-                           hardy_probability, lhv_feasibility,
-                           optimize_constrained,
+                           LhvScenario, eta_instance, feasible_state,
+                           fixed_angle_maximum, hardy_probability,
+                           lhv_feasibility, optimize_constrained,
                            optimize_unconstrained_measurements,
-                           standard_scenario, to_full_state)
+                           standard_scenario, to_full_state,
+                           zero_constraint_rank)
 from dfsbell.correlations import Setting, joint_probability
 from dfsbell.dfs_states import dfs_observable, make_eta, make_f
 
@@ -28,24 +28,33 @@ def test_to_full_state_matches_eta():
 
 def test_hardy_probability_agrees_with_full_state_route():
     # the 2x2 reduction must reproduce the Born probabilities computed on
-    # the embedded 256-dimensional state
+    # the embedded 256-dimensional state, for random states and for the
+    # feasible states the optimizers return, whose zeros must hold there too
     rng = np.random.default_rng(61)
+    instances = []
     for _ in range(5):
         c = rng.normal(size=4) + 1j * rng.normal(size=4)
         c /= np.linalg.norm(c)
         aa, ab = rng.uniform(0.1, math.pi / 2 - 0.1, size=2)
-        inst = HardyInstance(tuple(c), aa, ab)
+        instances.append(HardyInstance(tuple(c), aa, ab))
+    feasible = [feasible_state(*rng.uniform(0.05, math.pi / 2 - 0.05, size=2))
+                for _ in range(5)]
+    for inst in instances + feasible:
         p, residuals = hardy_probability(inst)
         full = to_full_state(inst)
-        ga, gb = Setting(dfs_observable(aa)), Setting(dfs_observable(ab))
+        ga = Setting(dfs_observable(inst.alpha_a))
+        gb = Setting(dfs_observable(inst.alpha_b))
         fa = fb = Setting(make_f())
+        zeros = {
+            "ff_plus_plus": joint_probability(full, fa, fb, +1, +1),
+            "fa_minus_gb_plus": joint_probability(full, fa, gb, -1, +1),
+            "ga_plus_fb_minus": joint_probability(full, ga, fb, +1, -1),
+        }
         assert abs(p - joint_probability(full, ga, gb, +1, +1)) < 1e-10
-        assert abs(residuals["ff_plus_plus"]
-                   - joint_probability(full, fa, fb, +1, +1)) < 1e-10
-        assert abs(residuals["fa_minus_gb_plus"]
-                   - joint_probability(full, fa, gb, -1, +1)) < 1e-10
-        assert abs(residuals["ga_plus_fb_minus"]
-                   - joint_probability(full, ga, fb, +1, -1)) < 1e-10
+        for name, value in zeros.items():
+            assert abs(residuals[name] - value) < 1e-10
+        if inst in feasible:
+            assert max(zeros.values()) < 1e-12 and p > 0.0
 
 
 def test_feasible_state_satisfies_the_zeros():
@@ -65,6 +74,55 @@ def test_feasible_state_equal_angles_reaches_the_curve():
 def test_feasible_state_degenerate_angles():
     with pytest.raises(ValueError):
         feasible_state(math.pi / 2, math.pi / 2)
+
+
+def test_zero_constraint_rank():
+    rng = np.random.default_rng(63)
+    for aa, ab in rng.uniform(0.0, math.pi / 2, size=(20, 2)):
+        assert zero_constraint_rank(aa, ab) == 3
+    assert zero_constraint_rank(math.pi / 2, 0.7) == 3
+    assert zero_constraint_rank(math.pi / 2, math.pi / 2) < 3
+    with pytest.raises(ValueError):
+        optimize_constrained(alpha=math.pi / 2)
+
+
+def test_exact_certificate_of_both_optima():
+    sp = pytest.importorskip("sympy")
+    a, b = sp.symbols("alpha_a alpha_b", positive=True)
+    x, y, t = sp.symbols("x y t", positive=True)
+    sa, ca, sb, cb = sp.sin(a), sp.cos(a), sp.sin(b), sp.cos(b)
+    # feasible_state and the rows of the four events, before normalization
+    c = sp.Matrix([ca * cb, ca * sb, sa * cb, 0])
+    zero_rows = ([0, 0, 0, 1], [sb, -cb, 0, 0], [sa, 0, -ca, 0])
+    assert all(sp.simplify(sp.Matrix([row]).dot(c)) == 0 for row in zero_rows)
+    gg = sp.Matrix([[sa * sb, -sa * cb, -ca * sb, ca * cb]]).dot(c)
+    p_trig = gg ** 2 / c.dot(c)
+    p_xy = x * (1 - x) * y * (1 - y) / (1 - x * y)
+    on_angles = p_xy.subs({x: sa ** 2, y: sb ** 2})
+    assert sp.simplify(sp.expand_trig(p_trig - on_angles)) == 0
+    for aa, ab in ((0.3, 1.1), (math.pi / 3, math.pi / 3), (1.4, 0.2)):
+        inst = feasible_state(aa, ab)
+        assert abs(float(p_trig.subs({a: aa, b: ab}))
+                   - hardy_probability(inst)[0]) < 1e-14
+    # alpha = pi/3 on both wings gives 9/112 exactly
+    assert p_xy.subs({x: sp.Rational(3, 4), y: sp.Rational(3, 4)}) \
+        == sp.Rational(9, 112)
+    assert sp.nsimplify(p_trig.subs({a: sp.pi / 3, b: sp.pi / 3})) \
+        == sp.Rational(9, 112)
+    # on the diagonal the only stationary point in (0, 1) is t^2 + t - 1 = 0
+    diag = p_xy.subs({x: t, y: t})
+    numerator = sp.factor(sp.numer(sp.together(sp.diff(diag, t))))
+    assert sp.rem(numerator, t ** 2 + t - 1, t) == 0
+    roots = [r for r in sp.solve(numerator, t) if 0 < r < 1]
+    assert roots == [(sp.sqrt(5) - 1) / 2]
+    peak = sp.radsimp(sp.simplify(diag.subs(t, roots[0])))
+    assert sp.simplify(peak - (5 * sp.sqrt(5) - 11) / 2) == 0
+    assert abs(float(peak) - FREE_MAXIMUM) < 1e-15
+    # and off the diagonal the gradient vanishes nowhere else in (0, 1)^2
+    grad = [sp.numer(sp.together(sp.diff(p_xy, v))) for v in (x, y)]
+    inside = [s for s in sp.solve(grad, [x, y], dict=True)
+              if all(v.is_real and 0 < v < 1 for v in s.values())]
+    assert inside == [{x: roots[0], y: roots[0]}]
 
 
 def test_fixed_angle_maximum_curve():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dfsbell.localmeas import (PROTOCOLS, classify_outcome, run_experiment,
-                               sample_wing, wing_distribution,
-                               wing_outcome_distribution)
+                               wing_distribution, wing_outcome_distribution)
 from dfsbell.dfs_states import make_phi0, make_phi1, make_psi0
 from dfsbell.qcore import haar_su2
 
@@ -81,14 +80,6 @@ def test_rotation_leaves_outcome_distribution():
             base = wing_outcome_distribution(make_phi1(), proto)
             rot = wing_outcome_distribution(make_phi1(), proto, rotation=u)
             assert abs(base[-1] - rot[-1]) < 1e-12
-
-
-def test_sample_wing_respects_support():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        word = sample_wing(make_phi0(), "F", None, rng)
-        idx = (word[0] << 3) | (word[1] << 2) | (word[2] << 1) | word[3]
-        assert idx in F_MINUS_WORDS
 
 
 def test_run_experiment_counts_and_determinism():

@@ -5,8 +5,7 @@ import pytest
 
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            Unitary2, apply_collective, basis_state, haar_su2,
-                           measure_projective, partial_trace, permute_qubits,
-                           tensor)
+                           partial_trace, permute_qubits, tensor)
 
 
 def test_basis_state_bit_order():
@@ -144,17 +143,6 @@ def test_density_operator_validation():
     bad = np.diag([1.5, -0.5])
     with pytest.raises(ValueError):
         DensityOperator(bad)
-
-
-def test_measure_projective_probabilities_and_null():
-    s = QuantumState(np.array([1.0, 1.0, 1.0, 1.0]) / 2.0)
-    p0 = np.outer([1, 0, 0, 0], [1, 0, 0, 0]).astype(complex)
-    p1 = np.outer([0, 1, 0, 0], [0, 1, 0, 0]).astype(complex)
-    probs = measure_projective(s, [p0, p1])
-    # last slot is the null outcome for the unspanned remainder
-    assert np.allclose(probs, [0.25, 0.25, 0.5])
-    with pytest.raises(ValueError):
-        measure_projective(s, [p0, p0])  # not mutually orthogonal
 
 
 def test_overlap_conjugate_symmetry():
