@@ -3,7 +3,8 @@
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
 2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
 non-finite --tol, a --refine that is not a positive finite number, and a
---grid that is not a multiple of 4), 3 an output file could not be written.
+--grid that is not a multiple of 4), 3 an output file could not be written,
+4 internal error (an unexpected exception, reported in one line on stderr).
 
 The root seed comes from --seed, falling back to the DFSBELL_SEED environment
 variable, then 0.  Each suite inside report-all consumes a named substream of
@@ -28,6 +29,8 @@ from .report import (Check, Report, Section, approx_check, bound_check,
                      render_text, to_json)
 
 IDENTITY_TOL = 1e-9
+# Haar frame pairs of report-all's exact alignment-free check.
+_FRAME_PAIRS = 100
 EXCLUDED_OMEGAS = ((math.pi / 5, "pi/5"), (math.pi / 4, "pi/4"))
 
 
@@ -86,7 +89,8 @@ def _correlations_section(n_rotations: int, seed, tol: float) -> Section:
             f"{key} rotation drift", suite.max_deviation[key], tol,
             description=f"worst deviation over {suite.n_samples} "
                         "random collective rotation tuples",
-            source="sampled estimate"))
+            source="sampled estimate",
+            detail=f"largest at rotation tuple {suite.worst_sample[key]}"))
     checks.append(bound_check(
         "null outcome probability", suite.max_null_probability, tol,
         description="spin-zero states never leave the labelled eigenspaces",
@@ -94,9 +98,10 @@ def _correlations_section(n_rotations: int, seed, tol: float) -> Section:
     return Section("correlation identities", tuple(checks))
 
 
-def _simulation_section(rounds: int, seed) -> Section:
+def _simulation_section(rounds: int, seed, frame_seed) -> Section:
     rec = localmeas.run_experiment(rounds, settings_policy="random",
                                    rotations_policy="fresh", seed=seed)
+    drift, worst = localmeas.max_frame_drift(_FRAME_PAIRS, frame_seed)
     p_gg = 9.0 / 112.0
     zero_events = (
         ("F", "F", +1, +1),
@@ -120,6 +125,12 @@ def _simulation_section(rounds: int, seed) -> Section:
         description=f"empirical frequency over {n_gg} rounds against the "
                     "closed-form probability, five-sigma window",
         source="sampled estimate"))
+    checks.append(bound_check(
+        "alignment-free word-pair distribution", drift, 1e-12,
+        description=f"largest change of a word-pair probability over "
+                    f"{_FRAME_PAIRS} random frame pairs and all four setting "
+                    "pairs, against fixed frames",
+        source="closed form", detail=f"largest at frame pair {worst}"))
     return Section("finite-sample simulation", tuple(checks))
 
 
@@ -133,14 +144,16 @@ def _decoherence_section(samples: int, seed) -> Section:
                 passed=e.immune,
                 description=f"smallest fidelity over {e.n_samples} random draws",
                 source="sampled estimate", value=e.min_fidelity,
-                expected=1.0, tolerance=decohere.IMMUNITY_ATOL))
+                expected=1.0, tolerance=decohere.IMMUNITY_ATOL,
+                detail=f"smallest at draw {e.worst_draw}"))
         else:
             checks.append(Check(
                 name=f"{e.name} degraded under {e.scope} rotations",
                 passed=e.min_fidelity < 0.99,
                 description="states outside the protected sector must lose "
                             "fidelity, calibrating the immunity claim",
-                source="sampled estimate", value=e.min_fidelity))
+                source="sampled estimate", value=e.min_fidelity,
+                detail=f"smallest at draw {e.worst_draw}"))
     return Section("collective decoherence immunity", tuple(checks))
 
 
@@ -260,7 +273,20 @@ _seed_option = click.option("--seed", default=None, type=click.IntRange(min=0),
                             help="Root RNG seed.")
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps an unexpected exception to exit code 4 with a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            ctx.exit(4)
+
+
+@click.group(cls=_Group)
 @click.version_option(__version__, prog_name="dfsbell")
 def main():
     """Verification toolkit for the alignment-free four-qubit Bell test."""
@@ -381,7 +407,8 @@ def report_all_cmd(fmt, seed, timing):
     sections = (
         _correlations_section(config["rotations"], _subseed(seed, 0),
                               config["identity_tol"]),
-        _simulation_section(config["sim_rounds"], _subseed(seed, 1)),
+        _simulation_section(config["sim_rounds"], _subseed(seed, 1),
+                            _subseed(seed, 5)),
         _decoherence_section(config["decoherence_samples"], _subseed(seed, 2)),
         _distinguish_section(config["scan_resolution"],
                              config["scan_refine_tol"],

@@ -5,6 +5,12 @@ observable (F or G, possibly conjugated by a collective rotation of that
 wing); outcomes are -1, +1, or "null" for the 14-dimensional complement.
 All probabilities here are computed analytically from amplitudes, never
 sampled.
+
+A wing's measurement is the matrix of its eigen-bras (conjugated
+eigenvectors, one row per labelled outcome); a rotated setting turns them
+with ``qcore.wing_bras`` and ``qcore.joint_probs`` gives the labelled pair
+probabilities.  The correlation suite evaluates all its rotation tuples in
+one batched call.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import Observable, make_eta, make_f, make_g
-from .qcore import QuantumState, Unitary2, haar_su2
+from .qcore import QuantumState, Unitary2, haar_su2, joint_probs, wing_bras
 
 NULL = "null"
 OUTCOMES = (-1, +1, NULL)
@@ -48,16 +54,24 @@ class Setting:
     rotation: LocalRotation | None = None
 
 
-def _wing_vectors(setting: Setting, wing: str):
-    """Outcome -> 16-dim eigenvector array for one wing, rotation applied."""
-    obs = setting.observable
+def _setting_bras(setting: Setting, wing: str):
+    """Outcome labels and the (k, 16) bras of one wing, rotation applied."""
+    pairs = setting.observable.eigenpairs
+    bras = np.array([vec.amplitudes.conj() for _, vec in pairs])
     if setting.rotation is not None:
         if setting.rotation.wing != wing:
             raise ValueError(
                 f"rotation is for wing {setting.rotation.wing!r}, used on {wing!r}"
             )
-        obs = obs.rotated(setting.rotation.u)
-    return {int(val): vec.amplitudes for val, vec in obs.eigenpairs}
+        bras = wing_bras(bras, setting.rotation.u.matrix)
+    return [int(val) for val, _ in pairs], bras
+
+
+def _marginal(bras: np.ndarray, m: np.ndarray, wing: str) -> np.ndarray:
+    """Outcome probabilities of one wing's bras, the other wing unmeasured."""
+    if wing == "bob":
+        m = m.T
+    return np.sum(np.abs(bras @ m) ** 2, axis=-1)
 
 
 def joint_distribution(state: QuantumState, a: Setting, b: Setting) -> dict:
@@ -65,24 +79,20 @@ def joint_distribution(state: QuantumState, a: Setting, b: Setting) -> dict:
     if state.n_qubits != 8:
         raise ValueError("joint_distribution expects an 8-qubit state")
     m = state.amplitudes.reshape(16, 16)
-    va = _wing_vectors(a, "alice")
-    vb = _wing_vectors(b, "bob")
-    dist = {}
+    la, ba = _setting_bras(a, "alice")
+    lb, bb = _setting_bras(b, "bob")
+    joint = joint_probs(ba, m, bb)
+    pa, pb = _marginal(ba, m, "alice"), _marginal(bb, m, "bob")
     # labelled x labelled blocks from amplitudes, null rows/columns from
     # marginals so the nine entries sum to 1 exactly.
-    pa = {la: float(np.linalg.norm(v.conj() @ m) ** 2) for la, v in va.items()}
-    pb = {lb: float(np.linalg.norm(m @ v.conj()) ** 2) for lb, v in vb.items()}
-    for la, u in va.items():
-        for lb, v in vb.items():
-            dist[(la, lb)] = float(abs(u.conj() @ m @ v.conj()) ** 2)
-    for la in va:
-        dist[(la, NULL)] = max(0.0, pa[la] - sum(dist[(la, lb)] for lb in vb))
-    for lb in vb:
-        dist[(NULL, lb)] = max(0.0, pb[lb] - sum(dist[(la, lb)] for la in va))
-    covered = sum(pa.values()) + sum(pb.values()) - sum(
-        dist[(la, lb)] for la in va for lb in vb
-    )
-    dist[(NULL, NULL)] = max(0.0, 1.0 - covered)
+    dist = {(x, y): float(joint[i, j])
+            for i, x in enumerate(la) for j, y in enumerate(lb)}
+    for i, x in enumerate(la):
+        dist[(x, NULL)] = max(0.0, float(pa[i] - joint[i].sum()))
+    for j, y in enumerate(lb):
+        dist[(NULL, y)] = max(0.0, float(pb[j] - joint[:, j].sum()))
+    covered = pa.sum() + pb.sum() - joint.sum()
+    dist[(NULL, NULL)] = max(0.0, float(1.0 - covered))
     return dist
 
 
@@ -97,12 +107,9 @@ def joint_probability(state: QuantumState, a: Setting, b: Setting,
 
 def wing_marginal(state: QuantumState, setting: Setting, wing: str) -> dict:
     """Single-wing outcome distribution, other wing unmeasured."""
-    m = state.amplitudes.reshape(16, 16)
-    vecs = _wing_vectors(setting, wing)
-    if wing == "alice":
-        probs = {la: float(np.linalg.norm(v.conj() @ m) ** 2) for la, v in vecs.items()}
-    else:
-        probs = {lb: float(np.linalg.norm(m @ v.conj()) ** 2) for lb, v in vecs.items()}
+    labels, bras = _setting_bras(setting, wing)
+    p = _marginal(bras, state.amplitudes.reshape(16, 16), wing)
+    probs = {label: float(x) for label, x in zip(labels, p)}
     probs[NULL] = max(0.0, 1.0 - sum(probs.values()))
     return probs
 
@@ -145,12 +152,18 @@ EXPECTED_CORRELATIONS = {
 
 @dataclass(frozen=True)
 class CorrelationSuiteResult:
-    """Identity-rotation values plus worst-case deviation over rotation samples."""
+    """Identity-rotation values plus worst-case deviation over rotation samples.
+
+    ``worst_sample[key]`` is the index i of the rotation tuple with the
+    largest deviation of that key; tuple i uses draws 4i..4i+3 of the seeded
+    stream.
+    """
 
     identity_values: dict
     max_deviation: dict
     n_samples: int
     max_null_probability: float
+    worst_sample: dict
 
     def max_identity_error(self) -> float:
         return max(
@@ -158,58 +171,47 @@ class CorrelationSuiteResult:
         )
 
 
-def _four_quantities(state, rot_fa=None, rot_ga=None, rot_fb=None, rot_gb=None):
-    f, g = make_f(), make_g()
-    fa = Setting(f, rot_fa)
-    ga = Setting(g, rot_ga)
-    fb = Setting(f, rot_fb)
-    gb = Setting(g, rot_gb)
-    return {
-        "joint_ff_plus_plus": joint_probability(state, fa, fb, +1, +1),
-        "cond_fa_given_gb": conditional_probability(
-            state, (fa, +1, "alice"), (gb, +1, "bob")
-        ),
-        "cond_fb_given_ga": conditional_probability(
-            state, (fb, +1, "bob"), (ga, +1, "alice")
-        ),
-        "joint_gg_plus_plus": joint_probability(state, ga, gb, +1, +1),
-    }
-
-
 def verify_correlation_suite(n_rotation_samples: int = 100,
                              seed=0) -> CorrelationSuiteResult:
     """Recompute the four correlation quantities under random rotation tuples.
 
     Each sample draws four independent Haar rotations (one per wing per
-    observable) and records the worst deviation from the closed-form values.
-    Also tracks the largest null-outcome probability seen, which must stay
-    at zero for spin-zero states.
+    observable, in the order F on Alice, G on Alice, F on Bob, G on Bob) and
+    records the worst deviation from the closed-form values.  Also tracks
+    the largest null-outcome probability seen, which must stay at zero for
+    spin-zero states.
     """
+    if n_rotation_samples < 1:
+        raise ValueError("n_rotation_samples must be >= 1")
     state = make_eta()
-    identity = _four_quantities(state)
+    m = state.amplitudes.reshape(16, 16)
     rng = np.random.default_rng(seed)
-    max_dev = {k: 0.0 for k in EXPECTED_CORRELATIONS}
-    max_null = max(
-        wing_marginal(state, Setting(make_f()), "alice")[NULL],
-        wing_marginal(state, Setting(make_g()), "bob")[NULL],
-    )
-    for _ in range(n_rotation_samples):
-        rot = {
-            "fa": LocalRotation(haar_su2(rng), "alice"),
-            "ga": LocalRotation(haar_su2(rng), "alice"),
-            "fb": LocalRotation(haar_su2(rng), "bob"),
-            "gb": LocalRotation(haar_su2(rng), "bob"),
-        }
-        vals = _four_quantities(state, rot["fa"], rot["ga"], rot["fb"], rot["gb"])
-        for k, expected in EXPECTED_CORRELATIONS.items():
-            max_dev[k] = max(max_dev[k], abs(vals[k] - expected))
-        max_null = max(
-            max_null,
-            wing_marginal(state, Setting(make_f(), rot["fa"]), "alice")[NULL],
-        )
+    # tuple 0 is unrotated, tuple i + 1 holds sample i's four rotations
+    us = np.stack([np.eye(2)] * 4 + [
+        haar_su2(rng).matrix for _ in range(4 * n_rotation_samples)
+    ]).reshape(n_rotation_samples + 1, 4, 2, 2)
+    labels, f = _setting_bras(Setting(make_f()), "alice")
+    _, g = _setting_bras(Setting(make_g()), "alice")
+    plus = labels.index(+1)  # F and G list their outcomes in the same order
+    fa, ga, fb, gb = (wing_bras(bras, us[:, i]) for i, bras in enumerate((f, g, f, g)))
+
+    def joint_plus(ba, bb):
+        return joint_probs(ba, m, bb)[:, plus, plus]
+
+    values = {
+        "joint_ff_plus_plus": joint_plus(fa, fb),
+        "cond_fa_given_gb": joint_plus(fa, gb) / _marginal(gb, m, "bob")[:, plus],
+        "cond_fb_given_ga": joint_plus(ga, fb) / _marginal(ga, m, "alice")[:, plus],
+        "joint_gg_plus_plus": joint_plus(ga, gb),
+    }
+    dev = {k: np.abs(v[1:] - EXPECTED_CORRELATIONS[k]) for k, v in values.items()}
+    null_fa = 1.0 - _marginal(fa, m, "alice").sum(axis=-1)
     return CorrelationSuiteResult(
-        identity_values=identity,
-        max_deviation=max_dev,
+        identity_values={k: float(v[0]) for k, v in values.items()},
+        max_deviation={k: float(d.max()) for k, d in dev.items()},
         n_samples=n_rotation_samples,
-        max_null_probability=max_null,
+        max_null_probability=max(
+            0.0, float(null_fa.max()),
+            wing_marginal(state, Setting(make_g()), "bob")[NULL]),
+        worst_sample={k: int(d.argmax()) for k, d in dev.items()},
     )

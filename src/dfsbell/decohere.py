@@ -6,6 +6,10 @@ two wings.  Singlet-sector states are exactly invariant under either scope,
 so their fidelity with the noisy state is 1 for every draw, not just on
 average.  Reference states outside the sector (a computational basis word, a
 GHZ state) lose most of their fidelity, which calibrates the comparison.
+
+Pure states turn through ``qcore.apply_collective``; a density operator
+turns by the full U^(x n) from ``qcore.kron``.  Draws run one at a time, so
+each draw makes one ``haar_su2`` call per rotated wing.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (DensityOperator, QuantumState, apply_collective,
-                    basis_state, haar_su2, partial_trace)
+                    basis_state, haar_su2, kron, partial_trace)
 
 IMMUNITY_ATOL = 1e-9
 
@@ -41,19 +45,12 @@ class CollectiveChannel:
             raise ValueError(f"scope must be one of {_SCOPES}")
 
 
-def _collective_matrix(u, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(n):
-        out = np.kron(out, u.matrix)
-    return out
-
-
 def _rotate_once(state, channel: CollectiveChannel, rng):
     """One noisy copy of a pure state or a density operator."""
     if isinstance(state, DensityOperator):
         if channel.scope != "global":
             raise ValueError("density operators support only the global scope")
-        big = _collective_matrix(haar_su2(rng), state.n_qubits)
+        big = kron([haar_su2(rng).matrix] * state.n_qubits)
         return DensityOperator(big @ state.matrix @ big.conj().T)
     if channel.scope == "global":
         return apply_collective(state, haar_su2(rng))
@@ -97,12 +94,15 @@ def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateImmunity:
+    """Fidelity statistics of one state; ``worst_draw`` indexes its smallest fidelity."""
+
     name: str
     scope: str
     n_samples: int
     min_fidelity: float
     mean_fidelity: float
     immune: bool
+    worst_draw: int
 
 
 @dataclass(frozen=True)
@@ -153,5 +153,6 @@ def immunity_report(n_samples: int = 1000, seed=0) -> ImmunityReport:
         entries.append(StateImmunity(
             name=name, scope=scope, n_samples=n_samples,
             min_fidelity=float(fids.min()), mean_fidelity=float(fids.mean()),
-            immune=bool(fids.min() > 1.0 - IMMUNITY_ATOL)))
+            immune=bool(fids.min() > 1.0 - IMMUNITY_ATOL),
+            worst_draw=int(fids.argmin())))
     return ImmunityReport(entries=tuple(entries))

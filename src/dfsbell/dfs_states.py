@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, QuantumState, Unitary2, apply_collective, tensor
+from .qcore import ATOL, QuantumState, Unitary2, apply_collective
 
 _SQRT3 = math.sqrt(3.0)
 

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .dfs_states import make_phi0, make_phi1
-from .localmeas import _axis_rows
+from .localmeas import _axis_rows, _product_bras
 
 SUPPORT_TOL = 1e-8
 
@@ -77,9 +77,7 @@ class DistinguishInstance:
 
 def _product_components(state4: np.ndarray, thetas) -> np.ndarray:
     """Components of a 4-qubit vector in the product basis with the given angles."""
-    t = state4.reshape(2, 2, 2, 2)
-    ms = [_axis_rows(th) for th in thetas]
-    return np.einsum("ai,bj,ck,dl,ijkl->abcd", *ms, t).reshape(16)
+    return _product_bras(thetas) @ state4
 
 
 def pair_states(omega: float):

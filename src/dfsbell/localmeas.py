@@ -7,17 +7,22 @@ state.  For the F pairing, qubits (1,2) share the z axis and (3,4) the x
 axis; a word means outcome -1 (the singlet-pair state) exactly when bits 1,2
 differ and bits 3,4 differ.  The G protocol is the same table with qubits 2
 and 3 exchanging roles.
+
+Every wing measurement is one matrix of bras, one row per outcome word
+(``_product_bras``); a wing that turns its frame by a collective U^(x4) uses
+``qcore.wing_bras`` of those rows, and ``qcore.joint_probs`` gives the word-pair
+probabilities on the two-wing state, for one frame pair or a batch of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dfs_states import make_eta
-from .qcore import QuantumState, Unitary2, haar_su2
+from .qcore import QuantumState, Unitary2, haar_su2, joint_probs, kron, wing_bras
 
 # Word probabilities analytically equal to zero come out of floating-point
 # amplitude algebra at ~1e-32; clipping below this threshold keeps
@@ -25,6 +30,9 @@ from .qcore import QuantumState, Unitary2, haar_su2
 _PROB_CLIP = 1e-20
 
 _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
+
+# Rounds per batch of fresh frames; bounds the (rounds, 16, 16) work arrays.
+_ROUNDS_PER_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -61,16 +69,9 @@ def _axis_rows(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def _wing_matrix(protocol: str, rotation: Unitary2 | None) -> np.ndarray:
+def _product_bras(thetas) -> np.ndarray:
     """(16, 16) matrix whose row w is the bra of outcome word w."""
-    spec = _spec(protocol)
-    out = np.array([[1.0 + 0j]])
-    for theta in spec.thetas:
-        rows = _axis_rows(theta).astype(complex)
-        if rotation is not None:
-            rows = rows @ rotation.matrix.conj().T
-        out = np.kron(out, rows)
-    return out
+    return kron([_axis_rows(t) for t in thetas])
 
 
 def classify_outcome(word, protocol: str) -> int:
@@ -99,8 +100,10 @@ def wing_distribution(state: QuantumState, protocol: str,
     """Exact 16-word Born distribution for one wing's product measurement."""
     if state.n_qubits != 4:
         raise ValueError("wing_distribution expects a 4-qubit state")
-    amps = _wing_matrix(protocol, rotation) @ state.amplitudes
-    return np.abs(amps) ** 2
+    bras = _product_bras(_spec(protocol).thetas)
+    if rotation is not None:
+        bras = wing_bras(bras, rotation.matrix)
+    return np.abs(bras @ state.amplitudes) ** 2
 
 
 def wing_outcome_distribution(state: QuantumState, protocol: str,
@@ -146,48 +149,47 @@ class ExperimentRecord:
         }
 
 
-def _joint_word_probs(rot_a: Unitary2 | None, rot_b: Unitary2 | None,
-                      amp16: np.ndarray, proto_a: str, proto_b: str) -> np.ndarray:
-    ba = _wing_matrix(proto_a, rot_a)
-    bb = _wing_matrix(proto_b, rot_b)
-    amp = ba @ amp16 @ bb.T
-    p = np.abs(amp.ravel()) ** 2
+def _word_probs(bras_a, amp16, bras_b) -> np.ndarray:
+    """Normalized 256-word-pair distribution, batched over leading axes."""
+    p = joint_probs(bras_a, amp16, bras_b)
+    p = p.reshape(*p.shape[:-2], 256)
     p = np.where(p < _PROB_CLIP, 0.0, p)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def _sample_fresh_rotations(amp16, proto_a, proto_b, n, rng, chunk=2048):
+def _sample_fresh_rotations(amp16, bras_a, bras_b, n, rng):
     """Word-pair samples with an independent Haar rotation per wing per round."""
-    spec_rows = {
-        p: [_axis_rows(t).astype(complex) for t in _spec(p).thetas]
-        for p in (proto_a, proto_b)
-    }
-
-    def batched_wing(proto, us):
-        out = None
-        for rows in spec_rows[proto]:
-            r = np.einsum("ab,ncb->nac", rows, us.conj())
-            out = r if out is None else np.einsum(
-                "nab,ncd->nacbd", out, r
-            ).reshape(len(us), out.shape[1] * 2, out.shape[2] * 2)
-        return out
-
     draws = np.empty(n, dtype=np.int64)
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
+    for done in range(0, n, _ROUNDS_PER_CHUNK):
+        m = min(_ROUNDS_PER_CHUNK, n - done)
         ua = np.stack([haar_su2(rng).matrix for _ in range(m)])
         ub = np.stack([haar_su2(rng).matrix for _ in range(m)])
-        ba = batched_wing(proto_a, ua)
-        bb = batched_wing(proto_b, ub)
-        amp = np.einsum("nwi,ij,nvj->nwv", ba, amp16, bb)
-        p = np.abs(amp.reshape(m, 256)) ** 2
-        p = np.where(p < _PROB_CLIP, 0.0, p)
-        p /= p.sum(axis=1, keepdims=True)
+        p = _word_probs(wing_bras(bras_a, ua), amp16, wing_bras(bras_b, ub))
         r = rng.random(m)
         draws[done:done + m] = (np.cumsum(p, axis=1) < r[:, None]).sum(axis=1)
-        done += m
     return draws
+
+
+def max_frame_drift(n_frames: int, seed) -> tuple:
+    """Largest change of a word-pair probability when both wings turn their frames.
+
+    Draws ``n_frames`` Haar pairs (U_a, U_b) and, for every setting pair,
+    compares the 256-word joint distribution of the rotated product bases on
+    the two-wing state with the unrotated one.  The alignment-free claim
+    makes the drift zero up to rounding.  Returns the drift and the index of
+    the frame pair that produced it.
+    """
+    rng = np.random.default_rng(seed)
+    ua = np.stack([haar_su2(rng).matrix for _ in range(n_frames)])
+    ub = np.stack([haar_su2(rng).matrix for _ in range(n_frames)])
+    amp16 = make_eta().amplitudes.reshape(16, 16)
+    bras = {p: _product_bras(_spec(p).thetas) for p in ("F", "G")}
+    drift = np.zeros(n_frames)
+    for pa, pb in _SETTING_PAIRS:
+        rotated = joint_probs(wing_bras(bras[pa], ua), amp16, wing_bras(bras[pb], ub))
+        fixed = joint_probs(bras[pa], amp16, bras[pb])
+        drift = np.maximum(drift, np.abs(rotated - fixed).max(axis=(1, 2)))
+    return float(drift.max()), int(drift.argmax())
 
 
 def run_experiment(n_rounds: int, settings_policy="random",
@@ -233,6 +235,7 @@ def run_experiment(n_rounds: int, settings_policy="random",
         policy_name = f"fixed:{pa},{pb}"
 
     signs = {p: _class_signs(p) for p in ("F", "G")}
+    bras = {p: _product_bras(_spec(p).thetas) for p in ("F", "G")}
     counts = {pair: {(oa, ob): 0 for oa in (-1, 1) for ob in (-1, 1)}
               for pair in _SETTING_PAIRS}
     for pa_i, pa in enumerate(("F", "G")):
@@ -241,10 +244,11 @@ def run_experiment(n_rounds: int, settings_policy="random",
             if n_pair == 0:
                 continue
             if rotations_policy == "identity":
-                p = _joint_word_probs(None, None, amp16, pa, pb)
+                p = _word_probs(bras[pa], amp16, bras[pb])
                 draws = rng.choice(256, size=n_pair, p=p)
             else:
-                draws = _sample_fresh_rotations(amp16, pa, pb, n_pair, rng)
+                draws = _sample_fresh_rotations(amp16, bras[pa], bras[pb],
+                                                n_pair, rng)
             fa = signs[pa][draws >> 4]
             fb = signs[pb][draws & 15]
             cell = 2 * (fa > 0) + (fb > 0)

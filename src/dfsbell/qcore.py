@@ -3,11 +3,16 @@
 Everything here is a pure function on small immutable values.  States are
 dense complex vectors of dimension at most 2^8 = 256; qubit 1 is the most
 significant bit of the basis index, so ``|q1 q2 q3 q4>`` reads left to right.
+
+Every rotated wing measurement in the package is one construction: a matrix
+of bras, one row per outcome, turned by a collective U^(x4).  ``kron`` builds
+U^(x k) and product-basis bras alike, ``wing_bras`` turns a wing's bras, and
+``joint_probs`` gives the outcome-pair probabilities on a two-wing state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,32 +149,61 @@ def permute_qubits(s: QuantumState, perm) -> QuantumState:
     return QuantumState(reshaped.reshape(-1))
 
 
-def _apply_one_qubit(amplitudes: np.ndarray, u: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    t = amplitudes.reshape((2,) * n)
-    t = np.moveaxis(t, qubit - 1, 0)
-    t = np.tensordot(u, t, axes=([1], [0]))
-    t = np.moveaxis(t, 0, qubit - 1)
-    return t.reshape(-1)
+def kron(factors) -> np.ndarray:
+    """Kronecker product of a sequence of ``(..., 2, 2)`` arrays, left to right.
+
+    Leading axes broadcast, so a stack of n unitaries gives n copies of
+    U^(x k), and the per-qubit rows of a product basis give its (16, 16)
+    bra matrix.
+    """
+    factors = iter(factors)
+    out = next(factors)
+    for m in factors:
+        out = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], 2 * out.shape[-4], 2 * out.shape[-2])
+    return out
+
+
+def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Bras of one wing's measurement with its frame turned by U^(x4).
+
+    ``bras`` is (k, 16), one row per outcome; ``u`` is (..., 2, 2).  Returns
+    ``bras @ (U^(x4))^dagger`` of shape (..., k, 16): the bra of U^(x4)|w>
+    for each outcome ket |w>.
+    """
+    return bras @ kron([u] * 4).conj().swapaxes(-1, -2)
+
+
+def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:
+    """Born probabilities |bras_a M bras_b^T|^2 of every outcome pair.
+
+    ``amp16`` is the two-wing state as a (16, 16) matrix M (Alice's index
+    first); the bras broadcast over leading axes, so the result has shape
+    (..., k_a, k_b).
+    """
+    return np.abs(bras_a @ amp16 @ bras_b.swapaxes(-1, -2)) ** 2
 
 
 def apply_collective(s: QuantumState, u: Unitary2, wing: str = "all") -> QuantumState:
     """Apply the same single-qubit unitary to every qubit of the chosen wing.
 
     ``wing`` is one of "all", "alice" (qubits 1-4), "bob" (qubits 5-8); the
-    named wings are only defined for 8-qubit states.
+    named wings are only defined for 8-qubit states.  U^(x k) acts on blocks
+    of at most four qubits, so no operator larger than 16 x 16 is formed.
     """
     n = s.n_qubits
     if wing == "all":
-        qubits = range(1, n + 1)
+        blocks = [(q, min(4, n - q)) for q in range(0, n, 4)]
     elif wing in ("alice", "bob"):
         if n != 8:
             raise ValueError(f"wing '{wing}' requires an 8-qubit state, got {n}")
-        qubits = range(1, 5) if wing == "alice" else range(5, 9)
+        blocks = [(0, 4)] if wing == "alice" else [(4, 4)]
     else:
         raise ValueError(f"unknown wing {wing!r}")
     amplitudes = s.amplitudes
-    for q in qubits:
-        amplitudes = _apply_one_qubit(amplitudes, u.matrix, q, n)
+    for first, k in blocks:
+        t = amplitudes.reshape(2 ** first, 2 ** k, -1)
+        amplitudes = (kron([u.matrix] * k) @ t).reshape(-1)
     return QuantumState(amplitudes)
 
 

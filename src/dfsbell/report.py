@@ -43,11 +43,11 @@ def approx_check(name: str, value: float, expected: float, tolerance: float,
 
 
 def bound_check(name: str, value: float, below: float, description: str = "",
-                source: str = "") -> Check:
+                source: str = "", detail: str | None = None) -> Check:
     """A value <= bound check; ``expected`` records the bound."""
     return Check(name=name, passed=bool(value <= below), description=description,
                  source=source, value=float(value), expected=float(below),
-                 tolerance=0.0)
+                 tolerance=0.0, detail=detail)
 
 
 @dataclass(frozen=True)

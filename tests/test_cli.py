@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from dfsbell import cli
 from dfsbell.cli import main
 
 
@@ -73,6 +74,16 @@ def test_verify_decoherence_passes():
     assert result.exit_code == 0
     assert "overall: PASS" in result.output
     assert "reduced density" in result.output
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch):
+    def broken():
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_lhv_section", broken)
+    result = CliRunner().invoke(main, ["lhv-check"])
+    assert result.exit_code == 4
+    assert "Traceback" not in result.output
+    assert result.stderr == "internal error: RuntimeError: boom\n"
 
 
 def test_lhv_check_prints_certificate():

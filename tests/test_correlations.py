@@ -112,3 +112,35 @@ def test_verify_correlation_suite_seeded_repeatability():
     a = verify_correlation_suite(n_rotation_samples=3, seed=5)
     b = verify_correlation_suite(n_rotation_samples=3, seed=5)
     assert a.max_deviation == b.max_deviation
+
+
+def test_batched_suite_matches_the_per_tuple_route():
+    # tuple i of the suite uses draws 4i..4i+3 in the order (F on Alice,
+    # G on Alice, F on Bob, G on Bob); recompute each tuple through
+    # joint_probability and conditional_probability
+    n, seed = 6, 23
+    suite = verify_correlation_suite(n_rotation_samples=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    devs = {k: [] for k in EXPECTED_CORRELATIONS}
+    eta = make_eta()
+    for _ in range(n):
+        fa, ga, fb, gb = (
+            Setting(obs, LocalRotation(haar_su2(rng), wing))
+            for obs, wing in ((make_f(), "alice"), (make_g(), "alice"),
+                              (make_f(), "bob"), (make_g(), "bob")))
+        vals = {
+            "joint_ff_plus_plus": joint_probability(eta, fa, fb, +1, +1),
+            "cond_fa_given_gb": conditional_probability(
+                eta, (fa, +1, "alice"), (gb, +1, "bob")),
+            "cond_fb_given_ga": conditional_probability(
+                eta, (fb, +1, "bob"), (ga, +1, "alice")),
+            "joint_gg_plus_plus": joint_probability(eta, ga, gb, +1, +1),
+        }
+        for k, expected in EXPECTED_CORRELATIONS.items():
+            devs[k].append(abs(vals[k] - expected))
+    for k in EXPECTED_CORRELATIONS:
+        assert abs(suite.max_deviation[k] - max(devs[k])) < 1e-14
+        assert 0 <= suite.worst_sample[k] < n
+        assert devs[k][suite.worst_sample[k]] >= max(devs[k]) - 1e-14
+    with pytest.raises(ValueError):
+        verify_correlation_suite(n_rotation_samples=0)

@@ -99,3 +99,26 @@ def test_immunity_report_seeded_repeatability():
     a = immunity_report(n_samples=20, seed=10)
     b = immunity_report(n_samples=20, seed=10)
     assert [e.min_fidelity for e in a.entries] == [e.min_fidelity for e in b.entries]
+
+
+def test_worst_draw_reproduces_the_smallest_fidelity():
+    # entry 6 is the basis word 0101 on substream (seed, 6)
+    rep = immunity_report(n_samples=40, seed=12)
+    e = rep.entries[6]
+    fids = fidelity_samples(basis_state((0, 1, 0, 1)),
+                            CollectiveChannel(n_samples=40),
+                            seed=np.random.SeedSequence((12, 6)))
+    assert e.worst_draw == int(np.argmin(fids))
+    assert fids[e.worst_draw] == e.min_fidelity
+
+
+def test_density_draws_match_the_pure_route():
+    # the density path turns rho by kron(U, U, U, U); on a pure state's
+    # density its fidelity with the state equals the pure-state draw's
+    rng = np.random.default_rng(21)
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    s = QuantumState(amps / np.linalg.norm(amps))
+    channel = CollectiveChannel(n_samples=20)
+    pure = fidelity_samples(s, channel, seed=4)
+    mixed = fidelity_samples(s.density(), channel, seed=4)
+    assert np.allclose(pure, mixed, atol=1e-9)

@@ -1,13 +1,15 @@
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from dfsbell.localmeas import (PROTOCOLS, classify_outcome, run_experiment,
-                               wing_distribution, wing_outcome_distribution)
-from dfsbell.dfs_states import make_phi0, make_phi1, make_psi0
-from dfsbell.qcore import haar_su2
+from dfsbell.localmeas import (PROTOCOLS, classify_outcome, max_frame_drift,
+                               run_experiment, wing_distribution,
+                               wing_outcome_distribution)
+from dfsbell.dfs_states import make_eta, make_phi0, make_phi1, make_psi0
+from dfsbell.qcore import QuantumState, haar_su2, joint_probs, wing_bras
 
 F_MINUS_WORDS = {0b0101, 0b0110, 0b1001, 0b1010}
 G_MINUS_WORDS = {0b0011, 0b0110, 0b1001, 0b1100}
@@ -80,6 +82,47 @@ def test_rotation_leaves_outcome_distribution():
             base = wing_outcome_distribution(make_phi1(), proto)
             rot = wing_outcome_distribution(make_phi1(), proto, rotation=u)
             assert abs(base[-1] - rot[-1]) < 1e-12
+
+
+def _protocol_bras(protocol):
+    # reference route: the product basis by numpy's kron of the qubit rows
+    rows = [np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
+            for t in PROTOCOLS[protocol].thetas]
+    return reduce(np.kron, rows)
+
+
+def test_rotated_frames_leave_the_word_pair_distribution_exactly():
+    # the alignment-free claim is exact: for every frame pair (U_a, U_b) the
+    # 256-word distribution on the two-wing state is the unrotated one
+    rng = np.random.default_rng(17)
+    ua = np.stack([haar_su2(rng).matrix for _ in range(100)])
+    ub = np.stack([haar_su2(rng).matrix for _ in range(100)])
+    m = make_eta().amplitudes.reshape(16, 16)
+    for pa in ("F", "G"):
+        for pb in ("F", "G"):
+            p_a, p_b = _protocol_bras(pa), _protocol_bras(pb)
+            fixed = joint_probs(p_a, m, p_b)
+            rotated = joint_probs(wing_bras(p_a, ua), m, wing_bras(p_b, ub))
+            assert np.abs(rotated - fixed).max() < 1e-12
+            assert abs(fixed.sum() - 1.0) < 1e-12
+    drift, worst = max_frame_drift(100, seed=17)
+    assert drift < 1e-12
+    assert 0 <= worst < 100
+
+
+def test_word_distribution_matches_the_reference_product_basis():
+    rng = np.random.default_rng(19)
+    amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+    s = QuantumState(amps / np.linalg.norm(amps))
+    u = haar_su2(rng)
+    big = reduce(np.kron, [u.matrix] * 4)
+    for proto in ("F", "G"):
+        bras = _protocol_bras(proto)
+        assert np.allclose(wing_distribution(s, proto),
+                           np.abs(bras @ s.amplitudes) ** 2, atol=1e-14)
+        assert np.allclose(wing_distribution(s, proto, rotation=u),
+                           np.abs(bras @ big.conj().T @ s.amplitudes) ** 2,
+                           atol=1e-13)
 
 
 def test_run_experiment_counts_and_determinism():

@@ -1,11 +1,13 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            Unitary2, apply_collective, basis_state, haar_su2,
-                           partial_trace, permute_qubits, tensor)
+                           joint_probs, kron, partial_trace, permute_qubits,
+                           tensor, wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -91,6 +93,45 @@ def test_apply_collective_on_product_state():
     out = apply_collective(s, u)
     expect = np.kron(u.matrix[:, 0], u.matrix[:, 0])
     assert np.allclose(out.amplitudes, expect)
+
+
+def test_kron_helpers_match_numpy_kron():
+    rng = np.random.default_rng(5)
+    us = [haar_su2(rng).matrix for _ in range(3)]
+    stack = np.stack(us)
+    for k in (1, 2, 4):
+        batched = kron([stack] * k)
+        for i, u in enumerate(us):
+            assert np.allclose(batched[i], reduce(np.kron, [u] * k), atol=1e-14)
+    rows = [np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
+            for t in (0.1, 0.7, 1.3, 2.9)]
+    assert np.allclose(kron(rows), reduce(np.kron, rows), atol=1e-15)
+    bras = rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))
+    turned = wing_bras(bras, stack)
+    for i, u in enumerate(us):
+        big = reduce(np.kron, [u] * 4)
+        assert np.allclose(turned[i], bras @ big.conj().T, atol=1e-13)
+    m = rng.normal(size=(16, 16))
+    assert np.allclose(joint_probs(turned, m, bras),
+                       np.abs(np.einsum("nai,ij,bj->nab", turned, m, bras)) ** 2)
+
+
+def test_apply_collective_matches_the_full_operator():
+    # U^(x k) acts per block of at most four qubits; compare with the
+    # explicit 2^n x 2^n operator on every qubit count and wing
+    rng = np.random.default_rng(8)
+    u = haar_su2(rng)
+    for n in range(1, 9):
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        s = QuantumState(amps / np.linalg.norm(amps))
+        wings = {"all": [u.matrix] * n}
+        if n == 8:
+            wings["alice"] = [u.matrix] * 4 + [np.eye(2)] * 4
+            wings["bob"] = [np.eye(2)] * 4 + [u.matrix] * 4
+        for wing, factors in wings.items():
+            expect = reduce(np.kron, factors) @ s.amplitudes
+            out = apply_collective(s, u, wing=wing).amplitudes
+            assert np.allclose(out, expect, atol=1e-13)
 
 
 def test_apply_collective_wing_scoping():

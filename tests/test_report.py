@@ -24,6 +24,7 @@ def test_check_helpers():
     assert not approx_check("x", 1.1, 1.0, 1e-3).passed
     assert bound_check("x", 0.9, 1.0).passed
     assert not bound_check("x", 1.1, 1.0).passed
+    assert bound_check("x", 0.9, 1.0, detail="at draw 3").detail == "at draw 3"
 
 
 def test_report_aggregation():
