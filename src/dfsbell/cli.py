@@ -91,10 +91,12 @@ def _correlations_section(n_rotations: int, seed, tol: float) -> Section:
                         "random collective rotation tuples",
             source="sampled estimate",
             detail=f"largest at rotation tuple {suite.worst_sample[key]}"))
+    setting, sample = suite.worst_null
+    where = "unrotated" if sample is None else f"rotation tuple {sample}"
     checks.append(bound_check(
         "null outcome probability", suite.max_null_probability, tol,
         description="spin-zero states never leave the labelled eigenspaces",
-        source="closed form"))
+        source="closed form", detail=f"largest at {setting}, {where}"))
     return Section("correlation identities", tuple(checks))
 
 

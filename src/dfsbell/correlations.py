@@ -149,6 +149,9 @@ EXPECTED_CORRELATIONS = {
     "joint_gg_plus_plus": 9.0 / 112.0,
 }
 
+# The four rotated settings of the suite, in the order of their draws.
+_SUITE_SETTINGS = ("F on Alice", "G on Alice", "F on Bob", "G on Bob")
+
 
 @dataclass(frozen=True)
 class CorrelationSuiteResult:
@@ -156,7 +159,8 @@ class CorrelationSuiteResult:
 
     ``worst_sample[key]`` is the index i of the rotation tuple with the
     largest deviation of that key; tuple i uses draws 4i..4i+3 of the seeded
-    stream.
+    stream.  ``worst_null`` is ``(setting, i)`` for the largest null-outcome
+    probability, with i None when the unrotated setting gives it.
     """
 
     identity_values: dict
@@ -164,11 +168,7 @@ class CorrelationSuiteResult:
     n_samples: int
     max_null_probability: float
     worst_sample: dict
-
-    def max_identity_error(self) -> float:
-        return max(
-            abs(self.identity_values[k] - v) for k, v in EXPECTED_CORRELATIONS.items()
-        )
+    worst_null: tuple
 
 
 def verify_correlation_suite(n_rotation_samples: int = 100,
@@ -178,13 +178,12 @@ def verify_correlation_suite(n_rotation_samples: int = 100,
     Each sample draws four independent Haar rotations (one per wing per
     observable, in the order F on Alice, G on Alice, F on Bob, G on Bob) and
     records the worst deviation from the closed-form values.  Also tracks
-    the largest null-outcome probability seen, which must stay at zero for
-    spin-zero states.
+    the largest null-outcome probability over all four settings, unrotated
+    and rotated, which must stay at zero for spin-zero states.
     """
     if n_rotation_samples < 1:
         raise ValueError("n_rotation_samples must be >= 1")
-    state = make_eta()
-    m = state.amplitudes.reshape(16, 16)
+    m = make_eta().amplitudes.reshape(16, 16)
     rng = np.random.default_rng(seed)
     # tuple 0 is unrotated, tuple i + 1 holds sample i's four rotations
     us = np.stack([np.eye(2)] * 4 + [
@@ -205,13 +204,17 @@ def verify_correlation_suite(n_rotation_samples: int = 100,
         "joint_gg_plus_plus": joint_plus(ga, gb),
     }
     dev = {k: np.abs(v[1:] - EXPECTED_CORRELATIONS[k]) for k, v in values.items()}
-    null_fa = 1.0 - _marginal(fa, m, "alice").sum(axis=-1)
+    null = np.stack([
+        1.0 - _marginal(bras, m, wing).sum(axis=-1)
+        for bras, wing in zip((fa, ga, fb, gb), ("alice", "alice", "bob", "bob"))
+    ])
+    setting, tuple_index = np.unravel_index(null.argmax(), null.shape)
     return CorrelationSuiteResult(
         identity_values={k: float(v[0]) for k, v in values.items()},
         max_deviation={k: float(d.max()) for k, d in dev.items()},
         n_samples=n_rotation_samples,
-        max_null_probability=max(
-            0.0, float(null_fa.max()),
-            wing_marginal(state, Setting(make_g()), "bob")[NULL]),
+        max_null_probability=max(0.0, float(null.max())),
         worst_sample={k: int(d.argmax()) for k, d in dev.items()},
+        worst_null=(_SUITE_SETTINGS[setting],
+                    int(tuple_index) - 1 if tuple_index else None),
     )

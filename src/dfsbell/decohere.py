@@ -109,15 +109,6 @@ class StateImmunity:
 class ImmunityReport:
     entries: tuple
 
-    def entry(self, name: str) -> StateImmunity:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def all_protected_immune(self) -> bool:
-        return all(e.immune for e in self.entries if e.name.startswith("sector"))
-
 
 def _ghz4() -> QuantumState:
     amps = np.zeros(16, dtype=complex)

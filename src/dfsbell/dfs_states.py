@@ -149,15 +149,6 @@ class Observable:
                     raise ValueError("eigenvectors are not orthonormal")
         object.__setattr__(self, "eigenpairs", pairs)
 
-    def eigenvalues(self) -> tuple:
-        return tuple(val for val, _ in self.eigenpairs)
-
-    def eigenvector(self, value: float) -> QuantumState:
-        for val, vec in self.eigenpairs:
-            if val == value:
-                return vec
-        raise KeyError(f"no eigenvalue {value} in observable {self.label}")
-
     def rotated(self, u: Unitary2) -> "Observable":
         """Same spectrum, eigenvectors conjugated by the collective rotation U^(x4)."""
         pairs = tuple(

@@ -39,6 +39,13 @@ p = sum |z^2|^2 and q = sum z^4 over the 8 words 0bcd,
 
 and its small eigenvector gives the only omega that can split the pair at
 that theta tuple.
+
+Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d on
+the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6 are
+split (test_exact_certificate_of_the_six_angles, in exact arithmetic).  The
+grids have a multiple of 4 points per angle, so they contain that lattice:
+the scan checks each candidate at its grid tuple with the closed-form omega,
+and the find returns the best grid tuple, with no local search.
 """
 
 from __future__ import annotations
@@ -47,10 +54,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dfs_states import make_phi0, make_phi1
-from .localmeas import _axis_rows, _product_bras
+from .qcore import axis_rows, product_bras
 
 SUPPORT_TOL = 1e-8
 
@@ -75,11 +81,6 @@ class DistinguishInstance:
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
 
 
-def _product_components(state4: np.ndarray, thetas) -> np.ndarray:
-    """Components of a 4-qubit vector in the product basis with the given angles."""
-    return _product_bras(thetas) @ state4
-
-
 def pair_states(omega: float):
     """Amplitude vectors of |psi> and its orthogonal complement |psi_perp>."""
     phi0 = make_phi0().amplitudes.real
@@ -90,11 +91,7 @@ def pair_states(omega: float):
 
 def component_table(inst: DistinguishInstance) -> np.ndarray:
     """(16, 2) array: column 0 components of |psi>, column 1 of |psi_perp>."""
-    psi, perp = pair_states(inst.omega)
-    return np.stack([
-        _product_components(psi, inst.thetas),
-        _product_components(perp, inst.thetas),
-    ], axis=1)
+    return product_bras(inst.thetas) @ np.stack(pair_states(inst.omega), axis=1)
 
 
 def support_overlap(inst: DistinguishInstance) -> float:
@@ -129,22 +126,25 @@ def omega_from_thetas(theta_a: float, theta_b: float,
     return num / (math.sqrt(3.0) * sab * scd)
 
 
-def _phi() -> np.ndarray:
-    """The complex packing phi0 + i phi1 of the two sector basis states."""
-    return make_phi0().amplitudes.real + 1j * make_phi1().amplitudes.real
-
-
 def _grid_chunks(resolution: int):
     """Yield ``(thetas, lo, z)`` over the theta grid, one theta_d block at a time.
 
     ``z[i, j, k, w]`` is the product component of phi0 + i phi1 for the word
     0bcd (w = 4b + 2c + d) at angles (0, thetas[i], thetas[j], thetas[lo + k]);
-    the 1bcd words follow by the bit-flip sign (see module docstring).
+    the 1bcd words follow by the bit-flip sign (see module docstring).  The
+    resolution must be at least 100 and a multiple of 4, so that the grid
+    contains the pi/4 lattice of the exact tuples.
     """
+    if resolution < 100:
+        raise ValueError("resolution must be at least 100 points per angle")
+    if resolution % 4:
+        raise ValueError("resolution must be a multiple of 4, so that pi/4 "
+                         "is on the grid")
     r = resolution
     thetas = np.arange(r) * (math.pi / r)
-    rows = np.stack([_axis_rows(t) for t in thetas])
-    phi = _phi()
+    rows = np.stack([axis_rows(t) for t in thetas])
+    # the complex packing phi0 + i phi1
+    phi = make_phi0().amplitudes.real + 1j * make_phi1().amplitudes.real
     # qubit a at theta 0 keeps the i = 0 half; contract qubits b and c once
     front = np.einsum("rbj,sck,jkl->rsbcl", rows, rows, phi.reshape(2, 2, 2, 2)[0])
     # real columns (b, c, l, re/im) of the complex front
@@ -159,23 +159,8 @@ def _grid_chunks(resolution: int):
         yield thetas, lo, z.view(complex).reshape(r, r, len(md), 8)
 
 
-def _support_products(omega: float, thetas, phi: np.ndarray) -> float:
-    """Summed squared support products sum_w (psi_w perp_w)^2; zero iff disjoint."""
-    u = complex(math.cos(omega), -math.sin(omega)) * _product_components(phi, thetas)
-    return float(np.sum((u.real * u.imag) ** 2))
-
-
-def _refine(omega0, thetas0):
-    """Polish a candidate by minimizing the summed squared support products."""
-    phi = _phi()
-    res = minimize(lambda p: _support_products(p[0], (0.0, *p[1:]), phi),
-                   [omega0, *thetas0], method="Nelder-Mead",
-                   options=dict(xatol=1e-12, fatol=1e-26, maxiter=5000))
-    return res.x, res.fun
-
-
-def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
-                                omega_range=None) -> list:
+def scan_distinguishable_omegas(resolution: int = 200,
+                                refine_tol: float = 1e-3) -> list:
     """All omega (mod pi) admitting a distinguishing product basis.
 
     Grid search over (theta_b, theta_c, theta_d) with theta_a = 0 (exact
@@ -185,8 +170,10 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
     components of (phi0, phi1), so all words must agree on 2w mod pi; the
     smallest eigenvalue of the 2x2 moment matrix of the vectors
     (A^2 - B^2, 2AB) measures the disagreement and its eigenvector gives the
-    candidate omega.  Survivors are polished by local minimization, validated
-    against the disjoint-support test, and clustered within refine_tol.
+    candidate omega.  Each survivor counts when, at its grid tuple and that
+    omega, the summed squared support products sum_w (psi_w perp_w)^2 are at
+    most 1e-20 and the disjoint-support test passes; the counted omegas are
+    clustered within refine_tol.
 
     Since a pair and its omega + pi/2 partner are the same two states with
     roles swapped, every validated omega contributes both representatives.
@@ -198,15 +185,8 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
         exact distinguishing tuples need pi/4 on the grid (near-misses on
         other grids stay above the candidate cut, and nothing is found).
     refine_tol : float
-        Cluster width for merging validated omega values.
-    omega_range : (lo, hi) or None
-        If given, keep only omegas inside the closed interval.
+        Cluster width for merging validated omega.
     """
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100 points per angle")
-    if resolution % 4:
-        raise ValueError("resolution must be a multiple of 4, so that pi/4 "
-                         "is on the grid")
     bins = {}
     for thetas, lo, z in _grid_chunks(resolution):
         z2 = z * z
@@ -229,17 +209,16 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
             if key not in bins or val[0] < bins[key][0]:
                 bins[key] = val
     validated = []
-    for _, (_, w0, tb, tc, td) in sorted(bins.items()):
-        p, fun = _refine(w0, (tb, tc, td))
-        if fun > 1e-20:
+    for _, (_, w, tb, tc, td) in sorted(bins.items()):
+        inst = DistinguishInstance(w, (0.0, tb, tc, td))
+        psi, perp = component_table(inst).T
+        if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
             continue
-        inst = DistinguishInstance(p[0], (0.0, p[1], p[2], p[3]))
-        if is_distinguishing(inst):
-            for rep in (p[0], p[0] + math.pi / 2):
-                rep %= math.pi
-                if math.pi - rep < refine_tol:
-                    rep = 0.0
-                validated.append(rep)
+        for rep in (w, w + math.pi / 2):
+            rep %= math.pi
+            if math.pi - rep < refine_tol:
+                rep = 0.0
+            validated.append(rep)
     validated.sort()
     merged = []
     for w in validated:
@@ -247,21 +226,15 @@ def scan_distinguishable_omegas(resolution: int = 200, refine_tol: float = 1e-3,
             merged[-1].append(w)
         else:
             merged.append([w])
-    omegas = [float(np.mean(c)) for c in merged]
-    if omega_range is not None:
-        lo, hi = omega_range
-        omegas = [w for w in omegas if lo <= w <= hi]
-    return omegas
+    return [float(np.mean(c)) for c in merged]
 
 
 def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     """Smallest support overlap achievable at fixed omega over the theta grid.
 
     A value far above SUPPORT_TOL certifies that no grid basis distinguishes
-    the pair at this omega.
+    the pair at this omega.  ``resolution`` is as for the scan.
     """
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100 points per angle")
     # Re and -Im of e^{-i omega} z are the psi and psi_perp components
     rot = complex(math.cos(omega), -math.sin(omega))
     best = math.inf
@@ -273,12 +246,12 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
 
 
 def find_distinguishing_thetas(omega: float, resolution: int = 100):
-    """A theta tuple making the pair at omega distinguishable, or None.
+    """A grid theta tuple making the pair at omega distinguishable, or None.
 
-    Seeds a local polish (omega held fixed) from the best grid tuple.
+    Takes the grid tuple with the smallest summed squared support products
+    and returns it if it passes the disjoint-support test.  ``resolution``
+    is as for the scan: at least 100 and a multiple of 4.
     """
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100 points per angle")
     rot = complex(math.cos(omega), -math.sin(omega))
     best = (math.inf, None)
     for thetas, lo, z in _grid_chunks(resolution):
@@ -288,11 +261,5 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
         i, j, k = np.unravel_index(np.argmin(obj), obj.shape)
         if obj[i, j, k] < best[0]:
             best = (float(obj[i, j, k]), (thetas[i], thetas[j], thetas[lo + k]))
-    phi = _phi()
-    res = minimize(lambda p: _support_products(omega, (0.0, *p), phi),
-                   list(best[1]), method="Nelder-Mead",
-                   options=dict(xatol=1e-12, fatol=1e-26, maxiter=5000))
-    inst = DistinguishInstance(omega, (0.0, *res.x))
-    if is_distinguishing(inst):
-        return inst.thetas
-    return None
+    inst = DistinguishInstance(omega, (0.0, *best[1]))
+    return inst.thetas if is_distinguishing(inst) else None

@@ -9,9 +9,10 @@ differ and bits 3,4 differ.  The G protocol is the same table with qubits 2
 and 3 exchanging roles.
 
 Every wing measurement is one matrix of bras, one row per outcome word
-(``_product_bras``); a wing that turns its frame by a collective U^(x4) uses
-``qcore.wing_bras`` of those rows, and ``qcore.joint_probs`` gives the word-pair
-probabilities on the two-wing state, for one frame pair or a batch of them.
+(``qcore.product_bras``); a wing that turns its frame by a collective U^(x4)
+uses ``qcore.wing_bras`` of those rows, and ``qcore.joint_probs`` gives the
+word-pair probabilities on the two-wing state, for one frame pair or a batch
+of them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import make_eta
-from .qcore import QuantumState, Unitary2, haar_su2, joint_probs, kron, wing_bras
+from .qcore import (QuantumState, Unitary2, haar_su2, joint_probs, product_bras,
+                    wing_bras)
 
 # Word probabilities analytically equal to zero come out of floating-point
 # amplitude algebra at ~1e-32; clipping below this threshold keeps
@@ -63,17 +65,6 @@ def _spec(protocol: str) -> ProductBasisSpec:
         raise ValueError(f"unknown protocol {protocol!r}") from None
 
 
-def _axis_rows(theta: float) -> np.ndarray:
-    """Rows are the two basis bras for one qubit measured at angle theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]])
-
-
-def _product_bras(thetas) -> np.ndarray:
-    """(16, 16) matrix whose row w is the bra of outcome word w."""
-    return kron([_axis_rows(t) for t in thetas])
-
-
 def classify_outcome(word, protocol: str) -> int:
     """Map a 4-bit outcome word to -1 (singlet-pair class) or +1."""
     spec = _spec(protocol)
@@ -100,7 +91,7 @@ def wing_distribution(state: QuantumState, protocol: str,
     """Exact 16-word Born distribution for one wing's product measurement."""
     if state.n_qubits != 4:
         raise ValueError("wing_distribution expects a 4-qubit state")
-    bras = _product_bras(_spec(protocol).thetas)
+    bras = product_bras(_spec(protocol).thetas)
     if rotation is not None:
         bras = wing_bras(bras, rotation.matrix)
     return np.abs(bras @ state.amplitudes) ** 2
@@ -183,7 +174,7 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     ua = np.stack([haar_su2(rng).matrix for _ in range(n_frames)])
     ub = np.stack([haar_su2(rng).matrix for _ in range(n_frames)])
     amp16 = make_eta().amplitudes.reshape(16, 16)
-    bras = {p: _product_bras(_spec(p).thetas) for p in ("F", "G")}
+    bras = {p: product_bras(_spec(p).thetas) for p in ("F", "G")}
     drift = np.zeros(n_frames)
     for pa, pb in _SETTING_PAIRS:
         rotated = joint_probs(wing_bras(bras[pa], ua), amp16, wing_bras(bras[pb], ub))
@@ -235,7 +226,7 @@ def run_experiment(n_rounds: int, settings_policy="random",
         policy_name = f"fixed:{pa},{pb}"
 
     signs = {p: _class_signs(p) for p in ("F", "G")}
-    bras = {p: _product_bras(_spec(p).thetas) for p in ("F", "G")}
+    bras = {p: product_bras(_spec(p).thetas) for p in ("F", "G")}
     counts = {pair: {(oa, ob): 0 for oa in (-1, 1) for ob in (-1, 1)}
               for pair in _SETTING_PAIRS}
     for pa_i, pa in enumerate(("F", "G")):

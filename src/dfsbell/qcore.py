@@ -8,10 +8,15 @@ Every rotated wing measurement in the package is one construction: a matrix
 of bras, one row per outcome, turned by a collective U^(x4).  ``kron`` builds
 U^(x k) and product-basis bras alike, ``wing_bras`` turns a wing's bras, and
 ``joint_probs`` gives the outcome-pair probabilities on a two-wing state.
+
+A product basis measures each qubit along an x-z plane direction theta: the
+qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
+``product_bras`` joins four such rows into the 16 bras of the outcome words.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +167,17 @@ def kron(factors) -> np.ndarray:
         out = out[..., :, None, :, None] * m[..., None, :, None, :]
         out = out.reshape(*out.shape[:-4], 2 * out.shape[-4], 2 * out.shape[-2])
     return out
+
+
+def axis_rows(theta: float) -> np.ndarray:
+    """Rows are the two basis bras for one qubit measured at angle theta."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [s, -c]])
+
+
+def product_bras(thetas) -> np.ndarray:
+    """(16, 16) matrix whose row w is the bra of outcome word w."""
+    return kron([axis_rows(t) for t in thetas])
 
 
 def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:

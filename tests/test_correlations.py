@@ -102,7 +102,8 @@ def test_wing_marginal_sums_to_one():
 def test_verify_correlation_suite_small_run():
     suite = verify_correlation_suite(n_rotation_samples=5, seed=77)
     assert suite.n_samples == 5
-    assert suite.max_identity_error() < 1e-12
+    for k, v in EXPECTED_CORRELATIONS.items():
+        assert abs(suite.identity_values[k] - v) < 1e-12
     assert max(suite.max_deviation.values()) < 1e-12
     assert suite.max_null_probability < 1e-12
     assert set(suite.identity_values) == set(EXPECTED_CORRELATIONS)
@@ -144,3 +145,24 @@ def test_batched_suite_matches_the_per_tuple_route():
         assert devs[k][suite.worst_sample[k]] >= max(devs[k]) - 1e-14
     with pytest.raises(ValueError):
         verify_correlation_suite(n_rotation_samples=0)
+
+
+def test_null_probability_covers_all_four_settings():
+    # the per-tuple route: wing_marginal of each of the four settings,
+    # unrotated and under every rotation tuple; at this seed the largest
+    # null probability is F on Bob's, a setting the suite once left out
+    n, seed = 8, 25
+    suite = verify_correlation_suite(n_rotation_samples=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    eta = make_eta()
+    settings = (("F on Alice", make_f(), "alice"), ("G on Alice", make_g(), "alice"),
+                ("F on Bob", make_f(), "bob"), ("G on Bob", make_g(), "bob"))
+    null = {(name, None): wing_marginal(eta, Setting(obs), wing)[NULL]
+            for name, obs, wing in settings}
+    for i in range(n):
+        for name, obs, wing in settings:
+            rot = LocalRotation(haar_su2(rng), wing)
+            null[(name, i)] = wing_marginal(eta, Setting(obs, rot), wing)[NULL]
+    largest = max(null.values())
+    assert abs(suite.max_null_probability - largest) < 1e-16
+    assert null[suite.worst_null] >= largest - 1e-16

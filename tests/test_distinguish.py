@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -76,10 +77,10 @@ def test_omega_from_thetas_known_point_and_degeneracy():
 
 def test_grid_chunks_match_component_table():
     # the kernel's z = A + iB on words 0bcd, and through the bit-flip sign
-    # on words 1bcd, against the direct product-basis components; 101 is
+    # on words 1bcd, against the direct product-basis components; 100 is
     # not a multiple of the chunk width, so the last block is ragged
     rng = np.random.default_rng(54)
-    r = 101
+    r = 100
     assert r % _CHUNK
     covered = 0
     for thetas, lo, z in _grid_chunks(r):
@@ -119,18 +120,19 @@ def test_scan_finds_the_pi_over_six_grid():
         assert abs(w - k * math.pi / 6) < 1e-6
 
 
-def test_scan_range_restriction():
-    found = scan_distinguishable_omegas(resolution=100, omega_range=(0.4, 0.9))
-    assert len(found) == 1
-    assert abs(found[0] - math.pi / 6) < 1e-6
-
-
 def test_scan_rejects_a_grid_without_pi_over_four():
     # off such grids the exact tuples are missed and the scan would find
     # nothing, which reads as a physics failure
     for r in (101, 102):
         with pytest.raises(ValueError, match="multiple of 4"):
             scan_distinguishable_omegas(resolution=r)
+
+
+def test_find_rejects_a_grid_without_pi_over_four():
+    # the find answers at a grid tuple, so it needs the exact tuples on it
+    for r in (101, 102):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            find_distinguishing_thetas(math.pi / 3, resolution=r)
 
 
 def test_scan_resolution_floor():
@@ -156,6 +158,9 @@ def test_find_distinguishing_thetas():
     thetas = find_distinguishing_thetas(math.pi / 3)
     assert thetas is not None
     assert is_distinguishing(DistinguishInstance(math.pi / 3, thetas))
+    # the answer is a grid tuple, on the pi/4 lattice of the exact tuples
+    steps = np.array(thetas) / (math.pi / 4)
+    assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-12)
     assert find_distinguishing_thetas(math.pi / 5) is None
 
 
@@ -167,6 +172,43 @@ def test_pairing_structure_of_the_special_angles():
         psi, _ = pair_states(w)
         assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
         assert find_distinguishing_thetas(w) is not None
+
+
+def test_exact_certificate_of_the_six_angles():
+    # theta_a = 0 and theta_b, theta_c, theta_d on the pi/4 lattice: in exact
+    # arithmetic the pairs split by these bases are exactly omega = k pi/6
+    sp = pytest.importorskip("sympy")
+    half = sp.Rational(1, 2)
+    phi0, phi1 = sp.zeros(16, 1), sp.zeros(16, 1)
+    phi0[0b0101], phi0[0b0110], phi0[0b1001], phi0[0b1010] = half, -half, -half, half
+    phi1[0b0011] = phi1[0b1100] = 1 / sp.sqrt(3)
+    for w in (0b0101, 0b0110, 0b1001, 0b1010):
+        phi1[w] = -half / sp.sqrt(3)
+    omega = sp.Symbol("omega", real=True)
+    lattice = [k * sp.pi / 4 for k in range(4)]
+    union = sp.EmptySet
+    for tail in itertools.product(lattice, repeat=3):
+        bras = sp.Matrix([[1]])
+        for t in (0, *tail):
+            c, s = sp.cos(t), sp.sin(t)
+            bras = sp.kronecker_product(bras, sp.Matrix([[c, s], [s, -c]]))
+        # word w splits the pair iff sin 2w (A^2 - B^2) = 2AB cos 2w; the
+        # words with (A^2 - B^2, 2AB) != 0 must all be parallel, since two
+        # independent ones would force sin 2w = cos 2w = 0
+        vecs = [(sp.expand(a * a - b * b), sp.expand(2 * a * b))
+                for a, b in zip(bras * phi0, bras * phi1)]
+        (a0, b0), *rest = [v for v in vecs if v != (0, 0)]
+        if all(sp.expand(a0 * b - b0 * a) == 0 for a, b in rest):
+            union = union.union(sp.solveset(
+                sp.sin(2 * omega) * a0 - sp.cos(2 * omega) * b0, omega,
+                sp.Interval.Ropen(0, sp.pi)))
+    assert union == sp.FiniteSet(*(k * sp.pi / 6 for k in range(6)))
+    # the closed-form omega of the extreme words agrees at every lattice tuple
+    cots = (0.0, 1 / math.sqrt(3), -1 / math.sqrt(3), math.sqrt(3), -math.sqrt(3))
+    for tail in itertools.product(range(4), repeat=3):
+        cot = omega_from_thetas(0.0, *(k * math.pi / 4 for k in tail))
+        if cot is not None:
+            assert min(abs(cot - c) for c in cots) < 1e-12
 
 
 def test_instance_validation():

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Import hygiene of the package modules.
 
-No linter ships with the test environment, so this is the unused-import
-check.  ``__init__.py`` is exempt: its imports are the package's re-exports.
+Every name a package module imports is used in that module, and no module
+imports an underscore name from another package module.  No linter ships
+with the test environment, so these are those checks.  ``__init__.py`` is
+exempt: its imports are the package's re-exports.
 """
 
 import ast
@@ -28,3 +30,18 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _private_package_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text())
+    return sorted(
+        a.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "dfsbell")
+        for a in node.names
+        if a.name.startswith("_") and not a.name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert _private_package_imports(path) == []
