@@ -7,8 +7,12 @@ non-finite --tol, a --refine that is not a positive finite number, and a
 4 internal error (an unexpected exception, reported in one line on stderr).
 
 The root seed comes from --seed, falling back to the DFSBELL_SEED environment
-variable, then 0.  Each suite inside report-all consumes a named substream of
-the root seed, so reports are reproducible byte for byte.
+variable, then 0.  ``SECTIONS`` is the one table of report sections: each row
+gives a section's builder, its report-all config keys with their defaults,
+and the substreams of the root seed it draws from.  report-all builds every
+row; each section command builds its own row the same way, with its option
+defaults taken from the row, so ``verify-X --seed S`` reproduces report-all's
+section at seed S byte for byte, worst-sample details included.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -28,13 +33,12 @@ from . import __version__, correlations, decohere, distinguish, hardy, localmeas
 from .report import (Check, Report, Section, approx_check, bound_check,
                      render_text, to_json)
 
-IDENTITY_TOL = 1e-9
-# Haar frame pairs of report-all's exact alignment-free check.
+# Haar frame pairs of the simulation section's exact alignment-free check.
 _FRAME_PAIRS = 100
 EXCLUDED_OMEGAS = ((math.pi / 5, "pi/5"), (math.pi / 4, "pi/4"))
 
 
-def _resolve_seed(seed):
+def _resolve_seed(ctx, param, seed):
     if seed is not None:
         return seed
     raw = os.environ.get("DFSBELL_SEED", "0")
@@ -65,28 +69,21 @@ def _subseed(root: int, index: int) -> int:
     return int(np.random.SeedSequence((root, index)).generate_state(1, dtype=np.uint64)[0])
 
 
-def _emit(section: Section, seed: int) -> None:
-    mini = Report(title=f"dfsbell: {section.name}", seed=seed, config={},
-                  sections=(section,))
-    click.echo(render_text(mini), nl=False)
-    sys.exit(0 if section.passed else 1)
-
-
 # ---------------------------------------------------------------------------
-# Section builders, shared between the single commands and report-all
+# Section builders: the substream seeds of their row, then its config keys
 # ---------------------------------------------------------------------------
 
-def _correlations_section(n_rotations: int, seed, tol: float) -> Section:
+def _correlations_section(seed, *, rotations: int, identity_tol: float) -> Section:
     suite = correlations.verify_correlation_suite(
-        n_rotation_samples=n_rotations, seed=seed)
+        n_rotation_samples=rotations, seed=seed)
     checks = []
     for key, expected in correlations.EXPECTED_CORRELATIONS.items():
         checks.append(approx_check(
-            key, suite.identity_values[key], expected, tol,
+            key, suite.identity_values[key], expected, identity_tol,
             description="joint or conditional probability on the shared state",
             source="closed form"))
         checks.append(bound_check(
-            f"{key} rotation drift", suite.max_deviation[key], tol,
+            f"{key} rotation drift", suite.max_deviation[key], identity_tol,
             description=f"worst deviation over {suite.n_samples} "
                         "random collective rotation tuples",
             source="sampled estimate",
@@ -94,14 +91,14 @@ def _correlations_section(n_rotations: int, seed, tol: float) -> Section:
     setting, sample = suite.worst_null
     where = "unrotated" if sample is None else f"rotation tuple {sample}"
     checks.append(bound_check(
-        "null outcome probability", suite.max_null_probability, tol,
+        "null outcome probability", suite.max_null_probability, identity_tol,
         description="spin-zero states never leave the labelled eigenspaces",
         source="closed form", detail=f"largest at {setting}, {where}"))
     return Section("correlation identities", tuple(checks))
 
 
-def _simulation_section(rounds: int, seed, frame_seed) -> Section:
-    rec = localmeas.run_experiment(rounds, settings_policy="random",
+def _simulation_section(seed, frame_seed, *, sim_rounds: int) -> Section:
+    rec = localmeas.run_experiment(sim_rounds, settings_policy="random",
                                    rotations_policy="fresh", seed=seed)
     drift, worst = localmeas.max_frame_drift(_FRAME_PAIRS, frame_seed)
     p_gg = 9.0 / 112.0
@@ -136,8 +133,8 @@ def _simulation_section(rounds: int, seed, frame_seed) -> Section:
     return Section("finite-sample simulation", tuple(checks))
 
 
-def _decoherence_section(samples: int, seed) -> Section:
-    rep = decohere.immunity_report(n_samples=samples, seed=seed)
+def _decoherence_section(seed, *, decoherence_samples: int) -> Section:
+    rep = decohere.immunity_report(n_samples=decoherence_samples, seed=seed)
     checks = []
     for e in rep.entries:
         if e.name.startswith("sector"):
@@ -159,14 +156,15 @@ def _decoherence_section(samples: int, seed) -> Section:
     return Section("collective decoherence immunity", tuple(checks))
 
 
-def _distinguish_section(resolution: int, refine_tol: float,
-                         exclusion_resolution: int = 100) -> Section:
+def _distinguish_section(*, scan_resolution: int, scan_refine_tol: float,
+                         exclusion_resolution: int) -> Section:
     found = distinguish.scan_distinguishable_omegas(
-        resolution=resolution, refine_tol=refine_tol)
+        resolution=scan_resolution, refine_tol=scan_refine_tol)
     checks = [approx_check(
         "distinguishable pair angles found", len(found), 6, 0,
         description="scan over product bases with one angle fixed by symmetry",
-        source="frozen numerical solve")]
+        source="frozen numerical solve",
+        detail=None if len(found) == 6 else f"angles found: {found}")]
     if len(found) == 6:
         worst = max(abs(w - k * math.pi / 6)
                     for k, w in enumerate(sorted(found)))
@@ -186,15 +184,26 @@ def _distinguish_section(resolution: int, refine_tol: float,
     return Section("distinguishable-pair scan", tuple(checks))
 
 
-def _hardy_constrained_checks(res: hardy.OptimizationResult) -> tuple:
-    return (
+def _hardy_section(seed, *, hardy_starts: int) -> Section:
+    # the fixed-angle optimum is closed-form and draws nothing
+    res_c = hardy.optimize_constrained()
+    res_f = hardy.optimize_unconstrained_measurements(n_starts=hardy_starts,
+                                                      seed=seed)
+    rank = min(hardy.zero_constraint_rank(r.instance.alpha_a, r.instance.alpha_b)
+               for r in (res_c, res_f))
+    checks = (
         approx_check(
-            "fixed-angle optimum", res.probability, 9.0 / 112.0, 1e-6,
+            "zero-constraint rank", rank, 3, 0,
+            description="the three zero rows have rank 3 at both optima, so "
+                        "each optimum is the unique feasible state up to phase",
+            source="closed form"),
+        approx_check(
+            "fixed-angle optimum", res_c.probability, 9.0 / 112.0, 1e-6,
             description="the feasible state, unique up to phase, with both "
                         "angles at pi/3",
             source="closed form"),
         bound_check(
-            "fixed-angle constraint residual", res.max_residual, 1e-9,
+            "fixed-angle constraint residual", res_c.max_residual, 1e-9,
             description="the three zero constraints hold at the optimum",
             source="closed form"),
         approx_check(
@@ -202,47 +211,27 @@ def _hardy_constrained_checks(res: hardy.OptimizationResult) -> tuple:
             hardy.hardy_probability(hardy.eta_instance())[0], 9.0 / 112.0, 1e-12,
             description="the two-wing state is the maximizer at pi/3",
             source="closed form"),
-    )
-
-
-def _hardy_free_checks(res: hardy.OptimizationResult) -> tuple:
-    return (
         approx_check(
-            "free-angle optimum", res.probability, hardy.FREE_MAXIMUM, 1e-6,
-            description=f"best of {res.n_feasible} feasible solves out of "
-                        f"{res.n_starts} starts of the 2-angle search, angles "
+            "free-angle optimum", res_f.probability, hardy.FREE_MAXIMUM, 1e-6,
+            description=f"best of {res_f.n_feasible} feasible solves out of "
+                        f"{res_f.n_starts} starts of the 2-angle search, angles "
                         "free on both wings",
             source="closed form"),
         bound_check(
-            "free-angle constraint residual", res.max_residual, 1e-9,
+            "free-angle constraint residual", res_f.max_residual, 1e-9,
             description="the three zero constraints hold at the optimum",
             source="frozen numerical solve"),
         approx_check(
             "free-angle sin^2(alpha_a)",
-            math.sin(res.instance.alpha_a) ** 2, hardy.FREE_OPTIMAL_SIN_SQ, 1e-3,
+            math.sin(res_f.instance.alpha_a) ** 2, hardy.FREE_OPTIMAL_SIN_SQ, 1e-3,
             description="the optimal angle sits at the golden-ratio point",
             source="closed form"),
         approx_check(
             "free-angle sin^2(alpha_b)",
-            math.sin(res.instance.alpha_b) ** 2, hardy.FREE_OPTIMAL_SIN_SQ, 1e-3,
+            math.sin(res_f.instance.alpha_b) ** 2, hardy.FREE_OPTIMAL_SIN_SQ, 1e-3,
             description="the optimal angle sits at the golden-ratio point",
             source="closed form"),
     )
-
-
-def _hardy_section(n_starts: int, seed: int) -> Section:
-    res_c = hardy.optimize_constrained(n_starts=n_starts, seed=_subseed(seed, 3))
-    res_f = hardy.optimize_unconstrained_measurements(
-        n_starts=n_starts, seed=_subseed(seed, 4))
-    rank = min(hardy.zero_constraint_rank(r.instance.alpha_a, r.instance.alpha_b)
-               for r in (res_c, res_f))
-    rank_check = approx_check(
-        "zero-constraint rank", rank, 3, 0,
-        description="the three zero rows have rank 3 at both optima, so each "
-                    "optimum is the unique feasible state up to phase",
-        source="closed form")
-    checks = ((rank_check,) + _hardy_constrained_checks(res_c)
-              + _hardy_free_checks(res_f))
     return Section("Hardy optimization", checks)
 
 
@@ -267,12 +256,53 @@ def _lhv_section() -> Section:
     return Section("local model feasibility", tuple(checks))
 
 
+class _Row(NamedTuple):
+    build: Callable[..., Section]
+    config: dict
+    streams: tuple = ()
+
+
+# report-all's sections in report order.  Substream 3 is free: the
+# fixed-angle Hardy optimum is closed-form and draws nothing.
+SECTIONS = {
+    "correlations": _Row(_correlations_section,
+                        {"rotations": 100, "identity_tol": 1e-9}, (0,)),
+    "simulation": _Row(_simulation_section, {"sim_rounds": 50000}, (1, 5)),
+    "decoherence": _Row(_decoherence_section, {"decoherence_samples": 1000}, (2,)),
+    "distinguish": _Row(_distinguish_section,
+                       {"scan_resolution": 200, "scan_refine_tol": 1e-3,
+                        "exclusion_resolution": 100}),
+    "hardy": _Row(_hardy_section, {"hardy_starts": 64}, (4,)),
+    "lhv": _Row(_lhv_section, {}),
+}
+_CONFIG = {key: value for row in SECTIONS.values() for key, value in row.config.items()}
+
+
+def _build(name: str, seed: int, **config) -> Section:
+    row = SECTIONS[name]
+    seeds = (_subseed(seed, index) for index in row.streams)
+    return row.build(*seeds, **{**row.config, **config})
+
+
+def _emit(name: str, seed: int = 0, **config) -> None:
+    section = _build(name, seed, **config)
+    mini = Report(title=f"dfsbell: {section.name}", seed=seed, config={},
+                  sections=(section,))
+    click.echo(render_text(mini), nl=False)
+    sys.exit(0 if section.passed else 1)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 _seed_option = click.option("--seed", default=None, type=click.IntRange(min=0),
-                            help="Root RNG seed.")
+                            callback=_resolve_seed, help="Root RNG seed.")
+
+
+def _config_option(flag: str, key: str, **kwargs):
+    """An option setting report-all config ``key``, with report-all's default."""
+    return click.option(flag, key, default=_CONFIG[key], show_default=True, **kwargs)
 
 
 class _Group(click.Group):
@@ -295,16 +325,15 @@ def main():
 
 
 @main.command("verify-correlations")
-@click.option("--rotations", "n_rotations", default=100, show_default=True,
-              type=click.IntRange(min=1), help="Random rotation tuples to sample.")
+@_config_option("--rotations", "rotations", type=click.IntRange(min=1),
+                help="Random rotation tuples to sample.")
 @_seed_option
-@click.option("--tol", default=IDENTITY_TOL, show_default=True,
-              type=click.FloatRange(min=0.0), callback=_finite,
-              help="Allowed deviation from the closed-form values.")
-def verify_correlations_cmd(n_rotations, seed, tol):
+@_config_option("--tol", "identity_tol", type=click.FloatRange(min=0.0),
+                callback=_finite,
+                help="Allowed deviation from the closed-form values.")
+def verify_correlations_cmd(**options):
     """Check the four correlation identities, with and without rotations."""
-    seed = _resolve_seed(seed)
-    _emit(_correlations_section(n_rotations, seed, tol), seed)
+    _emit("correlations", **options)
 
 
 @main.command("simulate")
@@ -317,7 +346,6 @@ def verify_correlations_cmd(n_rotations, seed, tol):
               help="Write the tally record as JSON to this file.")
 def simulate_cmd(rounds, seed, rotate_each_round, out):
     """Simulate two-wing measurement rounds and emit the tally record."""
-    seed = _resolve_seed(seed)
     policy = "fresh" if rotate_each_round else "identity"
     rec = localmeas.run_experiment(rounds, settings_policy="random",
                                    rotations_policy=policy, seed=seed)
@@ -334,55 +362,39 @@ def simulate_cmd(rounds, seed, rotate_each_round, out):
 
 
 @main.command("verify-decoherence")
-@click.option("--samples", default=1000, show_default=True,
-              type=click.IntRange(min=1), help="Random rotations per state.")
+@_config_option("--samples", "decoherence_samples", type=click.IntRange(min=1),
+                help="Random rotations per state.")
 @_seed_option
-def verify_decoherence_cmd(samples, seed):
+def verify_decoherence_cmd(**options):
     """Check immunity of the protected states against collective rotations."""
-    seed = _resolve_seed(seed)
-    _emit(_decoherence_section(samples, seed), seed)
+    _emit("decoherence", **options)
 
 
 @main.command("verify-distinguish")
-@click.option("--grid", "resolution", default=200, show_default=True,
-              type=click.IntRange(min=100), callback=_multiple_of_4,
-              help="Grid points per angle, a multiple of 4.")
-@click.option("--refine", "refine_tol", default=1e-3, show_default=True,
-              type=click.FloatRange(min=0.0, min_open=True), callback=_finite,
-              help="Cluster width for merging found angles.")
-def verify_distinguish_cmd(resolution, refine_tol):
+@_config_option("--grid", "scan_resolution", type=click.IntRange(min=100),
+                callback=_multiple_of_4,
+                help="Grid points per angle, a multiple of 4.")
+@_config_option("--refine", "scan_refine_tol",
+                type=click.FloatRange(min=0.0, min_open=True), callback=_finite,
+                help="Cluster width for merging found angles.")
+def verify_distinguish_cmd(**options):
     """Scan for pair angles admitting a distinguishing product basis."""
-    section = _distinguish_section(resolution, refine_tol)
-    _emit(section, 0)
+    _emit("distinguish", **options)
 
 
 @main.command("optimize-hardy")
-@click.option("--free-angles", is_flag=True,
-              help="Optimize the measurement angles along with the state.")
-@click.option("--starts", "n_starts", default=64, show_default=True,
-              type=click.IntRange(min=1),
-              help="Starts of the free-angle search.")
+@_config_option("--starts", "hardy_starts", type=click.IntRange(min=1),
+                help="Starts of the free-angle search.")
 @_seed_option
-def optimize_hardy_cmd(free_angles, n_starts, seed):
-    """Maximize the positive-event probability under the Hardy constraints."""
-    seed = _resolve_seed(seed)
-    if free_angles:
-        res = hardy.optimize_unconstrained_measurements(
-            n_starts=n_starts, seed=seed)
-        checks = _hardy_free_checks(res)
-    else:
-        res = hardy.optimize_constrained(n_starts=n_starts, seed=seed)
-        checks = _hardy_constrained_checks(res)
-    click.echo(f"probability {res.probability!r}")
-    click.echo(f"angles alpha_a={res.instance.alpha_a!r} "
-               f"alpha_b={res.instance.alpha_b!r}")
-    _emit(Section("Hardy optimization", checks), seed)
+def optimize_hardy_cmd(**options):
+    """Maximize the Hardy probability, angles fixed at pi/3 and free."""
+    _emit("hardy", **options)
 
 
 @main.command("lhv-check")
 def lhv_check_cmd():
     """Decide local-model feasibility of the Hardy scenario exactly."""
-    _emit(_lhv_section(), 0)
+    _emit("lhv")
 
 
 @main.command("report-all")
@@ -394,35 +406,13 @@ def lhv_check_cmd():
                    "reproducibility between runs).")
 def report_all_cmd(fmt, seed, timing):
     """Run every verification suite and emit one structured report."""
-    seed = _resolve_seed(seed)
     t0 = time.perf_counter()
-    config = {
-        "rotations": 100,
-        "identity_tol": IDENTITY_TOL,
-        "sim_rounds": 50000,
-        "decoherence_samples": 1000,
-        "scan_resolution": 200,
-        "scan_refine_tol": 1e-3,
-        "exclusion_resolution": 100,
-        "hardy_starts": 64,
-    }
-    sections = (
-        _correlations_section(config["rotations"], _subseed(seed, 0),
-                              config["identity_tol"]),
-        _simulation_section(config["sim_rounds"], _subseed(seed, 1),
-                            _subseed(seed, 5)),
-        _decoherence_section(config["decoherence_samples"], _subseed(seed, 2)),
-        _distinguish_section(config["scan_resolution"],
-                             config["scan_refine_tol"],
-                             config["exclusion_resolution"]),
-        _hardy_section(config["hardy_starts"], seed),
-        _lhv_section(),
-    )
+    sections = tuple(_build(name, seed) for name in SECTIONS)
     metadata = {}
     if timing:
         metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     report = Report(title="dfsbell verification report", seed=seed,
-                    config=config, sections=sections, metadata=metadata)
+                    config=_CONFIG, sections=sections, metadata=metadata)
     click.echo(to_json(report) if fmt == "json" else render_text(report),
                nl=False)
     sys.exit(0 if report.passed else 1)

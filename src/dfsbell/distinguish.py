@@ -173,7 +173,9 @@ def scan_distinguishable_omegas(resolution: int = 200,
     candidate omega.  Each survivor counts when, at its grid tuple and that
     omega, the summed squared support products sum_w (psi_w perp_w)^2 are at
     most 1e-20 and the disjoint-support test passes; the counted omegas are
-    clustered within refine_tol.
+    clustered within refine_tol, and each cluster reports its member of
+    smallest lambda, the smaller angle on a tie (a mean would move an exact
+    angle off its value).
 
     Since a pair and its omega + pi/2 partner are the same two states with
     roles swapped, every validated omega contributes both representatives.
@@ -209,7 +211,7 @@ def scan_distinguishable_omegas(resolution: int = 200,
             if key not in bins or val[0] < bins[key][0]:
                 bins[key] = val
     validated = []
-    for _, (_, w, tb, tc, td) in sorted(bins.items()):
+    for _, (lam, w, tb, tc, td) in sorted(bins.items()):
         inst = DistinguishInstance(w, (0.0, tb, tc, td))
         psi, perp = component_table(inst).T
         if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
@@ -218,15 +220,15 @@ def scan_distinguishable_omegas(resolution: int = 200,
             rep %= math.pi
             if math.pi - rep < refine_tol:
                 rep = 0.0
-            validated.append(rep)
+            validated.append((rep, lam))
     validated.sort()
     merged = []
-    for w in validated:
-        if merged and w - merged[-1][-1] < refine_tol:
-            merged[-1].append(w)
+    for rep, lam in validated:
+        if merged and rep - merged[-1][-1][0] < refine_tol:
+            merged[-1].append((rep, lam))
         else:
-            merged.append([w])
-    return [float(np.mean(c)) for c in merged]
+            merged.append([(rep, lam)])
+    return [float(min(c, key=lambda m: m[1])[0]) for c in merged]
 
 
 def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:

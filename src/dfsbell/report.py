@@ -35,11 +35,13 @@ class Check:
 
 
 def approx_check(name: str, value: float, expected: float, tolerance: float,
-                 description: str = "", source: str = "") -> Check:
+                 description: str = "", source: str = "",
+                 detail: str | None = None) -> Check:
     """A |value - expected| <= tolerance check."""
     return Check(name=name, passed=bool(abs(value - expected) <= tolerance),
                  description=description, source=source, value=float(value),
-                 expected=float(expected), tolerance=float(tolerance))
+                 expected=float(expected), tolerance=float(tolerance),
+                 detail=detail)
 
 
 def bound_check(name: str, value: float, below: float, description: str = "",

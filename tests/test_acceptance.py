@@ -4,6 +4,7 @@ Run with ``pytest -v`` so every criterion shows as its own pass/fail row;
 the printed lines carry the measured values for the record.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 import dfsbell as d
 from dfsbell.cli import main as cli_main
 from dfsbell.localmeas import wing_distribution
+from dfsbell.report import Check, Report, Section, render_text
 
 
 def _verdict(criterion, ok, detail):
@@ -166,6 +168,20 @@ def test_criterion_10_report_determinism():
                                           "--seed", "7"])
         assert result.exit_code == 0, result.output
         outputs.append(result.output)
-    ok = outputs[0] == outputs[1]
+    identical = outputs[0] == outputs[1]
+    # a section command at the same seed reproduces report-all's section,
+    # worst-sample details included: rendered from the report's JSON, the
+    # section must equal the command's output byte for byte
+    sections = {s["name"]: s for s in json.loads(outputs[0])["sections"]}
+    reproduced = []
+    for cmd, name in (("verify-correlations", "correlation identities"),
+                      ("verify-decoherence", "collective decoherence immunity")):
+        result = runner.invoke(cli_main, [cmd, "--seed", "7"])
+        checks = tuple(Check(**c) for c in sections[name]["checks"])
+        mini = Report(title=f"dfsbell: {name}", seed=7, config={},
+                      sections=(Section(name, checks),))
+        reproduced.append(result.output == render_text(mini))
+    ok = identical and all(reproduced)
     _verdict(10, ok, f"two runs, {len(outputs[0])} bytes each, "
-                     f"{'identical' if ok else 'differ'}")
+                     f"{'identical' if identical else 'differ'}; "
+                     f"section commands reproduce their sections: {reproduced}")

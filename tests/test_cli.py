@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dfsbell import cli
+from dfsbell import distinguish, hardy
 from dfsbell.cli import main
 
 
@@ -77,9 +77,9 @@ def test_verify_decoherence_passes():
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch):
-    def broken():
+    def broken(scenario):
         raise RuntimeError("boom")
-    monkeypatch.setattr(cli, "_lhv_section", broken)
+    monkeypatch.setattr(hardy, "lhv_feasibility", broken)
     result = CliRunner().invoke(main, ["lhv-check"])
     assert result.exit_code == 4
     assert "Traceback" not in result.output
@@ -96,7 +96,8 @@ def test_lhv_check_prints_certificate():
 def test_optimize_hardy_fixed_angle():
     result = _run(["optimize-hardy", "--starts", "4", "--seed", "11"])
     assert result.exit_code == 0
-    assert "probability" in result.output
+    assert "[PASS] fixed-angle optimum  value=0.0803571428571" in result.output
+    assert "[PASS] free-angle optimum  value=0.0901699437" in result.output
     assert "overall: PASS" in result.output
 
 
@@ -106,6 +107,17 @@ def test_verify_distinguish_small_grid():
     assert "overall: PASS" in result.output
     result = _run(["verify-distinguish", "--grid", "10"])
     assert result.exit_code == 2  # below the resolution floor
+
+
+def test_scan_count_other_than_six_names_the_angles(monkeypatch):
+    angles = [0.0, 0.5235987755982988, 1.0471975511965979, 1.5707963267948966,
+              2.0943951023931953]
+    monkeypatch.setattr(distinguish, "scan_distinguishable_omegas",
+                        lambda resolution, refine_tol: angles)
+    result = _run(["verify-distinguish", "--grid", "100"])
+    assert result.exit_code == 1
+    assert "[FAIL] distinguishable pair angles found  value=5.0" in result.output
+    assert f"angles found: {angles}" in result.output
 
 
 @pytest.mark.parametrize("grid", ["101", "102"])

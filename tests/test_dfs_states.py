@@ -8,7 +8,7 @@ from dfsbell.dfs_states import (DfsVector, Observable, SubspaceError,
                                 make_eta, make_f, make_g, make_phi0, make_phi1,
                                 make_psi0, make_psi1, singlet)
 from dfsbell.qcore import (apply_collective, basis_state, haar_su2,
-                           permute_qubits, tensor)
+                           partial_trace, permute_qubits, tensor)
 
 R3 = math.sqrt(3.0)
 
@@ -73,6 +73,35 @@ def test_eta_expansion_coefficients():
     want = {(0, 0): 4, (0, 1): 0, (1, 0): R3, (1, 1): 3}
     for (i, j), c in want.items():
         assert abs(coef(phi[i], psi[j]) - c / (2 * math.sqrt(7))) < 1e-12
+
+
+def test_exact_certificate_of_the_reduced_spectrum():
+    sp = pytest.importorskip("sympy")
+    r3 = sp.sqrt(3)
+    phi0, phi1 = sp.zeros(16, 1), sp.zeros(16, 1)
+    for idx, sign in ((0b0101, 1), (0b0110, -1), (0b1001, -1), (0b1010, 1)):
+        phi0[idx] = sp.Rational(sign, 2)
+        phi1[idx] = -1 / (2 * r3)
+    phi1[0b0011] = phi1[0b1100] = 1 / r3
+    assert np.allclose(np.array(phi0, dtype=float).ravel(), make_phi0().amplitudes)
+    assert np.allclose(np.array(phi1, dtype=float).ravel(), make_phi1().amplitudes)
+    # eta as a 16 x 16 matrix, wing A rows and wing B columns; wing A's
+    # reduced state is m m^T, compared with the float partial trace
+    m = (phi0 * phi0.T + r3 * phi0 * phi1.T + r3 * phi1 * phi0.T) / sp.sqrt(7)
+    rho = m * m.T
+    ours = partial_trace(make_eta(), keep=(1, 2, 3, 4)).matrix
+    assert np.abs(np.array(rho, dtype=float) - ours).max() < 1e-12
+    # rho = P R P^T with P = (phi0 phi1) orthonormal, so its spectrum is R's
+    # two eigenvalues (7 +- sqrt13)/14 and fourteen zeros; R's eigenvectors
+    # (1 +- sqrt13, 2 sqrt3) are the ones criterion 4 checks in floats
+    p = phi0.row_join(phi1)
+    assert sp.simplify(p.T * p) == sp.eye(2)
+    r = sp.Matrix([[4, r3], [r3, 3]]) / 7
+    assert sp.simplify(rho - p * r * p.T) == sp.zeros(16, 16)
+    for sign in (+1, -1):
+        value = (7 + sign * sp.sqrt(13)) / 14
+        vector = sp.Matrix([1 + sign * sp.sqrt(13), 2 * r3])
+        assert sp.simplify(r * vector - value * vector) == sp.zeros(2, 1)
 
 
 def test_collective_rotation_invariance():

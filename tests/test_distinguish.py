@@ -118,6 +118,10 @@ def test_scan_finds_the_pi_over_six_grid():
     assert len(found) == 6
     for k, w in enumerate(sorted(found)):
         assert abs(w - k * math.pi / 6) < 1e-6
+    # the omega = 0 cluster holds a candidate 1.5e-17 above 0 and the
+    # wrapped 0.0 of its partner, both at lambda = 0; it reports its member
+    # of smallest lambda, the smaller angle on a tie, where a mean gave 7.3e-18
+    assert sorted(found)[0] == 0.0
 
 
 def test_scan_rejects_a_grid_without_pi_over_four():

@@ -12,8 +12,7 @@ from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
                            optimize_unconstrained_measurements,
                            standard_scenario, to_full_state,
                            zero_constraint_rank)
-from dfsbell.correlations import Setting, joint_probability
-from dfsbell.dfs_states import dfs_observable, make_eta, make_f
+from dfsbell.dfs_states import make_eta
 
 
 def test_eta_instance_probabilities():
@@ -24,37 +23,6 @@ def test_eta_instance_probabilities():
 
 def test_to_full_state_matches_eta():
     assert abs(to_full_state(eta_instance()).overlap(make_eta()) - 1.0) < 1e-12
-
-
-def test_hardy_probability_agrees_with_full_state_route():
-    # the 2x2 reduction must reproduce the Born probabilities computed on
-    # the embedded 256-dimensional state, for random states and for the
-    # feasible states the optimizers return, whose zeros must hold there too
-    rng = np.random.default_rng(61)
-    instances = []
-    for _ in range(5):
-        c = rng.normal(size=4) + 1j * rng.normal(size=4)
-        c /= np.linalg.norm(c)
-        aa, ab = rng.uniform(0.1, math.pi / 2 - 0.1, size=2)
-        instances.append(HardyInstance(tuple(c), aa, ab))
-    feasible = [feasible_state(*rng.uniform(0.05, math.pi / 2 - 0.05, size=2))
-                for _ in range(5)]
-    for inst in instances + feasible:
-        p, residuals = hardy_probability(inst)
-        full = to_full_state(inst)
-        ga = Setting(dfs_observable(inst.alpha_a))
-        gb = Setting(dfs_observable(inst.alpha_b))
-        fa = fb = Setting(make_f())
-        zeros = {
-            "ff_plus_plus": joint_probability(full, fa, fb, +1, +1),
-            "fa_minus_gb_plus": joint_probability(full, fa, gb, -1, +1),
-            "ga_plus_fb_minus": joint_probability(full, ga, fb, +1, -1),
-        }
-        assert abs(p - joint_probability(full, ga, gb, +1, +1)) < 1e-10
-        for name, value in zeros.items():
-            assert abs(residuals[name] - value) < 1e-10
-        if inst in feasible:
-            assert max(zeros.values()) < 1e-12 and p > 0.0
 
 
 def test_feasible_state_satisfies_the_zeros():
