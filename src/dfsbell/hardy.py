@@ -19,9 +19,10 @@ in exact rational arithmetic.
 The three zeros are real linear rows on the amplitudes c in C^4, of rank 3
 unless both angles are pi/2, so the feasible state is unique up to phase
 (``feasible_state``).  With x = sin^2(alpha_a), y = sin^2(alpha_b) its fourth
-probability is P = x (1 - x) y (1 - y) / (1 - x y): the fixed-angle optimum
-needs no search, and the free-angle optimum is a bounded search over the two
-angles alone.
+probability is P = x (1 - x) y (1 - y) / (1 - x y).  P is 0 on the whole
+boundary of the unit square and its only interior stationary point is
+x = y = (sqrt 5 - 1)/2, so both optima, at a fixed angle and with the angles
+free, are closed form and need no search.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dfs_states import dfs_embed, DfsVector
 from .qcore import QuantumState, tensor
@@ -348,24 +348,12 @@ def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,
 def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> OptimizationResult:
     """Maximize over both angles, the state following as the feasible state.
 
-    Seeded multistart of a bounded 2-angle solve of
-    P(feasible_state(alpha_a, alpha_b)); every start is feasible by
-    construction.  P vanishes on every edge of [0, pi/2]^2, so the upper bound
-    stops just short of pi/2 and keeps the solve off the corner where the
-    constraints lose rank.  The optimum is the golden-ratio point:
-    sin^2(alpha) = (sqrt 5 - 1)/2 on both wings, probability
-    ((sqrt 5 - 1)/2)^5.
+    P = x (1 - x) y (1 - y) / (1 - x y) is 0 on the whole boundary of the
+    square of x = sin^2(alpha_a), y = sin^2(alpha_b), and its only interior
+    stationary point is x = y = (sqrt 5 - 1)/2 (the exact certificate is in
+    the tests), so that point is the maximum: the fixed-angle optimum at
+    sin^2(alpha) = (sqrt 5 - 1)/2, probability ((sqrt 5 - 1)/2)^5.  No search
+    is needed; ``n_starts`` and ``seed`` are unused and kept for callers that
+    pass them (the result reports one start).
     """
-    rng = np.random.default_rng(seed)
-    bounds = [(0.0, math.pi / 2 - 1e-6)] * 2
-
-    def objective(x):
-        return -hardy_probability(feasible_state(x[0], x[1]))[0]
-
-    best = None
-    for _ in range(n_starts):
-        x0 = rng.uniform(0.05, math.pi / 2 - 0.05, size=2)
-        res = minimize(objective, x0, method="L-BFGS-B", bounds=bounds)
-        if best is None or res.fun < best.fun:
-            best = res
-    return _result(feasible_state(*best.x), n_starts, n_starts)
+    return optimize_constrained(math.asin(math.sqrt(FREE_OPTIMAL_SIN_SQ)))

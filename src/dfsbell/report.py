@@ -9,7 +9,7 @@ time- or host-dependent is included unless explicitly requested.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import __version__
@@ -22,6 +22,7 @@ class Check:
     ``source`` states how the expected value was obtained ("closed form",
     "exact rational arithmetic", "frozen numerical solve", "sampled
     estimate"), ``detail`` carries free-form evidence such as a certificate.
+    The fields are declared in the order the JSON report emits them.
     """
 
     name: str
@@ -81,19 +82,6 @@ class Report:
         return sum(1 for s in self.sections for c in s.checks if c.passed)
 
 
-def _check_dict(c: Check) -> dict:
-    return {
-        "name": c.name,
-        "passed": c.passed,
-        "description": c.description,
-        "source": c.source,
-        "value": c.value,
-        "expected": c.expected,
-        "tolerance": c.tolerance,
-        "detail": c.detail,
-    }
-
-
 def to_dict(report: Report) -> dict:
     return {
         "title": report.title,
@@ -105,7 +93,7 @@ def to_dict(report: Report) -> dict:
             {
                 "name": s.name,
                 "passed": s.passed,
-                "checks": [_check_dict(c) for c in s.checks],
+                "checks": [asdict(c) for c in s.checks],
             }
             for s in report.sections
         ],

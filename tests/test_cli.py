@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dfsbell import distinguish, hardy
+from dfsbell import cli, distinguish, hardy
 from dfsbell.cli import main
 
 
@@ -62,6 +62,17 @@ def test_simulate_rotate_flag_and_outfile(tmp_path):
     assert payload["rotations_policy"] == "fresh"
 
 
+def test_simulate_tallies_the_simulation_section():
+    result = _run(["simulate", "--rounds", "2000", "--rotate-each-round",
+                   "--seed", "7"])
+    assert result.exit_code == 0
+    counts = json.loads(result.output)["counts"]["G,G"]
+    section = cli._build("simulation", 7, sim_rounds=2000)
+    check = next(c for c in section.checks
+                 if c.name == "(G,G) outcome (+1,+1) frequency")
+    assert counts["+1,+1"] / sum(counts.values()) == check.value
+
+
 def test_simulate_unwritable_outfile_is_io_error():
     result = _run(["simulate", "--rounds", "10",
                    "--out", "/nonexistent-dir/rec.json"])
@@ -94,11 +105,26 @@ def test_lhv_check_prints_certificate():
 
 
 def test_optimize_hardy_fixed_angle():
-    result = _run(["optimize-hardy", "--starts", "4", "--seed", "11"])
+    result = _run(["optimize-hardy"])
     assert result.exit_code == 0
     assert "[PASS] fixed-angle optimum  value=0.0803571428571" in result.output
     assert "[PASS] free-angle optimum  value=0.0901699437" in result.output
     assert "overall: PASS" in result.output
+
+
+@pytest.mark.parametrize("option", [["--starts", "4"], ["--seed", "1"]])
+def test_optimize_hardy_takes_no_options(option):
+    assert _run(["optimize-hardy"] + option).exit_code == 2
+
+
+def test_hardy_grid_check_fails_below_the_grid_best(monkeypatch):
+    pi_over_3 = hardy.optimize_constrained()
+    monkeypatch.setattr(hardy, "optimize_unconstrained_measurements",
+                        lambda: pi_over_3)
+    result = _run(["optimize-hardy"])
+    assert result.exit_code == 1
+    assert "[FAIL] no grid angle pair beats the free-angle optimum" in result.output
+    assert "best at alpha_a = 37*pi/128, alpha_b = 37*pi/128" in result.output
 
 
 def test_verify_distinguish_small_grid():
@@ -131,7 +157,6 @@ def test_negative_seed_option_is_usage_error():
     for cmd in (["verify-correlations", "--rotations", "2"],
                 ["simulate", "--rounds", "10"],
                 ["verify-decoherence", "--samples", "2"],
-                ["optimize-hardy", "--starts", "1"],
                 ["report-all"]):
         result = _run(cmd + ["--seed", "-3"])
         assert result.exit_code == 2, cmd

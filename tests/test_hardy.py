@@ -86,6 +86,9 @@ def test_exact_certificate_of_both_optima():
     peak = sp.radsimp(sp.simplify(diag.subs(t, roots[0])))
     assert sp.simplify(peak - (5 * sp.sqrt(5) - 11) / 2) == 0
     assert abs(float(peak) - FREE_MAXIMUM) < 1e-15
+    # P is 0 on every edge of the unit square; P <= x (1 - x) since
+    # 1 - y <= 1 - xy, so it also tends to 0 at the corner (1, 1)
+    assert all(sp.simplify(p_xy.subs(v, e)) == 0 for v in (x, y) for e in (0, 1))
     # and off the diagonal the gradient vanishes nowhere else in (0, 1)^2
     grad = [sp.numer(sp.together(sp.diff(p_xy, v))) for v in (x, y)]
     inside = [s for s in sp.solve(grad, [x, y], dict=True)
@@ -138,11 +141,13 @@ def test_optimize_constrained_other_angle():
 
 def test_optimize_free_angles_recovers_golden_point():
     res = optimize_unconstrained_measurements(n_starts=8, seed=103)
-    assert abs(res.probability - FREE_MAXIMUM) < 1e-6
+    assert abs(res.probability - FREE_MAXIMUM) < 1e-12
+    assert res.max_residual < 1e-9
+    assert (res.n_feasible, res.n_starts) == (1, 1)
     assert math.sin(res.instance.alpha_a) ** 2 == pytest.approx(
-        FREE_OPTIMAL_SIN_SQ, abs=1e-3)
+        FREE_OPTIMAL_SIN_SQ, abs=1e-12)
     assert math.sin(res.instance.alpha_b) ** 2 == pytest.approx(
-        FREE_OPTIMAL_SIN_SQ, abs=1e-3)
+        FREE_OPTIMAL_SIN_SQ, abs=1e-12)
 
 
 def test_lhv_standard_scenario_is_infeasible():

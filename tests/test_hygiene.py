@@ -3,10 +3,14 @@
 Every name a package module imports is used in that module, and no module
 imports an underscore name from another package module.  No linter ships
 with the test environment, so these are those checks.  ``__init__.py`` is
-exempt: its imports are the package's re-exports.
+exempt: its imports are the package's re-exports.  Importing the command
+line loads no scipy module, which would cost every process its import time.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,15 @@ def _private_package_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert _private_package_imports(path) == []
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, dfsbell.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
