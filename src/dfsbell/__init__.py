@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .qcore import (ATOL, MAX_QUBITS, DensityOperator, QuantumState, SizeError,
                     Unitary2, apply_collective, basis_state, haar_su2,
-                    partial_trace, permute_qubits, tensor)
+                    haar_su2_batch, partial_trace, permute_qubits, tensor)
 from .dfs_states import (DfsVector, Observable, SubspaceError, dfs_embed,
                          dfs_observable, dfs_project, make_eta, make_f, make_g,
                          make_phi0, make_phi1, make_psi0, make_psi1, singlet)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import Observable, make_eta, make_f, make_g
-from .qcore import QuantumState, Unitary2, haar_su2, joint_probs, wing_bras
+from .qcore import QuantumState, Unitary2, haar_su2_batch, joint_probs, wing_bras
 
 NULL = "null"
 OUTCOMES = (-1, +1, NULL)
@@ -186,9 +186,8 @@ def verify_correlation_suite(n_rotation_samples: int = 100,
     m = make_eta().amplitudes.reshape(16, 16)
     rng = np.random.default_rng(seed)
     # tuple 0 is unrotated, tuple i + 1 holds sample i's four rotations
-    us = np.stack([np.eye(2)] * 4 + [
-        haar_su2(rng).matrix for _ in range(4 * n_rotation_samples)
-    ]).reshape(n_rotation_samples + 1, 4, 2, 2)
+    us = np.concatenate([np.broadcast_to(np.eye(2), (1, 4, 2, 2)),
+                         haar_su2_batch(rng, (n_rotation_samples, 4))])
     labels, f = _setting_bras(Setting(make_f()), "alice")
     _, g = _setting_bras(Setting(make_g()), "alice")
     plus = labels.index(+1)  # F and G list their outcomes in the same order

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import make_eta
-from .qcore import (QuantumState, Unitary2, haar_su2, joint_probs, product_bras,
-                    wing_bras)
+from .qcore import (QuantumState, Unitary2, haar_su2_batch, joint_probs,
+                    product_bras, wing_bras)
 
 # Word probabilities analytically equal to zero come out of floating-point
 # amplitude algebra at ~1e-32; clipping below this threshold keeps
@@ -153,8 +153,8 @@ def _sample_fresh_rotations(amp16, bras_a, bras_b, n, rng):
     draws = np.empty(n, dtype=np.int64)
     for done in range(0, n, _ROUNDS_PER_CHUNK):
         m = min(_ROUNDS_PER_CHUNK, n - done)
-        ua = np.stack([haar_su2(rng).matrix for _ in range(m)])
-        ub = np.stack([haar_su2(rng).matrix for _ in range(m)])
+        ua = haar_su2_batch(rng, (m,))
+        ub = haar_su2_batch(rng, (m,))
         p = _word_probs(wing_bras(bras_a, ua), amp16, wing_bras(bras_b, ub))
         r = rng.random(m)
         draws[done:done + m] = (np.cumsum(p, axis=1) < r[:, None]).sum(axis=1)
@@ -171,8 +171,8 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     the frame pair that produced it.
     """
     rng = np.random.default_rng(seed)
-    ua = np.stack([haar_su2(rng).matrix for _ in range(n_frames)])
-    ub = np.stack([haar_su2(rng).matrix for _ in range(n_frames)])
+    ua = haar_su2_batch(rng, (n_frames,))
+    ub = haar_su2_batch(rng, (n_frames,))
     amp16 = make_eta().amplitudes.reshape(16, 16)
     bras = {p: product_bras(_spec(p).thetas) for p in ("F", "G")}
     drift = np.zeros(n_frames)

@@ -12,6 +12,12 @@ U^(x k) and product-basis bras alike, ``wing_bras`` turns a wing's bras, and
 A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
 ``product_bras`` joins four such rows into the 16 bras of the outcome words.
+
+Haar frames come one at a time (``haar_su2``, a checked ``Unitary2``) or as
+an array (``haar_su2_batch``).  Both go through one helper, so a batch of
+shape S consumes the same normals as prod(S) single draws and returns the
+same matrices in row-major order: batching a draw site never moves a seeded
+stream.
 """
 
 from __future__ import annotations
@@ -223,13 +229,27 @@ def apply_collective(s: QuantumState, u: Unitary2, wing: str = "all") -> Quantum
     return QuantumState(amplitudes)
 
 
+# Maps a quaternion (a, b, c, d) to the flattened SU(2) matrix
+# [[a + i b, c + i d], [-c + i d, a - i b]].
+_QUAT = np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1, -1, 0], [0, 1j, 1j, 0]])
+
+
+def _haar_matrices(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """(*shape, 2, 2) unchecked SU(2) matrices from one block of normals."""
+    q = rng.normal(size=(*shape, 4))
+    q /= np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    return (q @ _QUAT).reshape(*shape, 2, 2)
+
+
 def haar_su2(rng: np.random.Generator) -> Unitary2:
     """Haar-random element of SU(2).
 
     Parameters
     ----------
     rng : numpy.random.Generator
-        Seeded stream; the draw consumes exactly four normal variates.
+        Seeded stream; the draw consumes exactly four normal variates, and
+        a ``haar_su2_batch`` of shape S consumes the same normals as prod(S)
+        single draws and returns the same matrices.
 
     Notes
     -----
@@ -242,10 +262,22 @@ def haar_su2(rng: np.random.Generator) -> Unitary2:
     which has unit determinant a^2 + b^2 + c^2 + d^2 = 1.  Uniformity on S^3
     is exactly the Haar measure of SU(2).
     """
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    a, b, c, d = q
-    return Unitary2(np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]]))
+    return Unitary2(_haar_matrices(rng, ()))
+
+
+def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Independent Haar-random SU(2) matrices as a ``(*shape, 2, 2)`` array.
+
+    A batch of shape S consumes the same normals as prod(S) single
+    ``haar_su2`` draws and returns the same matrices, in row-major order,
+    so batching never moves a seeded stream.  Every draw passes the
+    unitarity test of ``Unitary2``, made once for the whole batch.
+    """
+    u = _haar_matrices(rng, shape)
+    err = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(2), axis=(-2, -1))
+    if np.any(err > ATOL):
+        raise ValueError("matrix is not unitary within 1e-10")
+    return u
 
 
 def partial_trace(state_or_rho, keep) -> DensityOperator:

@@ -66,7 +66,7 @@ class Section:
 @dataclass(frozen=True)
 class Report:
     title: str
-    seed: int
+    seed: int | None
     config: dict
     sections: tuple
     metadata: dict = field(default_factory=dict)
@@ -106,7 +106,9 @@ def to_json(report: Report) -> str:
 
 
 def render_text(report: Report) -> str:
-    lines = [report.title, f"seed {report.seed}"]
+    lines = [report.title]
+    if report.seed is not None:
+        lines.append(f"seed {report.seed}")
     for key, val in report.config.items():
         lines.append(f"  {key} = {val}")
     for s in report.sections:

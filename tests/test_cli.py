@@ -127,6 +127,18 @@ def test_hardy_grid_check_fails_below_the_grid_best(monkeypatch):
     assert "best at alpha_a = 37*pi/128, alpha_b = 37*pi/128" in result.output
 
 
+@pytest.mark.parametrize("args", [["optimize-hardy"], ["lhv-check"],
+                                  ["verify-distinguish", "--grid", "100"]])
+def test_section_that_draws_nothing_prints_no_seed(args):
+    lines = _run(args).output.splitlines()
+    assert not any(line.startswith("seed") for line in lines)
+
+
+def test_section_that_draws_prints_its_seed():
+    result = _run(["verify-correlations", "--rotations", "3", "--seed", "7"])
+    assert result.output.splitlines()[1] == "seed 7"
+
+
 def test_verify_distinguish_small_grid():
     result = _run(["verify-distinguish", "--grid", "100"])
     assert result.exit_code == 0

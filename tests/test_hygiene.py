@@ -5,6 +5,8 @@ imports an underscore name from another package module.  No linter ships
 with the test environment, so these are those checks.  ``__init__.py`` is
 exempt: its imports are the package's re-exports.  Importing the command
 line loads no scipy module, which would cost every process its import time.
+Haar frames are drawn in batches wherever a module needs many of them at
+once.
 """
 
 import ast
@@ -61,3 +63,18 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_only_decohere_draws_one_frame_at_a_time():
+    """Every module but ``decohere`` draws its Haar frames with
+    ``haar_su2_batch``, whose draws equal the single draws on the same
+    stream.  ``decohere.fidelity_samples`` still calls ``haar_su2`` once per
+    rotated wing per draw: the benchmark counts those calls as its draw
+    count, so batching them waits on a change of that count."""
+    def called(node):
+        func = getattr(node, "func", None)
+        return (getattr(func, "id", None) == "haar_su2"
+                or getattr(func, "attr", None) == "haar_su2")
+    callers = sorted(path.name for path in MODULES
+                     if any(map(called, ast.walk(ast.parse(path.read_text())))))
+    assert callers == ["decohere.py"]

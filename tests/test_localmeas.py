@@ -110,6 +110,18 @@ def test_rotated_frames_leave_the_word_pair_distribution_exactly():
     assert 0 <= worst < 100
 
 
+def test_fresh_frame_stream_is_pinned():
+    # the seeded tally of fresh-frame rounds, fixed so that a change of how
+    # the frames are drawn cannot move it unnoticed
+    counts = run_experiment(3000, "random", "fresh", seed=11).to_dict()["counts"]
+    assert counts == {
+        "F,F": {"-1,-1": 105, "-1,+1": 292, "+1,-1": 305, "+1,+1": 0},
+        "F,G": {"-1,-1": 470, "-1,+1": 0, "+1,-1": 80, "+1,+1": 244},
+        "G,F": {"-1,-1": 409, "-1,+1": 72, "+1,-1": 0, "+1,+1": 260},
+        "G,G": {"-1,-1": 339, "-1,+1": 178, "+1,-1": 192, "+1,+1": 54},
+    }
+
+
 def test_word_distribution_matches_the_reference_product_basis():
     rng = np.random.default_rng(19)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)

@@ -6,8 +6,8 @@ import pytest
 
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            Unitary2, apply_collective, basis_state, haar_su2,
-                           joint_probs, kron, partial_trace, permute_qubits,
-                           tensor, wing_bras)
+                           haar_su2_batch, joint_probs, kron, partial_trace,
+                           permute_qubits, tensor, wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -76,6 +76,36 @@ def test_haar_su2_is_special_unitary():
         u = haar_su2(rng).matrix
         assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
+
+
+def _quaternion_draw(rng):
+    # the per-draw arithmetic that fixed the seeded stream, kept as reference
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    a, b, c, d = q
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 4)])
+def test_haar_su2_batch_is_the_single_draw_stream(shape):
+    single, batch, ref = (np.random.default_rng(29) for _ in range(3))
+    n = math.prod(shape)
+    expect = np.stack([haar_su2(single).matrix for _ in range(n)])
+    got = haar_su2_batch(batch, shape)
+    assert got.shape == (*shape, 2, 2)
+    assert np.array_equal(got.reshape(n, 2, 2), expect)
+    assert np.array_equal(expect, [_quaternion_draw(ref) for _ in range(n)])
+    assert batch.normal() == single.normal() == ref.normal()
+    eye = np.broadcast_to(np.eye(2), got.shape)
+    assert np.abs(got.conj().swapaxes(-1, -2) @ got - eye).max() < 1e-12
+    assert np.abs(np.linalg.det(got) - 1.0).max() < 1e-12
+
+
+def test_haar_su2_batch_checks_every_draw(monkeypatch):
+    from dfsbell import qcore
+    monkeypatch.setattr(qcore, "_QUAT", qcore._QUAT * (1 + 1e-9))
+    with pytest.raises(ValueError, match="not unitary"):
+        haar_su2_batch(np.random.default_rng(0), (3,))
 
 
 def test_haar_su2_trace_moment():
