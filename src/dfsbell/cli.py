@@ -2,9 +2,9 @@
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
 2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
-non-finite --tol, a --refine that is not a positive finite number, and a
---grid that is not a multiple of 4), 3 an output file could not be written,
-4 internal error (an unexpected exception, reported in one line on stderr).
+non-finite --tol, a --refine outside (0, pi/12), and a --grid that is not a
+multiple of 4), 3 an output file could not be written, 4 internal error (an
+unexpected exception, reported in one line on stderr).
 
 The root seed comes from --seed, falling back to the DFSBELL_SEED environment
 variable, then 0.  ``SECTIONS`` is the one table of report sections: each row
@@ -385,9 +385,13 @@ def verify_decoherence_cmd(**options):
 @_config_option("--grid", "scan_resolution", type=click.IntRange(min=100),
                 callback=_multiple_of_4,
                 help="Grid points per angle, a multiple of 4.")
+# a cluster of pi/12 or more merges neighbouring k pi/6 angles by
+# construction, so --refine stays below half the spacing the scan resolves
 @_config_option("--refine", "scan_refine_tol",
-                type=click.FloatRange(min=0.0, min_open=True), callback=_finite,
-                help="Cluster width for merging found angles.")
+                type=click.FloatRange(min=0.0, max=math.pi / 12, min_open=True,
+                                      max_open=True),
+                callback=_finite,
+                help="Cluster width for merging found angles, below pi/12.")
 def verify_distinguish_cmd(**options):
     """Scan for pair angles admitting a distinguishing product basis."""
     _emit("distinguish", **options)
@@ -410,17 +414,23 @@ def lhv_check_cmd():
               type=click.Choice(["json", "text"]), help="Output format.")
 @_seed_option
 @click.option("--timing", is_flag=True,
-              help="Include wall time in the metadata (breaks byte-for-byte "
-                   "reproducibility between runs).")
+              help="Include wall time, in total and per section, in the "
+                   "metadata (breaks byte-for-byte reproducibility between "
+                   "runs).")
 def report_all_cmd(fmt, seed, timing):
     """Run every verification suite and emit one structured report."""
     t0 = time.perf_counter()
-    sections = tuple(_build(name, seed) for name in SECTIONS)
+    sections, timings = [], {}
+    for name in SECTIONS:
+        start = time.perf_counter()
+        sections.append(_build(name, seed))
+        timings[name] = round(time.perf_counter() - start, 3)
     metadata = {}
     if timing:
         metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
+        metadata["timings"] = timings
     report = Report(title="dfsbell verification report", seed=seed,
-                    config=_CONFIG, sections=sections, metadata=metadata)
+                    config=_CONFIG, sections=tuple(sections), metadata=metadata)
     click.echo(to_json(report) if fmt == "json" else render_text(report),
                nl=False)
     sys.exit(0 if report.passed else 1)

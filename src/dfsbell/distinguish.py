@@ -31,6 +31,17 @@ from the first half of the state, carry everything: a sum of squares over
 16 words is twice the sum over those 8, and a maximum of magnitudes is the
 same.
 
+Quarter grid.  axis_rows(t + pi/2) is axis_rows(t) with its two rows swapped
+and the new first row negated (test_axis_rows_quarter_turn).  So after
+shifting theta_b, theta_c or theta_d by pi/2, the component of word w is the
+old component of w with that qubit's bit flipped, negated where the bit of w
+is 0; with theta_a = 0 the 8 words 0bcd map onto themselves.  The per-tuple
+reductions (p, q and the omega they give, the overlap max_w min(|Re|, |Im|)
+and the find objective sum_w (Re * Im)^2) are unchanged by a permutation of
+words with signs, so the grids cover [0, pi/2)^3 with spacing pi/r, and
+every tuple of [0, pi)^3 has the values of its image there
+(test_quarter_grid_images_carry_the_same_reductions).
+
 Closed-form omega.  Writing z^2 = (A^2 - B^2) + i 2AB, the 2x2 moment
 matrix of the vectors (A^2 - B^2, 2AB) over the 16 words has, with
 p = sum |z^2|^2 and q = sum z^4 over the 8 words 0bcd,
@@ -43,9 +54,10 @@ that theta tuple.
 Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d on
 the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6 are
 split (test_exact_certificate_of_the_six_angles, in exact arithmetic).  The
-grids have a multiple of 4 points per angle, so they contain that lattice:
-the scan checks each candidate at its grid tuple with the closed-form omega,
-and the find returns the best grid tuple, with no local search.
+grids have a multiple of 4 points per angle, so they contain {0, pi/4}, the
+quarter-grid images of that lattice: the scan checks each candidate at its
+grid tuple with the closed-form omega, and the find returns the best grid
+tuple, with no local search.
 """
 
 from __future__ import annotations
@@ -62,9 +74,10 @@ SUPPORT_TOL = 1e-8
 
 _DEGENERATE_TOL = 1e-12
 
-# theta_d values per grid block.  Small blocks run fastest and keep each
-# block array at r^2 * 24 complex values; 3 divides neither 100 nor 200, so
-# the usual resolutions also exercise the ragged last block.
+# theta_d values per grid block.  Small blocks run fastest (on the quarter
+# grid widths 1 to 4 tie within noise, wider ones are slower) and keep each
+# block array at (r/2)^2 * 24 complex values; 3 divides neither 50 nor 100,
+# so the usual resolutions 100 and 200 also exercise the ragged last block.
 _CHUNK = 3
 
 
@@ -127,13 +140,16 @@ def omega_from_thetas(theta_a: float, theta_b: float,
 
 
 def _grid_chunks(resolution: int):
-    """Yield ``(thetas, lo, z)`` over the theta grid, one theta_d block at a time.
+    """Yield ``(thetas, lo, z)`` over the quarter grid, one theta_d block at a time.
 
+    ``thetas`` is the r/2 angles k pi/r on [0, pi/2); the rest of [0, pi)^3
+    only permutes the words with signs (quarter grid, module docstring).
     ``z[i, j, k, w]`` is the product component of phi0 + i phi1 for the word
     0bcd (w = 4b + 2c + d) at angles (0, thetas[i], thetas[j], thetas[lo + k]);
-    the 1bcd words follow by the bit-flip sign (see module docstring).  The
-    resolution must be at least 100 and a multiple of 4, so that the grid
-    contains the pi/4 lattice of the exact tuples.
+    the 1bcd words follow by the bit-flip sign (see module docstring).  Each
+    block holds (r/2)^2 * _CHUNK * 8 complex values.  The resolution must be
+    at least 100 and a multiple of 4, so that the grid contains pi/4 and
+    with it the images of the exact tuples.
     """
     if resolution < 100:
         raise ValueError("resolution must be at least 100 points per angle")
@@ -141,22 +157,23 @@ def _grid_chunks(resolution: int):
         raise ValueError("resolution must be a multiple of 4, so that pi/4 "
                          "is on the grid")
     r = resolution
-    thetas = np.arange(r) * (math.pi / r)
+    n = r // 2
+    thetas = np.arange(n) * (math.pi / r)
     rows = np.stack([axis_rows(t) for t in thetas])
     # the complex packing phi0 + i phi1
     phi = make_phi0().amplitudes.real + 1j * make_phi1().amplitudes.real
     # qubit a at theta 0 keeps the i = 0 half; contract qubits b and c once
     front = np.einsum("rbj,sck,jkl->rsbcl", rows, rows, phi.reshape(2, 2, 2, 2)[0])
     # real columns (b, c, l, re/im) of the complex front
-    front = front.reshape(r * r, 8).view(float)
+    front = front.reshape(n * n, 8).view(float)
     eye = np.eye(2)
-    for lo in range(0, r, _CHUNK):
+    for lo in range(0, n, _CHUNK):
         md = rows[lo:lo + _CHUNK]
         # block matrix taking (b, c, l, re/im) to (theta_d, b, c, d, re/im),
         # so the product comes out with the words as the last axis
         blocks = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, md, eye)
         z = front @ blocks.reshape(16, -1)
-        yield thetas, lo, z.view(complex).reshape(r, r, len(md), 8)
+        yield thetas, lo, z.view(complex).reshape(n, n, len(md), 8)
 
 
 def scan_distinguishable_omegas(resolution: int = 200,
@@ -164,13 +181,13 @@ def scan_distinguishable_omegas(resolution: int = 200,
     """All omega (mod pi) admitting a distinguishing product basis.
 
     Grid search over (theta_b, theta_c, theta_d) with theta_a = 0 (exact
-    reduction, see module docstring), ``resolution`` points per angle on
-    [0, pi).  For each tuple the best omega is closed-form: a word splits the
-    pair iff sin(2w) (A^2 - B^2) = cos(2w) 2AB where (A, B) are the word's
-    components of (phi0, phi1), so all words must agree on 2w mod pi; the
-    smallest eigenvalue of the 2x2 moment matrix of the vectors
-    (A^2 - B^2, 2AB) measures the disagreement and its eigenvector gives the
-    candidate omega.  Each survivor counts when, at its grid tuple and that
+    reduction, see module docstring), spacing pi / ``resolution``, over
+    [0, pi/2)^3, which carries every value of [0, pi)^3 (quarter grid).
+    For each tuple the best omega is closed-form: a word splits the pair iff
+    sin(2w) (A^2 - B^2) = cos(2w) 2AB where (A, B) are the word's components
+    of (phi0, phi1), so all words must agree on 2w mod pi; the smallest
+    eigenvalue of the 2x2 moment matrix of the vectors (A^2 - B^2, 2AB)
+    measures the disagreement and its eigenvector gives the candidate omega.  Each survivor counts when, at its grid tuple and that
     omega, the summed squared support products sum_w (psi_w perp_w)^2 are at
     most 1e-20 and the disjoint-support test passes; the counted omegas are
     clustered within refine_tol, and each cluster reports its member of
@@ -183,7 +200,8 @@ def scan_distinguishable_omegas(resolution: int = 200,
     Parameters
     ----------
     resolution : int
-        Grid points per angle; at least 100 and a multiple of 4, since the
+        Grid points per angle on [0, pi), of which the scan evaluates the
+        r/2 on [0, pi/2); at least 100 and a multiple of 4, since the
         exact distinguishing tuples need pi/4 on the grid (near-misses on
         other grids stay above the candidate cut, and nothing is found).
     refine_tol : float
@@ -251,8 +269,10 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
     """A grid theta tuple making the pair at omega distinguishable, or None.
 
     Takes the grid tuple with the smallest summed squared support products
-    and returns it if it passes the disjoint-support test.  ``resolution``
-    is as for the scan: at least 100 and a multiple of 4.
+    and returns it if it passes the disjoint-support test.  The tuple is
+    (0, theta_b, theta_c, theta_d) with the last three in [0, pi/2) (quarter
+    grid, module docstring).  ``resolution`` is as for the scan: at least
+    100 and a multiple of 4.
     """
     rot = complex(math.cos(omega), -math.sin(omega))
     best = (math.inf, None)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -195,8 +196,25 @@ def test_zero_tolerance_is_accepted():
     assert result.exit_code in (0, 1)
 
 
-@pytest.mark.parametrize("refine", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("refine", ["-1", "0", "nan", "inf", "1",
+                                    str(math.pi / 12)])
 def test_bad_refine_width_is_usage_error(refine):
+    # from pi/12 up a cluster merges neighbouring k pi/6 angles by
+    # construction, which would read as a physics failure
     result = _run(["verify-distinguish", "--grid", "100", "--refine", refine])
     assert result.exit_code == 2
     assert "--refine" in result.output
+
+
+def test_report_all_timing_names_every_section(monkeypatch):
+    jsonschema = pytest.importorskip("jsonschema")
+    from dfsbell.report import Check, Section, load_schema
+    monkeypatch.setattr(cli, "_build", lambda name, seed: Section(
+        name, (Check(name="c", passed=True),)))
+    report = json.loads(_run(["report-all", "--timing"]).output)
+    jsonschema.validate(report, load_schema())
+    timings = report["metadata"]["timings"]
+    assert list(timings) == list(cli.SECTIONS)
+    assert all(t >= 0 for t in timings.values())
+    # without --timing the metadata stays empty, so the report is byte-stable
+    assert json.loads(_run(["report-all"]).output)["metadata"] == {}

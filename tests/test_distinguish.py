@@ -10,6 +10,7 @@ from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
                                  grid_min_support_overlap, is_distinguishing,
                                  omega_from_thetas, pair_states,
                                  scan_distinguishable_omegas, support_overlap)
+from dfsbell.qcore import axis_rows
 
 F_THETAS = (0.0, 0.0, math.pi / 4, math.pi / 4)
 
@@ -77,18 +78,20 @@ def test_omega_from_thetas_known_point_and_degeneracy():
 
 def test_grid_chunks_match_component_table():
     # the kernel's z = A + iB on words 0bcd, and through the bit-flip sign
-    # on words 1bcd, against the direct product-basis components; 100 is
-    # not a multiple of the chunk width, so the last block is ragged
+    # on words 1bcd, against the direct product-basis components; the
+    # quarter grid of r = 100 has 50 angles, not a multiple of the chunk
+    # width, so the last block is ragged
     rng = np.random.default_rng(54)
     r = 100
-    assert r % _CHUNK
+    assert (r // 2) % _CHUNK
     covered = 0
     for thetas, lo, z in _grid_chunks(r):
         assert lo == covered
         covered += z.shape[2]
-        assert z.shape == (r, r, z.shape[2], 8)
+        assert z.shape == (r // 2, r // 2, z.shape[2], 8)
+        assert thetas[-1] < math.pi / 2
         for _ in range(3):
-            i, j = rng.integers(r, size=2)
+            i, j = rng.integers(r // 2, size=2)
             k = rng.integers(z.shape[2])
             inst = DistinguishInstance(0.0, (0.0, thetas[i], thetas[j],
                                              thetas[lo + k]))
@@ -99,7 +102,49 @@ def test_grid_chunks_match_component_table():
             for w in range(8):
                 sign = (-1) ** (4 - bin(w).count("1"))
                 assert abs(full[w ^ 0b1111] - sign * z[i, j, k, w]) < 1e-12
-    assert covered == r
+    assert covered == r // 2
+
+
+def test_axis_rows_quarter_turn():
+    # a pi/2 shift swaps the two rows and negates the new first row
+    for t in np.arange(100) * (math.pi / 100):
+        rows = axis_rows(t)
+        shifted = axis_rows(t + math.pi / 2)
+        assert np.allclose(shifted, [-rows[1], rows[0]], rtol=0, atol=1e-12)
+
+
+def _reductions(table):
+    # p - |q| over the words 0bcd, the support overlap and the find
+    # objective, from a (16, 2) table of (psi, perp) components
+    z = table[:8, 0] - 1j * table[:8, 1]
+    z2 = z * z
+    lam = np.sum(np.abs(z2) ** 2) - abs(np.sum(z2 * z2))
+    overlap = np.min(np.abs(table), axis=1).max()
+    return np.array([lam, overlap, np.sum((table[:, 0] * table[:, 1]) ** 2)])
+
+
+def test_quarter_grid_images_carry_the_same_reductions():
+    # a tuple of the full r = 100 grid on [0, pi)^3 against its image on
+    # the quarter grid (indices mod 50): each shifted qubit flips its bit
+    # and negates the components whose bit was 0
+    rng = np.random.default_rng(55)
+    r, step = 100, math.pi / 100
+    checked = 0
+    while checked < 200:
+        ks = rng.integers(r, size=3)
+        if (ks < r // 2).all():
+            continue
+        checked += 1
+        omega = rng.uniform(0, math.pi)
+        shifted = [bit for bit, k in zip((4, 2, 1), ks) if k >= r // 2]
+        table = component_table(DistinguishInstance(omega, (0.0, *(ks * step))))
+        image = component_table(DistinguishInstance(
+            omega, (0.0, *((ks % (r // 2)) * step))))
+        mask = sum(shifted)
+        for w in range(16):
+            sign = (-1) ** sum(1 for bit in shifted if not w & bit)
+            assert np.allclose(table[w], sign * image[w ^ mask], rtol=0, atol=1e-12)
+        assert np.allclose(_reductions(table), _reductions(image), rtol=0, atol=1e-12)
 
 
 def test_scan_with_a_ragged_last_chunk():
@@ -159,12 +204,15 @@ def test_excluded_omegas_have_positive_overlap_floor():
 
 
 def test_find_distinguishing_thetas():
-    thetas = find_distinguishing_thetas(math.pi / 3)
-    assert thetas is not None
-    assert is_distinguishing(DistinguishInstance(math.pi / 3, thetas))
-    # the answer is a grid tuple, on the pi/4 lattice of the exact tuples
-    steps = np.array(thetas) / (math.pi / 4)
-    assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-12)
+    for k in range(6):
+        thetas = find_distinguishing_thetas(k * math.pi / 6)
+        assert thetas is not None
+        assert is_distinguishing(DistinguishInstance(k * math.pi / 6, thetas))
+        # the answer is a quarter-grid tuple, on the pi/4 lattice of the
+        # exact tuples
+        steps = np.array(thetas) / (math.pi / 4)
+        assert np.allclose(steps, np.round(steps), rtol=0, atol=1e-12)
+        assert max(thetas) < math.pi / 2
     assert find_distinguishing_thetas(math.pi / 5) is None
 
 
