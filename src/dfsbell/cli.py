@@ -99,7 +99,7 @@ def _correlations_section(seed, *, rotations: int, identity_tol: float) -> Secti
     checks.append(bound_check(
         "null outcome probability", suite.max_null_probability, identity_tol,
         description="spin-zero states never leave the labelled eigenspaces",
-        source="closed form", detail=f"largest at {setting}, {where}"))
+        source="sampled estimate", detail=f"largest at {setting}, {where}"))
     return Section("correlation identities", tuple(checks))
 
 
@@ -135,7 +135,7 @@ def _simulation_section(seed, frame_seed, *, sim_rounds: int) -> Section:
         description=f"largest change of a word-pair probability over "
                     f"{_FRAME_PAIRS} random frame pairs and all four setting "
                     "pairs, against fixed frames",
-        source="closed form", detail=f"largest at frame pair {worst}"))
+        source="sampled estimate", detail=f"largest at frame pair {worst}"))
     return Section("finite-sample simulation", tuple(checks))
 
 

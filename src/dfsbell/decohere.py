@@ -7,9 +7,14 @@ so their fidelity with the noisy state is 1 for every draw, not just on
 average.  Reference states outside the sector (a computational basis word, a
 GHZ state) lose most of their fidelity, which calibrates the comparison.
 
-Pure states turn through ``qcore.apply_collective``; a density operator
-turns by the full U^(x n) from ``qcore.kron``.  Draws run one at a time, so
-each draw makes one ``haar_su2`` call per rotated wing.
+Each draw takes its frames one at a time from ``qcore.haar_su2``, Alice's
+before Bob's in the per-wing scope.  A pure state turns through
+``qcore.apply_collective``, and its fidelity is |<psi|rotated>|^2.  A
+density operator turns by the full U^(x n) from ``qcore.kron``; its draws
+are turned and checked CHUNK at a time, and the Uhlmann fidelities of a
+chunk come from one batched eigvalsh, with the square root of rho computed
+once per call.  ``state_fidelity`` is the per-draw route the tests compare
+the chunks against.
 """
 
 from __future__ import annotations
@@ -20,9 +25,15 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (DensityOperator, QuantumState, apply_collective,
-                    basis_state, haar_su2, kron, partial_trace)
+                    basis_state, check_density, haar_su2, kron, partial_trace)
 
 IMMUNITY_ATOL = 1e-9
+
+# Density-operator draws per chunk, sized for density operators of at most
+# 4 qubits, where a chunk's stacked arrays stay near 100 kB; larger chunks
+# saved no time and raised the peak memory.  An 8-qubit density operator
+# costs about 34 MB per stacked (CHUNK, 256, 256) array.
+CHUNK = 32
 
 _SCOPES = ("global", "per-wing")
 
@@ -45,17 +56,21 @@ class CollectiveChannel:
             raise ValueError(f"scope must be one of {_SCOPES}")
 
 
-def _rotate_once(state, channel: CollectiveChannel, rng):
-    """One noisy copy of a pure state or a density operator."""
-    if isinstance(state, DensityOperator):
-        if channel.scope != "global":
-            raise ValueError("density operators support only the global scope")
-        big = kron([haar_su2(rng).matrix] * state.n_qubits)
-        return DensityOperator(big @ state.matrix @ big.conj().T)
-    if channel.scope == "global":
+def _rotate_once(state: QuantumState, scope: str, rng) -> QuantumState:
+    """One noisy copy of a pure state."""
+    if scope == "global":
         return apply_collective(state, haar_su2(rng))
     out = apply_collective(state, haar_su2(rng), wing="alice")
     return apply_collective(out, haar_su2(rng), wing="bob")
+
+
+def _chop(w):
+    return np.where(w < 1e-12, 0.0, w)
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    w, u = np.linalg.eigh(m)
+    return (u * np.sqrt(_chop(w))) @ u.conj().T
 
 
 def state_fidelity(a, b) -> float:
@@ -63,7 +78,8 @@ def state_fidelity(a, b) -> float:
 
     Eigenvalues below 1e-12 are treated as exact zeros in the mixed-mixed
     branch; the square root otherwise amplifies their noise past the
-    immunity tolerance.
+    immunity tolerance.  This is the per-draw route: the tests rebuild each
+    draw of ``fidelity_samples`` from single frames and compare through it.
     """
     if isinstance(a, QuantumState) and isinstance(b, QuantumState):
         return min(1.0, float(abs(a.overlap(b)) ** 2))
@@ -73,23 +89,45 @@ def state_fidelity(a, b) -> float:
     if isinstance(b, QuantumState):
         return state_fidelity(b, a)
     # Uhlmann: (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2
-    def _chop(w):
-        return np.where(w < 1e-12, 0.0, w)
-
-    w, u = np.linalg.eigh(a.matrix)
-    root = (u * np.sqrt(_chop(w))) @ u.conj().T
-    inner = root @ b.matrix @ root
-    ev = np.linalg.eigvalsh(inner)
+    root = _sqrt_psd(a.matrix)
+    ev = np.linalg.eigvalsh(root @ b.matrix @ root)
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
+def _mixed_fidelities(rho: DensityOperator, root: np.ndarray,
+                      u: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity of rho with U^(x n) rho U^(x n)^dagger for a chunk
+    of (k, 2, 2) frames; ``root`` is the chopped square root of rho."""
+    big = kron([u] * rho.n_qubits)
+    out = big @ rho.matrix @ big.conj().swapaxes(-1, -2)
+    check_density(out)
+    ev = np.linalg.eigvalsh(root @ out @ root)
+    return np.minimum(1.0, np.sum(np.sqrt(_chop(ev)), axis=-1) ** 2)
+
+
 def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
-    """Per-draw fidelity between a state (pure or mixed) and its rotated copy."""
+    """Per-draw fidelity between a state (pure or mixed) and its rotated copy.
+
+    Draw i of the result uses the frames of draw i of the stream, in the
+    order of the module docstring; a density operator takes only the global
+    scope.
+    """
     rng = np.random.default_rng(seed)
-    out = np.empty(channel.n_samples)
-    for i in range(channel.n_samples):
-        out[i] = state_fidelity(state, _rotate_once(state, channel, rng))
-    return out
+    if isinstance(state, DensityOperator):
+        if channel.scope != "global":
+            raise ValueError("density operators support only the global scope")
+        root = _sqrt_psd(state.matrix)
+        out = np.empty(channel.n_samples)
+        for start in range(0, channel.n_samples, CHUNK):
+            k = min(CHUNK, channel.n_samples - start)
+            frames = np.stack([haar_su2(rng).matrix for _ in range(k)])
+            out[start:start + k] = _mixed_fidelities(state, root, frames)
+        return out
+    bra = state.amplitudes.conj()
+    overlaps = np.fromiter(
+        (bra @ _rotate_once(state, channel.scope, rng).amplitudes
+         for _ in range(channel.n_samples)), complex, channel.n_samples)
+    return np.minimum(1.0, np.abs(overlaps) ** 2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ Haar frames come one at a time (``haar_su2``, a checked ``Unitary2``) or as
 an array (``haar_su2_batch``).  Both go through one helper, so a batch of
 shape S consumes the same normals as prod(S) single draws and returns the
 same matrices in row-major order: batching a draw site never moves a seeded
-stream.
+stream.  ``check_density`` makes the checks of ``DensityOperator`` on a
+whole stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -34,9 +35,17 @@ ATOL = 1e-10
 
 MAX_QUBITS = 8
 
+_EYE2 = np.eye(2)
+
 
 class SizeError(ValueError):
     """Raised when an operation would exceed the supported qubit count."""
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm; np.linalg.norm costs more than the arithmetic on the
+    small arrays that are checked once per draw."""
+    return math.sqrt(np.vdot(a, a).real)
 
 
 def _as_amplitudes(amplitudes) -> np.ndarray:
@@ -59,7 +68,7 @@ class QuantumState:
 
     def __post_init__(self):
         a = _as_amplitudes(self.amplitudes)
-        nrm = np.linalg.norm(a)
+        nrm = _norm(a)
         if abs(nrm - 1.0) > ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 by more than {ATOL}")
         a.setflags(write=False)
@@ -70,6 +79,9 @@ class QuantumState:
         return self.amplitudes.size.bit_length() - 1
 
     def density(self) -> "DensityOperator":
+        """The projector |psi><psi|: the second route of the density branch of
+        ``decohere.fidelity_samples``, whose draws on it match the pure-state
+        draws (``test_density_draws_match_the_pure_route``)."""
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def overlap(self, other: "QuantumState") -> complex:
@@ -86,14 +98,10 @@ class Unitary2:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-        if np.linalg.norm(m.conj().T @ m - np.eye(2)) > ATOL:
+        if _norm(m.conj().T @ m - _EYE2) > ATOL:
             raise ValueError("matrix is not unitary within 1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls) -> "Unitary2":
-        return cls(np.eye(2))
 
 
 @dataclass(frozen=True)
@@ -109,18 +117,25 @@ class DensityOperator:
         n = m.shape[0].bit_length() - 1
         if m.shape[0] != 2**n or n < 1 or n > MAX_QUBITS:
             raise SizeError(f"dimension {m.shape[0]} is not 2^n with n in 1..{MAX_QUBITS}")
-        if np.linalg.norm(m - m.conj().T) > ATOL:
-            raise ValueError("matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > ATOL:
-            raise ValueError(f"trace {np.trace(m)} deviates from 1")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
+        check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
+
+
+def check_density(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the ``(..., d, d)`` stack ``m``
+    is Hermitian, has unit trace and has no eigenvalue below -ATOL."""
+    if np.any(np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > ATOL):
+        raise ValueError("matrix is not Hermitian within 1e-10")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > ATOL):
+        raise ValueError(f"trace {trace} deviates from 1")
+    if np.any(np.linalg.eigvalsh(m).min(axis=-1) < -ATOL):
+        raise ValueError("matrix has an eigenvalue below -1e-10")
 
 
 def basis_state(bits) -> QuantumState:

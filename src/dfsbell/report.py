@@ -19,9 +19,12 @@ from . import __version__
 class Check:
     """One verified quantity.
 
-    ``source`` states how the expected value was obtained ("closed form",
-    "exact rational arithmetic", "frozen numerical solve", "sampled
-    estimate"), ``detail`` carries free-form evidence such as a certificate.
+    ``source`` states how the value was obtained, one of the four labels
+    the README defines and the schema admits ("closed form", "exact
+    rational arithmetic", "frozen numerical solve", "sampled estimate");
+    ``approx_check`` and ``bound_check`` require it, and the ``""`` default
+    of a bare Check does not validate.  ``detail`` carries free-form
+    evidence such as a certificate.
     The fields are declared in the order the JSON report emits them.
     """
 
@@ -36,7 +39,7 @@ class Check:
 
 
 def approx_check(name: str, value: float, expected: float, tolerance: float,
-                 description: str = "", source: str = "",
+                 description: str = "", *, source: str,
                  detail: str | None = None) -> Check:
     """A |value - expected| <= tolerance check."""
     return Check(name=name, passed=bool(abs(value - expected) <= tolerance),
@@ -46,7 +49,7 @@ def approx_check(name: str, value: float, expected: float, tolerance: float,
 
 
 def bound_check(name: str, value: float, below: float, description: str = "",
-                source: str = "", detail: str | None = None) -> Check:
+                *, source: str, detail: str | None = None) -> Check:
     """A value <= bound check; ``expected`` records the bound."""
     return Check(name=name, passed=bool(value <= below), description=description,
                  source=source, value=float(value), expected=float(below),

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 import dfsbell as d
 from dfsbell.cli import main as cli_main
 from dfsbell.localmeas import wing_distribution
-from dfsbell.report import Check, Report, Section, render_text
+from dfsbell.report import Check, Report, Section, load_schema, render_text
 
 
 def _verdict(criterion, ok, detail):
@@ -181,7 +181,16 @@ def test_criterion_10_report_determinism():
         mini = Report(title=f"dfsbell: {name}", seed=7, config={},
                       sections=(Section(name, checks),))
         reproduced.append(result.output == render_text(mini))
-    ok = identical and all(reproduced)
+    # every check names one of the four sources the schema admits; a
+    # maximum over random samples is an estimate, not a closed form
+    labels = set(load_schema()["properties"]["sections"]["items"]["properties"]
+                 ["checks"]["items"]["properties"]["source"]["enum"])
+    sources = {c["name"]: c["source"] for s in sections.values() for c in s["checks"]}
+    labelled = (set(sources.values()) <= labels
+                and sources["null outcome probability"] == "sampled estimate"
+                and sources["alignment-free word-pair distribution"] == "sampled estimate")
+    ok = identical and all(reproduced) and labelled
     _verdict(10, ok, f"two runs, {len(outputs[0])} bytes each, "
                      f"{'identical' if identical else 'differ'}; "
-                     f"section commands reproduce their sections: {reproduced}")
+                     f"section commands reproduce their sections: {reproduced}; "
+                     f"sources {sorted(set(sources.values()))}")

@@ -210,7 +210,7 @@ def test_report_all_timing_names_every_section(monkeypatch):
     jsonschema = pytest.importorskip("jsonschema")
     from dfsbell.report import Check, Section, load_schema
     monkeypatch.setattr(cli, "_build", lambda name, seed: Section(
-        name, (Check(name="c", passed=True),)))
+        name, (Check(name="c", passed=True, source="closed form"),)))
     report = json.loads(_run(["report-all", "--timing"]).output)
     jsonschema.validate(report, load_schema())
     timings = report["metadata"]["timings"]

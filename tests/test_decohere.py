@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel,
+from dfsbell.decohere import (CHUNK, IMMUNITY_ATOL, CollectiveChannel,
                               fidelity_samples, immunity_report,
                               state_fidelity)
 from dfsbell.dfs_states import make_eta, make_phi0, make_phi1
-from dfsbell.qcore import QuantumState, basis_state, partial_trace
+from dfsbell.qcore import (DensityOperator, QuantumState, basis_state,
+                           haar_su2, kron, partial_trace)
 
 
 def test_channel_validation():
@@ -120,3 +121,29 @@ def test_density_draws_match_the_pure_route():
     pure = fidelity_samples(s, channel, seed=4)
     mixed = fidelity_samples(s.density(), channel, seed=4)
     assert np.allclose(pure, mixed, atol=1e-9)
+
+
+def _random_state(rng, n):
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return QuantumState(amps / np.linalg.norm(amps))
+
+
+def _random_density(rng, n, rank=3):
+    vs = [_random_state(rng, n).density().matrix for _ in range(rank)]
+    return DensityOperator(sum(vs) / rank)
+
+
+@pytest.mark.parametrize("n_samples", [1, CHUNK, CHUNK + 1])
+def test_density_chunks_match_the_per_draw_route(n_samples):
+    rho = _random_density(np.random.default_rng(31), 4)
+    chunked = fidelity_samples(rho, CollectiveChannel(n_samples), seed=5)
+    single = np.random.default_rng(5)
+    per_draw = []
+    for _ in range(n_samples):
+        big = kron([haar_su2(single).matrix] * 4)
+        turned = DensityOperator(big @ rho.matrix @ big.conj().T)
+        per_draw.append(state_fidelity(rho, turned))
+    assert np.abs(chunked - per_draw).max() <= 1e-14
+    # the reference route is not trivially 1
+    assert min(per_draw) < 0.99
+

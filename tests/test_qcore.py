@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
-                           Unitary2, apply_collective, basis_state, haar_su2,
-                           haar_su2_batch, joint_probs, kron, partial_trace,
+                           Unitary2, apply_collective, basis_state,
+                           check_density, haar_su2, haar_su2_batch, joint_probs, kron, partial_trace,
                            permute_qubits, tensor, wing_bras)
 
 
@@ -66,7 +66,7 @@ def test_permute_qubits_inverse_roundtrip():
 def test_unitary_validation():
     with pytest.raises(ValueError):
         Unitary2(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    u = Unitary2.identity()
+    u = Unitary2(np.eye(2))
     assert np.allclose(u.matrix, np.eye(2))
 
 
@@ -214,6 +214,15 @@ def test_density_operator_validation():
     bad = np.diag([1.5, -0.5])
     with pytest.raises(ValueError):
         DensityOperator(bad)
+
+
+def test_check_density_tests_every_matrix_of_a_stack():
+    good = np.diag([0.75, 0.25])
+    check_density(np.stack([good, np.eye(2) / 2]))
+    for bad in (np.array([[0.5, 0.5j], [0.5j, 0.5]]), np.eye(2),
+                np.diag([1.5, -0.5])):
+        with pytest.raises(ValueError):
+            check_density(np.stack([good, good, bad]))
 
 
 def test_overlap_conjugate_symmetry():

@@ -11,20 +11,29 @@ jsonschema = pytest.importorskip("jsonschema")
 
 def _sample_report(passed=True):
     checks = (
-        approx_check("a", 1.0 + 1e-12, 1.0, 1e-9, description="d", source="s"),
-        bound_check("b", 0.5, 1.0, description="d", source="s"),
-        Check(name="c", passed=passed, detail="line one\nline two"),
+        approx_check("a", 1.0 + 1e-12, 1.0, 1e-9, description="d",
+                     source="closed form"),
+        bound_check("b", 0.5, 1.0, description="d", source="sampled estimate"),
+        Check(name="c", passed=passed, source="exact rational arithmetic",
+              detail="line one\nline two"),
     )
     return Report(title="t", seed=3, config={"k": 1},
                   sections=(Section("sec", checks),))
 
 
 def test_check_helpers():
-    assert approx_check("x", 1.0, 1.0, 0.0).passed
-    assert not approx_check("x", 1.1, 1.0, 1e-3).passed
-    assert bound_check("x", 0.9, 1.0).passed
-    assert not bound_check("x", 1.1, 1.0).passed
-    assert bound_check("x", 0.9, 1.0, detail="at draw 3").detail == "at draw 3"
+    src = "closed form"
+    assert approx_check("x", 1.0, 1.0, 0.0, source=src).passed
+    assert not approx_check("x", 1.1, 1.0, 1e-3, source=src).passed
+    assert bound_check("x", 0.9, 1.0, source=src).passed
+    assert not bound_check("x", 1.1, 1.0, source=src).passed
+    assert bound_check("x", 0.9, 1.0, source=src,
+                       detail="at draw 3").detail == "at draw 3"
+    # a helper-built check cannot leave its source out
+    with pytest.raises(TypeError):
+        approx_check("x", 1.0, 1.0, 0.0)
+    with pytest.raises(TypeError):
+        bound_check("x", 0.9, 1.0)
 
 
 def test_report_aggregation():
@@ -58,6 +67,11 @@ def test_schema_validates_serialized_reports():
     jsonschema.validate(to_dict(_sample_report(False)), schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"title": "t"}, schema)
+    # source is one of the four labels the README defines
+    unlabelled = to_dict(_sample_report())
+    unlabelled["sections"][0]["checks"][0]["source"] = "s"
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(unlabelled, schema)
 
 
 def test_render_text_contents():
