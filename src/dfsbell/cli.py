@@ -107,14 +107,8 @@ def _simulation_section(seed, frame_seed, *, sim_rounds: int) -> Section:
     rec = localmeas.run_experiment(sim_rounds, settings_policy="random",
                                    rotations_policy="fresh", seed=seed)
     drift, worst = localmeas.max_frame_drift(_FRAME_PAIRS, frame_seed)
-    p_gg = 9.0 / 112.0
-    zero_events = (
-        ("F", "F", +1, +1),
-        ("F", "G", -1, +1),
-        ("G", "F", +1, -1),
-    )
     checks = []
-    for sa, sb, oa, ob in zero_events:
+    for sa, sb, oa, ob in hardy.ZERO_EVENTS:
         count = rec.counts[(sa, sb)][(oa, ob)]
         checks.append(Check(
             name=f"({sa},{sb}) outcome ({oa:+d},{ob:+d}) count",
@@ -122,11 +116,13 @@ def _simulation_section(seed, frame_seed, *, sim_rounds: int) -> Section:
             description="forbidden outcome pair must never occur, even with "
                         "fresh random frames each round",
             source="sampled estimate", value=count, expected=0, tolerance=0.0))
-    n_gg = rec.setting_total(("G", "G"))
+    sa, sb, oa, ob = hardy.POSITIVE_EVENT
+    p_gg = float(hardy.P_POSITIVE)
+    n_gg = rec.setting_total((sa, sb))
     sigma = math.sqrt(p_gg * (1.0 - p_gg) / max(n_gg, 1))
     checks.append(approx_check(
-        "(G,G) outcome (+1,+1) frequency",
-        rec.frequency(("G", "G"), (+1, +1)), p_gg, 5.0 * sigma,
+        f"({sa},{sb}) outcome ({oa:+d},{ob:+d}) frequency",
+        rec.frequency((sa, sb), (oa, ob)), p_gg, 5.0 * sigma,
         description=f"empirical frequency over {n_gg} rounds against the "
                     "closed-form probability, five-sigma window",
         source="sampled estimate"))
@@ -207,7 +203,7 @@ def _hardy_section() -> Section:
                         "each optimum is the unique feasible state up to phase",
             source="closed form"),
         approx_check(
-            "fixed-angle optimum", res_c.probability, 9.0 / 112.0, 1e-6,
+            "fixed-angle optimum", res_c.probability, float(hardy.P_POSITIVE), 1e-6,
             description="the feasible state, unique up to phase, with both "
                         "angles at pi/3",
             source="closed form"),
@@ -217,7 +213,8 @@ def _hardy_section() -> Section:
             source="closed form"),
         approx_check(
             "shared state attains the fixed-angle optimum",
-            hardy.hardy_probability(hardy.eta_instance())[0], 9.0 / 112.0, 1e-12,
+            hardy.hardy_probability(hardy.eta_instance())[0],
+            float(hardy.P_POSITIVE), 1e-12,
             description="the two-wing state is the maximizer at pi/3",
             source="closed form"),
         approx_check(

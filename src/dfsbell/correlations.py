@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import Observable, make_eta, make_f, make_g
+from .hardy import P_POSITIVE
 from .qcore import QuantumState, Unitary2, haar_su2_batch, joint_probs, wing_bras
 
 NULL = "null"
@@ -146,7 +147,7 @@ EXPECTED_CORRELATIONS = {
     "joint_ff_plus_plus": 0.0,
     "cond_fa_given_gb": 1.0,
     "cond_fb_given_ga": 1.0,
-    "joint_gg_plus_plus": 9.0 / 112.0,
+    "joint_gg_plus_plus": float(P_POSITIVE),
 }
 
 # The four rotated settings of the suite, in the order of their draws.

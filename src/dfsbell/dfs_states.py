@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, QuantumState, Unitary2, apply_collective
+from .qcore import ATOL, QuantumState, Unitary2, apply_collective, permute_qubits
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -56,18 +56,12 @@ def make_phi1() -> QuantumState:
 
 def make_psi0() -> QuantumState:
     """|phi0> with qubits 2 and 3 exchanged; equals (|phi0> + sqrt3 |phi1>)/2."""
-    a = np.zeros(16)
-    a[0b0011], a[0b0110], a[0b1001], a[0b1100] = 0.5, -0.5, -0.5, 0.5
-    return QuantumState(a)
+    return permute_qubits(make_phi0(), (1, 3, 2, 4))
 
 
 def make_psi1() -> QuantumState:
     """|phi1> with qubits 2 and 3 exchanged; equals (sqrt3 |phi0> - |phi1>)/2."""
-    a = np.zeros(16)
-    a[0b0101] = a[0b1010] = 1.0 / _SQRT3
-    for idx in (0b0011, 0b0110, 0b1001, 0b1100):
-        a[idx] = -0.5 / _SQRT3
-    return QuantumState(a)
+    return permute_qubits(make_phi1(), (1, 3, 2, 4))
 
 
 def make_eta() -> QuantumState:
@@ -96,10 +90,6 @@ class DfsVector:
         nrm = math.hypot(abs(self.c0), abs(self.c1))
         if abs(nrm - 1.0) > ATOL:
             raise ValueError(f"coefficient norm {nrm} deviates from 1")
-
-    @classmethod
-    def from_angle(cls, omega: float) -> "DfsVector":
-        return cls(math.cos(omega), math.sin(omega))
 
 
 def dfs_embed(v: DfsVector) -> QuantumState:
@@ -137,7 +127,6 @@ class Observable:
     """
 
     eigenpairs: tuple
-    label: str = "custom"
 
     def __post_init__(self):
         pairs = tuple((float(val), vec) for val, vec in self.eigenpairs)
@@ -154,7 +143,7 @@ class Observable:
         pairs = tuple(
             (val, apply_collective(vec, u, "all")) for val, vec in self.eigenpairs
         )
-        return Observable(pairs, label=self.label)
+        return Observable(pairs)
 
     def to_matrix(self) -> np.ndarray:
         dim = self.eigenpairs[0][1].amplitudes.size
@@ -166,15 +155,15 @@ class Observable:
 
 def make_f() -> Observable:
     """Observable distinguishing the (1,2)(3,4) singlet pairing: -1 on phi0, +1 on phi1."""
-    return Observable(((-1.0, make_phi0()), (+1.0, make_phi1())), label="F")
+    return Observable(((-1.0, make_phi0()), (+1.0, make_phi1())))
 
 
 def make_g() -> Observable:
     """Observable distinguishing the (1,3)(2,4) pairing: -1 on psi0, +1 on psi1."""
-    return Observable(((-1.0, make_psi0()), (+1.0, make_psi1())), label="G")
+    return Observable(((-1.0, make_psi0()), (+1.0, make_psi1())))
 
 
-def dfs_observable(alpha: float, label: str | None = None) -> Observable:
+def dfs_observable(alpha: float) -> Observable:
     """Rank-2 observable whose -1 eigenvector is cos(a)|phi0> + sin(a)|phi1>.
 
     alpha = 0 reproduces F up to an eigenvector sign; alpha = pi/3 reproduces
@@ -182,7 +171,4 @@ def dfs_observable(alpha: float, label: str | None = None) -> Observable:
     """
     minus = DfsVector(math.cos(alpha), math.sin(alpha))
     plus = DfsVector(math.sin(alpha), -math.cos(alpha))
-    return Observable(
-        ((-1.0, dfs_embed(minus)), (+1.0, dfs_embed(plus))),
-        label=label or f"dfs({alpha:.6f})",
-    )
+    return Observable(((-1.0, dfs_embed(minus)), (+1.0, dfs_embed(plus))))

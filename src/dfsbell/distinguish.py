@@ -117,9 +117,9 @@ def support_overlap(inst: DistinguishInstance) -> float:
     return float(np.min(table, axis=1).max())
 
 
-def is_distinguishing(inst: DistinguishInstance, tol: float = SUPPORT_TOL) -> bool:
-    """True iff no basis word carries both states above the support tolerance."""
-    return support_overlap(inst) <= tol
+def is_distinguishing(inst: DistinguishInstance) -> bool:
+    """True iff no basis word carries both states above ``SUPPORT_TOL``."""
+    return support_overlap(inst) <= SUPPORT_TOL
 
 
 def omega_from_thetas(theta_a: float, theta_b: float,

@@ -1,15 +1,11 @@
 """Hardy-type logic on the two-wing singlet sectors.
 
 Each wing carries a protected qubit spanned by the wing's two singlet-sector
-basis states.  Alice and Bob each choose between the fixed observable
-(outcome -1 on the first basis state) and a rotated one at angle alpha.  A
-state is a Hardy witness when three joint probabilities vanish exactly while
-a fourth stays positive:
-
-    P(F_A=+1 and F_B=+1) = 0
-    P(F_A=-1 and G_B=+1) = 0
-    P(G_A=+1 and F_B=-1) = 0
-    P(G_A=+1 and G_B=+1) > 0
+basis states.  Alice and Bob each choose between the fixed observable F
+(outcome -1 on the first basis state) and a rotated one G at angle alpha.  A
+state is a Hardy witness when the three joint probabilities of
+``ZERO_EVENTS`` vanish exactly while that of ``POSITIVE_EVENT`` stays
+positive; on the shared state it is ``P_POSITIVE`` = 9/112.
 
 Any local deterministic model satisfying the three zeros is forced to assign
 zero weight to every strategy consistent with the fourth event, so a positive
@@ -36,6 +32,12 @@ import numpy as np
 
 from .dfs_states import dfs_embed, DfsVector
 from .qcore import QuantumState, tensor
+
+# The Hardy pattern as (Alice's setting, Bob's setting, Alice's outcome,
+# Bob's outcome): three events that never occur, and one that does.
+ZERO_EVENTS = (("F", "F", +1, +1), ("F", "G", -1, +1), ("G", "F", +1, -1))
+POSITIVE_EVENT = ("G", "G", +1, +1)
+P_POSITIVE = Fraction(9, 112)
 
 # All four-outcome deterministic strategies (f_a, g_a, f_b, g_b).
 STRATEGIES = tuple(itertools.product((-1, +1), repeat=4))
@@ -75,20 +77,27 @@ class HardyInstance:
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
 
 
-def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
-    """Real coefficient vectors of the four projected amplitudes.
+def _wing_row(setting: str, outcome: int, alpha: float) -> tuple:
+    """One wing's eigen-bra in its (e0, e1) basis.
 
-    Each quantity is |row . c|^2 where c are the instance amplitudes.  The +1
-    eigenvector of the rotated observable is sin(a) e0 - cos(a) e1 per wing;
-    the -1 eigenvector of the fixed observable is e0.
+    F has -1 on e0 and +1 on e1; G at alpha has -1 on cos(a) e0 + sin(a) e1
+    and +1 on sin(a) e0 - cos(a) e1.
     """
-    sa, ca = math.sin(alpha_a), math.cos(alpha_a)
-    sb, cb = math.sin(alpha_b), math.cos(alpha_b)
+    if setting == "F":
+        return (0.0, 1.0) if outcome > 0 else (1.0, 0.0)
+    c, s = math.cos(alpha), math.sin(alpha)
+    return (s, -c) if outcome > 0 else (c, s)
+
+
+def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
+    """Real coefficient vectors of the four Hardy events, keyed by event.
+
+    Each event's probability is |row . c|^2 where c are the instance
+    amplitudes; the row is the Kronecker product of the two wings' bras.
+    """
     return {
-        "ff_plus_plus": np.array([0.0, 0.0, 0.0, 1.0]),
-        "fa_minus_gb_plus": np.array([sb, -cb, 0.0, 0.0]),
-        "ga_plus_fb_minus": np.array([sa, 0.0, -ca, 0.0]),
-        "gg_plus_plus": np.array([sa * sb, -sa * cb, -ca * sb, ca * cb]),
+        (sa, sb, oa, ob): np.kron(_wing_row(sa, oa, alpha_a), _wing_row(sb, ob, alpha_b))
+        for sa, sb, oa, ob in ZERO_EVENTS + (POSITIVE_EVENT,)
     }
 
 
@@ -98,13 +107,14 @@ def hardy_probability(inst: HardyInstance):
     Returns
     -------
     (float, dict)
-        P(G_A=+1 and G_B=+1), and the residual joint probabilities that a
-        Hardy witness must hold at zero, keyed by event name.
+        The probability of ``POSITIVE_EVENT``, and the residual joint
+        probabilities that a Hardy witness must hold at zero, keyed by the
+        events of ``ZERO_EVENTS``.
     """
     rows = _coefficient_rows(inst.alpha_a, inst.alpha_b)
     c = np.array(inst.amplitudes)
-    vals = {k: float(abs(np.dot(row, c)) ** 2) for k, row in rows.items()}
-    p = vals.pop("gg_plus_plus")
+    vals = {event: float(abs(np.dot(row, c)) ** 2) for event, row in rows.items()}
+    p = vals.pop(POSITIVE_EVENT)
     return p, vals
 
 
@@ -184,18 +194,19 @@ class Infeasible:
     certificate: str
 
 
-def standard_scenario(p_joint: Fraction = Fraction(9, 112)) -> LhvScenario:
+def _event_constraint(event: tuple, probability: Fraction) -> LhvConstraint:
+    sa, sb, oa, ob = event
+    # strategy components are (f_a, g_a, f_b, g_b)
+    ia, ib = "FG".index(sa), 2 + "FG".index(sb)
+    return LhvConstraint(f"P({sa}_A={oa:+d} and {sb}_B={ob:+d}) = {probability}",
+                         lambda s: s[ia] == oa and s[ib] == ob, probability)
+
+
+def standard_scenario(p_joint: Fraction = P_POSITIVE) -> LhvScenario:
     """The three Hardy zeros plus a positive joint probability."""
-    return LhvScenario(constraints=(
-        LhvConstraint("P(F_A=+1 and F_B=+1) = 0",
-                      lambda s: s[0] == +1 and s[2] == +1, Fraction(0)),
-        LhvConstraint("P(F_A=-1 and G_B=+1) = 0",
-                      lambda s: s[0] == -1 and s[3] == +1, Fraction(0)),
-        LhvConstraint("P(G_A=+1 and F_B=-1) = 0",
-                      lambda s: s[1] == +1 and s[2] == -1, Fraction(0)),
-        LhvConstraint(f"P(G_A=+1 and G_B=+1) = {p_joint}",
-                      lambda s: s[1] == +1 and s[3] == +1, p_joint),
-    ))
+    return LhvScenario(constraints=tuple(
+        _event_constraint(event, Fraction(0)) for event in ZERO_EVENTS
+    ) + (_event_constraint(POSITIVE_EVENT, p_joint),))
 
 
 def _phase1_simplex(rows, rhs):
@@ -322,8 +333,7 @@ def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
     when both angles are pi/2.
     """
     rows = _coefficient_rows(alpha_a, alpha_b)
-    rows.pop("gg_plus_plus")
-    return int(np.linalg.matrix_rank(np.array(list(rows.values()))))
+    return int(np.linalg.matrix_rank(np.array([rows[e] for e in ZERO_EVENTS])))
 
 
 def _result(inst: HardyInstance, n_feasible: int, n_starts: int) -> OptimizationResult:

@@ -2,11 +2,11 @@
 
 Instead of projecting onto 16-dimensional eigenvectors, each wing measures
 every qubit separately: two qubits along a common direction and the other two
-along a perpendicular one.  The 16-outcome word then classifies the wing's
-state.  For the F pairing, qubits (1,2) share the z axis and (3,4) the x
-axis; a word means outcome -1 (the singlet-pair state) exactly when bits 1,2
-differ and bits 3,4 differ.  The G protocol is the same table with qubits 2
-and 3 exchanging roles.
+along a perpendicular one.  A protocol is its four x-z plane angles, and the
+qubits that share an angle form its two pairs.  The 16-outcome word then
+classifies the wing's state: outcome -1 (the singlet-pair state) exactly when
+the bits differ within both pairs.  For F, qubits (1,2) share the z axis and
+(3,4) the x axis; G is the same table with qubits 2 and 3 exchanging roles.
 
 Every wing measurement is one matrix of bras, one row per outcome word
 (``qcore.product_bras``); a wing that turns its frame by a collective U^(x4)
@@ -37,28 +37,14 @@ _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
 _ROUNDS_PER_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class ProductBasisSpec:
-    """Per-qubit measurement directions as x-z plane angles (z axis at 0, x at pi/4)."""
-
-    thetas: tuple
-    z_pair: tuple
-    x_pair: tuple
-
-    def __post_init__(self):
-        if len(self.thetas) != 4:
-            raise ValueError("exactly four qubit angles required")
-
-
+# Per-qubit measurement directions as x-z plane angles (z axis at 0, x at pi/4).
 PROTOCOLS = {
-    "F": ProductBasisSpec(thetas=(0.0, 0.0, math.pi / 4, math.pi / 4),
-                          z_pair=(1, 2), x_pair=(3, 4)),
-    "G": ProductBasisSpec(thetas=(0.0, math.pi / 4, 0.0, math.pi / 4),
-                          z_pair=(1, 3), x_pair=(2, 4)),
+    "F": (0.0, 0.0, math.pi / 4, math.pi / 4),
+    "G": (0.0, math.pi / 4, 0.0, math.pi / 4),
 }
 
 
-def _spec(protocol: str) -> ProductBasisSpec:
+def _thetas(protocol: str) -> tuple:
     try:
         return PROTOCOLS[protocol]
     except KeyError:
@@ -66,16 +52,17 @@ def _spec(protocol: str) -> ProductBasisSpec:
 
 
 def classify_outcome(word, protocol: str) -> int:
-    """Map a 4-bit outcome word to -1 (singlet-pair class) or +1."""
-    spec = _spec(protocol)
+    """Map a 4-bit outcome word to -1 (singlet-pair class) or +1.
+
+    The qubits that share an angle form a pair; the word is -1 exactly when
+    its bits differ within both pairs.
+    """
+    thetas = _thetas(protocol)
     bits = tuple(int(b) for b in word)
     if len(bits) != 4 or any(b not in (0, 1) for b in bits):
         raise ValueError(f"word must be four bits, got {word!r}")
-    i, j = spec.z_pair
-    k, l = spec.x_pair
-    if bits[i - 1] != bits[j - 1] and bits[k - 1] != bits[l - 1]:
-        return -1
-    return +1
+    pairs = ([b for t, b in zip(thetas, bits) if t == theta] for theta in set(thetas))
+    return -1 if all(a != b for a, b in pairs) else +1
 
 
 def _class_signs(protocol: str) -> np.ndarray:
@@ -91,7 +78,7 @@ def wing_distribution(state: QuantumState, protocol: str,
     """Exact 16-word Born distribution for one wing's product measurement."""
     if state.n_qubits != 4:
         raise ValueError("wing_distribution expects a 4-qubit state")
-    bras = product_bras(_spec(protocol).thetas)
+    bras = product_bras(_thetas(protocol))
     if rotation is not None:
         bras = wing_bras(bras, rotation.matrix)
     return np.abs(bras @ state.amplitudes) ** 2
@@ -148,6 +135,20 @@ def _word_probs(bras_a, amp16, bras_b) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _draw_words(p, r) -> np.ndarray:
+    """Inverse-CDF word draws: row i of ``p`` at the uniform r[i].
+
+    A normalized row can sum to a few ulps below 1, and a uniform above its
+    last cumulative value would count past the last word; such a draw takes
+    the row's last word of positive probability.  Every other draw is the
+    plain count of cumulative values below r.
+    """
+    words = (np.cumsum(p, axis=1) < r[:, None]).sum(axis=1)
+    past = np.flatnonzero(words == p.shape[1])
+    words[past] = p.shape[1] - 1 - np.argmax(p[past, ::-1] > 0, axis=1)
+    return words
+
+
 def _sample_fresh_rotations(amp16, bras_a, bras_b, n, rng):
     """Word-pair samples with an independent Haar rotation per wing per round."""
     draws = np.empty(n, dtype=np.int64)
@@ -156,8 +157,7 @@ def _sample_fresh_rotations(amp16, bras_a, bras_b, n, rng):
         ua = haar_su2_batch(rng, (m,))
         ub = haar_su2_batch(rng, (m,))
         p = _word_probs(wing_bras(bras_a, ua), amp16, wing_bras(bras_b, ub))
-        r = rng.random(m)
-        draws[done:done + m] = (np.cumsum(p, axis=1) < r[:, None]).sum(axis=1)
+        draws[done:done + m] = _draw_words(p, rng.random(m))
     return draws
 
 
@@ -174,7 +174,7 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     ua = haar_su2_batch(rng, (n_frames,))
     ub = haar_su2_batch(rng, (n_frames,))
     amp16 = make_eta().amplitudes.reshape(16, 16)
-    bras = {p: product_bras(_spec(p).thetas) for p in ("F", "G")}
+    bras = {p: product_bras(_thetas(p)) for p in ("F", "G")}
     drift = np.zeros(n_frames)
     for pa, pb in _SETTING_PAIRS:
         rotated = joint_probs(wing_bras(bras[pa], ua), amp16, wing_bras(bras[pb], ub))
@@ -226,7 +226,7 @@ def run_experiment(n_rounds: int, settings_policy="random",
         policy_name = f"fixed:{pa},{pb}"
 
     signs = {p: _class_signs(p) for p in ("F", "G")}
-    bras = {p: product_bras(_spec(p).thetas) for p in ("F", "G")}
+    bras = {p: product_bras(_thetas(p)) for p in ("F", "G")}
     counts = {pair: {(oa, ob): 0 for oa in (-1, 1) for ob in (-1, 1)}
               for pair in _SETTING_PAIRS}
     for pa_i, pa in enumerate(("F", "G")):

@@ -36,10 +36,18 @@ def test_phi1_amplitudes():
 
 
 def test_psi_states_are_qubit23_swaps():
-    assert np.allclose(permute_qubits(make_phi0(), (1, 3, 2, 4)).amplitudes,
-                       make_psi0().amplitudes)
-    assert np.allclose(permute_qubits(make_phi1(), (1, 3, 2, 4)).amplitudes,
-                       make_psi1().amplitudes)
+    # make_psi0/1 are defined by the swap; the tables of the (1,3)(2,4)
+    # pairing, typed out here, are the independent route
+    psi0 = np.zeros(16)
+    psi0[0b0011] = psi0[0b1100] = 0.5
+    psi0[0b0110] = psi0[0b1001] = -0.5
+    psi1 = np.zeros(16)
+    psi1[0b0101] = psi1[0b1010] = 2.0
+    for w in (0b0011, 0b0110, 0b1001, 0b1100):
+        psi1[w] = -1.0
+    psi1 /= 2.0 * R3
+    assert np.allclose(make_psi0().amplitudes, psi0)
+    assert np.allclose(make_psi1().amplitudes, psi1)
 
 
 def test_psi_states_in_phi_basis():
@@ -126,7 +134,7 @@ def test_dfs_embed_project_roundtrip():
     rng = np.random.default_rng(23)
     for _ in range(10):
         w = rng.uniform(0, 2 * math.pi)
-        v = DfsVector.from_angle(w)
+        v = DfsVector(math.cos(w), math.sin(w))
         back = dfs_project(dfs_embed(v))
         assert abs(back.c0 - v.c0) < 1e-12 and abs(back.c1 - v.c1) < 1e-12
 
@@ -141,9 +149,8 @@ def test_dfs_project_rejects_outside_states():
 def test_dfs_vector_validation():
     with pytest.raises(ValueError):
         DfsVector(1.0, 1.0)
-    v = DfsVector.from_angle(0.3)
-    assert abs(v.c0 - math.cos(0.3)) < 1e-15
-    assert abs(v.c1 - math.sin(0.3)) < 1e-15
+    v = DfsVector(math.cos(0.3), math.sin(0.3))
+    assert (v.c0, v.c1) == (math.cos(0.3), math.sin(0.3))
 
 
 def test_observable_lookup_and_matrix():

@@ -112,7 +112,7 @@ def test_relative_phases_break_the_constraints():
     c[1] *= np.exp(0.3j)
     phased = HardyInstance(tuple(c), 0.9, 0.7)
     _, residuals = hardy_probability(phased)
-    assert residuals["fa_minus_gb_plus"] > 1e-4
+    assert residuals[("F", "G", -1, +1)] > 1e-4
 
 
 def test_instance_validation():

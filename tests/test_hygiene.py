@@ -6,7 +6,8 @@ with the test environment, so these are those checks.  ``__init__.py`` is
 exempt: its imports are the package's re-exports.  Importing the command
 line loads no scipy module, which would cost every process its import time.
 Haar frames are drawn in batches wherever a module needs many of them at
-once.
+once.  Every public function, class and method is used somewhere in the
+package, or is listed in ``UNREFERENCED`` with the reason it is kept.
 """
 
 import ast
@@ -78,3 +79,62 @@ def test_only_decohere_draws_one_frame_at_a_time():
     callers = sorted(path.name for path in MODULES
                      if any(map(called, ast.walk(ast.parse(path.read_text())))))
     assert callers == ["decohere.py"]
+
+
+# Public names that no package module uses, each kept on purpose.  The test
+# requires this list to be exact, so a name that gains a caller leaves it.
+UNREFERENCED = {
+    # the second, independent route of a claim
+    "joint_probability": "eigen-bra Born probabilities, against the product words",
+    "conditional_probability": "the conditional identities from eigen-bras",
+    "wing_marginal": "single-wing eigen-bra marginals, against the product words",
+    "wing_outcome_distribution": "classified product words, against the eigen-bras",
+    "dfs_observable": "the sector observable at any angle, reproducing F and G",
+    "dfs_project": "sector coefficients of a state, the inverse of dfs_embed",
+    "to_full_state": "the 2x2 Hardy model, against the 256 amplitudes",
+    "omega_from_thetas": "the closed-form angle condition behind the grid scan",
+    "fixed_angle_maximum": "the fixed-angle curve, against the free-angle optimum",
+    "QuantumState.density": "the density branch, against the pure-state draws",
+    "singlet": "phi0 = singlet(1,2) x singlet(3,4)",
+    "Observable.to_matrix": "the matrix route of Observable.rotated",
+    "load_schema": "the schema check of report-all's output",
+    # called by the benchmark
+    "find_distinguishing_thetas": "the scan workload's search for one angle",
+    "Observable.rotated": "timed as a layer; no package module turns observables",
+}
+
+
+def _registered(node) -> bool:
+    # a click command is reached through the group, never by its name
+    return any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
+               for d in node.decorator_list)
+
+
+def _public_definitions(tree) -> list:
+    names = []
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_") and not _registered(node)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f"{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and not m.name.startswith("_")]
+    return names
+
+
+def test_every_public_name_is_used_or_kept_on_purpose():
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    names, attributes = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    # a method is used when an attribute of its name is read anywhere; a
+    # module-level name also when it is read bare
+    unused = {name for tree in trees for name in _public_definitions(tree)
+              if name.rsplit(".", 1)[-1] not in attributes
+              and ("." in name or name not in names)}
+    assert sorted(unused) == sorted(UNREFERENCED)

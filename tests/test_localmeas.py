@@ -5,11 +5,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dfsbell.localmeas import (PROTOCOLS, classify_outcome, max_frame_drift,
+from dfsbell.localmeas import (PROTOCOLS, _draw_words, _word_probs,
+                               classify_outcome, max_frame_drift,
                                run_experiment, wing_distribution,
                                wing_outcome_distribution)
 from dfsbell.dfs_states import make_eta, make_phi0, make_phi1, make_psi0
-from dfsbell.qcore import QuantumState, haar_su2, joint_probs, wing_bras
+from dfsbell.qcore import (QuantumState, haar_su2, haar_su2_batch, joint_probs,
+                           product_bras, wing_bras)
 
 F_MINUS_WORDS = {0b0101, 0b0110, 0b1001, 0b1010}
 G_MINUS_WORDS = {0b0011, 0b0110, 0b1001, 0b1100}
@@ -20,11 +22,9 @@ def _bits(w):
 
 
 def test_protocol_tables():
-    f, g = PROTOCOLS["F"], PROTOCOLS["G"]
-    assert f.thetas == (0.0, 0.0, math.pi / 4, math.pi / 4)
-    assert (f.z_pair, f.x_pair) == ((1, 2), (3, 4))
-    assert g.thetas == (0.0, math.pi / 4, 0.0, math.pi / 4)
-    assert (g.z_pair, g.x_pair) == ((1, 3), (2, 4))
+    # F pairs qubits (1,2) on z and (3,4) on x; G pairs (1,3) and (2,4)
+    assert PROTOCOLS["F"] == (0.0, 0.0, math.pi / 4, math.pi / 4)
+    assert PROTOCOLS["G"] == (0.0, math.pi / 4, 0.0, math.pi / 4)
 
 
 def test_classify_outcome_rule():
@@ -87,7 +87,7 @@ def test_rotation_leaves_outcome_distribution():
 def _protocol_bras(protocol):
     # reference route: the product basis by numpy's kron of the qubit rows
     rows = [np.array([[math.cos(t), math.sin(t)], [math.sin(t), -math.cos(t)]])
-            for t in PROTOCOLS[protocol].thetas]
+            for t in PROTOCOLS[protocol]]
     return reduce(np.kron, rows)
 
 
@@ -120,6 +120,25 @@ def test_fresh_frame_stream_is_pinned():
         "G,F": {"-1,-1": 409, "-1,+1": 72, "+1,-1": 0, "+1,+1": 260},
         "G,G": {"-1,-1": 339, "-1,+1": 178, "+1,-1": 192, "+1,+1": 54},
     }
+
+
+def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():
+    # a normalized row can sum to a few ulps below 1; a uniform between that
+    # sum and 1 must still draw a word of positive probability
+    top = np.nextafter(1.0, 0.0)
+    p = np.zeros((1, 256))
+    p[0, :3] = (0.5, 0.25, 0.25 - 2.0 ** -52)
+    assert _draw_words(p, np.array([top])).tolist() == [2]
+    # seeded fresh-frame (F,F) rows: word 255 is the forbidden (+1,+1) pair
+    # and has probability 0 in every row, and some rows end below the uniform
+    rng = np.random.default_rng(5)
+    bras = product_bras(PROTOCOLS["F"])
+    p = _word_probs(wing_bras(bras, haar_su2_batch(rng, (512,))),
+                    make_eta().amplitudes.reshape(16, 16),
+                    wing_bras(bras, haar_su2_batch(rng, (512,))))
+    assert (np.cumsum(p, axis=1)[:, -1] < top).any() and not p[:, 255].any()
+    words = _draw_words(p, np.full(512, top))
+    assert (p[np.arange(512), words] > 0).all()
 
 
 def test_word_distribution_matches_the_reference_product_basis():

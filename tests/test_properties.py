@@ -59,12 +59,12 @@ def test_hardy_probability_agrees_with_full_state_route(c, aa, ab, feasible):
     gb = Setting(dfs_observable(inst.alpha_b))
     fa = fb = Setting(make_f())
     zeros = {
-        "ff_plus_plus": joint_probability(full, fa, fb, +1, +1),
-        "fa_minus_gb_plus": joint_probability(full, fa, gb, -1, +1),
-        "ga_plus_fb_minus": joint_probability(full, ga, fb, +1, -1),
+        ("F", "F", +1, +1): joint_probability(full, fa, fb, +1, +1),
+        ("F", "G", -1, +1): joint_probability(full, fa, gb, -1, +1),
+        ("G", "F", +1, -1): joint_probability(full, ga, fb, +1, -1),
     }
     assert abs(p - joint_probability(full, ga, gb, +1, +1)) < 1e-10
-    for name, value in zeros.items():
-        assert abs(residuals[name] - value) < 1e-10
+    for event, value in zeros.items():
+        assert abs(residuals[event] - value) < 1e-10
     if feasible:
         assert max(zeros.values()) < 1e-12 and p > 0.0
