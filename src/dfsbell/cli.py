@@ -2,9 +2,9 @@
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
 2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
-non-finite --tol, a --refine outside (0, pi/12), and a --grid that is not a
-multiple of 4), 3 an output file could not be written, 4 internal error (an
-unexpected exception, reported in one line on stderr).
+non-finite --tol, and a --grid that is not a multiple of 4), 3 an output
+file could not be written, 4 internal error (an unexpected exception,
+reported in one line on stderr).
 
 The root seed comes from --seed, falling back to the DFSBELL_SEED environment
 variable, then 0.  ``SECTIONS`` is the one table of report sections: each row
@@ -158,10 +158,9 @@ def _decoherence_section(seed, *, decoherence_samples: int) -> Section:
     return Section("collective decoherence immunity", tuple(checks))
 
 
-def _distinguish_section(*, scan_resolution: int, scan_refine_tol: float,
+def _distinguish_section(*, scan_resolution: int,
                          exclusion_resolution: int) -> Section:
-    found = distinguish.scan_distinguishable_omegas(
-        resolution=scan_resolution, refine_tol=scan_refine_tol)
+    found = distinguish.scan_distinguishable_omegas(resolution=scan_resolution)
     checks = [approx_check(
         "distinguishable pair angles found", len(found), 6, 0,
         description="scan over product bases with one angle fixed by symmetry",
@@ -274,8 +273,7 @@ SECTIONS = {
     "simulation": _Row(_simulation_section, {"sim_rounds": 50000}, (1, 5)),
     "decoherence": _Row(_decoherence_section, {"decoherence_samples": 1000}, (2,)),
     "distinguish": _Row(_distinguish_section,
-                       {"scan_resolution": 200, "scan_refine_tol": 1e-3,
-                        "exclusion_resolution": 100}),
+                       {"scan_resolution": 200, "exclusion_resolution": 100}),
     "hardy": _Row(_hardy_section, {}),
     "lhv": _Row(_lhv_section, {}),
 }
@@ -382,13 +380,6 @@ def verify_decoherence_cmd(**options):
 @_config_option("--grid", "scan_resolution", type=click.IntRange(min=100),
                 callback=_multiple_of_4,
                 help="Grid points per angle, a multiple of 4.")
-# a cluster of pi/12 or more merges neighbouring k pi/6 angles by
-# construction, so --refine stays below half the spacing the scan resolves
-@_config_option("--refine", "scan_refine_tol",
-                type=click.FloatRange(min=0.0, max=math.pi / 12, min_open=True,
-                                      max_open=True),
-                callback=_finite,
-                help="Cluster width for merging found angles, below pi/12.")
 def verify_distinguish_cmd(**options):
     """Scan for pair angles admitting a distinguishing product basis."""
     _emit("distinguish", **options)

@@ -178,7 +178,7 @@ def _grid_chunks(resolution: int):
 
 def scan_distinguishable_omegas(resolution: int = 200,
                                 refine_tol: float = 1e-3) -> list:
-    """All omega (mod pi) admitting a distinguishing product basis.
+    """All omega (mod pi) admitting a distinguishing product basis, sorted.
 
     Grid search over (theta_b, theta_c, theta_d) with theta_a = 0 (exact
     reduction, see module docstring), spacing pi / ``resolution``, over
@@ -187,15 +187,16 @@ def scan_distinguishable_omegas(resolution: int = 200,
     sin(2w) (A^2 - B^2) = cos(2w) 2AB where (A, B) are the word's components
     of (phi0, phi1), so all words must agree on 2w mod pi; the smallest
     eigenvalue of the 2x2 moment matrix of the vectors (A^2 - B^2, 2AB)
-    measures the disagreement and its eigenvector gives the candidate omega.  Each survivor counts when, at its grid tuple and that
-    omega, the summed squared support products sum_w (psi_w perp_w)^2 are at
-    most 1e-20 and the disjoint-support test passes; the counted omegas are
-    clustered within refine_tol, and each cluster reports its member of
-    smallest lambda, the smaller angle on a tie (a mean would move an exact
-    angle off its value).
+    measures the disagreement and its eigenvector gives the candidate omega.
+    Each candidate with eigenvalue below 1e-5 counts when, at its grid tuple
+    and that omega, the summed squared support products sum_w (psi_w
+    perp_w)^2 are at most 1e-20 and the disjoint-support test passes.  At
+    r = 100, 104, 200 and 400 the cut passes exactly three tuples, the
+    images of the exact ones with omega = pi/6, pi/3 and pi/2, so the counted
+    angles need no clustering.
 
     Since a pair and its omega + pi/2 partner are the same two states with
-    roles swapped, every validated omega contributes both representatives.
+    roles swapped, every counted omega contributes both representatives.
 
     Parameters
     ----------
@@ -205,9 +206,11 @@ def scan_distinguishable_omegas(resolution: int = 200,
         exact distinguishing tuples need pi/4 on the grid (near-misses on
         other grids stay above the candidate cut, and nothing is found).
     refine_tol : float
-        Cluster width for merging validated omega.
+        Fold width: a representative within ``refine_tol`` below pi is
+        reported as 0.  Kept as a keyword because the perfbench scan
+        workload passes it.
     """
-    bins = {}
+    found = []
     for thetas, lo, z in _grid_chunks(resolution):
         z2 = z * z
         sq = z2.view(float).reshape(*z.shape[:3], 16)
@@ -216,37 +219,20 @@ def scan_distinguishable_omegas(resolution: int = 200,
         p = np.einsum("...j,...j->...", sq, sq)
         q = np.einsum("...j,...j->...", z2, z2)
         lam = p - np.abs(q)
-        # eigenvector (u0, u1) = (sin 2w, -cos 2w) for the small eigenvalue
-        cand = np.argwhere(lam < 1e-5)
-        for i, j, k in cand:
-            sxx = p[i, j, k] + q[i, j, k].real
-            u0, u1 = q[i, j, k].imag, lam[i, j, k] - sxx
+        for i, j, k in np.argwhere(lam < 1e-5):
+            # eigenvector (u0, u1) = (sin 2w, -cos 2w) for the small eigenvalue
+            u0 = q[i, j, k].imag
+            u1 = lam[i, j, k] - (p[i, j, k] + q[i, j, k].real)
             if u0 == 0.0 and u1 == 0.0:
                 u0 = 1.0
             w = 0.5 * (math.atan2(u0, -u1) % math.pi)
-            key = round(w / 0.02)
-            val = (lam[i, j, k], w, thetas[i], thetas[j], thetas[lo + k])
-            if key not in bins or val[0] < bins[key][0]:
-                bins[key] = val
-    validated = []
-    for _, (lam, w, tb, tc, td) in sorted(bins.items()):
-        inst = DistinguishInstance(w, (0.0, tb, tc, td))
-        psi, perp = component_table(inst).T
-        if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
-            continue
-        for rep in (w, w + math.pi / 2):
-            rep %= math.pi
-            if math.pi - rep < refine_tol:
-                rep = 0.0
-            validated.append((rep, lam))
-    validated.sort()
-    merged = []
-    for rep, lam in validated:
-        if merged and rep - merged[-1][-1][0] < refine_tol:
-            merged[-1].append((rep, lam))
-        else:
-            merged.append([(rep, lam)])
-    return [float(min(c, key=lambda m: m[1])[0]) for c in merged]
+            inst = DistinguishInstance(w, (0.0, thetas[i], thetas[j], thetas[lo + k]))
+            psi, perp = component_table(inst).T
+            if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
+                continue
+            for rep in (w, (w + math.pi / 2) % math.pi):
+                found.append(0.0 if math.pi - rep < refine_tol else rep)
+    return sorted(found)
 
 
 def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:

@@ -1,6 +1,8 @@
 import json
-import math
+import re
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -19,6 +21,25 @@ def test_help_lists_commands():
                 "verify-distinguish", "optimize-hardy", "lhv-check",
                 "report-all"):
         assert cmd in result.output
+
+
+def _readme_synopsis() -> dict:
+    """Each command of README's command-line synopsis, with the options its
+    line names."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return {line.split()[1]: sorted(re.findall(r"--[\w-]+", line))
+            for line in block.splitlines()}
+
+
+def test_readme_synopsis_lists_each_commands_options():
+    synopsis = _readme_synopsis()
+    assert sorted(synopsis) == sorted(main.commands)
+    for name, command in main.commands.items():
+        options = sorted(flag for param in command.params
+                         if isinstance(param, click.Option) for flag in param.opts)
+        assert synopsis[name] == options, name
 
 
 def test_unknown_option_is_usage_error():
@@ -152,7 +173,7 @@ def test_scan_count_other_than_six_names_the_angles(monkeypatch):
     angles = [0.0, 0.5235987755982988, 1.0471975511965979, 1.5707963267948966,
               2.0943951023931953]
     monkeypatch.setattr(distinguish, "scan_distinguishable_omegas",
-                        lambda resolution, refine_tol: angles)
+                        lambda resolution: angles)
     result = _run(["verify-distinguish", "--grid", "100"])
     assert result.exit_code == 1
     assert "[FAIL] distinguishable pair angles found  value=5.0" in result.output
@@ -194,16 +215,6 @@ def test_zero_tolerance_is_accepted():
     result = _run(["verify-correlations", "--rotations", "2", "--seed", "5",
                    "--tol", "0"])
     assert result.exit_code in (0, 1)
-
-
-@pytest.mark.parametrize("refine", ["-1", "0", "nan", "inf", "1",
-                                    str(math.pi / 12)])
-def test_bad_refine_width_is_usage_error(refine):
-    # from pi/12 up a cluster merges neighbouring k pi/6 angles by
-    # construction, which would read as a physics failure
-    result = _run(["verify-distinguish", "--grid", "100", "--refine", refine])
-    assert result.exit_code == 2
-    assert "--refine" in result.output
 
 
 def test_report_all_timing_names_every_section(monkeypatch):

@@ -8,7 +8,7 @@ from dfsbell.dfs_states import (DfsVector, Observable, SubspaceError,
                                 make_eta, make_f, make_g, make_phi0, make_phi1,
                                 make_psi0, make_psi1, singlet)
 from dfsbell.qcore import (apply_collective, basis_state, haar_su2,
-                           partial_trace, permute_qubits, tensor)
+                           partial_trace, tensor)
 
 R3 = math.sqrt(3.0)
 
@@ -180,10 +180,14 @@ def test_rotated_observable_matches_conjugation():
 
 
 def test_g_is_f_conjugated_by_qubit23_swap():
-    f, g = dict(make_f().eigenpairs), dict(make_g().eigenpairs)
-    for val in (-1.0, +1.0):
-        swapped = permute_qubits(f[val], (1, 3, 2, 4))
-        assert abs(swapped.overlap(g[val]) - 1.0) < 1e-12
+    # qubit 1 is the top bit of a word, so qubits 2 and 3 are bits 2 and 1;
+    # P sends word w to w with those two bits exchanged
+    p = np.zeros((16, 16))
+    for w in range(16):
+        b2, b3 = (w >> 2) & 1, (w >> 1) & 1
+        p[(w & 0b1001) | (b3 << 2) | (b2 << 1), w] = 1.0
+    assert np.allclose(make_g().to_matrix(), p @ make_f().to_matrix() @ p.T,
+                       rtol=0, atol=1e-12)
 
 
 def test_dfs_observable_angles():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dfsbell import qcore
 from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
                                  _grid_chunks, component_table,
                                  find_distinguishing_thetas,
@@ -105,8 +106,15 @@ def test_grid_chunks_match_component_table():
     assert covered == r // 2
 
 
-def test_axis_rows_quarter_turn():
-    # a pi/2 shift swaps the two rows and negates the new first row
+def test_axis_rows_quarter_turn(monkeypatch):
+    # a pi/2 shift swaps the two rows and negates the new first row; exactly,
+    # by evaluating axis_rows itself at a symbol with sympy's cos and sin
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t", real=True)
+    with monkeypatch.context() as m:
+        m.setattr(qcore, "math", sp)
+        rows, shifted = axis_rows(t), axis_rows(t + sp.pi / 2)
+    assert sp.Matrix(shifted - np.array([-rows[1], rows[0]])).is_zero_matrix
     for t in np.arange(100) * (math.pi / 100):
         rows = axis_rows(t)
         shifted = axis_rows(t + math.pi / 2)
@@ -163,9 +171,8 @@ def test_scan_finds_the_pi_over_six_grid():
     assert len(found) == 6
     for k, w in enumerate(sorted(found)):
         assert abs(w - k * math.pi / 6) < 1e-6
-    # the omega = 0 cluster holds a candidate 1.5e-17 above 0 and the
-    # wrapped 0.0 of its partner, both at lambda = 0; it reports its member
-    # of smallest lambda, the smaller angle on a tie, where a mean gave 7.3e-18
+    # no candidate sits at omega = 0: the 0.0 is the partner of the pi/2
+    # candidate, folded from pi
     assert sorted(found)[0] == 0.0
 
 
@@ -228,7 +235,12 @@ def test_pairing_structure_of_the_special_angles():
 
 def test_exact_certificate_of_the_six_angles():
     # theta_a = 0 and theta_b, theta_c, theta_d on the pi/4 lattice: in exact
-    # arithmetic the pairs split by these bases are exactly omega = k pi/6
+    # arithmetic the pairs split by these bases are exactly omega = k pi/6.
+    # Shifting one angle by pi/2 permutes the 16 words with signs (quarter
+    # grid, test_axis_rows_quarter_turn), and the per-word vectors
+    # (A^2 - B^2, 2AB) below are even in the signs, so a lattice tuple and
+    # its image in {0, pi/4}^3 have the same set of vectors and split the
+    # same omegas: those 8 tuples give the union of all 64
     sp = pytest.importorskip("sympy")
     half = sp.Rational(1, 2)
     phi0, phi1 = sp.zeros(16, 1), sp.zeros(16, 1)
@@ -237,9 +249,8 @@ def test_exact_certificate_of_the_six_angles():
     for w in (0b0101, 0b0110, 0b1001, 0b1010):
         phi1[w] = -half / sp.sqrt(3)
     omega = sp.Symbol("omega", real=True)
-    lattice = [k * sp.pi / 4 for k in range(4)]
     union = sp.EmptySet
-    for tail in itertools.product(lattice, repeat=3):
+    for tail in itertools.product((0, sp.pi / 4), repeat=3):
         bras = sp.Matrix([[1]])
         for t in (0, *tail):
             c, s = sp.cos(t), sp.sin(t)

@@ -7,13 +7,15 @@ exempt: its imports are the package's re-exports.  Importing the command
 line loads no scipy module, which would cost every process its import time.
 Haar frames are drawn in batches wherever a module needs many of them at
 once.  Every public function, class and method is used somewhere in the
-package, or is listed in ``UNREFERENCED`` with the reason it is kept.
+package outside its own body, or is listed in ``UNREFERENCED`` with the
+reason it is kept.
 """
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,8 @@ UNREFERENCED = {
     "singlet": "phi0 = singlet(1,2) x singlet(3,4)",
     "Observable.to_matrix": "the matrix route of Observable.rotated",
     "load_schema": "the schema check of report-all's output",
+    "state_fidelity": "the per-draw Uhlmann route the density chunks are "
+                      "compared against",
     # called by the benchmark
     "find_distinguishing_thetas": "the scan workload's search for one angle",
     "Observable.rotated": "timed as a layer; no package module turns observables",
@@ -111,30 +115,39 @@ def _registered(node) -> bool:
 
 
 def _public_definitions(tree) -> list:
-    names = []
+    """``(name, node)`` of each public function, class and method."""
+    defs = []
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_") and not _registered(node)):
-            names.append(node.name)
+            defs.append((node.name, node))
             if isinstance(node, ast.ClassDef):
-                names += [f"{node.name}.{m.name}" for m in node.body
-                          if isinstance(m, ast.FunctionDef)
-                          and not m.name.startswith("_")]
-    return names
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef)
+                         and not m.name.startswith("_")]
+    return defs
+
+
+def _reads(node) -> Counter:
+    """How often each bare name and each attribute is read under ``node``."""
+    return Counter(("name", n.id) if isinstance(n, ast.Name) else ("attr", n.attr)
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
 
 
 def test_every_public_name_is_used_or_kept_on_purpose():
     trees = [ast.parse(path.read_text()) for path in MODULES]
-    names, attributes = set(), set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
+    reads = sum(map(_reads, trees), Counter())
+
     # a method is used when an attribute of its name is read anywhere; a
-    # module-level name also when it is read bare
-    unused = {name for tree in trees for name in _public_definitions(tree)
-              if name.rsplit(".", 1)[-1] not in attributes
-              and ("." in name or name not in names)}
+    # module-level name also when it is read bare.  Reads inside the
+    # definition's own body (a recursive call) do not count.
+    def used(name, node):
+        outside = reads - _reads(node)
+        short = name.rsplit(".", 1)[-1]
+        return outside[("attr", short)] > 0 or (
+            "." not in name and outside[("name", short)] > 0)
+
+    unused = {name for tree in trees for name, node in _public_definitions(tree)
+              if not used(name, node)}
     assert sorted(unused) == sorted(UNREFERENCED)
