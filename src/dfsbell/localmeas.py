@@ -13,6 +13,10 @@ Every wing measurement is one matrix of bras, one row per outcome word
 uses ``qcore.wing_bras`` of those rows, and ``qcore.joint_probs`` gives the
 word-pair probabilities on the two-wing state, for one frame pair or a batch
 of them.
+
+The simulation keeps only word tallies: fixed frames draw each setting pair's
+256-word tally as one multinomial, fresh frames draw one word per round, and
+either way the tally is classified once into outcome pairs.
 """
 
 from __future__ import annotations
@@ -183,9 +187,26 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     return float(drift.max()), int(drift.argmax())
 
 
+def _word_tally(p, n: int, rng) -> np.ndarray:
+    """Word tally of n rounds that all draw from the distribution ``p``.
+
+    One multinomial over the words of positive probability, with ``p``
+    renormalized there: numpy gives the last category whatever the others
+    leave, and a row summing a few ulps below 1 must not hand that remainder
+    to a word of probability 0.
+    """
+    support = np.flatnonzero(p)
+    tally = np.zeros(p.size, dtype=np.int64)
+    tally[support] = rng.multinomial(n, p[support] / p[support].sum())
+    return tally
+
+
 def run_experiment(n_rounds: int, settings_policy="random",
                    rotations_policy: str = "identity", seed: int = 0) -> ExperimentRecord:
     """Simulate n_rounds of the two-wing experiment on the shared state.
+
+    Fixed frames draw one word tally per setting pair, fresh frames one word
+    per round; either way each pair's 256-word tally is classified once.
 
     Parameters
     ----------
@@ -214,39 +235,33 @@ def run_experiment(n_rounds: int, settings_policy="random",
     amp16 = make_eta().amplitudes.reshape(16, 16)
 
     if settings_policy == "random":
-        sa = rng.integers(0, 2, size=n_rounds)
-        sb = rng.integers(0, 2, size=n_rounds)
+        # 2 * Alice + Bob indexes _SETTING_PAIRS; uint32 draws match int64's
+        pair = rng.integers(0, 2, size=n_rounds, dtype=np.uint32)
+        pair <<= 1
+        pair |= rng.integers(0, 2, size=n_rounds, dtype=np.uint32)
+        n_pairs = np.bincount(pair, minlength=4)
         policy_name = "random"
     else:
         pa, pb = settings_policy
         if pa not in ("F", "G") or pb not in ("F", "G"):
             raise ValueError(f"bad fixed settings {settings_policy!r}")
-        sa = np.full(n_rounds, 0 if pa == "F" else 1)
-        sb = np.full(n_rounds, 0 if pb == "F" else 1)
+        n_pairs = [n_rounds if pair == (pa, pb) else 0 for pair in _SETTING_PAIRS]
         policy_name = f"fixed:{pa},{pb}"
 
     signs = {p: _class_signs(p) for p in ("F", "G")}
     bras = {p: product_bras(_thetas(p)) for p in ("F", "G")}
-    counts = {pair: {(oa, ob): 0 for oa in (-1, 1) for ob in (-1, 1)}
-              for pair in _SETTING_PAIRS}
-    for pa_i, pa in enumerate(("F", "G")):
-        for pb_i, pb in enumerate(("F", "G")):
-            n_pair = int(np.sum((sa == pa_i) & (sb == pb_i)))
-            if n_pair == 0:
-                continue
-            if rotations_policy == "identity":
-                p = _word_probs(bras[pa], amp16, bras[pb])
-                draws = rng.choice(256, size=n_pair, p=p)
-            else:
-                draws = _sample_fresh_rotations(amp16, bras[pa], bras[pb],
-                                                n_pair, rng)
-            fa = signs[pa][draws >> 4]
-            fb = signs[pb][draws & 15]
-            cell = 2 * (fa > 0) + (fb > 0)
-            binned = np.bincount(cell, minlength=4)
-            for oa_i, oa in enumerate((-1, 1)):
-                for ob_i, ob in enumerate((-1, 1)):
-                    counts[(pa, pb)][(oa, ob)] += int(binned[2 * oa_i + ob_i])
+    counts = {}
+    for (pa, pb), n_pair in zip(_SETTING_PAIRS, n_pairs):
+        if rotations_policy == "identity":
+            tally = _word_tally(_word_probs(bras[pa], amp16, bras[pb]), n_pair, rng)
+        else:
+            tally = np.bincount(_sample_fresh_rotations(amp16, bras[pa], bras[pb],
+                                                        n_pair, rng), minlength=256)
+        cells = tally.reshape(16, 16)
+        counts[(pa, pb)] = {
+            (oa, ob): int(cells[np.ix_(signs[pa] == oa, signs[pb] == ob)].sum())
+            for oa in (-1, 1) for ob in (-1, 1)
+        }
     return ExperimentRecord(
         n_rounds=n_rounds,
         settings_policy=policy_name,

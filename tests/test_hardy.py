@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
-                           Feasible, HardyInstance, Infeasible, LhvConstraint,
-                           LhvScenario, eta_instance, feasible_state,
+                           ZERO_EVENTS, Feasible, HardyInstance, Infeasible,
+                           LhvConstraint, LhvScenario, _coefficient_rows,
+                           eta_instance, feasible_state,
                            fixed_angle_maximum, hardy_probability,
                            lhv_feasibility, optimize_constrained,
                            optimize_unconstrained_measurements,
@@ -31,6 +32,18 @@ def test_feasible_state_satisfies_the_zeros():
         aa, ab = rng.uniform(0.05, math.pi / 2 - 0.05, size=2)
         _, residuals = hardy_probability(feasible_state(aa, ab))
         assert all(r < 1e-15 for r in residuals.values())
+
+
+def test_feasible_state_is_the_null_vector_of_the_zero_events():
+    # the hand-written vector against the SVD null vector of the ZERO_EVENTS
+    # rows, so an edit of the event table cannot leave it behind
+    angles = (np.arange(16) + 0.5) * (math.pi / 32)
+    for aa in angles:
+        for ab in angles:
+            rows = _coefficient_rows(aa, ab)
+            null = np.linalg.svd(np.array([rows[e] for e in ZERO_EVENTS]))[2][-1]
+            c = np.array(feasible_state(aa, ab).amplitudes)
+            assert abs(abs(np.dot(null, c)) - 1.0) < 1e-12, (aa, ab)
 
 
 def test_feasible_state_equal_angles_reaches_the_curve():

@@ -1,15 +1,18 @@
 import json
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from dfsbell.correlations import Setting, joint_distribution
 from dfsbell.localmeas import (PROTOCOLS, _draw_words, _word_probs,
-                               classify_outcome, max_frame_drift,
+                               _word_tally, classify_outcome, max_frame_drift,
                                run_experiment, wing_distribution,
                                wing_outcome_distribution)
-from dfsbell.dfs_states import make_eta, make_phi0, make_phi1, make_psi0
+from dfsbell.dfs_states import (make_eta, make_f, make_g, make_phi0, make_phi1,
+                                make_psi0)
 from dfsbell.qcore import (QuantumState, haar_su2, haar_su2_batch, joint_probs,
                            product_bras, wing_bras)
 
@@ -120,6 +123,63 @@ def test_fresh_frame_stream_is_pinned():
         "G,F": {"-1,-1": 409, "-1,+1": 72, "+1,-1": 0, "+1,+1": 260},
         "G,G": {"-1,-1": 339, "-1,+1": 178, "+1,-1": 192, "+1,+1": 54},
     }
+
+
+def test_fixed_frame_stream_is_pinned():
+    # the seeded tally of fixed-frame rounds, one multinomial per setting pair
+    counts = run_experiment(3000, "random", "identity", seed=11).to_dict()["counts"]
+    assert counts == {
+        "F,F": {"-1,-1": 86, "-1,+1": 321, "+1,-1": 295, "+1,+1": 0},
+        "F,G": {"-1,-1": 450, "-1,+1": 0, "+1,-1": 89, "+1,+1": 255},
+        "G,F": {"-1,-1": 413, "-1,+1": 88, "+1,-1": 0, "+1,+1": 240},
+        "G,G": {"-1,-1": 348, "-1,+1": 181, "+1,-1": 171, "+1,+1": 63},
+    }
+
+
+def test_word_tally_leaves_a_word_of_probability_zero_empty():
+    # numpy's multinomial gives the last category what the others leave; on
+    # a row summing 1e-6 below 1 the full row would put about 1000 of 1e9
+    # rounds on its last word, which has probability 0
+    p = np.random.default_rng(23).random(256)
+    p[[7, 100, 255]] = 0.0
+    p *= (1.0 - 1e-6) / p.sum()
+    tally = _word_tally(p, 10 ** 9, np.random.default_rng(29))
+    assert tally.sum() == 10 ** 9
+    assert tally[255] == 0
+    assert not tally[p == 0].any()
+
+
+def test_fixed_frame_tally_matches_the_eigen_bras_route():
+    # second route: the labelled eigen-bras of F and G on the 256-dim state;
+    # every cell within 5 sigma of its exact probability, zero cells empty
+    n = 10 ** 7
+    observables = {"F": make_f(), "G": make_g()}
+    for pa in ("F", "G"):
+        for pb in ("F", "G"):
+            exact = joint_distribution(make_eta(), Setting(observables[pa]),
+                                       Setting(observables[pb]))
+            counts = run_experiment(n, (pa, pb), seed=31).counts[(pa, pb)]
+            for cell, count in counts.items():
+                p = exact[cell]
+                if p < 1e-12:
+                    assert count == 0, (pa, pb, cell)
+                else:
+                    assert abs(count - n * p) < 5 * math.sqrt(n * p * (1 - p)), \
+                        (pa, pb, cell)
+
+
+def test_run_experiment_traced_peak_memory():
+    # fixed settings build no per-round array; random settings need one
+    # uint32 pair index and bincount's int64 copy of it, 12 bytes a round
+    n = 10 ** 6
+    for settings, limit in ((("G", "G"), 10 ** 6), ("random", 12.5 * n)):
+        tracemalloc.start()
+        try:
+            run_experiment(n, settings, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (settings, peak)
 
 
 def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():
