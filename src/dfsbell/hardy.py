@@ -96,7 +96,8 @@ def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
     amplitudes; the row is the Kronecker product of the two wings' bras.
     """
     return {
-        (sa, sb, oa, ob): np.kron(_wing_row(sa, oa, alpha_a), _wing_row(sb, ob, alpha_b))
+        (sa, sb, oa, ob): np.multiply.outer(_wing_row(sa, oa, alpha_a),
+                                            _wing_row(sb, ob, alpha_b)).ravel()
         for sa, sb, oa, ob in ZERO_EVENTS + (POSITIVE_EVENT,)
     }
 

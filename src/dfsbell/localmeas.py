@@ -9,14 +9,16 @@ the bits differ within both pairs.  For F, qubits (1,2) share the z axis and
 (3,4) the x axis; G is the same table with qubits 2 and 3 exchanging roles.
 
 Every wing measurement is one matrix of bras, one row per outcome word
-(``qcore.product_bras``); a wing that turns its frame by a collective U^(x4)
-uses ``qcore.wing_bras`` of those rows, and ``qcore.joint_probs`` gives the
-word-pair probabilities on the two-wing state, for one frame pair or a batch
-of them.
+(``qcore.product_bras``), and ``qcore.joint_probs`` gives the word-pair
+probabilities on the two-wing state.  The exact checks turn a wing's frame by
+``qcore.wing_bras`` of those rows.
 
 The simulation keeps only word tallies: fixed frames draw each setting pair's
 256-word tally as one multinomial, fresh frames draw one word per round, and
-either way the tally is classified once into outcome pairs.
+either way the tally is classified once into outcome pairs.  Fresh frames turn
+the state instead of the bras: its 16x16 amplitude matrix has Schmidt rank 2,
+so each frame turns two columns (``qcore.collective_turn``), and the sampled
+check and the exact frame-drift check take independent routes.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import make_eta
-from .qcore import (QuantumState, Unitary2, haar_su2_batch, joint_probs,
-                    product_bras, wing_bras)
+from .qcore import (ATOL, QuantumState, Unitary2, collective_turn, haar_su2_batch,
+                    joint_probs, product_bras, wing_bras)
 
 # Word probabilities analytically equal to zero come out of floating-point
 # amplitude algebra at ~1e-32; clipping below this threshold keeps
@@ -39,6 +41,9 @@ _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
 
 # Rounds per batch of fresh frames; bounds the (rounds, 16, 16) work arrays.
 _ROUNDS_PER_CHUNK = 2048
+
+# Rounds per draw of Bob's random settings; bounds that draw's temporary.
+_SETTINGS_PER_CHUNK = 1 << 18
 
 
 # Per-qubit measurement directions as x-z plane angles (z axis at 0, x at pi/4).
@@ -153,14 +158,34 @@ def _draw_words(p, r) -> np.ndarray:
     return words
 
 
-def _sample_fresh_rotations(amp16, bras_a, bras_b, n, rng):
+def _schmidt_factors(amp16) -> tuple:
+    """Thin SVD amp16 = L diag(s) R^T, keeping the singular values above ATOL."""
+    left, s, right_h = np.linalg.svd(amp16)
+    keep = s > ATOL
+    return left[:, keep], s[keep], right_h[keep].T
+
+
+def _turned_word_probs(schmidt, bras_a, ua, bras_b, ub) -> np.ndarray:
+    """``_word_probs`` of the wings' bras turned by the frame stacks ua and ub.
+
+    Each frame turns the state's Schmidt columns instead of its wing's bras:
+    bras (U^(x4))^dagger L is bras applied to the columns L turned by
+    (U^dagger)^(x4).
+    """
+    left, s, right = schmidt
+    xa = bras_a @ collective_turn(ua.conj().swapaxes(-1, -2), left)
+    xb = bras_b @ collective_turn(ub.conj().swapaxes(-1, -2), right)
+    return _word_probs(xa, np.diag(s), xb)
+
+
+def _sample_fresh_rotations(schmidt, bras_a, bras_b, n, rng):
     """Word-pair samples with an independent Haar rotation per wing per round."""
     draws = np.empty(n, dtype=np.int64)
     for done in range(0, n, _ROUNDS_PER_CHUNK):
         m = min(_ROUNDS_PER_CHUNK, n - done)
         ua = haar_su2_batch(rng, (m,))
         ub = haar_su2_batch(rng, (m,))
-        p = _word_probs(wing_bras(bras_a, ua), amp16, wing_bras(bras_b, ub))
+        p = _turned_word_probs(schmidt, bras_a, ua, bras_b, ub)
         draws[done:done + m] = _draw_words(p, rng.random(m))
     return draws
 
@@ -235,11 +260,14 @@ def run_experiment(n_rounds: int, settings_policy="random",
     amp16 = make_eta().amplitudes.reshape(16, 16)
 
     if settings_policy == "random":
-        # 2 * Alice + Bob indexes _SETTING_PAIRS; uint32 draws match int64's
+        # 2 * Alice + Bob indexes _SETTING_PAIRS; uint32 draws match int64's,
+        # and Bob's, drawn in chunks, leave the stream where one draw would
         pair = rng.integers(0, 2, size=n_rounds, dtype=np.uint32)
         pair <<= 1
-        pair |= rng.integers(0, 2, size=n_rounds, dtype=np.uint32)
-        n_pairs = np.bincount(pair, minlength=4)
+        for done in range(0, n_rounds, _SETTINGS_PER_CHUNK):
+            part = pair[done:done + _SETTINGS_PER_CHUNK]
+            part |= rng.integers(0, 2, size=part.size, dtype=np.uint32)
+        n_pairs = [np.count_nonzero(pair == k) for k in range(4)]
         policy_name = "random"
     else:
         pa, pb = settings_policy
@@ -250,12 +278,13 @@ def run_experiment(n_rounds: int, settings_policy="random",
 
     signs = {p: _class_signs(p) for p in ("F", "G")}
     bras = {p: product_bras(_thetas(p)) for p in ("F", "G")}
+    schmidt = _schmidt_factors(amp16)
     counts = {}
     for (pa, pb), n_pair in zip(_SETTING_PAIRS, n_pairs):
         if rotations_policy == "identity":
             tally = _word_tally(_word_probs(bras[pa], amp16, bras[pb]), n_pair, rng)
         else:
-            tally = np.bincount(_sample_fresh_rotations(amp16, bras[pa], bras[pb],
+            tally = np.bincount(_sample_fresh_rotations(schmidt, bras[pa], bras[pb],
                                                         n_pair, rng), minlength=256)
         cells = tally.reshape(16, 16)
         counts[(pa, pb)] = {

@@ -4,10 +4,12 @@ Everything here is a pure function on small immutable values.  States are
 dense complex vectors of dimension at most 2^8 = 256; qubit 1 is the most
 significant bit of the basis index, so ``|q1 q2 q3 q4>`` reads left to right.
 
-Every rotated wing measurement in the package is one construction: a matrix
-of bras, one row per outcome, turned by a collective U^(x4).  ``kron`` builds
-U^(x k) and product-basis bras alike, ``wing_bras`` turns a wing's bras, and
-``joint_probs`` gives the outcome-pair probabilities on a two-wing state.
+A wing measurement is a matrix of bras, one row per outcome, and
+``joint_probs`` gives its outcome-pair probabilities on a two-wing state.
+A turned frame takes one of two routes: ``wing_bras`` turns the bras by a
+collective U^(x4) that ``kron`` builds (``kron`` builds product-basis bras
+too), and ``collective_turn`` turns a few state columns instead, one qubit at
+a time for a whole stack of frames, without forming U^(x4).
 
 A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
@@ -209,6 +211,22 @@ def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
     for each outcome ket |w>.
     """
     return bras @ kron([u] * 4).conj().swapaxes(-1, -2)
+
+
+def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """U^(x4) applied to every column of ``vecs``, for a stack of frames.
+
+    ``u`` is (m, 2, 2) and ``vecs`` is (16, r); returns (m, 16, r).  The
+    turn goes one qubit at a time with the frame axis last, so each product
+    runs over m contiguous frames and no U^(x4) is formed.
+    """
+    w = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # w[i, j]: entry (i, j) of every frame
+    t = vecs[..., None]
+    for q in range(4):
+        t = t.reshape(2 ** q, 2, -1, t.shape[-1])
+        t0, t1 = t[:, 0], t[:, 1]
+        t = np.stack((w[0, 0] * t0 + w[0, 1] * t1, w[1, 0] * t0 + w[1, 1] * t1), axis=1)
+    return t.reshape(16, vecs.shape[1], -1).transpose(2, 0, 1)
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from dfsbell.correlations import Setting, joint_distribution
-from dfsbell.localmeas import (PROTOCOLS, _draw_words, _word_probs,
-                               _word_tally, classify_outcome, max_frame_drift,
-                               run_experiment, wing_distribution,
-                               wing_outcome_distribution)
+from dfsbell import localmeas
+from dfsbell.localmeas import (PROTOCOLS, _draw_words, _schmidt_factors,
+                               _turned_word_probs, _word_probs, _word_tally,
+                               classify_outcome, max_frame_drift, run_experiment,
+                               wing_distribution, wing_outcome_distribution)
 from dfsbell.dfs_states import (make_eta, make_f, make_g, make_phi0, make_phi1,
                                 make_psi0)
-from dfsbell.qcore import (QuantumState, haar_su2, haar_su2_batch, joint_probs,
-                           product_bras, wing_bras)
+from dfsbell.qcore import (ATOL, QuantumState, basis_state, haar_su2, haar_su2_batch,
+                           joint_probs, kron, product_bras, wing_bras)
 
 F_MINUS_WORDS = {0b0101, 0b0110, 0b1001, 0b1010}
 G_MINUS_WORDS = {0b0011, 0b0110, 0b1001, 0b1100}
@@ -136,6 +137,53 @@ def test_fixed_frame_stream_is_pinned():
     }
 
 
+def test_eta_has_two_schmidt_terms():
+    # eta lies in span{phi0, phi1} (x) span{phi0, phi1}: rank 2, rebuilt exactly
+    amp16 = make_eta().amplitudes.reshape(16, 16)
+    left, s, right = _schmidt_factors(amp16)
+    assert s.shape == (2,) and left.shape == right.shape == (16, 2)
+    assert np.abs(left * s @ right.T - amp16).max() < ATOL
+
+
+def test_schmidt_route_needs_no_rotation_invariance():
+    # turning the state's Schmidt columns gives the word-pair probabilities
+    # of turning the bras, on states that the frames do move
+    rng = np.random.default_rng(47)
+    amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+    states = {16: amps / np.linalg.norm(amps),
+              1: basis_state("01010011").amplitudes}
+    bras = {p: product_bras(PROTOCOLS[p]) for p in ("F", "G")}
+    for rank, state in states.items():
+        amp16 = state.reshape(16, 16)
+        schmidt = _schmidt_factors(amp16)
+        assert schmidt[1].size == rank
+        for pa in ("F", "G"):
+            for pb in ("F", "G"):
+                ua = haar_su2_batch(rng, (64,))
+                ub = haar_su2_batch(rng, (64,))
+                turned = _turned_word_probs(schmidt, bras[pa], ua, bras[pb], ub)
+                expect = _word_probs(wing_bras(bras[pa], ua), amp16,
+                                     wing_bras(bras[pb], ub))
+                assert np.abs(turned - expect).max() < 1e-14
+                still = _word_probs(bras[pa], amp16, bras[pb])
+                assert np.abs(expect - still).max() > 1e-3
+
+
+def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
+    # non-vacuity of the fresh-frame check: once the turn leaves one qubit
+    # alone, (F,F) (+1,+1) happens
+    assert run_experiment(2000, "random", "fresh", seed=5).counts[("F", "F")][(1, 1)] == 0
+    for skipped in range(4):
+        def partial_turn(u, vecs):
+            factors = [u] * 4
+            factors[skipped] = np.broadcast_to(np.eye(2), u.shape)
+            return kron(factors) @ vecs
+
+        monkeypatch.setattr(localmeas, "collective_turn", partial_turn)
+        counts = run_experiment(2000, "random", "fresh", seed=5).counts
+        assert counts[("F", "F")][(1, 1)] > 0, skipped
+
+
 def test_word_tally_leaves_a_word_of_probability_zero_empty():
     # numpy's multinomial gives the last category what the others leave; on
     # a row summing 1e-6 below 1 the full row would put about 1000 of 1e9
@@ -170,16 +218,20 @@ def test_fixed_frame_tally_matches_the_eigen_bras_route():
 
 def test_run_experiment_traced_peak_memory():
     # fixed settings build no per-round array; random settings need one
-    # uint32 pair index and bincount's int64 copy of it, 12 bytes a round
+    # uint32 pair index and a one-byte mask of it per pair value, 5 bytes a
+    # round.  Fresh frames turn two Schmidt columns per frame: a chunk of
+    # (rounds, 16, 16) U^(x4) stacks would more than double the peak.
     n = 10 ** 6
-    for settings, limit in ((("G", "G"), 10 ** 6), ("random", 12.5 * n)):
+    for rounds, settings, frames, limit in ((n, ("G", "G"), "identity", 10 ** 6),
+                                            (n, "random", "identity", 6 * n),
+                                            (8000, "random", "fresh", 20 * 10 ** 6)):
         tracemalloc.start()
         try:
-            run_experiment(n, settings, seed=3)
+            run_experiment(rounds, settings, frames, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit, (settings, peak)
+        assert peak < limit, (settings, frames, peak)
 
 
 def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():

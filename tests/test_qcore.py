@@ -6,8 +6,9 @@ import pytest
 
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            Unitary2, apply_collective, basis_state,
-                           check_density, haar_su2, haar_su2_batch, joint_probs, kron, partial_trace,
-                           permute_qubits, tensor, wing_bras)
+                           check_density, collective_turn, haar_su2, haar_su2_batch,
+                           joint_probs, kron, partial_trace, permute_qubits, tensor,
+                           wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -144,6 +145,17 @@ def test_kron_helpers_match_numpy_kron():
     m = rng.normal(size=(16, 16))
     assert np.allclose(joint_probs(turned, m, bras),
                        np.abs(np.einsum("nai,ij,bj->nab", turned, m, bras)) ** 2)
+
+
+def test_collective_turn_matches_the_full_operator():
+    # qubit by qubit with the frame axis last, against U^(x4) built by kron
+    rng = np.random.default_rng(43)
+    u = haar_su2_batch(rng, (33,))
+    for r in (1, 2, 5):
+        vecs = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
+        turned = collective_turn(u, vecs)
+        assert turned.shape == (33, 16, r)
+        assert np.abs(turned - kron([u] * 4) @ vecs).max() < 1e-14
 
 
 def test_apply_collective_matches_the_full_operator():
