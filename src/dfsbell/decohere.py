@@ -7,14 +7,15 @@ so their fidelity with the noisy state is 1 for every draw, not just on
 average.  Reference states outside the sector (a computational basis word, a
 GHZ state) lose most of their fidelity, which calibrates the comparison.
 
-Each draw takes its frames one at a time from ``qcore.haar_su2``, Alice's
-before Bob's in the per-wing scope.  A pure state turns through
+A pure state takes its frames one at a time from ``qcore.haar_su2``,
+Alice's before Bob's in the per-wing scope, turns through
 ``qcore.apply_collective``, and its fidelity is |<psi|rotated>|^2.  A
-density operator turns by the full U^(x n) from ``qcore.kron``; its draws
-are turned and checked CHUNK at a time, and the Uhlmann fidelities of a
-chunk come from one batched eigvalsh, with the square root of rho computed
-once per call.  ``state_fidelity`` is the per-draw route the tests compare
-the chunks against.
+density operator takes CHUNK frames at a time from one
+``qcore.haar_su2_batch`` call, the same frames as that many single draws, and
+turns and checks them by the full U^(x n) from ``qcore.kron``; the Uhlmann
+fidelities of a chunk come from one batched eigvalsh, with the square root
+of rho computed once per call.  ``state_fidelity`` is the per-draw route the
+tests compare the chunks against.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (DensityOperator, QuantumState, apply_collective,
-                    basis_state, check_density, haar_su2, kron, partial_trace)
+                    basis_state, check_density, haar_su2, haar_su2_batch, kron,
+                    partial_trace)
 
 IMMUNITY_ATOL = 1e-9
 
@@ -120,7 +122,7 @@ def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
         out = np.empty(channel.n_samples)
         for start in range(0, channel.n_samples, CHUNK):
             k = min(CHUNK, channel.n_samples - start)
-            frames = np.stack([haar_su2(rng).matrix for _ in range(k)])
+            frames = haar_su2_batch(rng, (k,))
             out[start:start + k] = _mixed_fidelities(state, root, frames)
         return out
     bra = state.amplitudes.conj()

@@ -9,6 +9,12 @@ orthonormal basis
 i.e. |phi0> is the product of singlets on pairs (1,2) and (3,4).  Every state
 in this span is invariant under U x U x U x U for U in SU(2), which is what
 makes all constructions here immune to collective rotations.
+
+One integer table defines the sector: V0 = 2 phi0 and V1 = 2 sqrt3 phi1 are
+integer vectors, and so is ETA_INT = 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0, whose
+coefficients over V_i (x) V_j are ETA_TABLE.  Every float of the sector is one
+of them scaled to unit norm: the (16, 2) basis SECTOR of columns phi0 and phi1,
+eta, and eta's coefficients ETA_COEFFS over phi_i (x) phi_j.
 """
 
 from __future__ import annotations
@@ -20,7 +26,26 @@ import numpy as np
 
 from .qcore import ATOL, QuantumState, Unitary2, apply_collective, permute_qubits
 
-_SQRT3 = math.sqrt(3.0)
+V0 = np.zeros(16, dtype=np.int64)
+V0[[0b0101, 0b1010]] = 1
+V0[[0b0110, 0b1001]] = -1
+V1 = np.zeros(16, dtype=np.int64)
+V1[[0b0011, 0b1100]] = 2
+V1[[0b0101, 0b0110, 0b1001, 0b1010]] = -1
+# eta over V_i (x) V_j: no V1 V1 term
+ETA_TABLE = np.array([[1, 1], [1, 0]])
+
+_V = np.stack([V0, V1], axis=1)
+ETA_INT = (_V @ ETA_TABLE @ _V.T).ravel()
+
+# the norms (2, 2 sqrt3) of V0 and V1, and 1 / (4 sqrt7) = 1 / |ETA_INT|
+_NORMS = np.sqrt((_V * _V).sum(axis=0))
+_ETA_SCALE = 1.0 / math.sqrt(ETA_INT @ ETA_INT)
+
+SECTOR = _V / _NORMS
+ETA_COEFFS = ETA_TABLE * np.outer(_NORMS, _NORMS) * _ETA_SCALE
+for _table in (V0, V1, ETA_TABLE, ETA_INT, SECTOR, ETA_COEFFS):
+    _table.setflags(write=False)
 
 
 class SubspaceError(ValueError):
@@ -40,18 +65,12 @@ def singlet() -> QuantumState:
 
 def make_phi0() -> QuantumState:
     """Singlet-pair basis state: singlet(1,2) x singlet(3,4)."""
-    a = np.zeros(16)
-    a[0b0101], a[0b0110], a[0b1001], a[0b1010] = 0.5, -0.5, -0.5, 0.5
-    return QuantumState(a)
+    return QuantumState(SECTOR[:, 0])
 
 
 def make_phi1() -> QuantumState:
     """The state completing the spin-zero basis, orthogonal to |phi0>."""
-    a = np.zeros(16)
-    a[0b0011] = a[0b1100] = 1.0 / _SQRT3
-    for idx in (0b0101, 0b0110, 0b1001, 0b1010):
-        a[idx] = -0.5 / _SQRT3
-    return QuantumState(a)
+    return QuantumState(SECTOR[:, 1])
 
 
 def make_psi0() -> QuantumState:
@@ -70,13 +89,7 @@ def make_eta() -> QuantumState:
     The |phi1 phi1> component is absent by construction; that single missing
     term is what forbids the (+1, +1) outcome when both wings measure F.
     """
-    phi0, phi1 = make_phi0(), make_phi1()
-    a = (
-        np.kron(phi0.amplitudes, phi0.amplitudes)
-        + _SQRT3 * np.kron(phi0.amplitudes, phi1.amplitudes)
-        + _SQRT3 * np.kron(phi1.amplitudes, phi0.amplitudes)
-    ) / math.sqrt(7.0)
-    return QuantumState(a)
+    return QuantumState(ETA_INT * _ETA_SCALE)
 
 
 @dataclass(frozen=True)
@@ -88,14 +101,13 @@ class DfsVector:
 
     def __post_init__(self):
         nrm = math.hypot(abs(self.c0), abs(self.c1))
-        if abs(nrm - 1.0) > ATOL:
+        if not abs(nrm - 1.0) <= ATOL:
             raise ValueError(f"coefficient norm {nrm} deviates from 1")
 
 
 def dfs_embed(v: DfsVector) -> QuantumState:
     """c0 |phi0> + c1 |phi1> as a 16-dimensional vector."""
-    a = v.c0 * make_phi0().amplitudes + v.c1 * make_phi1().amplitudes
-    return QuantumState(a)
+    return QuantumState(SECTOR @ np.array([v.c0, v.c1]))
 
 
 def dfs_project(s: QuantumState) -> DfsVector:
@@ -107,14 +119,11 @@ def dfs_project(s: QuantumState) -> DfsVector:
     """
     if s.n_qubits != 4:
         raise ValueError("dfs_project expects a 4-qubit state")
-    phi0, phi1 = make_phi0(), make_phi1()
-    c0 = complex(phi0.amplitudes.conj() @ s.amplitudes)
-    c1 = complex(phi1.amplitudes.conj() @ s.amplitudes)
-    residual = s.amplitudes - c0 * phi0.amplitudes - c1 * phi1.amplitudes
-    residual_norm = float(np.linalg.norm(residual))
+    c = SECTOR.T @ s.amplitudes
+    residual_norm = float(np.linalg.norm(s.amplitudes - SECTOR @ c))
     if residual_norm >= 1e-8:
         raise SubspaceError(residual_norm)
-    return DfsVector(c0, c1)
+    return DfsVector(complex(c[0]), complex(c[1]))
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfs_states import make_phi0, make_phi1
+from .dfs_states import SECTOR
 from .qcore import axis_rows, product_bras
 
 SUPPORT_TOL = 1e-8
@@ -94,17 +94,10 @@ class DistinguishInstance:
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
 
 
-def pair_states(omega: float):
-    """Amplitude vectors of |psi> and its orthogonal complement |psi_perp>."""
-    phi0 = make_phi0().amplitudes.real
-    phi1 = make_phi1().amplitudes.real
-    c, s = math.cos(omega), math.sin(omega)
-    return c * phi0 + s * phi1, s * phi0 - c * phi1
-
-
 def component_table(inst: DistinguishInstance) -> np.ndarray:
-    """(16, 2) array: column 0 components of |psi>, column 1 of |psi_perp>."""
-    return product_bras(inst.thetas) @ np.stack(pair_states(inst.omega), axis=1)
+    """(16, 2) array: column 0 components of |psi>, column 1 of |psi_perp>;
+    the pair is the sector basis turned by the rows of ``axis_rows(omega)``."""
+    return product_bras(inst.thetas) @ SECTOR @ axis_rows(inst.omega).T
 
 
 def support_overlap(inst: DistinguishInstance) -> float:
@@ -161,7 +154,7 @@ def _grid_chunks(resolution: int):
     thetas = np.arange(n) * (math.pi / r)
     rows = np.stack([axis_rows(t) for t in thetas])
     # the complex packing phi0 + i phi1
-    phi = make_phi0().amplitudes.real + 1j * make_phi1().amplitudes.real
+    phi = SECTOR @ np.array([1, 1j])
     # qubit a at theta 0 keeps the i = 0 half; contract qubits b and c once
     front = np.einsum("rbj,sck,jkl->rsbcl", rows, rows, phi.reshape(2, 2, 2, 2)[0])
     # real columns (b, c, l, re/im) of the complex front

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dfs_states import dfs_embed, DfsVector
-from .qcore import QuantumState, tensor
+from .dfs_states import ETA_COEFFS, SECTOR
+from .qcore import QuantumState
 
 # The Hardy pattern as (Alice's setting, Bob's setting, Alice's outcome,
 # Bob's outcome): three events that never occur, and one that does.
@@ -70,7 +70,7 @@ class HardyInstance:
         if len(amps) != 4:
             raise ValueError("exactly four amplitudes required")
         norm = math.fsum(abs(a) ** 2 for a in amps)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"amplitudes must be normalized, got norm^2 = {norm}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "alpha_a", float(self.alpha_a))
@@ -145,20 +145,13 @@ def fixed_angle_maximum(alpha: float) -> float:
 
 def eta_instance() -> HardyInstance:
     """The two-wing state used throughout, as a protected-qubit instance."""
-    n = 1.0 / math.sqrt(7.0)
-    r3 = math.sqrt(3.0)
-    return HardyInstance((n, r3 * n, r3 * n, 0.0), math.pi / 3, math.pi / 3)
+    return HardyInstance(tuple(ETA_COEFFS.ravel()), math.pi / 3, math.pi / 3)
 
 
 def to_full_state(inst: HardyInstance) -> QuantumState:
     """Embed the instance into the full eight-qubit amplitude vector."""
-    e0 = dfs_embed(DfsVector(1.0, 0.0))
-    e1 = dfs_embed(DfsVector(0.0, 1.0))
-    wings = (e0, e1)
-    amps = np.zeros(256, dtype=complex)
-    for (i, j), c in zip(itertools.product(range(2), repeat=2), inst.amplitudes):
-        amps += c * tensor(wings[i], wings[j]).amplitudes
-    return QuantumState(amps)
+    c = np.array(inst.amplitudes).reshape(2, 2)
+    return QuantumState((SECTOR @ c @ SECTOR.T).ravel())
 
 
 # ---------------------------------------------------------------------------

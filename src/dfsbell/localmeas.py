@@ -179,15 +179,15 @@ def _turned_word_probs(schmidt, bras_a, ua, bras_b, ub) -> np.ndarray:
 
 
 def _sample_fresh_rotations(schmidt, bras_a, bras_b, n, rng):
-    """Word-pair samples with an independent Haar rotation per wing per round."""
-    draws = np.empty(n, dtype=np.int64)
+    """256-word tally of n rounds, each wing in a fresh Haar frame every round."""
+    tally = np.zeros(256, dtype=np.int64)
     for done in range(0, n, _ROUNDS_PER_CHUNK):
         m = min(_ROUNDS_PER_CHUNK, n - done)
         ua = haar_su2_batch(rng, (m,))
         ub = haar_su2_batch(rng, (m,))
         p = _turned_word_probs(schmidt, bras_a, ua, bras_b, ub)
-        draws[done:done + m] = _draw_words(p, rng.random(m))
-    return draws
+        tally += np.bincount(_draw_words(p, rng.random(m)), minlength=256)
+    return tally
 
 
 def max_frame_drift(n_frames: int, seed) -> tuple:
@@ -284,8 +284,7 @@ def run_experiment(n_rounds: int, settings_policy="random",
         if rotations_policy == "identity":
             tally = _word_tally(_word_probs(bras[pa], amp16, bras[pb]), n_pair, rng)
         else:
-            tally = np.bincount(_sample_fresh_rotations(schmidt, bras[pa], bras[pb],
-                                                        n_pair, rng), minlength=256)
+            tally = _sample_fresh_rotations(schmidt, bras[pa], bras[pb], n_pair, rng)
         cells = tally.reshape(16, 16)
         counts[(pa, pb)] = {
             (oa, ob): int(cells[np.ix_(signs[pa] == oa, signs[pb] == ob)].sum())

@@ -32,7 +32,8 @@ import numpy as np
 
 # Default tolerance for analytic identities.  The constructions in this
 # package use closed-form coefficients, so deviations beyond this indicate
-# a real bug rather than accumulated rounding.
+# a real bug rather than accumulated rounding.  Checks against it read
+# ``not err <= ATOL``, so that a NaN fails them.
 ATOL = 1e-10
 
 MAX_QUBITS = 8
@@ -71,7 +72,7 @@ class QuantumState:
     def __post_init__(self):
         a = _as_amplitudes(self.amplitudes)
         nrm = _norm(a)
-        if abs(nrm - 1.0) > ATOL:
+        if not abs(nrm - 1.0) <= ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 by more than {ATOL}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -100,7 +101,7 @@ class Unitary2:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-        if _norm(m.conj().T @ m - _EYE2) > ATOL:
+        if not _norm(m.conj().T @ m - _EYE2) <= ATOL:
             raise ValueError("matrix is not unitary within 1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -131,12 +132,12 @@ class DensityOperator:
 def check_density(m: np.ndarray) -> None:
     """Raise ValueError unless every matrix of the ``(..., d, d)`` stack ``m``
     is Hermitian, has unit trace and has no eigenvalue below -ATOL."""
-    if np.any(np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > ATOL):
+    if not np.all(np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= ATOL):
         raise ValueError("matrix is not Hermitian within 1e-10")
     trace = np.trace(m, axis1=-2, axis2=-1)
-    if np.any(np.abs(trace.real - 1.0) > ATOL):
+    if not np.all(np.abs(trace.real - 1.0) <= ATOL):
         raise ValueError(f"trace {trace} deviates from 1")
-    if np.any(np.linalg.eigvalsh(m).min(axis=-1) < -ATOL):
+    if not np.all(np.linalg.eigvalsh(m).min(axis=-1) >= -ATOL):
         raise ValueError("matrix has an eigenvalue below -1e-10")
 
 
@@ -308,7 +309,7 @@ def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """
     u = _haar_matrices(rng, shape)
     err = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(2), axis=(-2, -1))
-    if np.any(err > ATOL):
+    if not np.all(err <= ATOL):
         raise ValueError("matrix is not unitary within 1e-10")
     return u
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dfsbell.dfs_states import (DfsVector, Observable, SubspaceError,
+from dfsbell.dfs_states import (ETA_COEFFS, ETA_INT, SECTOR, V0, V1,
+                                DfsVector, Observable, SubspaceError,
                                 dfs_embed, dfs_observable, dfs_project,
                                 make_eta, make_f, make_g, make_phi0, make_phi1,
                                 make_psi0, make_psi1, singlet)
@@ -33,6 +34,27 @@ def test_phi1_amplitudes():
         expect[w] = -1.0
     expect /= 2.0 * R3
     assert np.allclose(a, expect)
+
+
+def test_the_integer_table_is_the_sector():
+    # integer facts, exact: V0 and V1 are orthogonal with norms 2 and
+    # 2 sqrt3, and 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0 has norm^2 112
+    for v in (V0, V1, ETA_INT):
+        assert np.issubdtype(v.dtype, np.integer)
+    assert (V0 @ V0, V0 @ V1, V1 @ V1, ETA_INT @ ETA_INT) == (4, 0, 12, 112)
+    assert np.array_equal(ETA_INT, np.kron(V0, V0) + np.kron(V0, V1) + np.kron(V1, V0))
+    # the floats are the integers scaled: 2 phi0, 2 sqrt3 phi1, 4 sqrt7 eta
+    assert np.array_equal(2 * make_phi0().amplitudes, V0)
+    assert np.abs(2 * R3 * make_phi1().amplitudes - V1).max() < 1e-15
+    assert np.abs(4 * math.sqrt(7) * make_eta().amplitudes - ETA_INT).max() < 1e-15
+    # and eta from the float basis by its expansion (1, sqrt3, sqrt3, 0)/sqrt7
+    phi0, phi1 = make_phi0(), make_phi1()
+    eta = (tensor(phi0, phi0).amplitudes + R3 * tensor(phi0, phi1).amplitudes
+           + R3 * tensor(phi1, phi0).amplitudes) / math.sqrt(7)
+    assert np.abs(4 * math.sqrt(7) * eta - ETA_INT).max() < 1e-14
+    assert np.abs(ETA_COEFFS - np.array([[1, R3], [R3, 0]]) / math.sqrt(7)).max() < 1e-15
+    # SECTOR is an isometry onto span{phi0, phi1}
+    assert np.abs(SECTOR.T @ SECTOR - np.eye(2)).max() < 1e-15
 
 
 def test_psi_states_are_qubit23_swaps():

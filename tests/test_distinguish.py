@@ -9,9 +9,10 @@ from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
                                  _grid_chunks, component_table,
                                  find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
-                                 omega_from_thetas, pair_states,
+                                 omega_from_thetas,
                                  scan_distinguishable_omegas, support_overlap)
-from dfsbell.qcore import axis_rows
+from dfsbell.dfs_states import SECTOR, singlet
+from dfsbell.qcore import axis_rows, permute_qubits, tensor
 
 F_THETAS = (0.0, 0.0, math.pi / 4, math.pi / 4)
 
@@ -224,12 +225,14 @@ def test_find_distinguishing_thetas():
 
 
 def test_pairing_structure_of_the_special_angles():
-    # omega 0, pi/3, 2pi/3 correspond to the three ways of pairing four
-    # qubits into two singlets; each has a product basis splitting the pair
-    for k in range(3):
+    # omega 0, pi/3, 2pi/3 give the three ways of pairing four qubits into
+    # two singlets, (12)(34), (13)(24) and (14)(23); each has a product
+    # basis splitting the pair
+    pairs = tensor(singlet(), singlet())
+    for k, perm in enumerate(((1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2))):
         w = k * math.pi / 3
-        psi, _ = pair_states(w)
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        psi = SECTOR @ axis_rows(w)[0]
+        assert abs(abs(psi @ permute_qubits(pairs, perm).amplitudes) - 1.0) < 1e-12
         assert find_distinguishing_thetas(w) is not None
 
 

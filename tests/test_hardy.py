@@ -13,7 +13,7 @@ from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
                            optimize_unconstrained_measurements,
                            standard_scenario, to_full_state,
                            zero_constraint_rank)
-from dfsbell.dfs_states import make_eta
+from dfsbell.dfs_states import ETA_INT
 
 
 def test_eta_instance_probabilities():
@@ -23,7 +23,9 @@ def test_eta_instance_probabilities():
 
 
 def test_to_full_state_matches_eta():
-    assert abs(to_full_state(eta_instance()).overlap(make_eta()) - 1.0) < 1e-12
+    # the float embedding of the 2x2 model against the integer 4 sqrt7 eta
+    full = to_full_state(eta_instance()).amplitudes
+    assert np.abs(full * (4 * math.sqrt(7)) - ETA_INT).max() < 1e-12
 
 
 def test_feasible_state_satisfies_the_zeros():

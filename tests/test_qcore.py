@@ -4,6 +4,8 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dfsbell.dfs_states import DfsVector
+from dfsbell.hardy import HardyInstance
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            Unitary2, apply_collective, basis_state,
                            check_density, collective_turn, haar_su2, haar_su2_batch,
@@ -235,6 +237,24 @@ def test_check_density_tests_every_matrix_of_a_stack():
                 np.diag([1.5, -0.5])):
         with pytest.raises(ValueError):
             check_density(np.stack([good, good, bad]))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuantumState(np.array([NAN, 0.0])),
+    lambda: DfsVector(NAN, 0.0),
+    lambda: HardyInstance((NAN, 0.0, 0.0, 0.0), 0.0, 0.0),
+    lambda: Unitary2(np.array([[NAN, 0.0], [0.0, 1.0]])),
+    # unit trace, so only the Hermitian and eigenvalue tests see the NaN
+    lambda: DensityOperator(np.array([[1.0, NAN], [NAN, 0.0]])),
+], ids=["QuantumState", "DfsVector", "HardyInstance", "Unitary2", "DensityOperator"])
+def test_nan_fails_every_validated_type(build):
+    # each check reads ``not err <= tol``: a NaN error compares False
+    # against every tolerance, so ``err > tol`` would let it through
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_overlap_conjugate_symmetry():
