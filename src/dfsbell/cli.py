@@ -132,6 +132,20 @@ def _simulation_section(seed, frame_seed, *, sim_rounds: int) -> Section:
                     f"{_FRAME_PAIRS} random frame pairs and all four setting "
                     "pairs, against fixed frames",
         source="sampled estimate", detail=f"largest at frame pair {worst}"))
+    # the same pattern, exactly, from the integer word tables fixed frames draw from
+    cells = localmeas.exact_class_cells()
+    events = hardy.ZERO_EVENTS + (hardy.POSITIVE_EVENT,)
+    got = [cells[(sa, sb)][(oa, ob)] for sa, sb, oa, ob in events]
+    checks.append(Check(
+        name="Hardy pattern on the product words",
+        passed=got == [0, 0, 0, hardy.P_POSITIVE],
+        description="the forbidden cells are exactly 0 and the positive "
+                    "cell exactly 9/112, as Fractions from the integer "
+                    "word-pair tables of the individual-qubit measurements",
+        source="exact rational arithmetic", value=float(got[-1]),
+        expected=float(hardy.P_POSITIVE), tolerance=0.0,
+        detail="\n".join(f"({sa},{sb}) outcome ({oa:+d},{ob:+d}) = {p}"
+                         for (sa, sb, oa, ob), p in zip(events, got))))
     return Section("finite-sample simulation", tuple(checks))
 
 

@@ -6,8 +6,8 @@ wing); outcomes are -1, +1, or "null" for the 14-dimensional complement.
 All probabilities here are computed analytically from amplitudes, never
 sampled.
 
-A wing's measurement is the matrix of its eigen-bras (conjugated
-eigenvectors, one row per labelled outcome); a rotated setting turns them
+A wing's measurement is the matrix of its two eigen-bras (conjugated
+eigenvectors, the -1 row then the +1 row); a rotated setting turns them
 with ``qcore.wing_bras`` and ``qcore.joint_probs`` gives the labelled pair
 probabilities.  The correlation suite evaluates all its rotation tuples in
 one batched call.
@@ -24,7 +24,9 @@ from .hardy import P_POSITIVE
 from .qcore import QuantumState, Unitary2, haar_su2_batch, joint_probs, wing_bras
 
 NULL = "null"
-OUTCOMES = (-1, +1, NULL)
+# the labelled outcomes, in the order of a wing's two bras
+_LABELS = (-1, +1)
+OUTCOMES = _LABELS + (NULL,)
 
 # Probability below which conditioning is treated as conditioning on a
 # zero-probability event.
@@ -55,17 +57,17 @@ class Setting:
     rotation: LocalRotation | None = None
 
 
-def _setting_bras(setting: Setting, wing: str):
-    """Outcome labels and the (k, 16) bras of one wing, rotation applied."""
-    pairs = setting.observable.eigenpairs
-    bras = np.array([vec.amplitudes.conj() for _, vec in pairs])
+def _setting_bras(setting: Setting, wing: str) -> np.ndarray:
+    """The (2, 16) eigen-bras of one wing, minus then plus, rotation applied."""
+    obs = setting.observable
+    bras = np.array([obs.minus.amplitudes.conj(), obs.plus.amplitudes.conj()])
     if setting.rotation is not None:
         if setting.rotation.wing != wing:
             raise ValueError(
                 f"rotation is for wing {setting.rotation.wing!r}, used on {wing!r}"
             )
         bras = wing_bras(bras, setting.rotation.u.matrix)
-    return [int(val) for val, _ in pairs], bras
+    return bras
 
 
 def _marginal(bras: np.ndarray, m: np.ndarray, wing: str) -> np.ndarray:
@@ -80,17 +82,16 @@ def joint_distribution(state: QuantumState, a: Setting, b: Setting) -> dict:
     if state.n_qubits != 8:
         raise ValueError("joint_distribution expects an 8-qubit state")
     m = state.amplitudes.reshape(16, 16)
-    la, ba = _setting_bras(a, "alice")
-    lb, bb = _setting_bras(b, "bob")
+    ba, bb = _setting_bras(a, "alice"), _setting_bras(b, "bob")
     joint = joint_probs(ba, m, bb)
     pa, pb = _marginal(ba, m, "alice"), _marginal(bb, m, "bob")
     # labelled x labelled blocks from amplitudes, null rows/columns from
     # marginals so the nine entries sum to 1 exactly.
     dist = {(x, y): float(joint[i, j])
-            for i, x in enumerate(la) for j, y in enumerate(lb)}
-    for i, x in enumerate(la):
+            for i, x in enumerate(_LABELS) for j, y in enumerate(_LABELS)}
+    for i, x in enumerate(_LABELS):
         dist[(x, NULL)] = max(0.0, float(pa[i] - joint[i].sum()))
-    for j, y in enumerate(lb):
+    for j, y in enumerate(_LABELS):
         dist[(NULL, y)] = max(0.0, float(pb[j] - joint[:, j].sum()))
     covered = pa.sum() + pb.sum() - joint.sum()
     dist[(NULL, NULL)] = max(0.0, float(1.0 - covered))
@@ -108,9 +109,8 @@ def joint_probability(state: QuantumState, a: Setting, b: Setting,
 
 def wing_marginal(state: QuantumState, setting: Setting, wing: str) -> dict:
     """Single-wing outcome distribution, other wing unmeasured."""
-    labels, bras = _setting_bras(setting, wing)
-    p = _marginal(bras, state.amplitudes.reshape(16, 16), wing)
-    probs = {label: float(x) for label, x in zip(labels, p)}
+    p = _marginal(_setting_bras(setting, wing), state.amplitudes.reshape(16, 16), wing)
+    probs = {label: float(x) for label, x in zip(_LABELS, p)}
     probs[NULL] = max(0.0, 1.0 - sum(probs.values()))
     return probs
 
@@ -189,18 +189,18 @@ def verify_correlation_suite(n_rotation_samples: int = 100,
     # tuple 0 is unrotated, tuple i + 1 holds sample i's four rotations
     us = np.concatenate([np.broadcast_to(np.eye(2), (1, 4, 2, 2)),
                          haar_su2_batch(rng, (n_rotation_samples, 4))])
-    labels, f = _setting_bras(Setting(make_f()), "alice")
-    _, g = _setting_bras(Setting(make_g()), "alice")
-    plus = labels.index(+1)  # F and G list their outcomes in the same order
+    f = _setting_bras(Setting(make_f()), "alice")
+    g = _setting_bras(Setting(make_g()), "alice")
     fa, ga, fb, gb = (wing_bras(bras, us[:, i]) for i, bras in enumerate((f, g, f, g)))
 
+    # row 1 of every wing's bras is its +1 outcome
     def joint_plus(ba, bb):
-        return joint_probs(ba, m, bb)[:, plus, plus]
+        return joint_probs(ba, m, bb)[:, 1, 1]
 
     values = {
         "joint_ff_plus_plus": joint_plus(fa, fb),
-        "cond_fa_given_gb": joint_plus(fa, gb) / _marginal(gb, m, "bob")[:, plus],
-        "cond_fb_given_ga": joint_plus(ga, fb) / _marginal(ga, m, "alice")[:, plus],
+        "cond_fa_given_gb": joint_plus(fa, gb) / _marginal(gb, m, "bob")[:, 1],
+        "cond_fb_given_ga": joint_plus(ga, fb) / _marginal(ga, m, "alice")[:, 1],
         "joint_gg_plus_plus": joint_plus(ga, gb),
     }
     dev = {k: np.abs(v[1:] - EXPECTED_CORRELATIONS[k]) for k, v in values.items()}

@@ -128,48 +128,38 @@ def dfs_project(s: QuantumState) -> DfsVector:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian observable given by its non-null eigenpairs.
+    """Two-outcome observable: eigenvalue -1 on ``minus``, +1 on ``plus``.
 
-    Only the listed eigenvectors produce labelled outcomes; the orthogonal
-    complement is the explicit "null" outcome, kept so that "null never
-    occurs" is a testable statement rather than an assumption.
+    The orthogonal complement of the two eigenvectors is the explicit "null"
+    outcome, kept so that "null never occurs" is a testable statement rather
+    than an assumption.
     """
 
-    eigenpairs: tuple
+    minus: QuantumState
+    plus: QuantumState
 
     def __post_init__(self):
-        pairs = tuple((float(val), vec) for val, vec in self.eigenpairs)
-        vecs = [vec.amplitudes for _, vec in pairs]
-        for i, v in enumerate(vecs):
-            for j, w in enumerate(vecs):
-                want = 1.0 if i == j else 0.0
-                if abs(v.conj() @ w - want) > ATOL:
-                    raise ValueError("eigenvectors are not orthonormal")
-        object.__setattr__(self, "eigenpairs", pairs)
+        if not abs(self.minus.overlap(self.plus)) <= ATOL:
+            raise ValueError("eigenvectors are not orthogonal")
 
     def rotated(self, u: Unitary2) -> "Observable":
         """Same spectrum, eigenvectors conjugated by the collective rotation U^(x4)."""
-        pairs = tuple(
-            (val, apply_collective(vec, u, "all")) for val, vec in self.eigenpairs
-        )
-        return Observable(pairs)
+        return Observable(apply_collective(self.minus, u, "all"),
+                          apply_collective(self.plus, u, "all"))
 
     def to_matrix(self) -> np.ndarray:
-        dim = self.eigenpairs[0][1].amplitudes.size
-        m = np.zeros((dim, dim), dtype=complex)
-        for val, vec in self.eigenpairs:
-            m += val * np.outer(vec.amplitudes, vec.amplitudes.conj())
-        return m
+        m, p = self.minus.amplitudes, self.plus.amplitudes
+        return np.outer(p, p.conj()) - np.outer(m, m.conj())
 
 
 def make_f() -> Observable:
     """Observable distinguishing the (1,2)(3,4) singlet pairing: -1 on phi0, +1 on phi1."""
-    return Observable(((-1.0, make_phi0()), (+1.0, make_phi1())))
+    return Observable(make_phi0(), make_phi1())
 
 
 def make_g() -> Observable:
     """Observable distinguishing the (1,3)(2,4) pairing: -1 on psi0, +1 on psi1."""
-    return Observable(((-1.0, make_psi0()), (+1.0, make_psi1())))
+    return Observable(make_psi0(), make_psi1())
 
 
 def dfs_observable(alpha: float) -> Observable:
@@ -180,4 +170,4 @@ def dfs_observable(alpha: float) -> Observable:
     """
     minus = DfsVector(math.cos(alpha), math.sin(alpha))
     plus = DfsVector(math.sin(alpha), -math.cos(alpha))
-    return Observable(((-1.0, dfs_embed(minus)), (+1.0, dfs_embed(plus))))
+    return Observable(dfs_embed(minus), dfs_embed(plus))

@@ -75,6 +75,8 @@ class HardyInstance:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "alpha_a", float(self.alpha_a))
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
+        if not (math.isfinite(self.alpha_a) and math.isfinite(self.alpha_b)):
+            raise ValueError(f"angles must be finite, got {self.alpha_a}, {self.alpha_b}")
 
 
 def _wing_row(setting: str, outcome: int, alpha: float) -> tuple:

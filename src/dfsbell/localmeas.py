@@ -13,28 +13,35 @@ Every wing measurement is one matrix of bras, one row per outcome word
 probabilities on the two-wing state.  The exact checks turn a wing's frame by
 ``qcore.wing_bras`` of those rows.
 
+In unrotated frames every probability is exact: twice the bras are integer
+matrices B_p, so each setting pair's 256-word distribution is the integer
+table (B_a ETA_INT B_b^T)^2 over 1792.  Fixed frames draw from these tables,
+the frame-drift check compares against them, and ``exact_class_cells`` reads
+their outcome-pair cells as Fractions.
+
 The simulation keeps only word tallies: fixed frames draw each setting pair's
 256-word tally as one multinomial, fresh frames draw one word per round, and
 either way the tally is classified once into outcome pairs.  Fresh frames turn
-the state instead of the bras: its 16x16 amplitude matrix has Schmidt rank 2,
-so each frame turns two columns (``qcore.collective_turn``), and the sampled
-check and the exact frame-drift check take independent routes.
+the state instead of the bras: eta is SECTOR ETA_COEFFS SECTOR^T, so each
+frame turns the sector's two columns (``qcore.collective_turn``) around the
+2x2 core ETA_COEFFS.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .dfs_states import make_eta
-from .qcore import (ATOL, QuantumState, Unitary2, collective_turn, haar_su2_batch,
-                    joint_probs, product_bras, wing_bras)
+from .dfs_states import ETA_COEFFS, ETA_INT, SECTOR, make_eta
+from .qcore import (QuantumState, Unitary2, collective_turn, haar_su2_batch,
+                    joint_probs, kron, product_bras, wing_bras)
 
-# Word probabilities analytically equal to zero come out of floating-point
-# amplitude algebra at ~1e-32; clipping below this threshold keeps
-# impossible events impossible in sampled statistics.
+# Fresh-frame word probabilities analytically equal to zero come out of
+# floating-point amplitude algebra at ~1e-32; clipping below this threshold
+# keeps impossible events impossible in sampled statistics.
 _PROB_CLIP = 1e-20
 
 _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
@@ -74,12 +81,19 @@ def classify_outcome(word, protocol: str) -> int:
     return -1 if all(a != b for a, b in pairs) else +1
 
 
-def _class_signs(protocol: str) -> np.ndarray:
-    """Vectorized classify_outcome over word indices 0..15."""
-    return np.array([
-        classify_outcome(((w >> 3) & 1, (w >> 2) & 1, (w >> 1) & 1, w & 1), protocol)
-        for w in range(16)
-    ])
+_SIGNS = {p: np.array([classify_outcome(f"{w:04b}", p) for w in range(16)])
+          for p in PROTOCOLS}
+_BRAS = {p: product_bras(thetas) for p, thetas in PROTOCOLS.items()}
+# B_p = 2 product_bras: the z row at angle 0, the x row at pi/4 times sqrt 2
+_INT_ROWS = {0.0: np.array([[1, 0], [0, -1]]), math.pi / 4: np.array([[1, 1], [1, -1]])}
+_INT_BRAS = {p: kron([_INT_ROWS[t] for t in thetas]) for p, thetas in PROTOCOLS.items()}
+# Each setting pair's integer word-pair weights (B_a ETA_INT B_b^T)^2, which sum
+# to 1792: over that sum they are the unrotated words' Born probabilities.
+_TABLES = {(a, b): ((_INT_BRAS[a] @ ETA_INT.reshape(16, 16) @ _INT_BRAS[b].T) ** 2).ravel()
+           for a, b in _SETTING_PAIRS}
+_AMP16 = make_eta().amplitudes.reshape(16, 16)
+# eta = SECTOR ETA_COEFFS SECTOR^T: the columns each frame turns, and the core
+_ETA_FACTORS = (SECTOR, ETA_COEFFS, SECTOR)
 
 
 def wing_distribution(state: QuantumState, protocol: str,
@@ -97,7 +111,7 @@ def wing_outcome_distribution(state: QuantumState, protocol: str,
                               rotation: Unitary2 | None = None) -> dict:
     """Exact induced distribution over {-1, +1} after classification."""
     probs = wing_distribution(state, protocol, rotation)
-    signs = _class_signs(protocol)
+    signs = _SIGNS[protocol]
     return {-1: float(probs[signs == -1].sum()), +1: float(probs[signs == +1].sum())}
 
 
@@ -158,34 +172,27 @@ def _draw_words(p, r) -> np.ndarray:
     return words
 
 
-def _schmidt_factors(amp16) -> tuple:
-    """Thin SVD amp16 = L diag(s) R^T, keeping the singular values above ATOL."""
-    left, s, right_h = np.linalg.svd(amp16)
-    keep = s > ATOL
-    return left[:, keep], s[keep], right_h[keep].T
-
-
-def _turned_word_probs(schmidt, bras_a, ua, bras_b, ub) -> np.ndarray:
+def _turned_word_probs(factors, bras_a, ua, bras_b, ub) -> np.ndarray:
     """``_word_probs`` of the wings' bras turned by the frame stacks ua and ub.
 
-    Each frame turns the state's Schmidt columns instead of its wing's bras:
-    bras (U^(x4))^dagger L is bras applied to the columns L turned by
-    (U^dagger)^(x4).
+    ``factors`` (L, C, R) give the state as L C R^T.  Each frame turns L's
+    or R's columns instead of its wing's bras: bras (U^(x4))^dagger L is
+    bras applied to the columns L turned by (U^dagger)^(x4).
     """
-    left, s, right = schmidt
+    left, core, right = factors
     xa = bras_a @ collective_turn(ua.conj().swapaxes(-1, -2), left)
     xb = bras_b @ collective_turn(ub.conj().swapaxes(-1, -2), right)
-    return _word_probs(xa, np.diag(s), xb)
+    return _word_probs(xa, core, xb)
 
 
-def _sample_fresh_rotations(schmidt, bras_a, bras_b, n, rng):
+def _sample_fresh_rotations(bras_a, bras_b, n, rng):
     """256-word tally of n rounds, each wing in a fresh Haar frame every round."""
     tally = np.zeros(256, dtype=np.int64)
     for done in range(0, n, _ROUNDS_PER_CHUNK):
         m = min(_ROUNDS_PER_CHUNK, n - done)
         ua = haar_su2_batch(rng, (m,))
         ub = haar_su2_batch(rng, (m,))
-        p = _turned_word_probs(schmidt, bras_a, ua, bras_b, ub)
+        p = _turned_word_probs(_ETA_FACTORS, bras_a, ua, bras_b, ub)
         tally += np.bincount(_draw_words(p, rng.random(m)), minlength=256)
     return tally
 
@@ -195,28 +202,26 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
 
     Draws ``n_frames`` Haar pairs (U_a, U_b) and, for every setting pair,
     compares the 256-word joint distribution of the rotated product bases on
-    the two-wing state with the unrotated one.  The alignment-free claim
-    makes the drift zero up to rounding.  Returns the drift and the index of
-    the frame pair that produced it.
+    the two-wing state with the exact unrotated one, its integer table over
+    its sum.  The alignment-free claim makes the drift zero up to rounding.
+    Returns the drift and the index of the frame pair that produced it.
     """
     rng = np.random.default_rng(seed)
     ua = haar_su2_batch(rng, (n_frames,))
     ub = haar_su2_batch(rng, (n_frames,))
-    amp16 = make_eta().amplitudes.reshape(16, 16)
-    bras = {p: product_bras(_thetas(p)) for p in ("F", "G")}
     drift = np.zeros(n_frames)
-    for pa, pb in _SETTING_PAIRS:
-        rotated = joint_probs(wing_bras(bras[pa], ua), amp16, wing_bras(bras[pb], ub))
-        fixed = joint_probs(bras[pa], amp16, bras[pb])
+    for (pa, pb), table in _TABLES.items():
+        rotated = joint_probs(wing_bras(_BRAS[pa], ua), _AMP16, wing_bras(_BRAS[pb], ub))
+        fixed = (table / table.sum()).reshape(16, 16)
         drift = np.maximum(drift, np.abs(rotated - fixed).max(axis=(1, 2)))
     return float(drift.max()), int(drift.argmax())
 
 
 def _word_tally(p, n: int, rng) -> np.ndarray:
-    """Word tally of n rounds that all draw from the distribution ``p``.
+    """Word tally of n rounds that all draw from the weights ``p``.
 
-    One multinomial over the words of positive probability, with ``p``
-    renormalized there: numpy gives the last category whatever the others
+    One multinomial over the words of positive weight, with ``p``
+    normalized there: numpy gives the last category whatever the others
     leave, and a row summing a few ulps below 1 must not hand that remainder
     to a word of probability 0.
     """
@@ -224,6 +229,21 @@ def _word_tally(p, n: int, rng) -> np.ndarray:
     tally = np.zeros(p.size, dtype=np.int64)
     tally[support] = rng.multinomial(n, p[support] / p[support].sum())
     return tally
+
+
+def _class_cells(tally, pa: str, pb: str) -> dict:
+    """A 256-word tally of setting pair (pa, pb), summed per outcome pair."""
+    cells = tally.reshape(16, 16)
+    return {(oa, ob): cells[np.ix_(_SIGNS[pa] == oa, _SIGNS[pb] == ob)].sum()
+            for oa in (-1, 1) for ob in (-1, 1)}
+
+
+def exact_class_cells() -> dict:
+    """cells[(pa, pb)][(oa, ob)]: the class cells of the unrotated word
+    tables, over each table's sum, as Fractions."""
+    return {pair: {cell: Fraction(int(weight), int(table.sum()))
+                   for cell, weight in _class_cells(table, *pair).items()}
+            for pair, table in _TABLES.items()}
 
 
 def run_experiment(n_rounds: int, settings_policy="random",
@@ -257,7 +277,6 @@ def run_experiment(n_rounds: int, settings_policy="random",
     if rotations_policy not in ("identity", "fresh"):
         raise ValueError(f"unknown rotations_policy {rotations_policy!r}")
     rng = np.random.default_rng(seed)
-    amp16 = make_eta().amplitudes.reshape(16, 16)
 
     if settings_policy == "random":
         # 2 * Alice + Bob indexes _SETTING_PAIRS; uint32 draws match int64's,
@@ -276,20 +295,14 @@ def run_experiment(n_rounds: int, settings_policy="random",
         n_pairs = [n_rounds if pair == (pa, pb) else 0 for pair in _SETTING_PAIRS]
         policy_name = f"fixed:{pa},{pb}"
 
-    signs = {p: _class_signs(p) for p in ("F", "G")}
-    bras = {p: product_bras(_thetas(p)) for p in ("F", "G")}
-    schmidt = _schmidt_factors(amp16)
     counts = {}
     for (pa, pb), n_pair in zip(_SETTING_PAIRS, n_pairs):
         if rotations_policy == "identity":
-            tally = _word_tally(_word_probs(bras[pa], amp16, bras[pb]), n_pair, rng)
+            tally = _word_tally(_TABLES[(pa, pb)], n_pair, rng)
         else:
-            tally = _sample_fresh_rotations(schmidt, bras[pa], bras[pb], n_pair, rng)
-        cells = tally.reshape(16, 16)
-        counts[(pa, pb)] = {
-            (oa, ob): int(cells[np.ix_(signs[pa] == oa, signs[pb] == ob)].sum())
-            for oa in (-1, 1) for ob in (-1, 1)
-        }
+            tally = _sample_fresh_rotations(_BRAS[pa], _BRAS[pb], n_pair, rng)
+        counts[(pa, pb)] = {cell: int(count)
+                            for cell, count in _class_cells(tally, pa, pb).items()}
     return ExperimentRecord(
         n_rounds=n_rounds,
         settings_policy=policy_name,

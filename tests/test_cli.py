@@ -3,11 +3,13 @@ import re
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dfsbell import cli, distinguish, hardy
+from dfsbell import cli, distinguish, hardy, localmeas
 from dfsbell.cli import main
+from dfsbell.dfs_states import ETA_INT, V1
 
 
 def _run(args, env=None):
@@ -229,3 +231,87 @@ def test_report_all_timing_names_every_section(monkeypatch):
     assert all(t >= 0 for t in timings.values())
     # without --timing the metadata stays empty, so the report is byte-stable
     assert json.loads(_run(["report-all"]).output)["metadata"] == {}
+
+
+def test_product_word_check_fails_on_a_phi1_phi1_term(monkeypatch):
+    # non-vacuity of the exact check: with a phi1 (x) phi1 term in the state
+    # the product-word tables give (F,F) (+1,+1) a nonzero cell
+    name = "Hardy pattern on the product words"
+
+    def check():
+        section = cli._build("simulation", 7, sim_rounds=200)
+        return next(c for c in section.checks if c.name == name)
+
+    assert check().passed
+    m = (ETA_INT + np.outer(V1, V1).ravel()).reshape(16, 16)
+    bras = localmeas._INT_BRAS
+    monkeypatch.setattr(localmeas, "_TABLES", {
+        (a, b): ((bras[a] @ m @ bras[b].T) ** 2).ravel() for a, b in localmeas._TABLES})
+    assert localmeas.exact_class_cells()[("F", "F")][(1, 1)] > 0
+    failed = check()
+    assert not failed.passed
+    assert "(F,F) outcome (+1,+1) = 0\n" not in failed.detail
+
+
+# report-all's checks as (section, check name, source), in report order.
+# Adding, dropping, renaming or relabelling a check shows here.
+MANIFEST = [
+    ("correlation identities", "joint_ff_plus_plus", "closed form"),
+    ("correlation identities", "joint_ff_plus_plus rotation drift", "sampled estimate"),
+    ("correlation identities", "cond_fa_given_gb", "closed form"),
+    ("correlation identities", "cond_fa_given_gb rotation drift", "sampled estimate"),
+    ("correlation identities", "cond_fb_given_ga", "closed form"),
+    ("correlation identities", "cond_fb_given_ga rotation drift", "sampled estimate"),
+    ("correlation identities", "joint_gg_plus_plus", "closed form"),
+    ("correlation identities", "joint_gg_plus_plus rotation drift", "sampled estimate"),
+    ("correlation identities", "null outcome probability", "sampled estimate"),
+    ("finite-sample simulation", "(F,F) outcome (+1,+1) count", "sampled estimate"),
+    ("finite-sample simulation", "(F,G) outcome (-1,+1) count", "sampled estimate"),
+    ("finite-sample simulation", "(G,F) outcome (+1,-1) count", "sampled estimate"),
+    ("finite-sample simulation", "(G,G) outcome (+1,+1) frequency", "sampled estimate"),
+    ("finite-sample simulation", "alignment-free word-pair distribution",
+     "sampled estimate"),
+    ("finite-sample simulation", "Hardy pattern on the product words",
+     "exact rational arithmetic"),
+    *(("collective decoherence immunity", f"sector {state} immune under {scope} rotations",
+       "sampled estimate")
+      for state, scope in (("phi0", "global"), ("phi1", "global"), ("psi0", "global"),
+                           ("psi1", "global"), ("reduced density", "global"),
+                           ("two-wing eta", "per-wing"))),
+    ("collective decoherence immunity",
+     "reference basis word 0101 degraded under global rotations", "sampled estimate"),
+    ("collective decoherence immunity", "reference GHZ degraded under global rotations",
+     "sampled estimate"),
+    ("distinguishable-pair scan", "distinguishable pair angles found",
+     "frozen numerical solve"),
+    ("distinguishable-pair scan", "largest offset from the pi/6 grid",
+     "frozen numerical solve"),
+    ("distinguishable-pair scan", "no distinguishing basis at pi/5",
+     "frozen numerical solve"),
+    ("distinguishable-pair scan", "no distinguishing basis at pi/4",
+     "frozen numerical solve"),
+    ("Hardy optimization", "zero-constraint rank", "closed form"),
+    ("Hardy optimization", "fixed-angle optimum", "closed form"),
+    ("Hardy optimization", "fixed-angle constraint residual", "closed form"),
+    ("Hardy optimization", "shared state attains the fixed-angle optimum", "closed form"),
+    ("Hardy optimization", "free-angle optimum", "closed form"),
+    ("Hardy optimization", "free-angle constraint residual", "closed form"),
+    ("Hardy optimization", "no grid angle pair beats the free-angle optimum",
+     "frozen numerical solve"),
+    ("local model feasibility", "local deterministic models refuted",
+     "exact rational arithmetic"),
+    ("local model feasibility", "zero-probability control admits a local model",
+     "exact rational arithmetic"),
+]
+
+# Small sizes at which every section still gives its full list of checks.
+SMALL = {"rotations": 2, "sim_rounds": 200, "decoherence_samples": 4,
+         "scan_resolution": 100, "exclusion_resolution": 100}
+
+
+def test_report_all_check_manifest():
+    checks = []
+    for name, row in cli.SECTIONS.items():
+        section = cli._build(name, 0, **{k: SMALL[k] for k in row.config if k in SMALL})
+        checks += [(section.name, c.name, c.source) for c in section.checks]
+    assert checks == MANIFEST

@@ -177,8 +177,8 @@ def test_dfs_vector_validation():
 
 def test_observable_lookup_and_matrix():
     f = make_f()
-    assert [val for val, _ in f.eigenpairs] == [-1.0, +1.0]
-    assert abs(dict(f.eigenpairs)[-1.0].overlap(make_phi0()) - 1.0) < 1e-12
+    assert abs(f.minus.overlap(make_phi0()) - 1.0) < 1e-12
+    assert abs(f.plus.overlap(make_phi1()) - 1.0) < 1e-12
     m = f.to_matrix()
     assert np.allclose(m, m.conj().T)
     v = make_phi1().amplitudes
@@ -187,7 +187,7 @@ def test_observable_lookup_and_matrix():
 
 def test_observable_requires_orthonormal_eigenvectors():
     with pytest.raises(ValueError):
-        Observable(((-1.0, make_phi0()), (+1.0, make_phi0())))
+        Observable(make_phi0(), make_phi0())
 
 
 def test_rotated_observable_matches_conjugation():
@@ -217,6 +217,6 @@ def test_dfs_observable_angles():
     assert np.allclose(dfs_observable(0.0).to_matrix(), make_f().to_matrix())
     # the sector image of the rotated minus-eigenvector is (cos a, sin a)
     obs = dfs_observable(0.7)
-    v = dfs_project(dict(obs.eigenpairs)[-1.0])
+    v = dfs_project(obs.minus)
     assert abs(v.c0 - math.cos(0.7)) < 1e-12
     assert abs(v.c1 - math.sin(0.7)) < 1e-12

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
-from dfsbell.localmeas import (PROTOCOLS, _draw_words, _schmidt_factors,
+from dfsbell.localmeas import (PROTOCOLS, _INT_BRAS, _TABLES, _draw_words,
                                _turned_word_probs, _word_probs, _word_tally,
-                               classify_outcome, max_frame_drift, run_experiment,
+                               classify_outcome, exact_class_cells,
+                               max_frame_drift, run_experiment,
                                wing_distribution, wing_outcome_distribution)
-from dfsbell.dfs_states import (make_eta, make_f, make_g, make_phi0, make_phi1,
-                                make_psi0)
-from dfsbell.qcore import (ATOL, QuantumState, basis_state, haar_su2, haar_su2_batch,
+from dfsbell.dfs_states import (ETA_COEFFS, SECTOR, make_eta, make_f, make_g,
+                                make_phi0, make_phi1, make_psi0)
+from dfsbell.qcore import (QuantumState, basis_state, haar_su2, haar_su2_batch,
                            joint_probs, kron, product_bras, wing_bras)
 
 F_MINUS_WORDS = {0b0101, 0b0110, 0b1001, 0b1010}
@@ -138,35 +140,66 @@ def test_fixed_frame_stream_is_pinned():
 
 
 def test_eta_has_two_schmidt_terms():
-    # eta lies in span{phi0, phi1} (x) span{phi0, phi1}: rank 2, rebuilt exactly
+    # eta's matrix is SECTOR ETA_COEFFS SECTOR^T, with an invertible 2x2 core
+    # between two orthonormal columns: rank 2, the factors fresh frames turn
     amp16 = make_eta().amplitudes.reshape(16, 16)
-    left, s, right = _schmidt_factors(amp16)
-    assert s.shape == (2,) and left.shape == right.shape == (16, 2)
-    assert np.abs(left * s @ right.T - amp16).max() < ATOL
+    assert np.abs(SECTOR @ ETA_COEFFS @ SECTOR.T - amp16).max() < 1e-15
+    assert np.abs(SECTOR.T @ SECTOR - np.eye(2)).max() < 1e-15
+    assert abs(np.linalg.det(ETA_COEFFS)) > 0.1
 
 
 def test_schmidt_route_needs_no_rotation_invariance():
-    # turning the state's Schmidt columns gives the word-pair probabilities
+    # turning the state's factor columns gives the word-pair probabilities
     # of turning the bras, on states that the frames do move
     rng = np.random.default_rng(47)
     amps = rng.normal(size=256) + 1j * rng.normal(size=256)
-    states = {16: amps / np.linalg.norm(amps),
-              1: basis_state("01010011").amplitudes}
+    states = (amps / np.linalg.norm(amps), basis_state("01010011").amplitudes)
     bras = {p: product_bras(PROTOCOLS[p]) for p in ("F", "G")}
-    for rank, state in states.items():
+    for state in states:
         amp16 = state.reshape(16, 16)
-        schmidt = _schmidt_factors(amp16)
-        assert schmidt[1].size == rank
+        factors = (np.eye(16), amp16, np.eye(16))
         for pa in ("F", "G"):
             for pb in ("F", "G"):
                 ua = haar_su2_batch(rng, (64,))
                 ub = haar_su2_batch(rng, (64,))
-                turned = _turned_word_probs(schmidt, bras[pa], ua, bras[pb], ub)
+                turned = _turned_word_probs(factors, bras[pa], ua, bras[pb], ub)
                 expect = _word_probs(wing_bras(bras[pa], ua), amp16,
                                      wing_bras(bras[pb], ub))
                 assert np.abs(turned - expect).max() < 1e-14
                 still = _word_probs(bras[pa], amp16, bras[pb])
                 assert np.abs(expect - still).max() > 1e-3
+
+
+# Outcome-pair cells as (-,-), (-,+), (+,-), (+,+), and the nonzero words,
+# of each setting pair's unrotated word-pair distribution on eta
+EXACT_CELLS = {
+    ("F", "F"): ((1, 7), (3, 7), (3, 7), (0, 1), 112),
+    ("F", "G"): ((4, 7), (0, 1), (3, 28), (9, 28), 208),
+    ("G", "F"): ((4, 7), (3, 28), (0, 1), (9, 28), 208),
+    ("G", "G"): ((7, 16), (27, 112), (27, 112), (9, 112), 256),
+}
+
+
+def test_word_tables_are_exact_integer_distributions():
+    cells = exact_class_cells()
+    assert list(_TABLES) == list(EXACT_CELLS)
+    for pair, (*fractions, nonzero) in EXACT_CELLS.items():
+        table = _TABLES[pair]
+        assert table.dtype.kind == "i" and table.shape == (256,)
+        assert table.sum() == 1792
+        assert np.count_nonzero(table) == nonzero
+        assert list(cells[pair].values()) == [Fraction(*f) for f in fractions]
+
+
+def test_word_tables_are_the_float_born_probabilities():
+    # the integer bras are twice the product bras, and each table over 1792
+    # is the word-pair distribution of the float amplitudes
+    amp16 = make_eta().amplitudes.reshape(16, 16)
+    for p in ("F", "G"):
+        assert np.abs(2 * product_bras(PROTOCOLS[p]) - _INT_BRAS[p]).max() < 1e-15
+    for (pa, pb), table in _TABLES.items():
+        p = joint_probs(product_bras(PROTOCOLS[pa]), amp16, product_bras(PROTOCOLS[pb]))
+        assert np.abs(table / 1792 - p.ravel()).max() < 1e-16
 
 
 def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):

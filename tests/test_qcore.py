@@ -246,13 +246,16 @@ NAN = float("nan")
     lambda: QuantumState(np.array([NAN, 0.0])),
     lambda: DfsVector(NAN, 0.0),
     lambda: HardyInstance((NAN, 0.0, 0.0, 0.0), 0.0, 0.0),
+    lambda: HardyInstance((1, 0, 0, 0), NAN, 0.0),
     lambda: Unitary2(np.array([[NAN, 0.0], [0.0, 1.0]])),
     # unit trace, so only the Hermitian and eigenvalue tests see the NaN
     lambda: DensityOperator(np.array([[1.0, NAN], [NAN, 0.0]])),
-], ids=["QuantumState", "DfsVector", "HardyInstance", "Unitary2", "DensityOperator"])
+], ids=["QuantumState", "DfsVector", "HardyInstance", "HardyInstance-angle", "Unitary2",
+        "DensityOperator"])
 def test_nan_fails_every_validated_type(build):
     # each check reads ``not err <= tol``: a NaN error compares False
-    # against every tolerance, so ``err > tol`` would let it through
+    # against every tolerance, so ``err > tol`` would let it through; an
+    # angle has no tolerance and must be finite
     with pytest.raises(ValueError):
         build()
 
