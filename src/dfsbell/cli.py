@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
 2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
-non-finite --tol, and a --grid that is not a multiple of 4), 3 an output
+non-finite --tol, a --grid that is not a multiple of 4, and a --rounds,
+--rotations or --samples outside 1..2**63 - 1), 3 an output
 file could not be written, 4 internal error (an unexpected exception,
 reported in one line on stderr).
 
@@ -314,6 +315,9 @@ def _emit(name: str, seed: int = 0, **config) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
+# Round, rotation and sample counts; numpy sizes its arrays by int64.
+_COUNT = click.IntRange(min=1, max=2 ** 63 - 1)
+
 _seed_option = click.option("--seed", default=None, type=click.IntRange(min=0),
                             callback=_resolve_seed, help="Root RNG seed.")
 
@@ -343,7 +347,7 @@ def main():
 
 
 @main.command("verify-correlations")
-@_config_option("--rotations", "rotations", type=click.IntRange(min=1),
+@_config_option("--rotations", "rotations", type=_COUNT,
                 help="Random rotation tuples to sample.")
 @_seed_option
 @_config_option("--tol", "identity_tol", type=click.FloatRange(min=0.0),
@@ -355,7 +359,7 @@ def verify_correlations_cmd(**options):
 
 
 @main.command("simulate")
-@_config_option("--rounds", "sim_rounds", type=click.IntRange(min=1),
+@_config_option("--rounds", "sim_rounds", type=_COUNT,
                 help="Number of experiment rounds.")
 @_seed_option
 @click.option("--rotate-each-round", is_flag=True,
@@ -382,7 +386,7 @@ def simulate_cmd(sim_rounds, seed, rotate_each_round, out):
 
 
 @main.command("verify-decoherence")
-@_config_option("--samples", "decoherence_samples", type=click.IntRange(min=1),
+@_config_option("--samples", "decoherence_samples", type=_COUNT,
                 help="Random rotations per state.")
 @_seed_option
 def verify_decoherence_cmd(**options):

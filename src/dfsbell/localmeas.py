@@ -20,11 +20,15 @@ the frame-drift check compares against them, and ``exact_class_cells`` reads
 their outcome-pair cells as Fractions.
 
 The simulation keeps only word tallies: fixed frames draw each setting pair's
-256-word tally as one multinomial, fresh frames draw one word per round, and
-either way the tally is classified once into outcome pairs.  Fresh frames turn
-the state instead of the bras: eta is SECTOR ETA_COEFFS SECTOR^T, so each
-frame turns the sector's two columns (``qcore.collective_turn``) around the
-2x2 core ETA_COEFFS.
+256-word tally as one multinomial, fresh frames draw one word pair per round,
+and either way the tally is classified once into outcome pairs.  Fresh frames
+turn the state's factors instead of the bras: eta is (SECTOR ETA_COEFFS)
+SECTOR^T, and each frame turns two columns (``qcore.collective_turn``).  Bob's
+turned columns are orthonormal, so Alice's marginal ignores his frame: at the
+round's one uniform Alice's word comes from her 16-word marginal, then Bob's
+from his row given hers, which reads the 256 word pairs' inverse CDF in
+Alice-major order; in each stage a uniform past a row's end takes its last
+possible word.
 """
 
 from __future__ import annotations
@@ -39,14 +43,14 @@ from .dfs_states import ETA_COEFFS, ETA_INT, SECTOR, make_eta
 from .qcore import (QuantumState, Unitary2, collective_turn, haar_su2_batch,
                     joint_probs, kron, product_bras, wing_bras)
 
-# Fresh-frame word probabilities analytically equal to zero come out of
-# floating-point amplitude algebra at ~1e-32; clipping below this threshold
-# keeps impossible events impossible in sampled statistics.
+# Fresh-frame marginal and conditional word probabilities analytically zero
+# come out of floating-point amplitude algebra at ~1e-32; clipping below this
+# threshold keeps impossible events impossible in sampled statistics.
 _PROB_CLIP = 1e-20
 
 _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
 
-# Rounds per batch of fresh frames; bounds the (rounds, 16, 16) work arrays.
+# Rounds per batch of fresh frames; bounds the (16, 2, rounds) work arrays.
 _ROUNDS_PER_CHUNK = 2048
 
 # Rounds per draw of Bob's random settings; bounds that draw's temporary.
@@ -92,8 +96,9 @@ _INT_BRAS = {p: kron([_INT_ROWS[t] for t in thetas]) for p, thetas in PROTOCOLS.
 _TABLES = {(a, b): ((_INT_BRAS[a] @ ETA_INT.reshape(16, 16) @ _INT_BRAS[b].T) ** 2).ravel()
            for a, b in _SETTING_PAIRS}
 _AMP16 = make_eta().amplitudes.reshape(16, 16)
-# eta = SECTOR ETA_COEFFS SECTOR^T: the columns each frame turns, and the core
-_ETA_FACTORS = (SECTOR, ETA_COEFFS, SECTOR)
+# eta = (SECTOR ETA_COEFFS) SECTOR^T.  einsum, not @: a float matmul at import
+# would add BLAS buffers (0.3 MB of peak RSS) to runs without fresh frames.
+_ETA_FACTORS = (np.einsum("vj,jk->vk", SECTOR, ETA_COEFFS), SECTOR)
 
 
 def wing_distribution(state: QuantumState, protocol: str,
@@ -150,39 +155,49 @@ class ExperimentRecord:
         }
 
 
-def _word_probs(bras_a, amp16, bras_b) -> np.ndarray:
-    """Normalized 256-word-pair distribution, batched over leading axes."""
-    p = joint_probs(bras_a, amp16, bras_b)
-    p = p.reshape(*p.shape[:-2], 256)
-    p = np.where(p < _PROB_CLIP, 0.0, p)
-    return p / p.sum(axis=-1, keepdims=True)
+def _draw_words(p, r) -> tuple:
+    """Inverse-CDF word draws: row i of ``p``, clipped at _PROB_CLIP, at r[i].
 
-
-def _draw_words(p, r) -> np.ndarray:
-    """Inverse-CDF word draws: row i of ``p`` at the uniform r[i].
-
-    A normalized row can sum to a few ulps below 1, and a uniform above its
-    last cumulative value would count past the last word; such a draw takes
-    the row's last word of positive probability.  Every other draw is the
-    plain count of cumulative values below r.
+    A row's last cumulative value can fall a few ulps short of the mass the
+    row stands for, and an r above it would count past the last word; such a
+    draw takes the row's last word of positive probability.  Every other draw
+    is the plain count of cumulative values below r.  Returns the words and
+    the cumulative rows.
     """
-    words = (np.cumsum(p, axis=1) < r[:, None]).sum(axis=1)
+    p = np.where(p < _PROB_CLIP, 0.0, p)
+    c = np.cumsum(p, axis=1)
+    words = (c < r[:, None]).sum(axis=1)
     past = np.flatnonzero(words == p.shape[1])
     words[past] = p.shape[1] - 1 - np.argmax(p[past, ::-1] > 0, axis=1)
-    return words
+    return words, c
 
 
-def _turned_word_probs(factors, bras_a, ua, bras_b, ub) -> np.ndarray:
-    """``_word_probs`` of the wings' bras turned by the frame stacks ua and ub.
+def _turned_columns(bras, u, vecs) -> np.ndarray:
+    """bras (U^(x4))^dagger vecs for the frame stack u, as (16, r, m): one
+    product over all frames, since ``collective_turn`` returns a view of a
+    contiguous (16, r, m) array."""
+    turned = collective_turn(u.conj().swapaxes(-1, -2), vecs).transpose(1, 2, 0)
+    return (bras @ turned.reshape(16, -1)).reshape(turned.shape)
 
-    ``factors`` (L, C, R) give the state as L C R^T.  Each frame turns L's
-    or R's columns instead of its wing's bras: bras (U^(x4))^dagger L is
-    bras applied to the columns L turned by (U^dagger)^(x4).
+
+def _fresh_words(factors, bras_a, ua, bras_b, ub, r) -> np.ndarray:
+    """Word pairs 16 a + b of the rounds in frames (ua, ub) at uniforms r.
+
+    ``factors`` (L, R) give the state as L R^T, R with orthonormal columns, so
+    Bob's turned columns xb are orthonormal: Alice's marginal is the squared
+    row norms of her turned xa, and Bob's row given her word a is |xb xa[a]|^2.
     """
-    left, core, right = factors
-    xa = bras_a @ collective_turn(ua.conj().swapaxes(-1, -2), left)
-    xb = bras_b @ collective_turn(ub.conj().swapaxes(-1, -2), right)
-    return _word_probs(xa, core, xb)
+    xa = _turned_columns(bras_a, ua, factors[0])
+    xb = _turned_columns(bras_b, ub, factors[1])
+    pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)
+    total = pa.sum(axis=0)
+    a, ca = _draw_words((pa / total).T, r)
+    frames = np.arange(r.size)
+    amps = (xa[a, :, frames].T * xb).sum(axis=1)
+    # Bob's word on what r leaves past Alice's words before a
+    b, _ = _draw_words(((amps.real ** 2 + amps.imag ** 2) / total).T,
+                       r - np.where(a > 0, ca[frames, a - 1], 0.0))
+    return 16 * a + b
 
 
 def _sample_fresh_rotations(bras_a, bras_b, n, rng):
@@ -192,8 +207,8 @@ def _sample_fresh_rotations(bras_a, bras_b, n, rng):
         m = min(_ROUNDS_PER_CHUNK, n - done)
         ua = haar_su2_batch(rng, (m,))
         ub = haar_su2_batch(rng, (m,))
-        p = _turned_word_probs(_ETA_FACTORS, bras_a, ua, bras_b, ub)
-        tally += np.bincount(_draw_words(p, rng.random(m)), minlength=256)
+        words = _fresh_words(_ETA_FACTORS, bras_a, ua, bras_b, ub, rng.random(m))
+        tally += np.bincount(words, minlength=256)
     return tally
 
 

@@ -189,6 +189,20 @@ def test_grid_without_pi_over_four_is_usage_error(grid):
     assert "--grid" in result.output
 
 
+@pytest.mark.parametrize("command, option", [("verify-correlations", "--rotations"),
+                                             ("simulate", "--rounds"),
+                                             ("verify-decoherence", "--samples")])
+def test_count_of_two_to_the_63_is_usage_error(monkeypatch, command, option):
+    # numpy sizes its arrays by int64: the count is refused before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started its work")
+    monkeypatch.setattr(cli, "_build", no_work)
+    monkeypatch.setattr(localmeas, "run_experiment", no_work)
+    result = _run([command, option, str(2 ** 63)])
+    assert result.exit_code == 2
+    assert option in result.output
+
+
 def test_negative_seed_option_is_usage_error():
     for cmd in (["verify-correlations", "--rotations", "2"],
                 ["simulate", "--rounds", "10"],

@@ -9,8 +9,9 @@ import pytest
 
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
-from dfsbell.localmeas import (PROTOCOLS, _INT_BRAS, _TABLES, _draw_words,
-                               _turned_word_probs, _word_probs, _word_tally,
+from dfsbell.localmeas import (PROTOCOLS, _BRAS, _ETA_FACTORS, _INT_BRAS,
+                               _PROB_CLIP, _TABLES, _draw_words, _fresh_words,
+                               _turned_columns, _word_tally,
                                classify_outcome, exact_class_cells,
                                max_frame_drift, run_experiment,
                                wing_distribution, wing_outcome_distribution)
@@ -148,26 +149,60 @@ def test_eta_has_two_schmidt_terms():
     assert abs(np.linalg.det(ETA_COEFFS)) > 0.1
 
 
-def test_schmidt_route_needs_no_rotation_invariance():
-    # turning the state's factor columns gives the word-pair probabilities
-    # of turning the bras, on states that the frames do move
+def _bra_route_words(amp16, bras_a, ua, bras_b, ub, r):
+    # reference route: one draw from the clipped, normalized 256-word joint
+    # distribution of the wings' bras turned by their frames
+    p = joint_probs(wing_bras(bras_a, ua), amp16, wing_bras(bras_b, ub))
+    p = p.reshape(-1, 256)
+    p = np.where(p < _PROB_CLIP, 0.0, p)
+    return _draw_words(p / p.sum(axis=1, keepdims=True), r)[0]
+
+
+def test_two_stage_draw_is_the_bra_route_draw_for_draw():
+    # Alice's word from her marginal, then Bob's from his row given hers,
+    # at the round's one uniform, draws the word pair one draw from the
+    # 256-word joint distribution of the turned bras would
+    eta16 = make_eta().amplitudes.reshape(16, 16)
+    for seed in (3, 7, 11):
+        rng = np.random.default_rng(seed)
+        for pa, pb in (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G")):
+            ua = haar_su2_batch(rng, (2048,))
+            ub = haar_su2_batch(rng, (2048,))
+            r = rng.random(2048)
+            words = _fresh_words(_ETA_FACTORS, _BRAS[pa], ua, _BRAS[pb], ub, r)
+            expect = _bra_route_words(eta16, _BRAS[pa], ua, _BRAS[pb], ub, r)
+            assert (words == expect).all(), (seed, pa, pb)
+
+
+def test_two_stage_draw_needs_no_rotation_invariance():
+    # on states that the frames do move, with general factors (M, I): the
+    # marginal times the conditional row is the joint distribution of the
+    # turned bras, and the draws are the bra route's
     rng = np.random.default_rng(47)
     amps = rng.normal(size=256) + 1j * rng.normal(size=256)
     states = (amps / np.linalg.norm(amps), basis_state("01010011").amplitudes)
-    bras = {p: product_bras(PROTOCOLS[p]) for p in ("F", "G")}
     for state in states:
         amp16 = state.reshape(16, 16)
-        factors = (np.eye(16), amp16, np.eye(16))
+        factors = (amp16, np.eye(16))
         for pa in ("F", "G"):
             for pb in ("F", "G"):
-                ua = haar_su2_batch(rng, (64,))
-                ub = haar_su2_batch(rng, (64,))
-                turned = _turned_word_probs(factors, bras[pa], ua, bras[pb], ub)
-                expect = _word_probs(wing_bras(bras[pa], ua), amp16,
-                                     wing_bras(bras[pb], ub))
-                assert np.abs(turned - expect).max() < 1e-14
-                still = _word_probs(bras[pa], amp16, bras[pb])
-                assert np.abs(expect - still).max() > 1e-3
+                ua = haar_su2_batch(rng, (256,))
+                ub = haar_su2_batch(rng, (256,))
+                r = rng.random(256)
+                joint = joint_probs(wing_bras(_BRAS[pa], ua), amp16,
+                                    wing_bras(_BRAS[pb], ub))
+                xa = _turned_columns(_BRAS[pa], ua, factors[0])
+                xb = _turned_columns(_BRAS[pb], ub, factors[1])
+                marginal = (np.abs(xa) ** 2).sum(axis=1).T
+                assert np.abs(marginal - joint.sum(axis=2)).max() < 1e-14
+                rows = np.abs(np.einsum("akm,bkm->mab", xa, xb)) ** 2
+                conditional = rows / marginal[:, :, None]
+                assert np.abs(marginal[:, :, None] * conditional - joint).max() < 1e-14
+                words = _fresh_words(factors, _BRAS[pa], ua, _BRAS[pb], ub, r)
+                expect = _bra_route_words(amp16, _BRAS[pa], ua, _BRAS[pb], ub, r)
+                assert (words == expect).all(), pa + pb
+                still = joint_probs(_BRAS[pa], amp16, _BRAS[pb])
+                assert np.abs(joint - still).max() > 1e-3
 
 
 # Outcome-pair cells as (-,-), (-,+), (+,-), (+,+), and the nonzero words,
@@ -252,12 +287,13 @@ def test_fixed_frame_tally_matches_the_eigen_bras_route():
 def test_run_experiment_traced_peak_memory():
     # fixed settings build no per-round array; random settings need one
     # uint32 pair index and a one-byte mask of it per pair value, 5 bytes a
-    # round.  Fresh frames turn two Schmidt columns per frame: a chunk of
-    # (rounds, 16, 16) U^(x4) stacks would more than double the peak.
+    # round.  Fresh frames turn two state columns per frame and wing and keep
+    # (16, rounds) arrays: a chunk of (rounds, 256) word-pair probabilities
+    # or of (rounds, 16, 16) U^(x4) stacks would pass the bound.
     n = 10 ** 6
     for rounds, settings, frames, limit in ((n, ("G", "G"), "identity", 10 ** 6),
                                             (n, "random", "identity", 6 * n),
-                                            (8000, "random", "fresh", 20 * 10 ** 6)):
+                                            (8000, "random", "fresh", 10 * 10 ** 6)):
         tracemalloc.start()
         try:
             run_experiment(rounds, settings, frames, seed=3)
@@ -273,17 +309,17 @@ def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():
     top = np.nextafter(1.0, 0.0)
     p = np.zeros((1, 256))
     p[0, :3] = (0.5, 0.25, 0.25 - 2.0 ** -52)
-    assert _draw_words(p, np.array([top])).tolist() == [2]
-    # seeded fresh-frame (F,F) rows: word 255 is the forbidden (+1,+1) pair
-    # and has probability 0 in every row, and some rows end below the uniform
+    assert _draw_words(p, np.array([top]))[0].tolist() == [2]
+    # seeded fresh-frame (F,F) rounds at that uniform, in both stages: word
+    # 255 is the forbidden (+1,+1) pair and has probability 0 in every frame
     rng = np.random.default_rng(5)
-    bras = product_bras(PROTOCOLS["F"])
-    p = _word_probs(wing_bras(bras, haar_su2_batch(rng, (512,))),
-                    make_eta().amplitudes.reshape(16, 16),
-                    wing_bras(bras, haar_su2_batch(rng, (512,))))
-    assert (np.cumsum(p, axis=1)[:, -1] < top).any() and not p[:, 255].any()
-    words = _draw_words(p, np.full(512, top))
-    assert (p[np.arange(512), words] > 0).all()
+    ua = haar_su2_batch(rng, (512,))
+    ub = haar_su2_batch(rng, (512,))
+    bras = _BRAS["F"]
+    p = joint_probs(wing_bras(bras, ua), make_eta().amplitudes.reshape(16, 16),
+                    wing_bras(bras, ub)).reshape(512, 256)
+    words = _fresh_words(_ETA_FACTORS, bras, ua, bras, ub, np.full(512, top))
+    assert (p[np.arange(512), words] >= _PROB_CLIP).all() and 255 not in words
 
 
 def test_word_distribution_matches_the_reference_product_basis():
