@@ -2,8 +2,8 @@
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
 2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
-non-finite --tol, a --grid that is not a multiple of 4, and a --rounds,
---rotations or --samples outside 1..2**63 - 1), 3 an output
+non-finite --tol, a --grid that ``distinguish.check_resolution`` refuses, and
+a --rounds, --rotations or --samples outside 1..2**63 - 1), 3 an output
 file could not be written, 4 internal error (an unexpected exception,
 reported in one line on stderr).
 
@@ -65,11 +65,11 @@ def _finite(ctx, param, value):
     return value
 
 
-def _multiple_of_4(ctx, param, value):
-    # the scan finds the exact distinguishing tuples only with pi/4 on the grid
-    if value % 4:
-        raise click.BadParameter(f"{value} is not a multiple of 4")
-    return value
+def _grid(ctx, param, value):
+    try:
+        return distinguish.check_resolution(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
 
 
 def _subseed(root: int, index: int) -> int:
@@ -395,9 +395,8 @@ def verify_decoherence_cmd(**options):
 
 
 @main.command("verify-distinguish")
-@_config_option("--grid", "scan_resolution", type=click.IntRange(min=100),
-                callback=_multiple_of_4,
-                help="Grid points per angle, a multiple of 4.")
+@_config_option("--grid", "scan_resolution", type=int, callback=_grid,
+                help="Grid points per angle, a multiple of 4 from 100 to 1600.")
 def verify_distinguish_cmd(**options):
     """Scan for pair angles admitting a distinguishing product basis."""
     _emit("distinguish", **options)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import ATOL, QuantumState, Unitary2, apply_collective, permute_qubits
+from .qcore import (ATOL, QuantumState, Unitary2, apply_collective, axis_rows,
+                    permute_qubits)
 
 V0 = np.zeros(16, dtype=np.int64)
 V0[[0b0101, 0b1010]] = 1
@@ -165,9 +166,8 @@ def make_g() -> Observable:
 def dfs_observable(alpha: float) -> Observable:
     """Rank-2 observable whose -1 eigenvector is cos(a)|phi0> + sin(a)|phi1>.
 
+    Its eigenvectors are the rows of ``axis_rows(alpha)`` over (phi0, phi1).
     alpha = 0 reproduces F up to an eigenvector sign; alpha = pi/3 reproduces
     G exactly, since |psi0> = cos(pi/3)|phi0> + sin(pi/3)|phi1>.
     """
-    minus = DfsVector(math.cos(alpha), math.sin(alpha))
-    plus = DfsVector(math.sin(alpha), -math.cos(alpha))
-    return Observable(dfs_embed(minus), dfs_embed(plus))
+    return Observable(*(dfs_embed(DfsVector(*row)) for row in axis_rows(alpha)))

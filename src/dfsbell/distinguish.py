@@ -54,10 +54,10 @@ that theta tuple.
 Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d on
 the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6 are
 split (test_exact_certificate_of_the_six_angles, in exact arithmetic).  The
-grids have a multiple of 4 points per angle, so they contain {0, pi/4}, the
-quarter-grid images of that lattice: the scan checks each candidate at its
-grid tuple with the closed-form omega, and the find returns the best grid
-tuple, with no local search.
+grids have a multiple of 4 points per angle (``check_resolution``), so they
+contain {0, pi/4}, the quarter-grid images of that lattice: the scan checks
+each candidate at its grid tuple with the closed-form omega, and the find
+returns the best grid tuple, with no local search.
 """
 
 from __future__ import annotations
@@ -132,6 +132,20 @@ def omega_from_thetas(theta_a: float, theta_b: float,
     return num / (math.sqrt(3.0) * sab * scd)
 
 
+def check_resolution(resolution: int) -> int:
+    """The grid rule: a multiple of 4 from 100 to 1600 points per angle.
+
+    A multiple of 4 puts pi/4, and with it the images of the exact tuples, on
+    the grid (module docstring).  The scan's peak memory grows as r^2 (55 MB
+    at r = 400), so r = 1600 takes about 0.9 GB and 70 s.  Returns the
+    resolution; raises ValueError otherwise.
+    """
+    if resolution % 4 or not 100 <= resolution <= 1600:
+        raise ValueError("resolution must be a multiple of 4 from 100 to 1600 "
+                         "points per angle, so that pi/4 is on the grid")
+    return resolution
+
+
 def _grid_chunks(resolution: int):
     """Yield ``(thetas, lo, z)`` over the quarter grid, one theta_d block at a time.
 
@@ -140,16 +154,10 @@ def _grid_chunks(resolution: int):
     ``z[i, j, k, w]`` is the product component of phi0 + i phi1 for the word
     0bcd (w = 4b + 2c + d) at angles (0, thetas[i], thetas[j], thetas[lo + k]);
     the 1bcd words follow by the bit-flip sign (see module docstring).  Each
-    block holds (r/2)^2 * _CHUNK * 8 complex values.  The resolution must be
-    at least 100 and a multiple of 4, so that the grid contains pi/4 and
-    with it the images of the exact tuples.
+    block holds (r/2)^2 * _CHUNK * 8 complex values.  The resolution follows
+    ``check_resolution``.
     """
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100 points per angle")
-    if resolution % 4:
-        raise ValueError("resolution must be a multiple of 4, so that pi/4 "
-                         "is on the grid")
-    r = resolution
+    r = check_resolution(resolution)
     n = r // 2
     thetas = np.arange(n) * (math.pi / r)
     rows = np.stack([axis_rows(t) for t in thetas])
@@ -195,13 +203,13 @@ def scan_distinguishable_omegas(resolution: int = 200,
     ----------
     resolution : int
         Grid points per angle on [0, pi), of which the scan evaluates the
-        r/2 on [0, pi/2); at least 100 and a multiple of 4, since the
-        exact distinguishing tuples need pi/4 on the grid (near-misses on
-        other grids stay above the candidate cut, and nothing is found).
+        r/2 on [0, pi/2); as ``check_resolution`` allows (near-misses on
+        grids without pi/4 stay above the candidate cut, and nothing is
+        found).
     refine_tol : float
         Fold width: a representative within ``refine_tol`` below pi is
-        reported as 0.  Kept as a keyword because the perfbench scan
-        workload passes it.
+        reported as 0.  Kept while the benchmark's scan passes it (ROADMAP
+        item 1, test_benchmark_calls_match_the_package).
     """
     found = []
     for thetas, lo, z in _grid_chunks(resolution):
@@ -250,8 +258,7 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
     Takes the grid tuple with the smallest summed squared support products
     and returns it if it passes the disjoint-support test.  The tuple is
     (0, theta_b, theta_c, theta_d) with the last three in [0, pi/2) (quarter
-    grid, module docstring).  ``resolution`` is as for the scan: at least
-    100 and a multiple of 4.
+    grid, module docstring).  ``resolution`` is as for the scan.
     """
     rot = complex(math.cos(omega), -math.sin(omega))
     best = (math.inf, None)

@@ -1,8 +1,8 @@
 """Hardy-type logic on the two-wing singlet sectors.
 
 Each wing carries a protected qubit spanned by the wing's two singlet-sector
-basis states.  Alice and Bob each choose between the fixed observable F
-(outcome -1 on the first basis state) and a rotated one G at angle alpha.  A
+basis states.  Alice and Bob each choose between the fixed observable F and
+a rotated one G, whose bras are the rows of ``axis_rows`` at 0 and alpha.  A
 state is a Hardy witness when the three joint probabilities of
 ``ZERO_EVENTS`` vanish exactly while that of ``POSITIVE_EVENT`` stays
 positive; on the shared state it is ``P_POSITIVE`` = 9/112.
@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dfs_states import ETA_COEFFS, SECTOR
-from .qcore import QuantumState
+from .qcore import QuantumState, axis_rows
 
 # The Hardy pattern as (Alice's setting, Bob's setting, Alice's outcome,
 # Bob's outcome): three events that never occur, and one that does.
@@ -46,6 +46,9 @@ STRATEGIES = tuple(itertools.product((-1, +1), repeat=4))
 # the best angle has sin^2(alpha) = t and the probability equals t^5.
 FREE_OPTIMAL_SIN_SQ = (math.sqrt(5.0) - 1.0) / 2.0
 FREE_MAXIMUM = FREE_OPTIMAL_SIN_SQ ** 5
+
+# F's bras, outcome -1 first: e0 and -e1 (no probability sees the sign)
+_F_ROWS = axis_rows(0.0)
 
 
 @dataclass(frozen=True)
@@ -79,27 +82,18 @@ class HardyInstance:
             raise ValueError(f"angles must be finite, got {self.alpha_a}, {self.alpha_b}")
 
 
-def _wing_row(setting: str, outcome: int, alpha: float) -> tuple:
-    """One wing's eigen-bra in its (e0, e1) basis.
-
-    F has -1 on e0 and +1 on e1; G at alpha has -1 on cos(a) e0 + sin(a) e1
-    and +1 on sin(a) e0 - cos(a) e1.
-    """
-    if setting == "F":
-        return (0.0, 1.0) if outcome > 0 else (1.0, 0.0)
-    c, s = math.cos(alpha), math.sin(alpha)
-    return (s, -c) if outcome > 0 else (c, s)
-
-
 def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
     """Real coefficient vectors of the four Hardy events, keyed by event.
 
     Each event's probability is |row . c|^2 where c are the instance
-    amplitudes; the row is the Kronecker product of the two wings' bras.
+    amplitudes; the row is the Kronecker product of the two wings' bras
+    (outcome -1 first in each wing's rows).
     """
+    alice = {"F": _F_ROWS, "G": axis_rows(alpha_a)}
+    bob = {"F": _F_ROWS, "G": axis_rows(alpha_b)}
     return {
-        (sa, sb, oa, ob): np.multiply.outer(_wing_row(sa, oa, alpha_a),
-                                            _wing_row(sb, ob, alpha_b)).ravel()
+        (sa, sb, oa, ob): np.multiply.outer(alice[sa][int(oa > 0)],
+                                            bob[sb][int(ob > 0)]).ravel()
         for sa, sb, oa, ob in ZERO_EVENTS + (POSITIVE_EVENT,)
     }
 
@@ -332,23 +326,20 @@ def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
     return int(np.linalg.matrix_rank(np.array([rows[e] for e in ZERO_EVENTS])))
 
 
-def _result(inst: HardyInstance, n_feasible: int, n_starts: int) -> OptimizationResult:
-    p, residuals = hardy_probability(inst)
-    return OptimizationResult(p, inst, max(residuals.values()), n_feasible, n_starts)
-
-
 def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,
                          seed=0) -> OptimizationResult:
     """Maximize the positive-event probability at a fixed common angle.
 
     With rank-3 zero constraints the feasible state is unique up to phase,
-    so it is the maximizer: no search is needed, and ``n_starts`` and
-    ``seed`` are unused (the result reports one start).  At alpha = pi/3 the
-    optimum is 9/112.  Raises ValueError where the rank drops (alpha = pi/2).
+    so it is the maximizer: no search is needed (the result reports one
+    start).  At alpha = pi/3 the optimum is 9/112.  Where the rank drops
+    (alpha = pi/2 mod pi), ``feasible_state`` raises ValueError.  ``n_starts``
+    and ``seed`` are unused, kept while the benchmark passes them (ROADMAP
+    item 1, test_benchmark_calls_match_the_package).
     """
-    if zero_constraint_rank(alpha, alpha) < 3:
-        raise ValueError(f"the zero constraints have rank below 3 at alpha = {alpha}")
-    return _result(feasible_state(alpha, alpha), 1, 1)
+    inst = feasible_state(alpha, alpha)
+    p, residuals = hardy_probability(inst)
+    return OptimizationResult(p, inst, max(residuals.values()), 1, 1)
 
 
 def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> OptimizationResult:
@@ -359,7 +350,7 @@ def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> Optimizat
     stationary point is x = y = (sqrt 5 - 1)/2 (the exact certificate is in
     the tests), so that point is the maximum: the fixed-angle optimum at
     sin^2(alpha) = (sqrt 5 - 1)/2, probability ((sqrt 5 - 1)/2)^5.  No search
-    is needed; ``n_starts`` and ``seed`` are unused and kept for callers that
-    pass them (the result reports one start).
+    is needed (the result reports one start); ``n_starts`` and ``seed`` are
+    unused and kept as in ``optimize_constrained``.
     """
     return optimize_constrained(math.asin(math.sqrt(FREE_OPTIMAL_SIN_SQ)))

@@ -182,11 +182,28 @@ def test_scan_count_other_than_six_names_the_angles(monkeypatch):
     assert f"angles found: {angles}" in result.output
 
 
-@pytest.mark.parametrize("grid", ["101", "102"])
-def test_grid_without_pi_over_four_is_usage_error(grid):
+@pytest.mark.parametrize("grid", ["96", "101", "102", "1604",
+                                  "9223372036854775808"])
+def test_grid_outside_the_rule_is_usage_error(monkeypatch, grid):
+    # refused by distinguish.check_resolution before any grid is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify-distinguish started its work")
+    monkeypatch.setattr(cli, "_build", no_work)
     result = _run(["verify-distinguish", "--grid", grid])
     assert result.exit_code == 2
     assert "--grid" in result.output
+
+
+def test_grid_of_1600_passes_the_rule(monkeypatch):
+    from dfsbell.report import Check, Section
+    built = {}
+
+    def stub(name, seed, **config):
+        built.update(config)
+        return Section(name, (Check(name="c", passed=True, source="closed form"),))
+    monkeypatch.setattr(cli, "_build", stub)
+    assert _run(["verify-distinguish", "--grid", "1600"]).exit_code == 0
+    assert built == {"scan_resolution": 1600}
 
 
 @pytest.mark.parametrize("command, option", [("verify-correlations", "--rotations"),

@@ -192,13 +192,15 @@ def test_find_rejects_a_grid_without_pi_over_four():
             find_distinguishing_thetas(math.pi / 3, resolution=r)
 
 
-def test_scan_resolution_floor():
-    with pytest.raises(ValueError):
-        scan_distinguishable_omegas(resolution=50)
-    with pytest.raises(ValueError):
-        grid_min_support_overlap(math.pi / 3, resolution=50)
-    with pytest.raises(ValueError):
-        find_distinguishing_thetas(math.pi / 3, resolution=50)
+def test_scan_resolution_bounds():
+    # 50 is below the floor and 1604 above the ceiling, both multiples of 4
+    for r in (50, 1604):
+        with pytest.raises(ValueError):
+            scan_distinguishable_omegas(resolution=r)
+        with pytest.raises(ValueError):
+            grid_min_support_overlap(math.pi / 3, resolution=r)
+        with pytest.raises(ValueError):
+            find_distinguishing_thetas(math.pi / 3, resolution=r)
 
 
 def test_excluded_omegas_have_positive_overlap_floor():

@@ -65,8 +65,20 @@ def test_zero_constraint_rank():
         assert zero_constraint_rank(aa, ab) == 3
     assert zero_constraint_rank(math.pi / 2, 0.7) == 3
     assert zero_constraint_rank(math.pi / 2, math.pi / 2) < 3
-    with pytest.raises(ValueError):
-        optimize_constrained(alpha=math.pi / 2)
+    # within a few ulps of pi/2 and 3pi/2: wherever the rank drops, the
+    # optimizer refuses through feasible_state's own raise
+    near = []
+    for centre in (math.pi / 2, 3 * math.pi / 2):
+        lo = hi = centre
+        for _ in range(4):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 7.0)
+            near += [lo, hi]
+        near.append(centre)
+    lost = [a for a in near if zero_constraint_rank(a, a) < 3]
+    assert math.pi / 2 in lost and 3 * math.pi / 2 in lost
+    for alpha in lost:
+        with pytest.raises(ValueError):
+            optimize_constrained(alpha=alpha)
 
 
 def test_exact_certificate_of_both_optima():

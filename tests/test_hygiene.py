@@ -8,10 +8,13 @@ line loads no scipy module, which would cost every process its import time.
 Haar frames are drawn in batches everywhere but in the pure-state
 decoherence draws.  Every public function, class and method is used somewhere in the
 package outside its own body, or is listed in ``UNREFERENCED`` with the
-reason it is kept.
+reason it is kept.  What the benchmark's workloads call still exists, with
+the keywords they pass.
 """
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dfsbell"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -107,10 +111,13 @@ UNREFERENCED = {
     "load_schema": "the schema check of report-all's output",
     "state_fidelity": "the per-draw Uhlmann route the density chunks are "
                       "compared against",
-    # called by the benchmark
+}
+# called by the benchmark (test_benchmark_calls_match_the_package)
+BENCHMARK_CALLS = {
     "find_distinguishing_thetas": "the scan workload's search for one angle",
     "Observable.rotated": "timed as a layer; no package module turns observables",
 }
+UNREFERENCED.update(BENCHMARK_CALLS)
 
 
 def _registered(node) -> bool:
@@ -156,3 +163,44 @@ def test_every_public_name_is_used_or_kept_on_purpose():
     unused = {name for tree in trees for name, node in _public_definitions(tree)
               if not used(name, node)}
     assert sorted(unused) == sorted(UNREFERENCED)
+
+
+def test_benchmark_calls_match_the_package(monkeypatch):
+    """The benchmark's workloads reach the package through names and keywords
+    that this test pins, so a change to the package that would break a
+    benchmark run fails here first.  Among them are the unused ``n_starts``,
+    ``seed`` and ``refine_tol``, ``haar_su2``, ``apply_collective`` and
+    ``Observable.rotated``, which ROADMAP item 2 deletes once item 1 has
+    changed the workloads."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {a.asname or a.name: importlib.import_module(f"dfsbell.{a.name}")
+               for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.module == "dfsbell" for a in node.names}
+    assert {"hardy", "qcore", "distinguish"} <= set(modules)
+
+    # every module attribute read, and every keyword of a direct module call
+    def module_attr(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules)
+    for node in ast.walk(tree):
+        if module_attr(node):
+            assert hasattr(modules[node.value.id], node.attr), node.attr
+        if isinstance(node, ast.Call) and module_attr(node.func):
+            params = inspect.signature(
+                getattr(modules[node.func.value.id], node.func.attr)).parameters
+            for kw in node.keywords:
+                assert kw.arg in params, f"{node.func.attr}({kw.arg}=...)"
+
+    # the solvers behind a loop variable, run as the workloads run them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracing").NullTracer()
+    verdicts = workloads.hardy_calls(3, tracer) + workloads.lhv_calls(3, tracer)
+    assert verdicts and all(v["passed"] for v in verdicts), verdicts
+
+    # as the probes use them: a method on an instance, a Check without source
+    assert callable(getattr(modules["dfs_states"].Observable, "rotated", None))
+    modules["report"].Check(name="probe", passed=True)
+
+    read = {name for kind, name in _reads(tree) if kind == "attr"}
+    assert {name.rsplit(".", 1)[-1] for name in BENCHMARK_CALLS} <= read
