@@ -50,6 +50,12 @@ FREE_MAXIMUM = FREE_OPTIMAL_SIN_SQ ** 5
 # F's bras, outcome -1 first: e0 and -e1 (no probability sees the sign)
 _F_ROWS = axis_rows(0.0)
 
+# The three zero-constraint rows lose rank where the volume they span, the
+# product of their singular values, falls below this.  That volume is the norm
+# of feasible_state's null vector, so zero_constraint_rank and feasible_state
+# decide rank loss alike.
+_RANK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HardyInstance:
@@ -125,7 +131,7 @@ def feasible_state(alpha_a: float, alpha_b: float) -> HardyInstance:
     sb, cb = math.sin(alpha_b), math.cos(alpha_b)
     raw = np.array([ca * cb, ca * sb, sa * cb, 0.0])
     norm = np.linalg.norm(raw)
-    if norm < 1e-12:
+    if norm < _RANK_TOL:
         raise ValueError("the zero constraints lose rank at these angles")
     return HardyInstance(tuple(raw / norm), alpha_a, alpha_b)
 
@@ -319,11 +325,15 @@ class OptimizationResult:
 def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
     """Rank of the three zero-constraint rows at these angles.
 
-    Rank 3 makes the feasible state unique up to phase; the rank drops only
-    when both angles are pi/2.
+    The largest k whose k leading singular values multiply to at least
+    ``_RANK_TOL``; at k = 3 that product is the volume the rows span, so the
+    rank is below 3 exactly where ``feasible_state`` raises.  Rank 3 makes
+    the feasible state unique up to phase; the rank drops only when both
+    angles are pi/2.
     """
     rows = _coefficient_rows(alpha_a, alpha_b)
-    return int(np.linalg.matrix_rank(np.array([rows[e] for e in ZERO_EVENTS])))
+    s = np.linalg.svd(np.array([rows[e] for e in ZERO_EVENTS]), compute_uv=False)
+    return int(np.count_nonzero(np.cumprod(s) >= _RANK_TOL))
 
 
 def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,

@@ -9,7 +9,10 @@ A wing measurement is a matrix of bras, one row per outcome, and
 A turned frame takes one of two routes: ``wing_bras`` turns the bras by a
 collective U^(x4) that ``kron`` builds (``kron`` builds product-basis bras
 too), and ``collective_turn`` turns a few state columns instead, one qubit at
-a time for a whole stack of frames, without forming U^(x4).
+a time for a whole stack of frames, without forming U^(x4).  Its work arrays
+grow with the stack; each frame's result depends on that frame alone, so a
+caller may cut the stack into blocks that fit in cache without changing a
+bit of it.
 
 A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
@@ -217,17 +220,28 @@ def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
 def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """U^(x4) applied to every column of ``vecs``, for a stack of frames.
 
-    ``u`` is (m, 2, 2) and ``vecs`` is (16, r); returns (m, 16, r).  The
-    turn goes one qubit at a time with the frame axis last, so each product
-    runs over m contiguous frames and no U^(x4) is formed.
+    ``u`` is (m, 2, 2) and ``vecs`` is (16, r); returns (m, 16, r), a view
+    of a contiguous (16, r, m) array.  The turn goes one qubit at a time with
+    the frame axis last, so each product runs over m contiguous frames and no
+    U^(x4) is formed.  Qubit steps alternate between two buffers, and each
+    output half w[i, 0] t0 + w[i, 1] t1 takes its second product in one
+    spare half, so a turn allocates three arrays, not new ones per qubit.
     """
     w = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # w[i, j]: entry (i, j) of every frame
+    m, r = u.shape[0], vecs.shape[1]
+    bufs = np.empty((2, 16 * r * m), np.result_type(u, vecs))
+    spare = np.empty(8 * r * m, bufs.dtype)
     t = vecs[..., None]
     for q in range(4):
         t = t.reshape(2 ** q, 2, -1, t.shape[-1])
-        t0, t1 = t[:, 0], t[:, 1]
-        t = np.stack((w[0, 0] * t0 + w[0, 1] * t1, w[1, 0] * t0 + w[1, 1] * t1), axis=1)
-    return t.reshape(16, vecs.shape[1], -1).transpose(2, 0, 1)
+        out = bufs[q % 2].reshape(2 ** q, 2, -1, m)
+        half = spare.reshape(out[:, 0].shape)
+        for i in range(2):
+            np.multiply(w[i, 0], t[:, 0], out=out[:, i])
+            np.multiply(w[i, 1], t[:, 1], out=half)
+            np.add(out[:, i], half, out=out[:, i])
+        t = out
+    return t.reshape(16, r, m).transpose(2, 0, 1)
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:
@@ -308,7 +322,9 @@ def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     unitarity test of ``Unitary2``, made once for the whole batch.
     """
     u = _haar_matrices(rng, shape)
-    err = np.linalg.norm(u.conj().swapaxes(-1, -2) @ u - np.eye(2), axis=(-2, -1))
+    # einsum, not a batched 2x2 @: half the cost on a chunk of frames
+    gram = np.einsum("...ki,...kj->...ij", u.conj(), u)
+    err = np.linalg.norm(gram - np.eye(2), axis=(-2, -1))
     if not np.all(err <= ATOL):
         raise ValueError("matrix is not unitary within 1e-10")
     return u

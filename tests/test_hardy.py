@@ -65,17 +65,27 @@ def test_zero_constraint_rank():
         assert zero_constraint_rank(aa, ab) == 3
     assert zero_constraint_rank(math.pi / 2, 0.7) == 3
     assert zero_constraint_rank(math.pi / 2, math.pi / 2) < 3
-    # within a few ulps of pi/2 and 3pi/2: wherever the rank drops, the
-    # optimizer refuses through feasible_state's own raise
-    near = []
-    for centre in (math.pi / 2, 3 * math.pi / 2):
-        lo = hi = centre
-        for _ in range(4):
-            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 7.0)
-            near += [lo, hi]
-        near.append(centre)
+    # near pi/2 and 3pi/2, within 4 ulps and across the edge of the band of
+    # lost rank (about 3,200 ulps either side of pi/2, 796 of 3pi/2): the
+    # rank is below 3 exactly where feasible_state raises, and the optimizer
+    # refuses through that raise
+    def raises(alpha_a, alpha_b):
+        try:
+            feasible_state(alpha_a, alpha_b)
+        except ValueError:
+            return True
+        return False
+
+    ulps = (*range(-4, 5), -4000, -3000, -800, -790, 790, 800, 3000, 4000)
+    near = [centre + k * math.ulp(centre) for centre in (math.pi / 2, 3 * math.pi / 2)
+            for k in ulps]
     lost = [a for a in near if zero_constraint_rank(a, a) < 3]
     assert math.pi / 2 in lost and 3 * math.pi / 2 in lost
+    assert 4.712388980384688 in lost and 4.7123889803846915 in lost
+    assert 0 < len(lost) < len(near)
+    for aa in near:
+        for ab in near:
+            assert (zero_constraint_rank(aa, ab) < 3) == raises(aa, ab), (aa, ab)
     for alpha in lost:
         with pytest.raises(ValueError):
             optimize_constrained(alpha=alpha)

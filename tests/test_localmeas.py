@@ -9,8 +9,9 @@ import pytest
 
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
-from dfsbell.localmeas import (PROTOCOLS, _BRAS, _ETA_FACTORS, _INT_BRAS,
-                               _PROB_CLIP, _TABLES, _draw_words, _fresh_words,
+from dfsbell.localmeas import (PROTOCOLS, _BRAS, _ETA_FACTORS, _FRAMES_PER_BLOCK,
+                               _INT_BRAS, _PROB_CLIP, _ROUNDS_PER_CHUNK, _TABLES,
+                               _draw_words, _fresh_words, _sample_fresh_rotations,
                                _turned_columns, _word_tally,
                                classify_outcome, exact_class_cells,
                                max_frame_drift, run_experiment,
@@ -205,6 +206,26 @@ def test_two_stage_draw_needs_no_rotation_invariance():
                 assert np.abs(joint - still).max() > 1e-3
 
 
+def test_frame_blocks_leave_the_chunk_tally():
+    # each chunk draws its frames and uniforms in one piece and runs the word
+    # kernel block by block; with a ragged last chunk and a ragged last block
+    # the tally is that of one kernel call per whole chunk, and the stream
+    # ends where that leaves it
+    last = 700
+    assert last > _FRAMES_PER_BLOCK and last % _FRAMES_PER_BLOCK
+    for seed in (3, 7, 11):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        expect = np.zeros(256, dtype=np.int64)
+        for m in (_ROUNDS_PER_CHUNK, last):
+            ua = haar_su2_batch(ref, (m,))
+            ub = haar_su2_batch(ref, (m,))
+            words = _fresh_words(_ETA_FACTORS, _BRAS["G"], ua, _BRAS["F"], ub, ref.random(m))
+            expect += np.bincount(words, minlength=256)
+        tally = _sample_fresh_rotations(_BRAS["G"], _BRAS["F"], _ROUNDS_PER_CHUNK + last, rng)
+        assert np.array_equal(tally, expect), seed
+        assert rng.random() == ref.random()
+
+
 # Outcome-pair cells as (-,-), (-,+), (+,-), (+,+), and the nonzero words,
 # of each setting pair's unrotated word-pair distribution on eta
 EXACT_CELLS = {
@@ -287,13 +308,15 @@ def test_fixed_frame_tally_matches_the_eigen_bras_route():
 def test_run_experiment_traced_peak_memory():
     # fixed settings build no per-round array; random settings need one
     # uint32 pair index and a one-byte mask of it per pair value, 5 bytes a
-    # round.  Fresh frames turn two state columns per frame and wing and keep
-    # (16, rounds) arrays: a chunk of (rounds, 256) word-pair probabilities
-    # or of (rounds, 16, 16) U^(x4) stacks would pass the bound.
+    # round.  Fresh frames turn two state columns per frame and wing, a block
+    # of 512 frames at a time, in reused buffers: 8,000 rounds peak at about
+    # 1.7 MB, where whole-chunk temporaries of 2,048 frames peaked at 4.75 MB
+    # and (rounds, 256) word-pair probabilities or (rounds, 16, 16) U^(x4)
+    # stacks would go higher still.
     n = 10 ** 6
     for rounds, settings, frames, limit in ((n, ("G", "G"), "identity", 10 ** 6),
                                             (n, "random", "identity", 6 * n),
-                                            (8000, "random", "fresh", 10 * 10 ** 6)):
+                                            (8000, "random", "fresh", 3 * 10 ** 6)):
         tracemalloc.start()
         try:
             run_experiment(rounds, settings, frames, seed=3)

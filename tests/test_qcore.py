@@ -157,7 +157,20 @@ def test_collective_turn_matches_the_full_operator():
         vecs = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
         turned = collective_turn(u, vecs)
         assert turned.shape == (33, 16, r)
+        assert turned.transpose(1, 2, 0).flags.c_contiguous
         assert np.abs(turned - kron([u] * 4) @ vecs).max() < 1e-14
+
+
+def test_collective_turn_of_a_frame_slice_is_that_slice_of_the_turn():
+    # frame blocks: frames [a:b] turned alone give rows [a:b] of the turn of
+    # all frames, bit for bit, for real and complex columns
+    rng = np.random.default_rng(44)
+    u = haar_su2_batch(rng, (700,))
+    real = rng.normal(size=(16, 2))
+    for vecs in (real, real + 1j * rng.normal(size=(16, 2))):
+        whole = collective_turn(u, vecs)
+        for a, b in ((0, 512), (512, 700), (3, 4), (100, 611)):
+            assert np.array_equal(collective_turn(u[a:b], vecs), whole[a:b]), (a, b)
 
 
 def test_apply_collective_matches_the_full_operator():
