@@ -19,20 +19,22 @@ table (B_a ETA_INT B_b^T)^2 over 1792.  Fixed frames draw from these tables,
 the frame-drift check compares against them, and ``exact_class_cells`` reads
 their outcome-pair cells as Fractions.
 
-The simulation keeps only word tallies: fixed frames draw each setting pair's
-256-word tally as one multinomial, fresh frames draw one word pair per round,
-and either way the tally is classified once into outcome pairs.  Fresh frames
-turn the state's factors instead of the bras: eta is (SECTOR ETA_COEFFS)
-SECTOR^T, and each frame turns two columns (``qcore.collective_turn``).  Bob's
-turned columns are orthonormal, so Alice's marginal ignores his frame: at the
-round's one uniform Alice's word comes from her 16-word marginal, then Bob's
-from his row given hers, which reads the 256 word pairs' inverse CDF in
-Alice-major order; in each stage a uniform past a row's end takes its last
-possible word.  Two units split the fresh-frame work: the seeded stream is
-drawn a chunk of ``_ROUNDS_PER_CHUNK`` rounds at a time (Alice's frames, then
-Bob's, then the uniforms), and the word kernel runs on blocks of
-``_FRAMES_PER_BLOCK`` of those frames, a size set by cache, not by the
-stream, since each round's words depend on its own frames and uniform alone.
+The simulation keeps only word tallies.  Random settings draw the four setting
+pairs' round counts as one multinomial, the first draw of the seeded stream;
+fixed frames draw each setting pair's 256-word tally as one multinomial, fresh
+frames draw one word pair per round, and either way the tally is classified
+once into outcome pairs.  Fresh frames turn the state's factors instead of the
+bras: eta is (SECTOR ETA_COEFFS) SECTOR^T, and each frame turns two columns
+(``qcore.collective_turn``).  Bob's turned columns are orthonormal, so Alice's
+marginal ignores his frame: at the round's one uniform Alice's word comes from
+her 16-word marginal, then Bob's from his row given hers, which reads the 256
+word pairs' inverse CDF in Alice-major order; in each stage a uniform past a
+row's end takes its last possible word.  Two units split the fresh-frame work:
+the seeded stream is drawn a chunk of ``_ROUNDS_PER_CHUNK`` rounds at a time
+(Alice's frames, then Bob's, then the uniforms), and the word kernel runs on
+blocks of ``_FRAMES_PER_BLOCK`` of those frames, a size set by cache, not by
+the stream, since each round's words depend on its own frames and uniform
+alone.
 """
 
 from __future__ import annotations
@@ -62,9 +64,6 @@ _ROUNDS_PER_CHUNK = 2048
 # in a new interpreter took 0.037-0.039 s at 512, 0.043-0.048 s at 1,024 and
 # 0.046-0.050 s at 2,048 frames per block (2-core VM, perfbench simulate).
 _FRAMES_PER_BLOCK = 512
-
-# Rounds per draw of Bob's random settings; bounds that draw's temporary.
-_SETTINGS_PER_CHUNK = 1 << 18
 
 
 # Per-qubit measurement directions as x-z plane angles (z axis at 0, x at pi/4).
@@ -288,7 +287,9 @@ def run_experiment(n_rounds: int, settings_policy="random",
         Number of prepared copies; must be >= 1.
     settings_policy : "random" or a pair like ("G", "G")
         Either each wing picks F or G uniformly at random, or both settings
-        are fixed for every round.
+        are fixed for every round.  Random settings draw the four pairs'
+        round counts as one multinomial with that law, Multinomial(n_rounds;
+        1/4, 1/4, 1/4, 1/4), in ``_SETTING_PAIRS`` order.
     rotations_policy : "identity" or "fresh"
         With "fresh", each wing's product basis gets an independent
         Haar-random common rotation every round; the tallied statistics must
@@ -308,14 +309,7 @@ def run_experiment(n_rounds: int, settings_policy="random",
     rng = np.random.default_rng(seed)
 
     if settings_policy == "random":
-        # 2 * Alice + Bob indexes _SETTING_PAIRS; uint32 draws match int64's,
-        # and Bob's, drawn in chunks, leave the stream where one draw would
-        pair = rng.integers(0, 2, size=n_rounds, dtype=np.uint32)
-        pair <<= 1
-        for done in range(0, n_rounds, _SETTINGS_PER_CHUNK):
-            part = pair[done:done + _SETTINGS_PER_CHUNK]
-            part |= rng.integers(0, 2, size=part.size, dtype=np.uint32)
-        n_pairs = [np.count_nonzero(pair == k) for k in range(4)]
+        n_pairs = rng.multinomial(n_rounds, [0.25] * 4).tolist()
         policy_name = "random"
     else:
         pa, pb = settings_policy

@@ -220,6 +220,17 @@ def test_count_of_two_to_the_63_is_usage_error(monkeypatch, command, option):
     assert option in result.output
 
 
+def test_simulate_runs_the_largest_round_count():
+    # 2**63 - 1 is the largest count --rounds accepts; fixed frames draw five
+    # multinomials whatever the count, so it runs at once
+    rounds = 2 ** 63 - 1
+    result = _run(["simulate", "--rounds", str(rounds), "--seed", "1"])
+    assert result.exit_code == 0
+    counts = json.loads(result.output)["counts"]
+    assert sum(sum(cells.values()) for cells in counts.values()) == rounds
+    assert counts["F,F"]["+1,+1"] == counts["F,G"]["-1,+1"] == counts["G,F"]["+1,-1"] == 0
+
+
 def test_negative_seed_option_is_usage_error():
     for cmd in (["verify-correlations", "--rotations", "2"],
                 ["simulate", "--rounds", "10"],

@@ -10,7 +10,8 @@ import pytest
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
 from dfsbell.localmeas import (PROTOCOLS, _BRAS, _ETA_FACTORS, _FRAMES_PER_BLOCK,
-                               _INT_BRAS, _PROB_CLIP, _ROUNDS_PER_CHUNK, _TABLES,
+                               _INT_BRAS, _PROB_CLIP, _ROUNDS_PER_CHUNK, _SETTING_PAIRS,
+                               _TABLES,
                                _draw_words, _fresh_words, _sample_fresh_rotations,
                                _turned_columns, _word_tally,
                                classify_outcome, exact_class_cells,
@@ -123,10 +124,10 @@ def test_fresh_frame_stream_is_pinned():
     # the frames are drawn cannot move it unnoticed
     counts = run_experiment(3000, "random", "fresh", seed=11).to_dict()["counts"]
     assert counts == {
-        "F,F": {"-1,-1": 105, "-1,+1": 292, "+1,-1": 305, "+1,+1": 0},
-        "F,G": {"-1,-1": 470, "-1,+1": 0, "+1,-1": 80, "+1,+1": 244},
-        "G,F": {"-1,-1": 409, "-1,+1": 72, "+1,-1": 0, "+1,+1": 260},
-        "G,G": {"-1,-1": 339, "-1,+1": 178, "+1,-1": 192, "+1,+1": 54},
+        "F,F": {"-1,-1": 107, "-1,+1": 327, "+1,-1": 301, "+1,+1": 0},
+        "F,G": {"-1,-1": 467, "-1,+1": 0, "+1,-1": 72, "+1,+1": 254},
+        "G,F": {"-1,-1": 405, "-1,+1": 76, "+1,-1": 0, "+1,+1": 227},
+        "G,G": {"-1,-1": 335, "-1,+1": 183, "+1,-1": 189, "+1,+1": 57},
     }
 
 
@@ -134,11 +135,33 @@ def test_fixed_frame_stream_is_pinned():
     # the seeded tally of fixed-frame rounds, one multinomial per setting pair
     counts = run_experiment(3000, "random", "identity", seed=11).to_dict()["counts"]
     assert counts == {
-        "F,F": {"-1,-1": 86, "-1,+1": 321, "+1,-1": 295, "+1,+1": 0},
-        "F,G": {"-1,-1": 450, "-1,+1": 0, "+1,-1": 89, "+1,+1": 255},
-        "G,F": {"-1,-1": 413, "-1,+1": 88, "+1,-1": 0, "+1,+1": 240},
-        "G,G": {"-1,-1": 348, "-1,+1": 181, "+1,-1": 171, "+1,+1": 63},
+        "F,F": {"-1,-1": 87, "-1,+1": 331, "+1,-1": 317, "+1,+1": 0},
+        "F,G": {"-1,-1": 464, "-1,+1": 0, "+1,-1": 84, "+1,+1": 245},
+        "G,F": {"-1,-1": 410, "-1,+1": 78, "+1,-1": 0, "+1,+1": 220},
+        "G,G": {"-1,-1": 319, "-1,+1": 182, "+1,-1": 203, "+1,+1": 60},
     }
+
+
+def test_random_settings_draw_the_pair_counts_as_one_multinomial():
+    # the four pairs' round counts are one Multinomial(n; 1/4, 1/4, 1/4, 1/4),
+    # the first draw of the seeded stream, whichever frames the rounds use
+    for frames in ("identity", "fresh"):
+        for n in (1, 3, 3000):
+            record = run_experiment(n, "random", frames, seed=5)
+            totals = [record.setting_total(pair) for pair in _SETTING_PAIRS]
+            expected = np.random.default_rng(5).multinomial(n, [0.25] * 4)
+            assert totals == expected.tolist(), (frames, n)
+    # each total within 5 sigma of n/4
+    n = 10 ** 7
+    sigma = math.sqrt(n * 0.25 * 0.75)
+    for seed in (0, 1, 2):
+        record = run_experiment(n, "random", "identity", seed=seed)
+        for pair in _SETTING_PAIRS:
+            assert abs(record.setting_total(pair) - n / 4) < 5 * sigma, (seed, pair)
+    # fixed settings draw no settings: the seed goes straight to the word tally
+    counts = run_experiment(3000, ("G", "G"), seed=11).to_dict()["counts"]
+    assert counts["G,G"] == {"-1,-1": 1306, "-1,+1": 702, "+1,-1": 757, "+1,+1": 235}
+    assert all(sum(counts[key].values()) == 0 for key in ("F,F", "F,G", "G,F"))
 
 
 def test_eta_has_two_schmidt_terms():
@@ -306,16 +329,20 @@ def test_fixed_frame_tally_matches_the_eigen_bras_route():
 
 
 def test_run_experiment_traced_peak_memory():
-    # fixed settings build no per-round array; random settings need one
-    # uint32 pair index and a one-byte mask of it per pair value, 5 bytes a
-    # round.  Fresh frames turn two state columns per frame and wing, a block
-    # of 512 frames at a time, in reused buffers: 8,000 rounds peak at about
-    # 1.7 MB, where whole-chunk temporaries of 2,048 frames peaked at 4.75 MB
-    # and (rounds, 256) word-pair probabilities or (rounds, 16, 16) U^(x4)
-    # stacks would go higher still.
+    # fixed frames build no per-round array, under either settings policy:
+    # random settings are one multinomial of four counts, so a run of 10**6
+    # or 10**12 rounds peaks at about 15 KB.  Fresh frames turn two state
+    # columns per frame and wing, a block of 512 frames at a time, in reused
+    # buffers: 8,000 rounds peak at about 1.7 MB, where whole-chunk
+    # temporaries of 2,048 frames peaked at 4.75 MB and (rounds, 256)
+    # word-pair probabilities or (rounds, 16, 16) U^(x4) stacks would go
+    # higher still.  numpy.random is imported first, so that its one-time
+    # imports are not traced.
+    import numpy.random
     n = 10 ** 6
-    for rounds, settings, frames, limit in ((n, ("G", "G"), "identity", 10 ** 6),
-                                            (n, "random", "identity", 6 * n),
+    for rounds, settings, frames, limit in ((n, ("G", "G"), "identity", 10 ** 5),
+                                            (n, "random", "identity", 10 ** 5),
+                                            (10 ** 12, "random", "identity", 10 ** 5),
                                             (8000, "random", "fresh", 3 * 10 ** 6)):
         tracemalloc.start()
         try:
