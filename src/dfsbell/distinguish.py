@@ -49,7 +49,23 @@ p = sum |z^2|^2 and q = sum z^4 over the 8 words 0bcd,
     lam_min = p - |q|,   sxx = p + Re q,   sxy = Im q,
 
 and its small eigenvector gives the only omega that can split the pair at
-that theta tuple.
+that theta tuple.  The find objective sum_w (Re * Im)^2 of e^{-i omega} z
+over the words 0bcd is (p - Re(e^{-4i omega} q)) / 8, since (Re u Im u)^2
+= (|u|^4 - Re u^4) / 8.
+
+Closed form in theta_d.  With qubits b and c contracted, the components
+(F0, F1) of qubit d's computational bits give, at theta_d = t and e =
+e^{it}, z = A e + B / e for d = 0 and z = -i (A e - B / e) for d = 1, with
+A = (F0 - i F1) / 2 and B = (F0 + i F1) / 2.  Summed over d, and then over
+the bits b and c (test_theta_d_sums_are_polynomial_identities),
+
+    p(t) = P0 + 2 Re(P4 e^{4it}),   q(t) = Q4 e^{4it} + Q0 + Q-4 e^{-4it},
+
+with P0 = 2 sum (|A|^4 + |B|^4 + 4 |A|^2 |B|^2), P4 = 2 sum A^2 conj(B)^2,
+Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan and
+the find compute five numbers per (theta_b, theta_c) and evaluate p and q
+on the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
+has no such form and keeps the word grid.
 
 Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d on
 the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6 are
@@ -74,10 +90,12 @@ SUPPORT_TOL = 1e-8
 
 _DEGENERATE_TOL = 1e-12
 
-# theta_d values per grid block.  Small blocks run fastest (on the quarter
-# grid widths 1 to 4 tie within noise, wider ones are slower) and keep each
-# block array at (r/2)^2 * 24 complex values; 3 divides neither 50 nor 100,
-# so the usual resolutions 100 and 200 also exercise the ragged last block.
+# Angles per grid block: theta_d values per word block of the overlap grid,
+# theta_b values per block of p and q in the scan and the find.  Small
+# blocks run fastest (widths 1 to 4 tie within noise for both, wider ones
+# are slower) and keep each block array at (r/2)^2 * 24 complex values for
+# the words, (r/2)^2 * 3 for p and q; 3 divides neither 50 nor 100, so the
+# usual resolutions 100 and 200 also exercise the ragged last block.
 _CHUNK = 3
 
 
@@ -136,9 +154,9 @@ def check_resolution(resolution: int) -> int:
     """The grid rule: a multiple of 4 from 100 to 1600 points per angle.
 
     A multiple of 4 puts pi/4, and with it the images of the exact tuples, on
-    the grid (module docstring).  The scan's peak memory grows as r^2 (55 MB
-    at r = 400), so r = 1600 takes about 0.9 GB and 70 s.  Returns the
-    resolution; raises ValueError otherwise.
+    the grid (module docstring).  The scan's traced peak memory grows as r^2
+    (26 MB at r = 400), so r = 1600 takes about 0.4 GB and 25 s.  Returns
+    the resolution; raises ValueError otherwise.
     """
     if resolution % 4 or not 100 <= resolution <= 1600:
         raise ValueError("resolution must be a multiple of 4 from 100 to 1600 "
@@ -146,25 +164,38 @@ def check_resolution(resolution: int) -> int:
     return resolution
 
 
-def _grid_chunks(resolution: int):
-    """Yield ``(thetas, lo, z)`` over the quarter grid, one theta_d block at a time.
+def _front(resolution: int):
+    """``(thetas, rows, front)`` of the quarter grid, qubits b and c contracted.
 
-    ``thetas`` is the r/2 angles k pi/r on [0, pi/2); the rest of [0, pi)^3
-    only permutes the words with signs (quarter grid, module docstring).
-    ``z[i, j, k, w]`` is the product component of phi0 + i phi1 for the word
-    0bcd (w = 4b + 2c + d) at angles (0, thetas[i], thetas[j], thetas[lo + k]);
-    the 1bcd words follow by the bit-flip sign (see module docstring).  Each
-    block holds (r/2)^2 * _CHUNK * 8 complex values.  The resolution follows
-    ``check_resolution``.
+    ``thetas`` is the r/2 angles k pi/r on [0, pi/2) and ``rows`` their
+    ``axis_rows``; ``front[i, j, b, c, l]`` is the component of phi0 + i phi1
+    with qubit a on bit 0 at theta 0, qubit b on bit b at thetas[i], qubit c
+    on bit c at thetas[j], and qubit d still in the computational index l.
+    The resolution follows ``check_resolution``.
     """
     r = check_resolution(resolution)
-    n = r // 2
-    thetas = np.arange(n) * (math.pi / r)
+    thetas = np.arange(r // 2) * (math.pi / r)
     rows = np.stack([axis_rows(t) for t in thetas])
     # the complex packing phi0 + i phi1
     phi = SECTOR @ np.array([1, 1j])
     # qubit a at theta 0 keeps the i = 0 half; contract qubits b and c once
     front = np.einsum("rbj,sck,jkl->rsbcl", rows, rows, phi.reshape(2, 2, 2, 2)[0])
+    return thetas, rows, front
+
+
+def _grid_chunks(resolution: int):
+    """Yield ``(thetas, lo, z)`` over the quarter grid, one theta_d block at a time.
+
+    Only ``grid_min_support_overlap`` reads the word grid: its max-min over
+    words has no closed form in theta_d, while the scan and the find reduce
+    through ``_theta_d_blocks``.  ``z[i, j, k, w]`` is the product component
+    of phi0 + i phi1 for the word 0bcd (w = 4b + 2c + d) at angles (0,
+    thetas[i], thetas[j], thetas[lo + k]); the 1bcd words follow by the
+    bit-flip sign (see module docstring).  Each block holds (r/2)^2 * _CHUNK
+    * 8 complex values.
+    """
+    thetas, rows, front = _front(resolution)
+    n = len(thetas)
     # real columns (b, c, l, re/im) of the complex front
     front = front.reshape(n * n, 8).view(float)
     eye = np.eye(2)
@@ -175,6 +206,35 @@ def _grid_chunks(resolution: int):
         blocks = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, md, eye)
         z = front @ blocks.reshape(16, -1)
         yield thetas, lo, z.view(complex).reshape(n, n, len(md), 8)
+
+
+def _theta_d_blocks(resolution: int):
+    """Yield ``(thetas, lo, p, q)`` over the quarter grid, one theta_b block at a time.
+
+    ``p[i, j, k]`` = sum |z^2|^2 and ``q[i, j, k]`` = sum z^4 over the words
+    0bcd at angles (0, thetas[lo + i], thetas[j], thetas[k]), from the five
+    coefficients per (theta_b, theta_c) of the module docstring's closed form
+    in theta_d.  Each block holds _CHUNK * (r/2)^2 values of p and of q.
+    """
+    thetas, _, front = _front(resolution)
+    a = (front[..., 0] - 1j * front[..., 1]) / 2
+    b = (front[..., 0] + 1j * front[..., 1]) / 2
+    a2, b2 = a * a, b * b
+    aa, bb = (a * a.conj()).real, (b * b.conj()).real
+    # the sums over the bits b and c, at each (theta_b, theta_c)
+    p0 = 2 * np.sum(aa * aa + bb * bb + 4 * aa * bb, axis=(2, 3))
+    p4 = 2 * np.sum(a2 * b2.conj(), axis=(2, 3))
+    q4 = 2 * np.sum(a2 * a2, axis=(2, 3))
+    q0 = 12 * np.sum(a2 * b2, axis=(2, 3))
+    qm4 = 2 * np.sum(b2 * b2, axis=(2, 3))
+    # the blocks need only the coefficients: free the per-bit arrays
+    del front, a, b, a2, b2, aa, bb
+    e4 = np.exp(4j * thetas)
+    for lo in range(0, len(thetas), _CHUNK):
+        blk = np.s_[lo:lo + _CHUNK, :, None]
+        p = p0[blk] + 2 * (p4[blk] * e4).real
+        q = q4[blk] * e4 + q0[blk] + qm4[blk] * e4.conj()
+        yield thetas, lo, p, q
 
 
 def scan_distinguishable_omegas(resolution: int = 200,
@@ -189,12 +249,15 @@ def scan_distinguishable_omegas(resolution: int = 200,
     of (phi0, phi1), so all words must agree on 2w mod pi; the smallest
     eigenvalue of the 2x2 moment matrix of the vectors (A^2 - B^2, 2AB)
     measures the disagreement and its eigenvector gives the candidate omega.
-    Each candidate with eigenvalue below 1e-5 counts when, at its grid tuple
-    and that omega, the summed squared support products sum_w (psi_w
-    perp_w)^2 are at most 1e-20 and the disjoint-support test passes.  At
+    The eigenvalue comes from the closed form in theta_d (module docstring),
+    one block of theta_b at a time.  Each candidate with eigenvalue below
+    1e-5 counts when, at its grid tuple and that omega, the summed squared
+    support products sum_w (psi_w perp_w)^2 are at most 1e-20 and the
+    disjoint-support test passes.  At
     r = 100, 104, 200 and 400 the cut passes exactly three tuples, the
-    images of the exact ones with omega = pi/6, pi/3 and pi/2, so the counted
-    angles need no clustering.
+    images of the exact ones with omega = pi/6, pi/3 and pi/2
+    (test_the_scan_cut_passes_exactly_three_tuples), so the counted angles
+    need no clustering.
 
     Since a pair and its omega + pi/2 partner are the same two states with
     roles swapped, every counted omega contributes both representatives.
@@ -212,13 +275,8 @@ def scan_distinguishable_omegas(resolution: int = 200,
         item 1, test_benchmark_calls_match_the_package).
     """
     found = []
-    for thetas, lo, z in _grid_chunks(resolution):
-        z2 = z * z
-        sq = z2.view(float).reshape(*z.shape[:3], 16)
-        # p = sum |z^2|^2 and q = sum z^4 over the words 0bcd; lam is the
-        # 16-word lam_min of the module docstring
-        p = np.einsum("...j,...j->...", sq, sq)
-        q = np.einsum("...j,...j->...", z2, z2)
+    for thetas, lo, p, q in _theta_d_blocks(resolution):
+        # the 16-word lam_min of the module docstring
         lam = p - np.abs(q)
         for i, j, k in np.argwhere(lam < 1e-5):
             # eigenvector (u0, u1) = (sin 2w, -cos 2w) for the small eigenvalue
@@ -227,7 +285,7 @@ def scan_distinguishable_omegas(resolution: int = 200,
             if u0 == 0.0 and u1 == 0.0:
                 u0 = 1.0
             w = 0.5 * (math.atan2(u0, -u1) % math.pi)
-            inst = DistinguishInstance(w, (0.0, thetas[i], thetas[j], thetas[lo + k]))
+            inst = DistinguishInstance(w, (0.0, thetas[lo + i], thetas[j], thetas[k]))
             psi, perp = component_table(inst).T
             if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
                 continue
@@ -260,14 +318,13 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
     (0, theta_b, theta_c, theta_d) with the last three in [0, pi/2) (quarter
     grid, module docstring).  ``resolution`` is as for the scan.
     """
-    rot = complex(math.cos(omega), -math.sin(omega))
+    rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
     best = (math.inf, None)
-    for thetas, lo, z in _grid_chunks(resolution):
-        u = rot * z
-        prod = u.real * u.imag
-        obj = np.einsum("...j,...j->...", prod, prod)
+    for thetas, lo, p, q in _theta_d_blocks(resolution):
+        # 8 sum_w (psi_w perp_w)^2 over the words 0bcd (module docstring)
+        obj = p - (rot4 * q).real
         i, j, k = np.unravel_index(np.argmin(obj), obj.shape)
         if obj[i, j, k] < best[0]:
-            best = (float(obj[i, j, k]), (thetas[i], thetas[j], thetas[lo + k]))
+            best = (float(obj[i, j, k]), (thetas[lo + i], thetas[j], thetas[k]))
     inst = DistinguishInstance(omega, (0.0, *best[1]))
     return inst.thetas if is_distinguishing(inst) else None

@@ -1,12 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dfsbell import qcore
+from dfsbell import distinguish, qcore
 from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
-                                 _grid_chunks, component_table,
+                                 _grid_chunks, _theta_d_blocks, component_table,
                                  find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
                                  omega_from_thetas,
@@ -122,6 +123,55 @@ def test_axis_rows_quarter_turn(monkeypatch):
         assert np.allclose(shifted, [-rows[1], rows[0]], rtol=0, atol=1e-12)
 
 
+def test_theta_d_sums_are_polynomial_identities(monkeypatch):
+    # qubit d's rows of axis_rows(t) take the front components (F0, F1) to
+    # z = A e + B / e and z = -i (A e - B / e), e = e^{it}; summed over d,
+    # z^4 and |z^2|^2 are the two closed forms of the module docstring.
+    # Ac, Bc stand for conj(A), conj(B), and conj(e) = 1 / e
+    sp = pytest.importorskip("sympy")
+    t = sp.Symbol("t", real=True)
+    f0, f1 = sp.symbols("F0 F1")
+    a, b, ac, bc, e = sp.symbols("A B Ac Bc e")
+    with monkeypatch.context() as m:
+        m.setattr(qcore, "math", sp)
+        rows = axis_rows(t)
+    exp_t = sp.exp(sp.I * t)
+    halves = {a: (f0 - sp.I * f1) / 2, b: (f0 + sp.I * f1) / 2}
+    zs = (a * e + b / e, -sp.I * (a * e - b / e))
+    for row, z in zip(rows, zs):
+        diff = z.subs(halves).subs(e, exp_t) - (row[0] * f0 + row[1] * f1)
+        assert sp.simplify(diff.rewrite(sp.cos)) == 0
+    zcs = (ac / e + bc * e, sp.I * (ac / e - bc * e))
+    q = sum(z ** 4 for z in zs)
+    assert sp.expand(q - (2 * a ** 4 * e ** 4 + 12 * a ** 2 * b ** 2
+                          + 2 * b ** 4 / e ** 4)) == 0
+    p = sum((z * zc) ** 2 for z, zc in zip(zs, zcs))
+    p0 = 2 * (a ** 2 * ac ** 2 + b ** 2 * bc ** 2 + 4 * a * ac * b * bc)
+    # P0 + 2 Re(P4 e^4) with P4 = 2 A^2 conj(B)^2
+    assert sp.expand(p - (p0 + 2 * a ** 2 * bc ** 2 * e ** 4
+                          + 2 * ac ** 2 * b ** 2 / e ** 4)) == 0
+
+
+def test_theta_d_closed_form_matches_the_word_grid():
+    # lam = p - |q| and the find objective, from the five coefficients per
+    # (theta_b, theta_c), against the word grid at every tuple of r = 100
+    r = 100
+    z = np.concatenate([z for _, _, z in _grid_chunks(r)], axis=2)
+    blocks = list(_theta_d_blocks(r))
+    assert [lo for _, lo, _, _ in blocks] == list(range(0, r // 2, _CHUNK))
+    p = np.concatenate([p for _, _, p, _ in blocks])
+    q = np.concatenate([q for _, _, _, q in blocks])
+    assert p.shape == q.shape == z.shape[:3]
+    z2 = z * z
+    lam_grid = np.sum(np.abs(z2) ** 2, axis=-1) - np.abs(np.sum(z2 * z2, axis=-1))
+    assert np.abs((p - np.abs(q)) - lam_grid).max() < 1e-14
+    for omega in (*(k * math.pi / 6 for k in range(6)), math.pi / 5, 1.0):
+        u = complex(math.cos(omega), -math.sin(omega)) * z
+        obj_grid = np.sum((u.real * u.imag) ** 2, axis=-1)
+        rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
+        assert np.abs((p - (rot4 * q).real) / 8 - obj_grid).max() < 1e-14
+
+
 def _reductions(table):
     # p - |q| over the words 0bcd, the support overlap and the find
     # objective, from a (16, 2) table of (psi, perp) components
@@ -175,6 +225,38 @@ def test_scan_finds_the_pi_over_six_grid():
     # no candidate sits at omega = 0: the 0.0 is the partner of the pi/2
     # candidate, folded from pi
     assert sorted(found)[0] == 0.0
+
+
+def test_the_scan_cut_passes_exactly_three_tuples(monkeypatch):
+    # the scan docstring's claim: each tuple below the lam cut is checked
+    # through component_table twice, once for the summed support products
+    # and once inside is_distinguishing
+    calls = []
+    table = distinguish.component_table
+
+    def counted(inst):
+        calls.append(inst.thetas)
+        return table(inst)
+
+    monkeypatch.setattr(distinguish, "component_table", counted)
+    for r in (100, 104, 200):
+        calls.clear()
+        assert len(scan_distinguishable_omegas(resolution=r)) == 6
+        assert len(calls) == 6
+        assert len(set(calls)) == 3
+
+
+def test_scan_traced_memory_stays_flat():
+    # p, q and lam are built one theta_b block at a time: about 6.5 MB
+    # traced at r = 200, where whole (r/2)^3 arrays of them would take 32 MB
+    scan_distinguishable_omegas(resolution=200)
+    tracemalloc.start()
+    try:
+        scan_distinguishable_omegas(resolution=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_scan_rejects_a_grid_without_pi_over_four():
