@@ -65,7 +65,28 @@ with P0 = 2 sum (|A|^4 + |B|^4 + 4 |A|^2 |B|^2), P4 = 2 sum A^2 conj(B)^2,
 Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan and
 the find compute five numbers per (theta_b, theta_c) and evaluate p and q
 on the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
-has no such form and keeps the word grid.
+has no such form and evaluates the words.
+
+Row floors.  The five coefficients also bound each (theta_b, theta_c) row
+over all theta_d.  With E = e^{4it} and rho = e^{-4i omega},
+
+    p - |q| >= P0 - 2 |P4| - |Q4| - |Q0| - |Q-4|,
+    p - Re(rho q) = C0 + Re(C4 E) >= C0 - |C4|,
+    8 ov^2 >= C0 - |C4|,
+
+with C0 = P0 - Re(rho Q0) and C4 = 2 P4 - rho Q4 - conj(rho Q-4), so C0 -
+|C4| is the exact minimum of the find objective over t.  The third holds
+for the overlap ov = max_w min(|psi_w|, |perp_w|) because psi_w^2 + perp_w^2
+= |z_w|^2 and the 8 words 0bcd carry sum |z_w|^2 = 1, so sum (psi_w
+perp_w)^2 <= ov^2 sum max(|psi_w|, |perp_w|)^2 <= ov^2.  The scan evaluates
+only the rows whose first floor is below its cut on lam.  The find and the
+overlap evaluate the row with the smallest floor first; its best value U
+bounds the answer, and they then evaluate, in row-major order, every row
+whose floor is at most U (8 U^2 for the overlap), so the answer and the
+find's first-occurrence tie-break are those of the whole grid.  Each
+comparison allows _FLOOR_MARGIN for rounding, on the floor's own scale: a
+margin added after a square root would be far too small next to the
+floors' rounding, which near ov = 0 is many times 8 ov^2.
 
 Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d on
 the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6 are
@@ -90,13 +111,17 @@ SUPPORT_TOL = 1e-8
 
 _DEGENERATE_TOL = 1e-12
 
-# Angles per grid block: theta_d values per word block of the overlap grid,
-# theta_b values per block of p and q in the scan and the find.  Small
-# blocks run fastest (widths 1 to 4 tie within noise for both, wider ones
-# are slower) and keep each block array at (r/2)^2 * 24 complex values for
-# the words, (r/2)^2 * 3 for p and q; 3 divides neither 50 nor 100, so the
-# usual resolutions 100 and 200 also exercise the ragged last block.
-_CHUNK = 3
+# Rows per block: the (theta_b, theta_c) rows that pass the floors are
+# evaluated over the whole theta_d axis this many at a time, so a block holds
+# _CHUNK * r/2 values of p, q and lam, or _CHUNK * r/2 * 16 reals of the
+# overlap's words, whatever the number of rows that pass.
+_CHUNK = 64
+
+# Rounding margin of the row floors.  A floor and the values it bounds are
+# short sums of products of entries of size at most 1, each rounded to about
+# 1e-15; 1e-12 covers that a thousandfold, and lets through beyond the exact
+# bound only the rows whose floor lies within 1e-12 of it.
+_FLOOR_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,7 +180,7 @@ def check_resolution(resolution: int) -> int:
 
     A multiple of 4 puts pi/4, and with it the images of the exact tuples, on
     the grid (module docstring).  The scan's traced peak memory grows as r^2
-    (26 MB at r = 400), so r = 1600 takes about 0.4 GB and 25 s.  Returns
+    (21 MB at r = 400), so r = 1600 takes about 0.33 GB and 1.3 s.  Returns
     the resolution; raises ValueError otherwise.
     """
     if resolution % 4 or not 100 <= resolution <= 1600:
@@ -168,73 +193,80 @@ def _front(resolution: int):
     """``(thetas, rows, front)`` of the quarter grid, qubits b and c contracted.
 
     ``thetas`` is the r/2 angles k pi/r on [0, pi/2) and ``rows`` their
-    ``axis_rows``; ``front[i, j, b, c, l]`` is the component of phi0 + i phi1
-    with qubit a on bit 0 at theta 0, qubit b on bit b at thetas[i], qubit c
-    on bit c at thetas[j], and qubit d still in the computational index l.
-    The resolution follows ``check_resolution``.
+    ``axis_rows``; ``front[i * r/2 + j, b, c, l]`` is the component of phi0 +
+    i phi1 with qubit a on bit 0 at theta 0, qubit b on bit b at thetas[i],
+    qubit c on bit c at thetas[j], and qubit d still in the computational
+    index l.  Row i * r/2 + j is the (theta_b, theta_c) row of the grid.  The
+    resolution follows ``check_resolution``.
     """
     r = check_resolution(resolution)
-    thetas = np.arange(r // 2) * (math.pi / r)
+    n = r // 2
+    thetas = np.arange(n) * (math.pi / r)
     rows = np.stack([axis_rows(t) for t in thetas])
-    # the complex packing phi0 + i phi1
-    phi = SECTOR @ np.array([1, 1j])
-    # qubit a at theta 0 keeps the i = 0 half; contract qubits b and c once
-    front = np.einsum("rbj,sck,jkl->rsbcl", rows, rows, phi.reshape(2, 2, 2, 2)[0])
-    return thetas, rows, front
+    # the complex packing phi0 + i phi1; qubit a at theta 0 keeps the i = 0
+    # half, indexed (j, k, l) by the computational bits of qubits b, c, d
+    phi = (SECTOR @ np.array([1, 1j])).reshape(2, 2, 2, 2)[0]
+    bras = rows.reshape(2 * n, 2)
+    # two real products on the (re, im) views: qubit c gives [(s, c), (j,
+    # l)], then qubit b gives [(r, b), (s, c, l)]
+    front = (bras @ phi.transpose(1, 0, 2).reshape(2, 4).view(float)).view(complex)
+    front = front.reshape(2 * n, 2, 2).transpose(1, 0, 2).reshape(2, 4 * n)
+    front = (bras @ front.view(float)).view(complex)
+    front = front.reshape(n, 2, n, 2, 2).transpose(0, 2, 1, 3, 4)
+    return thetas, rows, front.reshape(n * n, 2, 2, 2)
 
 
-def _grid_chunks(resolution: int):
-    """Yield ``(thetas, lo, z)`` over the quarter grid, one theta_d block at a time.
+def _coefficients(front):
+    """``(P0, P4, Q4, Q0, Q-4)`` of each row, the module docstring's closed
+    form in theta_d, from the ``front`` of ``_front``."""
+    f0, f1 = front.reshape(len(front), 4, 2).transpose(2, 0, 1)
+    # A and B are dropped as soon as their squares are formed
+    a2, aa = _squares((f0 - 1j * f1) / 2)
+    b2, bb = _squares((f0 + 1j * f1) / 2)
+    # the sums over the bits b and c
+    return (2 * np.sum(aa * aa + bb * bb + 4 * aa * bb, axis=1),
+            2 * np.sum(a2 * b2.conj(), axis=1),
+            2 * np.sum(a2 * a2, axis=1),
+            12 * np.sum(a2 * b2, axis=1),
+            2 * np.sum(b2 * b2, axis=1))
 
-    Only ``grid_min_support_overlap`` reads the word grid: its max-min over
-    words has no closed form in theta_d, while the scan and the find reduce
-    through ``_theta_d_blocks``.  ``z[i, j, k, w]`` is the product component
-    of phi0 + i phi1 for the word 0bcd (w = 4b + 2c + d) at angles (0,
-    thetas[i], thetas[j], thetas[lo + k]); the 1bcd words follow by the
-    bit-flip sign (see module docstring).  Each block holds (r/2)^2 * _CHUNK
-    * 8 complex values.
+
+def _squares(x):
+    """``x^2`` and ``|x|^2``."""
+    return x * x, (x * x.conj()).real
+
+
+def _theta_d_rows(coef, e4, rows):
+    """``(p, q)`` on the given rows at every theta_d, each (len(rows), r/2).
+
+    ``p`` = sum |z^2|^2 and ``q`` = sum z^4 over the words 0bcd, from the
+    ``_coefficients`` ``coef`` and ``e4`` = e^{4i theta_d} on the grid.
     """
-    thetas, rows, front = _front(resolution)
-    n = len(thetas)
-    # real columns (b, c, l, re/im) of the complex front
-    front = front.reshape(n * n, 8).view(float)
-    eye = np.eye(2)
-    for lo in range(0, n, _CHUNK):
-        md = rows[lo:lo + _CHUNK]
-        # block matrix taking (b, c, l, re/im) to (theta_d, b, c, d, re/im),
-        # so the product comes out with the words as the last axis
-        blocks = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, md, eye)
-        z = front @ blocks.reshape(16, -1)
-        yield thetas, lo, z.view(complex).reshape(n, n, len(md), 8)
+    p0, p4, q4, q0, qm4 = (c[rows, None] for c in coef)
+    return p0 + 2 * (p4 * e4).real, q4 * e4 + q0 + qm4 * e4.conj()
 
 
-def _theta_d_blocks(resolution: int):
-    """Yield ``(thetas, lo, p, q)`` over the quarter grid, one theta_b block at a time.
+def _lam_floor(coef):
+    """P0 - 2|P4| - |Q4| - |Q0| - |Q-4| of each row: a floor of lam = p - |q|
+    at every theta_d (Row floors)."""
+    p0, p4, q4, q0, qm4 = coef
+    return p0 - 2 * np.abs(p4) - np.abs(q4) - np.abs(q0) - np.abs(qm4)
 
-    ``p[i, j, k]`` = sum |z^2|^2 and ``q[i, j, k]`` = sum z^4 over the words
-    0bcd at angles (0, thetas[lo + i], thetas[j], thetas[k]), from the five
-    coefficients per (theta_b, theta_c) of the module docstring's closed form
-    in theta_d.  Each block holds _CHUNK * (r/2)^2 values of p and of q.
-    """
-    thetas, _, front = _front(resolution)
-    a = (front[..., 0] - 1j * front[..., 1]) / 2
-    b = (front[..., 0] + 1j * front[..., 1]) / 2
-    a2, b2 = a * a, b * b
-    aa, bb = (a * a.conj()).real, (b * b.conj()).real
-    # the sums over the bits b and c, at each (theta_b, theta_c)
-    p0 = 2 * np.sum(aa * aa + bb * bb + 4 * aa * bb, axis=(2, 3))
-    p4 = 2 * np.sum(a2 * b2.conj(), axis=(2, 3))
-    q4 = 2 * np.sum(a2 * a2, axis=(2, 3))
-    q0 = 12 * np.sum(a2 * b2, axis=(2, 3))
-    qm4 = 2 * np.sum(b2 * b2, axis=(2, 3))
-    # the blocks need only the coefficients: free the per-bit arrays
-    del front, a, b, a2, b2, aa, bb
-    e4 = np.exp(4j * thetas)
-    for lo in range(0, len(thetas), _CHUNK):
-        blk = np.s_[lo:lo + _CHUNK, :, None]
-        p = p0[blk] + 2 * (p4[blk] * e4).real
-        q = q4[blk] * e4 + q0[blk] + qm4[blk] * e4.conj()
-        yield thetas, lo, p, q
+
+def _objective_floor(coef, rot4):
+    """C0 - |C4| of each row, with ``rot4`` = e^{-4i omega}: the minimum over
+    theta_d of the find objective, and a floor of 8 ov^2 (Row floors)."""
+    p0, p4, q4, q0, qm4 = coef
+    c4 = 2 * p4 - rot4 * q4 - (rot4 * qm4).conj()
+    return p0 - (rot4 * q0).real - np.abs(c4)
+
+
+def _rows_below(floor, bound):
+    """Yield the rows whose ``floor`` is at most ``bound`` plus _FLOOR_MARGIN,
+    in row-major order, _CHUNK rows at a time."""
+    rows = np.flatnonzero(floor <= bound + _FLOOR_MARGIN)
+    for lo in range(0, len(rows), _CHUNK):
+        yield rows[lo:lo + _CHUNK]
 
 
 def scan_distinguishable_omegas(resolution: int = 200,
@@ -250,10 +282,10 @@ def scan_distinguishable_omegas(resolution: int = 200,
     eigenvalue of the 2x2 moment matrix of the vectors (A^2 - B^2, 2AB)
     measures the disagreement and its eigenvector gives the candidate omega.
     The eigenvalue comes from the closed form in theta_d (module docstring),
-    one block of theta_b at a time.  Each candidate with eigenvalue below
-    1e-5 counts when, at its grid tuple and that omega, the summed squared
-    support products sum_w (psi_w perp_w)^2 are at most 1e-20 and the
-    disjoint-support test passes.  At
+    on the rows whose floor can reach the cut (Row floors).  Each candidate
+    with eigenvalue below 1e-5 counts when, at its grid tuple and that
+    omega, the summed squared support products sum_w (psi_w perp_w)^2 are
+    at most 1e-20 and the disjoint-support test passes.  At
     r = 100, 104, 200 and 400 the cut passes exactly three tuples, the
     images of the exact ones with omega = pi/6, pi/3 and pi/2
     (test_the_scan_cut_passes_exactly_three_tuples), so the counted angles
@@ -274,18 +306,23 @@ def scan_distinguishable_omegas(resolution: int = 200,
         reported as 0.  Kept while the benchmark's scan passes it (ROADMAP
         item 1, test_benchmark_calls_match_the_package).
     """
+    thetas, _, front = _front(resolution)
+    coef = _coefficients(front)
+    e4 = np.exp(4j * thetas)
     found = []
-    for thetas, lo, p, q in _theta_d_blocks(resolution):
+    for rows in _rows_below(_lam_floor(coef), 1e-5):
+        p, q = _theta_d_rows(coef, e4, rows)
         # the 16-word lam_min of the module docstring
         lam = p - np.abs(q)
-        for i, j, k in np.argwhere(lam < 1e-5):
+        for m, k in np.argwhere(lam < 1e-5):
             # eigenvector (u0, u1) = (sin 2w, -cos 2w) for the small eigenvalue
-            u0 = q[i, j, k].imag
-            u1 = lam[i, j, k] - (p[i, j, k] + q[i, j, k].real)
+            u0 = q[m, k].imag
+            u1 = lam[m, k] - (p[m, k] + q[m, k].real)
             if u0 == 0.0 and u1 == 0.0:
                 u0 = 1.0
             w = 0.5 * (math.atan2(u0, -u1) % math.pi)
-            inst = DistinguishInstance(w, (0.0, thetas[lo + i], thetas[j], thetas[k]))
+            i, j = divmod(rows[m], len(thetas))
+            inst = DistinguishInstance(w, (0.0, thetas[i], thetas[j], thetas[k]))
             psi, perp = component_table(inst).T
             if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
                 continue
@@ -300,31 +337,54 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     A value far above SUPPORT_TOL certifies that no grid basis distinguishes
     the pair at this omega.  ``resolution`` is as for the scan.
     """
-    # Re and -Im of e^{-i omega} z are the psi and psi_perp components
+    thetas, axes, front = _front(resolution)
+    n = len(thetas)
     rot = complex(math.cos(omega), -math.sin(omega))
-    best = math.inf
-    for _, _, z in _grid_chunks(resolution):
-        u = rot * z
-        overlap = np.minimum(np.abs(u.real), np.abs(u.imag)).max(axis=-1)
-        best = min(best, float(overlap.min()))
-    return best
+    front = front.reshape(n * n, 8)
+    eye = np.eye(2)
+    # block matrix taking the real columns (b, c, l, re/im) of a front row to
+    # (theta_d, b, c, d, re/im): each theta_d, then the 8 words 0bcd
+    words = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, axes, eye).reshape(16, -1)
+
+    def overlap(rows):
+        # e^{-i omega} turned into the front: Re and -Im of the product are
+        # the psi and psi_perp components
+        u = (rot * front[rows]).view(float) @ words
+        u = np.abs(u, out=u).reshape(len(rows), n, 8, 2)
+        return np.minimum(u[..., 0], u[..., 1]).max(axis=-1)
+
+    floor = _objective_floor(_coefficients(front), rot ** 4)
+    bound = overlap([np.argmin(floor)]).min()
+    # 8 ov^2 >= floor: the margin goes on that scale, before any square root
+    return float(min(overlap(rows).min()
+                     for rows in _rows_below(floor, 8 * bound * bound)))
 
 
 def find_distinguishing_thetas(omega: float, resolution: int = 100):
     """A grid theta tuple making the pair at omega distinguishable, or None.
 
     Takes the grid tuple with the smallest summed squared support products
-    and returns it if it passes the disjoint-support test.  The tuple is
-    (0, theta_b, theta_c, theta_d) with the last three in [0, pi/2) (quarter
-    grid, module docstring).  ``resolution`` is as for the scan.
+    (the first in row-major order on a tie) and returns it if it passes the
+    disjoint-support test.  The tuple is (0, theta_b, theta_c, theta_d) with
+    the last three in [0, pi/2) (quarter grid, module docstring).
+    ``resolution`` is as for the scan.
     """
+    thetas, _, front = _front(resolution)
+    coef = _coefficients(front)
+    e4 = np.exp(4j * thetas)
     rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
-    best = (math.inf, None)
-    for thetas, lo, p, q in _theta_d_blocks(resolution):
+
+    def objective(rows):
         # 8 sum_w (psi_w perp_w)^2 over the words 0bcd (module docstring)
-        obj = p - (rot4 * q).real
-        i, j, k = np.unravel_index(np.argmin(obj), obj.shape)
-        if obj[i, j, k] < best[0]:
-            best = (float(obj[i, j, k]), (thetas[lo + i], thetas[j], thetas[k]))
-    inst = DistinguishInstance(omega, (0.0, *best[1]))
+        p, q = _theta_d_rows(coef, e4, rows)
+        return p - (rot4 * q).real
+
+    floor = _objective_floor(coef, rot4)
+    best = (math.inf, None)
+    for rows in _rows_below(floor, objective([np.argmin(floor)]).min()):
+        obj = objective(rows)
+        m, k = np.unravel_index(np.argmin(obj), obj.shape)
+        if obj[m, k] < best[0]:
+            best = (float(obj[m, k]), (*divmod(rows[m], len(thetas)), k))
+    inst = DistinguishInstance(omega, (0.0, *thetas[list(best[1])]))
     return inst.thetas if is_distinguishing(inst) else None

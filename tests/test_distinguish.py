@@ -7,7 +7,8 @@ import pytest
 
 from dfsbell import distinguish, qcore
 from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
-                                 _grid_chunks, _theta_d_blocks, component_table,
+                                 _coefficients, _front, _lam_floor,
+                                 _objective_floor, _theta_d_rows, component_table,
                                  find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
                                  omega_from_thetas,
@@ -16,6 +17,63 @@ from dfsbell.dfs_states import SECTOR, singlet
 from dfsbell.qcore import axis_rows, permute_qubits, tensor
 
 F_THETAS = (0.0, 0.0, math.pi / 4, math.pi / 4)
+
+# the pair angles of the pruning tests: the six distinguishable ones, where
+# the overlap's minimum is rounding noise, and three excluded ones
+FLOOR_OMEGAS = (*(k * math.pi / 6 for k in range(6)), math.pi / 5,
+                math.pi / 4, 1.0)
+
+
+def _grid_chunks(resolution, width=3):
+    """The unpruned word grid, the reference of the row floors.
+
+    Yields ``(thetas, lo, z)`` one theta_d block of ``width`` angles at a
+    time: ``z[i, j, k, w]`` is the component of phi0 + i phi1 for the word
+    0bcd (w = 4b + 2c + d) at angles (0, thetas[i], thetas[j], thetas[lo +
+    k]).  3 divides neither 50 nor 100, so the last block is ragged at the
+    usual resolutions.
+    """
+    thetas, rows, front = _front(resolution)
+    n = len(thetas)
+    # real columns (b, c, l, re/im) of the complex front
+    front = front.reshape(n * n, 8).view(float)
+    eye = np.eye(2)
+    for lo in range(0, n, width):
+        md = rows[lo:lo + width]
+        blocks = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, md, eye)
+        z = front @ blocks.reshape(16, -1)
+        yield thetas, lo, z.view(complex).reshape(n, n, len(md), 8)
+
+
+def _word_grid_overlaps(omega, resolution):
+    """max_w min(|psi_w|, |perp_w|) at every tuple, from the word grid."""
+    rot = complex(math.cos(omega), -math.sin(omega))
+    return np.concatenate([
+        np.minimum(np.abs((rot * z).real), np.abs((rot * z).imag)).max(axis=-1)
+        for _, _, z in _grid_chunks(resolution)], axis=2)
+
+
+def _recorded_blocks(monkeypatch):
+    """The list of the row blocks ``distinguish._rows_below`` yields from now on."""
+    blocks = []
+    rows_below = distinguish._rows_below
+
+    def recorded(floor, bound):
+        for rows in rows_below(floor, bound):
+            blocks.append(rows)
+            yield rows
+
+    monkeypatch.setattr(distinguish, "_rows_below", recorded)
+    return blocks
+
+
+def _all_rows(resolution):
+    """``(coef, p, q)`` of the closed form in theta_d on every row, (r/2)^3."""
+    thetas, _, front = _front(resolution)
+    n = len(thetas)
+    coef = _coefficients(front)
+    p, q = _theta_d_rows(coef, np.exp(4j * thetas), np.arange(n * n))
+    return coef, p.reshape(n, n, n), q.reshape(n, n, n)
 
 
 def test_component_table_at_omega_zero():
@@ -80,13 +138,12 @@ def test_omega_from_thetas_known_point_and_degeneracy():
 
 
 def test_grid_chunks_match_component_table():
-    # the kernel's z = A + iB on words 0bcd, and through the bit-flip sign
-    # on words 1bcd, against the direct product-basis components; the
-    # quarter grid of r = 100 has 50 angles, not a multiple of the chunk
-    # width, so the last block is ragged
+    # the reference word grid's z = A + iB on words 0bcd, and through the
+    # bit-flip sign on words 1bcd, against the direct product-basis
+    # components; the quarter grid of r = 100 has 50 angles, not a multiple
+    # of the block width, so the last block is ragged
     rng = np.random.default_rng(54)
     r = 100
-    assert (r // 2) % _CHUNK
     covered = 0
     for thetas, lo, z in _grid_chunks(r):
         assert lo == covered
@@ -157,10 +214,7 @@ def test_theta_d_closed_form_matches_the_word_grid():
     # (theta_b, theta_c), against the word grid at every tuple of r = 100
     r = 100
     z = np.concatenate([z for _, _, z in _grid_chunks(r)], axis=2)
-    blocks = list(_theta_d_blocks(r))
-    assert [lo for _, lo, _, _ in blocks] == list(range(0, r // 2, _CHUNK))
-    p = np.concatenate([p for _, _, p, _ in blocks])
-    q = np.concatenate([q for _, _, _, q in blocks])
+    _, p, q = _all_rows(r)
     assert p.shape == q.shape == z.shape[:3]
     z2 = z * z
     lam_grid = np.sum(np.abs(z2) ** 2, axis=-1) - np.abs(np.sum(z2 * z2, axis=-1))
@@ -170,6 +224,29 @@ def test_theta_d_closed_form_matches_the_word_grid():
         obj_grid = np.sum((u.real * u.imag) ** 2, axis=-1)
         rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
         assert np.abs((p - (rot4 * q).real) / 8 - obj_grid).max() < 1e-14
+
+
+def test_row_floors_bound_every_tuple():
+    # each floor of the module docstring's Row floors is at most its
+    # quantity at every tuple of r = 100: lam, the find objective and 8 ov^2.
+    # The find floor is also the exact minimum over theta_d: on a grid of
+    # spacing 4 pi / r in 4t it lies within |C4| (1 - cos(2 pi / r)) of the
+    # row's grid minimum, and the row's spread is at least 2 |C4| cos(2 pi /
+    # r), so a slip in C0 or C4 breaks one of the two bounds
+    r = 100
+    coef, p, q = _all_rows(r)
+    n = r // 2
+    assert (_lam_floor(coef).reshape(n, n, 1) <= p - np.abs(q) + 1e-14).all()
+    slack = (1 - math.cos(2 * math.pi / r)) / (2 * math.cos(2 * math.pi / r))
+    for omega in FLOOR_OMEGAS:
+        rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
+        floor = _objective_floor(coef, rot4).reshape(n, n, 1)
+        obj = p - (rot4 * q).real
+        assert (floor <= obj + 1e-14).all()
+        low, high = obj.min(axis=-1, keepdims=True), obj.max(axis=-1, keepdims=True)
+        assert (low - floor <= (high - low) * slack + 1e-14).all()
+        overlap = _word_grid_overlaps(omega, r)
+        assert (floor <= 8 * overlap ** 2 + 1e-14).all()
 
 
 def _reductions(table):
@@ -206,12 +283,14 @@ def test_quarter_grid_images_carry_the_same_reductions():
         assert np.allclose(_reductions(table), _reductions(image), rtol=0, atol=1e-12)
 
 
-def test_scan_with_a_ragged_last_chunk():
-    # the exact tuples need pi/4 on the grid, so the resolution is a
-    # multiple of 4 but not of the chunk width, and other than the 100 of
-    # the test below
-    r = next(n for n in range(104, 200, 4) if n % _CHUNK)
-    found = scan_distinguishable_omegas(resolution=r)
+def test_scan_with_a_ragged_last_chunk(monkeypatch):
+    # the rows that pass the scan's floor are evaluated _CHUNK at a time; at
+    # r = 104 (a multiple of 4, since the exact tuples need pi/4 on the grid,
+    # and other than the 100 of the test below) they fill more than one
+    # block, the last one ragged
+    blocks = _recorded_blocks(monkeypatch)
+    found = scan_distinguishable_omegas(resolution=104)
+    assert len(blocks) > 1 and 0 < len(blocks[-1]) < _CHUNK
     assert len(found) == 6
     for k, w in enumerate(sorted(found)):
         assert abs(w - k * math.pi / 6) < 1e-6
@@ -246,17 +325,86 @@ def test_the_scan_cut_passes_exactly_three_tuples(monkeypatch):
         assert len(set(calls)) == 3
 
 
-def test_scan_traced_memory_stays_flat():
-    # p, q and lam are built one theta_b block at a time: about 6.5 MB
-    # traced at r = 200, where whole (r/2)^3 arrays of them would take 32 MB
-    scan_distinguishable_omegas(resolution=200)
+def test_the_floors_prune_nothing_that_holds_the_answer(monkeypatch):
+    # an infinite margin passes every row: the unpruned grid.  The scan's
+    # list and the find's argmin tuple (the grid tuple before the
+    # disjoint-support test) are the same objects with and without the
+    # floors.  The overlap agrees with the word grid to rounding: its word
+    # products run through BLAS, whose last bit may depend on the block a
+    # row is evaluated in
+    def answers(margin):
+        monkeypatch.setattr(distinguish, "_FLOOR_MARGIN", margin)
+        scans = [repr(scan_distinguishable_omegas(resolution=r))
+                 for r in (100, 104, 200, 400)]
+        with monkeypatch.context() as m:
+            m.setattr(distinguish, "is_distinguishing", lambda inst: True)
+            finds = [find_distinguishing_thetas(w, resolution=r)
+                     for r in (100, 200)
+                     for w in (*(k * math.pi / 6 for k in range(6)),
+                               math.pi / 5, 1.0)]
+        return scans, finds
+
+    pruned = answers(distinguish._FLOOR_MARGIN)
+    assert pruned == answers(math.inf)
+    monkeypatch.undo()
+    for omega in (*FLOOR_OMEGAS, 0.3, math.pi / 12):
+        reference = _word_grid_overlaps(omega, 100).min()
+        assert abs(grid_min_support_overlap(omega, resolution=100) - reference) < 1e-15
+
+
+def test_the_overlap_evaluates_every_row_that_splits_the_pair(monkeypatch):
+    # at k pi/6 the overlap's minimum is rounding noise near 1e-16, which
+    # any row holding a splitting tuple can carry; so every such row of the
+    # word grid is evaluated.  A margin taken after a square root, sqrt(floor
+    # / 8) <= U + margin, drops the rows whose floor is rounding noise
+    blocks = _recorded_blocks(monkeypatch)
+    for k in range(6):
+        omega = k * math.pi / 6
+        blocks.clear()
+        grid_min_support_overlap(omega, resolution=100)
+        split = np.flatnonzero(_word_grid_overlaps(omega, 100).min(axis=-1) < 1e-12)
+        assert len(split) and set(split) <= set(np.concatenate(blocks))
+
+
+def test_the_floors_leave_few_rows_to_evaluate(monkeypatch):
+    # the scan at r = 200 evaluates p and q on under a tenth of its 10^4
+    # rows; a fall-back to the whole grid would still give the right list
+    evaluated = []
+    rows_of = distinguish._theta_d_rows
+
+    def counted(coef, e4, rows):
+        evaluated.extend(rows)
+        return rows_of(coef, e4, rows)
+
+    monkeypatch.setattr(distinguish, "_theta_d_rows", counted)
+    assert len(scan_distinguishable_omegas(resolution=200)) == 6
+    assert 0 < len(evaluated) == len(set(evaluated)) < 10 ** 4 // 10
+
+
+def _traced_scan_peak(resolution):
+    scan_distinguishable_omegas(resolution=resolution)
     tracemalloc.start()
     try:
-        scan_distinguishable_omegas(resolution=200)
-        peak = tracemalloc.get_traced_memory()[1]
+        scan_distinguishable_omegas(resolution=resolution)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+
+
+def test_scan_traced_memory_stays_flat():
+    # the front and the five coefficients hold the rows; the rows that pass
+    # the floor are evaluated _CHUNK at a time: 5.2 MB traced at r = 200,
+    # bounded with 15 % headroom, where whole (r/2)^3 arrays of p, q and lam
+    # would take 32 MB
+    assert _traced_scan_peak(200) < 6e6
+
+
+def test_scan_traced_memory_at_800():
+    # 83.2 MB traced, bounded with 8 % headroom: most of it is the front
+    # and its squares while the coefficients are formed.  The 7,455 rows
+    # that pass the floor, evaluated in one block instead of _CHUNK at a
+    # time, take 153 MB
+    assert _traced_scan_peak(800) < 90e6
 
 
 def test_scan_rejects_a_grid_without_pi_over_four():
