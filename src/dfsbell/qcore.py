@@ -18,12 +18,13 @@ A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
 ``product_bras`` joins four such rows into the 16 bras of the outcome words.
 
-Haar frames come one at a time (``haar_su2``, a checked ``Unitary2``) or as
-an array (``haar_su2_batch``).  Both go through one helper, so a batch of
-shape S consumes the same normals as prod(S) single draws and returns the
-same matrices in row-major order: batching a draw site never moves a seeded
-stream.  ``check_density`` makes the checks of ``DensityOperator`` on a
-whole stack of matrices at once.
+Haar frames come as an array (``haar_su2_batch``), as every module of the
+package draws them, or one at a time (``haar_su2``, a checked ``Unitary2``),
+the per-draw form the tests rebuild the batches from.  Both go through one
+helper, so a batch of shape S consumes the same normals as prod(S) single
+draws and returns the same matrices in row-major order: batching a draw site
+never moves a seeded stream.  ``check_density`` makes the checks of
+``DensityOperator`` on a whole stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class QuantumState:
         return self.amplitudes.size.bit_length() - 1
 
     def density(self) -> "DensityOperator":
-        """The projector |psi><psi|: the second route of the density branch of
-        ``decohere.fidelity_samples``, whose draws on it match the pure-state
-        draws (``test_density_draws_match_the_pure_route``)."""
+        """The projector |psi><psi|.  On it the density branch of
+        ``decohere.fidelity_samples`` is a second route to the pure-state
+        kernel's draws (``test_density_draws_match_the_pure_route``)."""
         return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def overlap(self, other: "QuantumState") -> complex:

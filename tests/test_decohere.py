@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from dfsbell import decohere
 from dfsbell.decohere import (CHUNK, IMMUNITY_ATOL, CollectiveChannel,
                               fidelity_samples, immunity_report,
                               state_fidelity)
 from dfsbell.dfs_states import make_eta, make_phi0, make_phi1
-from dfsbell.qcore import (DensityOperator, QuantumState, basis_state,
-                           haar_su2, kron, partial_trace)
+from dfsbell.qcore import (DensityOperator, QuantumState, apply_collective,
+                           basis_state, haar_su2, kron, partial_trace, tensor)
 
 
 def test_channel_validation():
@@ -147,3 +148,73 @@ def test_density_chunks_match_the_per_draw_route(n_samples):
     # the reference route is not trivially 1
     assert min(per_draw) < 0.99
 
+
+def _ghz4():
+    amps = np.zeros(16, dtype=complex)
+    amps[0b0000] = amps[0b1111] = 1 / math.sqrt(2)
+    return QuantumState(amps)
+
+
+_PURE_CASES = {
+    "phi0": (make_phi0(), "global"),
+    "0101": (basis_state("0101"), "global"),
+    "GHZ": (_ghz4(), "global"),
+    "random 4": (_random_state(np.random.default_rng(41), 4), "global"),
+    "eta global": (make_eta(), "global"),
+    "eta per-wing": (make_eta(), "per-wing"),
+    "0101 x 0101": (tensor(basis_state("0101"), basis_state("0101")), "per-wing"),
+    "random 8": (_random_state(np.random.default_rng(42), 8), "per-wing"),
+}
+
+
+def _per_draw_route(state, scope, n_samples, seed):
+    """Frames and fidelities of the per-draw route: one ``haar_su2`` frame
+    per draw and wing, Alice's before Bob's, turned by ``apply_collective``."""
+    rng = np.random.default_rng(seed)
+    frames, fids = [], []
+    for _ in range(n_samples):
+        if scope == "global":
+            u = haar_su2(rng)
+            frames.append(u.matrix)
+            turned = apply_collective(state, u)
+        else:
+            a, b = haar_su2(rng), haar_su2(rng)
+            frames.append(np.stack([a.matrix, b.matrix]))
+            turned = apply_collective(apply_collective(state, a, wing="alice"),
+                                      b, wing="bob")
+        fids.append(state_fidelity(state, turned))
+    return np.stack(frames), np.array(fids)
+
+
+@pytest.mark.parametrize("n_samples", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("name", list(_PURE_CASES))
+def test_pure_chunks_match_the_per_draw_route(monkeypatch, name, n_samples):
+    state, scope = _PURE_CASES[name]
+    drawn, original = [], decohere.haar_su2_batch
+
+    def recorded(rng, shape):
+        drawn.append(original(rng, shape))
+        return drawn[-1]
+    monkeypatch.setattr(decohere, "haar_su2_batch", recorded)
+    chunked = fidelity_samples(state, CollectiveChannel(n_samples, scope), seed=6)
+    frames, per_draw = _per_draw_route(state, scope, n_samples, seed=6)
+    assert np.array_equal(np.concatenate(drawn), frames)
+    assert np.abs(chunked - per_draw).max() <= 1e-14
+    if name in ("0101 x 0101", "random 8"):
+        # the per-wing kernel is not trivially 1 off the sector
+        assert chunked.min() < 0.99
+
+
+@pytest.mark.parametrize("state, scope", [
+    (basis_state("01"), "global"),
+    (basis_state("010101"), "global"),
+    (basis_state("0101"), "per-wing"),
+    (basis_state("010101"), "per-wing"),
+])
+def test_unsupported_pure_inputs_raise_before_any_draw(monkeypatch, state, scope):
+    drawn = []
+    monkeypatch.setattr(decohere, "haar_su2_batch",
+                        lambda rng, shape: drawn.append(shape))
+    with pytest.raises(ValueError):
+        fidelity_samples(state, CollectiveChannel(n_samples=3, scope=scope))
+    assert drawn == []

@@ -5,11 +5,10 @@ imports an underscore name from another package module.  No linter ships
 with the test environment, so these are those checks.  ``__init__.py`` is
 exempt: its imports are the package's re-exports.  Importing the command
 line loads no scipy module, which would cost every process its import time.
-Haar frames are drawn in batches everywhere but in the pure-state
-decoherence draws.  Every public function, class and method is used somewhere in the
-package outside its own body, or is listed in ``UNREFERENCED`` with the
-reason it is kept.  What the benchmark's workloads call still exists, with
-the keywords they pass.
+Haar frames are drawn in batches everywhere.  Every public function, class
+and method is used somewhere in the package outside its own body, or is
+listed in ``UNREFERENCED`` with the reason it is kept.  What the benchmark's
+workloads call still exists, with the keywords they pass.
 """
 
 import ast
@@ -72,12 +71,10 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_only_decohere_draws_one_frame_at_a_time():
+def test_no_module_draws_one_frame_at_a_time():
     """Every module draws its Haar frames with ``haar_su2_batch``, whose
-    draws equal the single draws on the same stream, except the pure-state
-    route of ``decohere``: ``_rotate_once`` calls ``haar_su2`` once per
-    rotated wing per draw, and the benchmark counts those calls as its draw
-    count, so batching them waits on a change of that count."""
+    draws equal the single draws on the same stream; no module calls
+    ``haar_su2``."""
     def called(node):
         func = getattr(node, "func", None)
         return (getattr(func, "id", None) == "haar_su2"
@@ -87,7 +84,7 @@ def test_only_decohere_draws_one_frame_at_a_time():
         f"{path.name}:{getattr(top, 'name', '<module>')}" for path in MODULES
         for top in ast.parse(path.read_text()).body
         if any(map(called, ast.walk(top))))
-    assert callers == ["decohere.py:_rotate_once"]
+    assert callers == []
 
 
 # Public names that no package module uses, each kept on purpose.  The test
@@ -109,13 +106,14 @@ UNREFERENCED = {
               "integer sector table",
     "Observable.to_matrix": "the matrix route of Observable.rotated",
     "load_schema": "the schema check of report-all's output",
-    "state_fidelity": "the per-draw Uhlmann route the density chunks are "
+    "state_fidelity": "the per-draw route the pure and density chunks are "
                       "compared against",
 }
 # called by the benchmark (test_benchmark_calls_match_the_package)
 BENCHMARK_CALLS = {
     "find_distinguishing_thetas": "the scan workload's search for one angle",
     "Observable.rotated": "timed as a layer; no package module turns observables",
+    "haar_su2": "the benchmark's per-draw probe and its call counter read it",
 }
 UNREFERENCED.update(BENCHMARK_CALLS)
 
