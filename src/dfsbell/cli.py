@@ -206,10 +206,10 @@ def _hardy_section() -> Section:
     rank = min(hardy.zero_constraint_rank(r.instance.alpha_a, r.instance.alpha_b)
                for r in (res_c, res_f))
     # maximality by a numerical route, next to the exact certificate in the tests
-    step = math.pi / (2 * _HARDY_GRID)
-    best, ka, kb = max(
-        (hardy.hardy_probability(hardy.feasible_state(ka * step, kb * step))[0], ka, kb)
-        for ka in range(_HARDY_GRID) for kb in range(_HARDY_GRID))
+    probs = hardy.grid_probabilities(_HARDY_GRID)
+    # the largest (ka, kb) among equal values, as a max over (p, ka, kb) would
+    ka, kb = divmod(int(np.flatnonzero(probs == probs.max())[-1]), _HARDY_GRID)
+    best = float(probs[ka, kb])
     checks = (
         approx_check(
             "zero-constraint rank", rank, 3, 0,

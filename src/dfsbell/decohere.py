@@ -10,15 +10,34 @@ GHZ state) lose most of their fidelity, which calibrates the comparison.
 Every draw takes its frames from the seeded stream in chunks of CHUNK
 draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in the global
 scope, (k, 2) per wing, so that draw by draw Alice's frame comes before
-Bob's, as k single draws would give them.  A pure state is scored by
-``qcore.collective_turn``, with no U^(x4) formed: a 4-qubit state turns its
-one column, and an 8-qubit state, as a 16 x 16 matrix M with Alice's index
-first, gives <psi|U^(x4) x V^(x4)|psi> = sum_ac X_ac Y_ca for
-X = U^(x4) M and Y = (V^T)^(x4) M^dagger.  Its fidelity is |<psi|rotated>|^2.
-A density operator turns by the full U^(x n) from ``qcore.kron`` and is
-checked; the Uhlmann fidelities of a chunk come from one batched eigvalsh,
-with the square root of rho computed once per call.  ``state_fidelity`` is
-the per-draw route the tests compare the chunks against.
+Bob's, as k single draws would give them.
+
+Each state is scored on its support only, through ``qcore.collective_turn``:
+no U^(x4) is formed and no turned density operator is built.  The support
+keeps the eigenvalues at or above the cut of 1e-12 that ``state_fidelity``
+chops to zero.
+
+- A 4-qubit pure state turns its one column; its fidelity is
+  |<psi|rotated>|^2.
+- An 8-qubit pure state, as a 16 x 16 matrix M with Alice's index first,
+  keeps the r eigenvectors L of M M^dagger past the cut (its Schmidt
+  support; r = 2 for the two-wing state).  With R = M^dagger L it gives
+  <psi|U^(x4) x V^(x4)|psi> = sum_ab X_ab Y_ba for X = L^dagger U^(x4) L and
+  Y = R^dagger (V^T)^(x4) R, so each wing turns r columns, not 16.  This
+  scores psi' = (L L^dagger x 1) psi, which differs from psi by a vector of
+  squared norm e, the sum of the dropped eigenvalues (below 1.5e-11); the
+  fidelity moves by at most 4 sqrt(e) + 2 e.  When psi has Schmidt rank r
+  exactly, as the two-wing state does, e is rounding noise.
+- A 4-qubit density operator rho keeps its eigenvectors V past the cut and
+  D = diag(sqrt p) of their eigenvalues p.  With W = (U^dagger)^(x4) V the
+  Uhlmann fidelity with U^(x4) rho U^(x4)^dagger is
+  (sum sqrt(eig(D W^dagger rho W D)))^2: the nonzero eigenvalues of that
+  r x r matrix are those of sqrt(rho) rho' sqrt(rho).  Every frame's W must
+  stay orthonormal, W^dagger W = 1 within ``qcore.ATOL``, which is what
+  makes the turned rho a density operator; otherwise ValueError.
+
+``state_fidelity`` is the per-draw route the tests compare the chunks
+against.
 """
 
 from __future__ import annotations
@@ -29,17 +48,21 @@ from functools import partial
 import numpy as np
 
 from . import dfs_states
-from .qcore import (DensityOperator, QuantumState, basis_state, check_density,
-                    collective_turn, haar_su2_batch, kron, partial_trace)
+from .qcore import (ATOL, DensityOperator, QuantumState, basis_state,
+                    collective_turn, haar_su2_batch, partial_trace)
 
 IMMUNITY_ATOL = 1e-9
 
-# Draws per chunk, sized for density operators of at most 4 qubits, where a
-# chunk's stacked arrays stay near 100 kB; larger chunks saved no time and
-# raised the peak memory.  An 8-qubit density operator costs about 34 MB per
-# stacked (CHUNK, 256, 256) array.  Pure states take the same chunks;
-# larger ones saved them at most 0.02 s over 4,000 draws.
-CHUNK = 32
+# Draws per chunk.  The support kernels turn at most 16 columns (a random
+# 8-qubit state; 1 or 2 for the report's states), so a chunk's arrays stay
+# in the hundreds of kB.  On the 8 x 1000 draws of the immunity report, 256
+# took a third of the time of 32 with no more traced memory; larger chunks
+# saved at most 2 ms more, and 1024 took the traced peak from 1.4 to 2.5 MB.
+CHUNK = 256
+
+# Eigenvalues below this are exact zeros: of a density operator, and of
+# M M^dagger, the squared Schmidt coefficients of an 8-qubit state.
+_CUT = 1e-12
 
 _SCOPES = ("global", "per-wing")
 
@@ -63,7 +86,7 @@ class CollectiveChannel:
 
 
 def _chop(w):
-    return np.where(w < 1e-12, 0.0, w)
+    return np.where(w < _CUT, 0.0, w)
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
@@ -92,29 +115,56 @@ def state_fidelity(a, b) -> float:
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
-def _mixed_fidelities(rho: DensityOperator, root: np.ndarray,
+def _turned(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """U^(x4) applied to ``cols`` (16, r) for (k, 2, 2) frames, as the
+    (16, r, k) array ``collective_turn`` fills: with the frame axis last, a
+    product with a fixed matrix is one 2-D product over every frame."""
+    return collective_turn(u, cols).transpose(1, 2, 0)
+
+
+def _mixed_fidelities(rho: np.ndarray, vecs: np.ndarray, d: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
-    """Uhlmann fidelity of rho with U^(x n) rho U^(x n)^dagger for a chunk
-    of (k, 2, 2) frames; ``root`` is the chopped square root of rho."""
-    big = kron([u] * rho.n_qubits)
-    out = big @ rho.matrix @ big.conj().swapaxes(-1, -2)
-    check_density(out)
-    ev = np.linalg.eigvalsh(root @ out @ root)
+    """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
+    (k, 2, 2) frames, on rho's support: ``vecs`` (16, r) and ``d`` (r,) are
+    the eigenvectors of rho past the cut and the square roots of their
+    eigenvalues."""
+    w = _turned(u.conj().swapaxes(-1, -2), vecs)
+    wc = w.conj()
+    err = np.linalg.norm(np.einsum("iak,ibk->kab", wc, w) - np.eye(len(d)),
+                         axis=(-2, -1))
+    if not np.all(err <= ATOL):
+        raise ValueError("turned support is not orthonormal within 1e-10")
+    inner = np.einsum("iak,ibk->kab", wc, np.tensordot(rho, w, 1))
+    ev = np.linalg.eigvalsh(d[:, None] * inner * d)
     return np.minimum(1.0, np.sum(np.sqrt(_chop(ev)), axis=-1) ** 2)
 
 
 def _pure_fidelities(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """|<psi|rotated>|^2 for a chunk of frames: ``u`` is (k, 2, 2) in the
-    global scope and (k, 2, 2, 2) per wing, Alice's frame first."""
-    if psi.size == 16:
-        overlaps = collective_turn(u, psi[:, None])[..., 0] @ psi.conj()
-    else:
-        m = psi.reshape(16, 16)
-        alice, bob = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
-        x = collective_turn(alice, m)
-        y = collective_turn(bob.swapaxes(-1, -2), m.conj().T)
-        overlaps = np.einsum("kac,kca->k", x, y)
+    """|<psi|rotated>|^2 of a 4-qubit state for a chunk of (k, 2, 2) frames."""
+    overlaps = collective_turn(u, psi[:, None])[..., 0] @ psi.conj()
     return np.minimum(1.0, np.abs(overlaps) ** 2)
+
+
+def _schmidt_fidelities(left: np.ndarray, right: np.ndarray,
+                        u: np.ndarray) -> np.ndarray:
+    """|<psi|rotated>|^2 of an 8-qubit state M (16 x 16, Alice's index
+    first) for a chunk of frames, on its Schmidt support: ``left`` (16, r)
+    spans the support of M M^dagger and ``right`` is M^dagger left.  ``u``
+    is (k, 2, 2) in the global scope and (k, 2, 2, 2) per wing, Alice's
+    frame first."""
+    alice, bob = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
+    x = np.tensordot(left.conj(), _turned(alice, left), (0, 0))
+    y = np.tensordot(right.conj(), _turned(bob.swapaxes(-1, -2), right), (0, 0))
+    overlaps = np.einsum("abk,bak->k", x, y)
+    return np.minimum(1.0, np.abs(overlaps) ** 2)
+
+
+def _support(h: np.ndarray):
+    """Eigenvectors (16, r) of the Hermitian ``h`` whose eigenvalues pass
+    the cut, and those eigenvalues."""
+    p, v = np.linalg.eigh(h)
+    keep = p >= _CUT
+    return v[:, keep], p[keep]
 
 
 def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
@@ -122,21 +172,29 @@ def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
 
     Draw i of the result uses the frames of draw i of the stream, in the
     order of the module docstring.  A pure state must have 4 or 8 qubits,
-    and the per-wing scope takes only a pure 8-qubit state; other inputs
-    raise ValueError before any draw.
+    a density operator 4, and the per-wing scope takes only a pure 8-qubit
+    state; other inputs raise ValueError before any draw.
     """
     if isinstance(state, DensityOperator):
         if channel.scope != "global":
             raise ValueError("density operators support only the global scope")
-        score = partial(_mixed_fidelities, state, _sqrt_psd(state.matrix))
-    else:
-        if state.n_qubits not in (4, 8):
+        if state.n_qubits != 4:
             raise ValueError(
-                f"pure states of 4 or 8 qubits only, got {state.n_qubits}")
-        if channel.scope == "per-wing" and state.n_qubits != 8:
+                f"density operators of 4 qubits only, got {state.n_qubits}")
+        vecs, p = _support(state.matrix)
+        score = partial(_mixed_fidelities, state.matrix, vecs, np.sqrt(p))
+    elif state.n_qubits == 8:
+        m = state.amplitudes.reshape(16, 16)
+        left, _ = _support(m @ m.conj().T)
+        score = partial(_schmidt_fidelities, left, m.conj().T @ left)
+    elif state.n_qubits == 4:
+        if channel.scope == "per-wing":
             raise ValueError("the per-wing scope requires an 8-qubit state, "
                              f"got {state.n_qubits}")
         score = partial(_pure_fidelities, state.amplitudes)
+    else:
+        raise ValueError(
+            f"pure states of 4 or 8 qubits only, got {state.n_qubits}")
     frames = (2,) if channel.scope == "per-wing" else ()
     rng = np.random.default_rng(seed)
     out = np.empty(channel.n_samples)

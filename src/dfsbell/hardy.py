@@ -136,6 +136,34 @@ def feasible_state(alpha_a: float, alpha_b: float) -> HardyInstance:
     return HardyInstance(tuple(raw / norm), alpha_a, alpha_b)
 
 
+def grid_probabilities(n: int) -> np.ndarray:
+    """Positive-event probability of the feasible state at every grid pair.
+
+    Entry (ka, kb) is ``hardy_probability(feasible_state(ka * step, kb *
+    step))[0]`` with step = pi / (2 n), by the same Born-rule route in one
+    array pass: the n ``axis_rows`` once, the feasible states as one
+    (n, n, 4) array, and the event's amplitude as one einsum of its own
+    rows.  Entries may differ from the per-pair route by a few ulps.  Raises
+    ValueError where ``feasible_state`` would.
+    """
+    step = math.pi / (2 * n)
+    rows = np.stack([axis_rows(k * step) for k in range(n)])
+    c, s = rows[:, 0, 0], rows[:, 0, 1]
+    raw = np.zeros((n, n, 4))
+    raw[..., 0] = c[:, None] * c
+    raw[..., 1] = c[:, None] * s
+    raw[..., 2] = s[:, None] * c
+    norm = np.linalg.norm(raw, axis=-1)
+    if np.any(norm < _RANK_TOL):
+        raise ValueError("the zero constraints lose rank at these angles")
+    states = (raw / norm[..., None]).reshape(n, n, 2, 2)
+    wing = {"F": np.broadcast_to(_F_ROWS, rows.shape), "G": rows}
+    sa, sb, oa, ob = POSITIVE_EVENT
+    amp = np.einsum("ai,bj,abij->ab", wing[sa][:, int(oa > 0)],
+                    wing[sb][:, int(ob > 0)], states)
+    return amp ** 2
+
+
 def fixed_angle_maximum(alpha: float) -> float:
     """Largest positive-event probability with both angles fixed at alpha.
 

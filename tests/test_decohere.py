@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dfsbell import decohere
-from dfsbell.decohere import (CHUNK, IMMUNITY_ATOL, CollectiveChannel,
+from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel,
                               fidelity_samples, immunity_report,
                               state_fidelity)
 from dfsbell.dfs_states import make_eta, make_phi0, make_phi1
@@ -113,7 +114,7 @@ def test_worst_draw_reproduces_the_smallest_fidelity():
 
 
 def test_density_draws_match_the_pure_route():
-    # the density path turns rho by kron(U, U, U, U); on a pure state's
+    # the density path turns rho's one support column; on a pure state's
     # density its fidelity with the state equals the pure-state draw's
     rng = np.random.default_rng(21)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
@@ -134,8 +135,14 @@ def _random_density(rng, n, rank=3):
     return DensityOperator(sum(vs) / rank)
 
 
-@pytest.mark.parametrize("n_samples", [1, CHUNK, CHUNK + 1])
-def test_density_chunks_match_the_per_draw_route(n_samples):
+# The chunk-boundary tests run with this many draws per chunk, so that the
+# per-draw route they compare against stays cheap at any CHUNK.
+_TEST_CHUNK = 32
+
+
+@pytest.mark.parametrize("n_samples", [1, _TEST_CHUNK, _TEST_CHUNK + 1])
+def test_density_chunks_match_the_per_draw_route(monkeypatch, n_samples):
+    monkeypatch.setattr(decohere, "CHUNK", _TEST_CHUNK)
     rho = _random_density(np.random.default_rng(31), 4)
     chunked = fidelity_samples(rho, CollectiveChannel(n_samples), seed=5)
     single = np.random.default_rng(5)
@@ -186,9 +193,10 @@ def _per_draw_route(state, scope, n_samples, seed):
     return np.stack(frames), np.array(fids)
 
 
-@pytest.mark.parametrize("n_samples", [1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("n_samples", [1, _TEST_CHUNK, _TEST_CHUNK + 1])
 @pytest.mark.parametrize("name", list(_PURE_CASES))
 def test_pure_chunks_match_the_per_draw_route(monkeypatch, name, n_samples):
+    monkeypatch.setattr(decohere, "CHUNK", _TEST_CHUNK)
     state, scope = _PURE_CASES[name]
     drawn, original = [], decohere.haar_su2_batch
 
@@ -210,6 +218,8 @@ def test_pure_chunks_match_the_per_draw_route(monkeypatch, name, n_samples):
     (basis_state("010101"), "global"),
     (basis_state("0101"), "per-wing"),
     (basis_state("010101"), "per-wing"),
+    (basis_state("01").density(), "global"),
+    (basis_state("01010101").density(), "global"),
 ])
 def test_unsupported_pure_inputs_raise_before_any_draw(monkeypatch, state, scope):
     drawn = []
@@ -218,3 +228,42 @@ def test_unsupported_pure_inputs_raise_before_any_draw(monkeypatch, state, scope
     with pytest.raises(ValueError):
         fidelity_samples(state, CollectiveChannel(n_samples=3, scope=scope))
     assert drawn == []
+
+
+def test_a_frame_that_is_not_unitary_raises_in_the_density_kernel(monkeypatch):
+    # the turned support must stay orthonormal, frame by frame: that is what
+    # makes the turned rho a density operator
+    original = decohere.haar_su2_batch
+    monkeypatch.setattr(decohere, "haar_su2_batch",
+                        lambda rng, shape: original(rng, shape) * (1 + 1e-6))
+    rho = partial_trace(make_eta(), keep=(1, 2, 3, 4))
+    with pytest.raises(ValueError, match="orthonormal"):
+        fidelity_samples(rho, CollectiveChannel(n_samples=3), seed=1)
+
+
+def test_schmidt_cut_keeps_the_two_wing_state_at_rank_two(monkeypatch):
+    # each wing of the two-wing state turns its 2 Schmidt columns, not 16
+    widths, original = [], decohere.collective_turn
+
+    def recorded(u, cols):
+        widths.append(cols.shape)
+        return original(u, cols)
+    monkeypatch.setattr(decohere, "collective_turn", recorded)
+    fidelity_samples(make_eta(), CollectiveChannel(3, "per-wing"), seed=1)
+    assert widths == [(16, 2), (16, 2)]
+
+
+def test_immunity_report_traced_memory():
+    # 1.39 MB traced, about 1 MB of it the 8-qubit density that partial_trace
+    # forms for the reduced state; a chunk of support columns adds a few
+    # hundred kB, where 1024-draw chunks would take the peak to 2.5 MB.
+    # numpy.random is imported first, so that its one-time imports are not
+    # traced.
+    import numpy.random  # noqa: F401
+    tracemalloc.start()
+    try:
+        immunity_report(n_samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

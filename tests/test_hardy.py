@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dfsbell import hardy
 from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
                            ZERO_EVENTS, Feasible, HardyInstance, Infeasible,
                            LhvConstraint, LhvScenario, _coefficient_rows,
                            eta_instance, feasible_state,
-                           fixed_angle_maximum, hardy_probability,
+                           fixed_angle_maximum, grid_probabilities,
+                           hardy_probability,
                            lhv_feasibility, optimize_constrained,
                            optimize_unconstrained_measurements,
                            standard_scenario, to_full_state,
@@ -239,3 +241,22 @@ def test_strategy_enumeration():
     assert len(STRATEGIES) == 16
     assert len(set(STRATEGIES)) == 16
     assert all(len(s) == 4 and set(s) <= {-1, 1} for s in STRATEGIES)
+
+
+def test_grid_probabilities_match_the_per_pair_route():
+    # the same Born-rule products in another summation order: a few ulps
+    n = 16
+    step = math.pi / (2 * n)
+    per_pair = [[hardy_probability(feasible_state(a * step, b * step))[0]
+                 for b in range(n)] for a in range(n)]
+    assert np.abs(grid_probabilities(n) - per_pair).max() <= 1e-15
+
+
+def test_grid_probabilities_raise_where_feasible_state_does(monkeypatch):
+    # no pair of the grid on [0, pi/2)^2 loses rank; a tolerance above every
+    # state norm shows that the grid keeps feasible_state's raise
+    monkeypatch.setattr(hardy, "_RANK_TOL", 2.0)
+    with pytest.raises(ValueError, match="lose rank"):
+        feasible_state(0.1, 0.2)
+    with pytest.raises(ValueError, match="lose rank"):
+        grid_probabilities(4)
