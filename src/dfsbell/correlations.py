@@ -21,7 +21,8 @@ import numpy as np
 
 from .dfs_states import Observable, make_eta, make_f, make_g
 from .hardy import P_POSITIVE
-from .qcore import QuantumState, Unitary2, haar_su2_batch, joint_probs, wing_bras
+from .qcore import (QuantumState, check_unitary, haar_su2_batch, joint_probs,
+                    wing_bras)
 
 NULL = "null"
 # the labelled outcomes, in the order of a wing's two bras
@@ -39,12 +40,14 @@ class UndefinedConditionalError(ValueError):
 
 @dataclass(frozen=True)
 class LocalRotation:
-    """Collective rotation of one wing's observable: each eigenvector gets U^(x4)."""
+    """Collective rotation of one wing's observable: each eigenvector gets
+    U^(x4), for the (2, 2) frame ``u``."""
 
-    u: Unitary2
+    u: np.ndarray
     wing: str
 
     def __post_init__(self):
+        object.__setattr__(self, "u", check_unitary(self.u))
         if self.wing not in ("alice", "bob"):
             raise ValueError(f"wing must be 'alice' or 'bob', got {self.wing!r}")
 
@@ -66,7 +69,7 @@ def _setting_bras(setting: Setting, wing: str) -> np.ndarray:
             raise ValueError(
                 f"rotation is for wing {setting.rotation.wing!r}, used on {wing!r}"
             )
-        bras = wing_bras(bras, setting.rotation.u.matrix)
+        bras = wing_bras(bras, setting.rotation.u)
     return bras
 
 

@@ -115,20 +115,13 @@ def state_fidelity(a, b) -> float:
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
-def _turned(u: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """U^(x4) applied to ``cols`` (16, r) for (k, 2, 2) frames, as the
-    (16, r, k) array ``collective_turn`` fills: with the frame axis last, a
-    product with a fixed matrix is one 2-D product over every frame."""
-    return collective_turn(u, cols).transpose(1, 2, 0)
-
-
 def _mixed_fidelities(rho: np.ndarray, vecs: np.ndarray, d: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
     (k, 2, 2) frames, on rho's support: ``vecs`` (16, r) and ``d`` (r,) are
     the eigenvectors of rho past the cut and the square roots of their
     eigenvalues."""
-    w = _turned(u.conj().swapaxes(-1, -2), vecs)
+    w = collective_turn(u.conj().swapaxes(-1, -2), vecs)
     wc = w.conj()
     err = np.linalg.norm(np.einsum("iak,ibk->kab", wc, w) - np.eye(len(d)),
                          axis=(-2, -1))
@@ -141,7 +134,7 @@ def _mixed_fidelities(rho: np.ndarray, vecs: np.ndarray, d: np.ndarray,
 
 def _pure_fidelities(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """|<psi|rotated>|^2 of a 4-qubit state for a chunk of (k, 2, 2) frames."""
-    overlaps = collective_turn(u, psi[:, None])[..., 0] @ psi.conj()
+    overlaps = collective_turn(u, psi[:, None])[:, 0].T @ psi.conj()
     return np.minimum(1.0, np.abs(overlaps) ** 2)
 
 
@@ -153,8 +146,9 @@ def _schmidt_fidelities(left: np.ndarray, right: np.ndarray,
     is (k, 2, 2) in the global scope and (k, 2, 2, 2) per wing, Alice's
     frame first."""
     alice, bob = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
-    x = np.tensordot(left.conj(), _turned(alice, left), (0, 0))
-    y = np.tensordot(right.conj(), _turned(bob.swapaxes(-1, -2), right), (0, 0))
+    x = np.tensordot(left.conj(), collective_turn(alice, left), (0, 0))
+    y = np.tensordot(right.conj(), collective_turn(bob.swapaxes(-1, -2), right),
+                     (0, 0))
     overlaps = np.einsum("abk,bak->k", x, y)
     return np.minimum(1.0, np.abs(overlaps) ** 2)
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (ATOL, QuantumState, Unitary2, apply_collective, axis_rows,
-                    permute_qubits)
+from .qcore import ATOL, QuantumState, apply_collective, axis_rows, permute_qubits
 
 V0 = np.zeros(16, dtype=np.int64)
 V0[[0b0101, 0b1010]] = 1
@@ -143,8 +142,9 @@ class Observable:
         if not abs(self.minus.overlap(self.plus)) <= ATOL:
             raise ValueError("eigenvectors are not orthogonal")
 
-    def rotated(self, u: Unitary2) -> "Observable":
-        """Same spectrum, eigenvectors conjugated by the collective rotation U^(x4)."""
+    def rotated(self, u: np.ndarray) -> "Observable":
+        """Same spectrum, eigenvectors conjugated by the collective rotation
+        U^(x4) of the (2, 2) frame ``u``."""
         return Observable(apply_collective(self.minus, u, "all"),
                           apply_collective(self.plus, u, "all"))
 

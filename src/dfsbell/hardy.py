@@ -347,7 +347,6 @@ class OptimizationResult:
     instance: HardyInstance
     max_residual: float
     n_feasible: int
-    n_starts: int
 
 
 def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
@@ -370,14 +369,14 @@ def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,
 
     With rank-3 zero constraints the feasible state is unique up to phase,
     so it is the maximizer: no search is needed (the result reports one
-    start).  At alpha = pi/3 the optimum is 9/112.  Where the rank drops
-    (alpha = pi/2 mod pi), ``feasible_state`` raises ValueError.  ``n_starts``
-    and ``seed`` are unused, kept while the benchmark passes them (ROADMAP
-    item 1, test_benchmark_calls_match_the_package).
+    feasible point).  At alpha = pi/3 the optimum is 9/112.  Where the rank
+    drops (alpha = pi/2 mod pi), ``feasible_state`` raises ValueError.
+    ``n_starts`` and ``seed`` are unused, kept while the benchmark passes
+    them (ROADMAP item 1, test_benchmark_calls_match_the_package).
     """
     inst = feasible_state(alpha, alpha)
     p, residuals = hardy_probability(inst)
-    return OptimizationResult(p, inst, max(residuals.values()), 1, 1)
+    return OptimizationResult(p, inst, max(residuals.values()), 1)
 
 
 def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> OptimizationResult:
@@ -388,7 +387,7 @@ def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> Optimizat
     stationary point is x = y = (sqrt 5 - 1)/2 (the exact certificate is in
     the tests), so that point is the maximum: the fixed-angle optimum at
     sin^2(alpha) = (sqrt 5 - 1)/2, probability ((sqrt 5 - 1)/2)^5.  No search
-    is needed (the result reports one start); ``n_starts`` and ``seed`` are
-    unused and kept as in ``optimize_constrained``.
+    is needed (the result reports one feasible point); ``n_starts`` and
+    ``seed`` are unused and kept as in ``optimize_constrained``.
     """
     return optimize_constrained(math.asin(math.sqrt(FREE_OPTIMAL_SIN_SQ)))

@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dfs_states import ETA_COEFFS, ETA_INT, SECTOR, make_eta
-from .qcore import (QuantumState, Unitary2, collective_turn, haar_su2_batch,
+from .qcore import (QuantumState, check_unitary, collective_turn, haar_su2_batch,
                     joint_probs, kron, product_bras, wing_bras)
 
 # Fresh-frame marginal and conditional word probabilities analytically zero
@@ -111,18 +111,19 @@ _ETA_FACTORS = (np.einsum("vj,jk->vk", SECTOR, ETA_COEFFS), SECTOR)
 
 
 def wing_distribution(state: QuantumState, protocol: str,
-                      rotation: Unitary2 | None = None) -> np.ndarray:
-    """Exact 16-word Born distribution for one wing's product measurement."""
+                      rotation: np.ndarray | None = None) -> np.ndarray:
+    """Exact 16-word Born distribution for one wing's product measurement,
+    its frame turned by the (2, 2) ``rotation`` when one is given."""
     if state.n_qubits != 4:
         raise ValueError("wing_distribution expects a 4-qubit state")
     bras = product_bras(_thetas(protocol))
     if rotation is not None:
-        bras = wing_bras(bras, rotation.matrix)
+        bras = wing_bras(bras, check_unitary(rotation))
     return np.abs(bras @ state.amplitudes) ** 2
 
 
 def wing_outcome_distribution(state: QuantumState, protocol: str,
-                              rotation: Unitary2 | None = None) -> dict:
+                              rotation: np.ndarray | None = None) -> dict:
     """Exact induced distribution over {-1, +1} after classification."""
     probs = wing_distribution(state, protocol, rotation)
     signs = _SIGNS[protocol]
@@ -183,9 +184,8 @@ def _draw_words(p, r) -> tuple:
 
 def _turned_columns(bras, u, vecs) -> np.ndarray:
     """bras (U^(x4))^dagger vecs for the frame stack u, as (16, r, m): one
-    product over all frames, since ``collective_turn`` returns a view of a
-    contiguous (16, r, m) array."""
-    turned = collective_turn(u.conj().swapaxes(-1, -2), vecs).transpose(1, 2, 0)
+    product over all frames, since ``collective_turn`` puts the frame last."""
+    turned = collective_turn(u.conj().swapaxes(-1, -2), vecs)
     return (bras @ turned.reshape(16, -1)).reshape(turned.shape)
 
 

@@ -18,13 +18,15 @@ A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
 ``product_bras`` joins four such rows into the 16 bras of the outcome words.
 
-Haar frames come as an array (``haar_su2_batch``), as every module of the
-package draws them, or one at a time (``haar_su2``, a checked ``Unitary2``),
-the per-draw form the tests rebuild the batches from.  Both go through one
-helper, so a batch of shape S consumes the same normals as prod(S) single
-draws and returns the same matrices in row-major order: batching a draw site
-never moves a seeded stream.  ``check_density`` makes the checks of
-``DensityOperator`` on a whole stack of matrices at once.
+A frame is a ``(..., 2, 2)`` array of SU(2) matrices, one form for a single
+frame and for a stack of them; ``check_unitary`` is its one unitarity check,
+and every function that takes a frame from a caller makes it.  Haar frames
+come from ``haar_su2_batch``, as every module of the package draws them;
+``haar_su2`` is its single draw, the per-draw form the tests rebuild the
+batches from, so a batch of shape S consumes the same normals as prod(S)
+single draws and returns the same matrices in row-major order: batching a
+draw site never moves a seeded stream.  ``check_density`` makes the checks
+of ``DensityOperator`` on a whole stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ import numpy as np
 ATOL = 1e-10
 
 MAX_QUBITS = 8
-
-_EYE2 = np.eye(2)
 
 
 class SizeError(ValueError):
@@ -96,22 +96,6 @@ class QuantumState:
 
 
 @dataclass(frozen=True)
-class Unitary2:
-    """A 2x2 unitary, the elementary collective rotation."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-        if not _norm(m.conj().T @ m - _EYE2) <= ATOL:
-            raise ValueError("matrix is not unitary within 1e-10")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive semidefinite operator on n qubits."""
 
@@ -143,6 +127,20 @@ def check_density(m: np.ndarray) -> None:
         raise ValueError(f"trace {trace} deviates from 1")
     if not np.all(np.linalg.eigvalsh(m).min(axis=-1) >= -ATOL):
         raise ValueError("matrix has an eigenvalue below -1e-10")
+
+
+def check_unitary(u) -> np.ndarray:
+    """``u`` as an array, after checking that it is a ``(..., 2, 2)`` stack of
+    frames each unitary within ATOL; otherwise ValueError."""
+    u = np.asarray(u)
+    if u.shape[-2:] != (2, 2):
+        raise ValueError(f"expected (..., 2, 2) frames, got shape {u.shape}")
+    # einsum, not a batched 2x2 @: half the cost on a chunk of frames
+    gram = np.einsum("...ki,...kj->...ij", u.conj(), u)
+    err = np.linalg.norm(gram - np.eye(2), axis=(-2, -1))
+    if not np.all(err <= ATOL):
+        raise ValueError("matrix is not unitary within 1e-10")
+    return u
 
 
 def basis_state(bits) -> QuantumState:
@@ -221,12 +219,14 @@ def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
 def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """U^(x4) applied to every column of ``vecs``, for a stack of frames.
 
-    ``u`` is (m, 2, 2) and ``vecs`` is (16, r); returns (m, 16, r), a view
-    of a contiguous (16, r, m) array.  The turn goes one qubit at a time with
-    the frame axis last, so each product runs over m contiguous frames and no
-    U^(x4) is formed.  Qubit steps alternate between two buffers, and each
-    output half w[i, 0] t0 + w[i, 1] t1 takes its second product in one
-    spare half, so a turn allocates three arrays, not new ones per qubit.
+    ``u`` is (m, 2, 2) and ``vecs`` is (16, r); returns a contiguous
+    (16, r, m) array, frame last, so that a product of the result with a
+    fixed matrix is one 2-D product over every frame.  The turn goes one
+    qubit at a time with the frame axis last, so each product runs over m
+    contiguous frames and no U^(x4) is formed.  Qubit steps alternate between
+    two buffers, and each output half w[i, 0] t0 + w[i, 1] t1 takes its
+    second product in one spare half, so a turn allocates three arrays, not
+    new ones per qubit.
     """
     w = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # w[i, j]: entry (i, j) of every frame
     m, r = u.shape[0], vecs.shape[1]
@@ -242,7 +242,7 @@ def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
             np.multiply(w[i, 1], t[:, 1], out=half)
             np.add(out[:, i], half, out=out[:, i])
         t = out
-    return t.reshape(16, r, m).transpose(2, 0, 1)
+    return t.reshape(16, r, m)
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:
@@ -255,13 +255,15 @@ def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np
     return np.abs(bras_a @ amp16 @ bras_b.swapaxes(-1, -2)) ** 2
 
 
-def apply_collective(s: QuantumState, u: Unitary2, wing: str = "all") -> QuantumState:
-    """Apply the same single-qubit unitary to every qubit of the chosen wing.
+def apply_collective(s: QuantumState, u: np.ndarray, wing: str = "all") -> QuantumState:
+    """Apply the same single-qubit unitary, the (2, 2) frame ``u``, to every
+    qubit of the chosen wing.
 
     ``wing`` is one of "all", "alice" (qubits 1-4), "bob" (qubits 5-8); the
     named wings are only defined for 8-qubit states.  U^(x k) acts on blocks
     of at most four qubits, so no operator larger than 16 x 16 is formed.
     """
+    u = check_unitary(u)
     n = s.n_qubits
     if wing == "all":
         blocks = [(q, min(4, n - q)) for q in range(0, n, 4)]
@@ -274,7 +276,7 @@ def apply_collective(s: QuantumState, u: Unitary2, wing: str = "all") -> Quantum
     amplitudes = s.amplitudes
     for first, k in blocks:
         t = amplitudes.reshape(2 ** first, 2 ** k, -1)
-        amplitudes = (kron([u.matrix] * k) @ t).reshape(-1)
+        amplitudes = (kron([u] * k) @ t).reshape(-1)
     return QuantumState(amplitudes)
 
 
@@ -290,18 +292,20 @@ def _haar_matrices(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return (q @ _QUAT).reshape(*shape, 2, 2)
 
 
-def haar_su2(rng: np.random.Generator) -> Unitary2:
-    """Haar-random element of SU(2).
+def haar_su2(rng: np.random.Generator) -> np.ndarray:
+    """One Haar-random element of SU(2), a (2, 2) array: the batch of shape
+    (), which consumes exactly four normal variates."""
+    return haar_su2_batch(rng, ())
 
-    Parameters
-    ----------
-    rng : numpy.random.Generator
-        Seeded stream; the draw consumes exactly four normal variates, and
-        a ``haar_su2_batch`` of shape S consumes the same normals as prod(S)
-        single draws and returns the same matrices.
 
-    Notes
-    -----
+def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Independent Haar-random SU(2) matrices as a ``(*shape, 2, 2)`` array.
+
+    A batch of shape S consumes the same normals as prod(S) single
+    ``haar_su2`` draws and returns the same matrices, in row-major order,
+    so batching never moves a seeded stream.  Every draw passes
+    ``check_unitary``, made once for the whole batch.
+
     Uses the quaternion parametrization: a point (a, b, c, d) drawn uniformly
     on the 3-sphere (four independent standard normals, normalized) maps to
 
@@ -311,24 +315,7 @@ def haar_su2(rng: np.random.Generator) -> Unitary2:
     which has unit determinant a^2 + b^2 + c^2 + d^2 = 1.  Uniformity on S^3
     is exactly the Haar measure of SU(2).
     """
-    return Unitary2(_haar_matrices(rng, ()))
-
-
-def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Independent Haar-random SU(2) matrices as a ``(*shape, 2, 2)`` array.
-
-    A batch of shape S consumes the same normals as prod(S) single
-    ``haar_su2`` draws and returns the same matrices, in row-major order,
-    so batching never moves a seeded stream.  Every draw passes the
-    unitarity test of ``Unitary2``, made once for the whole batch.
-    """
-    u = _haar_matrices(rng, shape)
-    # einsum, not a batched 2x2 @: half the cost on a chunk of frames
-    gram = np.einsum("...ki,...kj->...ij", u.conj(), u)
-    err = np.linalg.norm(gram - np.eye(2), axis=(-2, -1))
-    if not np.all(err <= ATOL):
-        raise ValueError("matrix is not unitary within 1e-10")
-    return u
+    return check_unitary(_haar_matrices(rng, shape))
 
 
 def partial_trace(state_or_rho, keep) -> DensityOperator:

@@ -148,7 +148,7 @@ def test_density_chunks_match_the_per_draw_route(monkeypatch, n_samples):
     single = np.random.default_rng(5)
     per_draw = []
     for _ in range(n_samples):
-        big = kron([haar_su2(single).matrix] * 4)
+        big = kron([haar_su2(single)] * 4)
         turned = DensityOperator(big @ rho.matrix @ big.conj().T)
         per_draw.append(state_fidelity(rho, turned))
     assert np.abs(chunked - per_draw).max() <= 1e-14
@@ -182,11 +182,11 @@ def _per_draw_route(state, scope, n_samples, seed):
     for _ in range(n_samples):
         if scope == "global":
             u = haar_su2(rng)
-            frames.append(u.matrix)
+            frames.append(u)
             turned = apply_collective(state, u)
         else:
             a, b = haar_su2(rng), haar_su2(rng)
-            frames.append(np.stack([a.matrix, b.matrix]))
+            frames.append(np.stack([a, b]))
             turned = apply_collective(apply_collective(state, a, wing="alice"),
                                       b, wing="bob")
         fids.append(state_fidelity(state, turned))

@@ -196,7 +196,7 @@ def test_rotated_observable_matches_conjugation():
     g = make_g()
     big = np.array([[1.0 + 0j]])
     for _ in range(4):
-        big = np.kron(big, u.matrix)
+        big = np.kron(big, u)
     assert np.allclose(g.rotated(u).to_matrix(),
                        big @ g.to_matrix() @ big.conj().T, atol=1e-10)
 

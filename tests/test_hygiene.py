@@ -20,6 +20,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dfsbell"
@@ -112,8 +113,10 @@ UNREFERENCED = {
 # called by the benchmark (test_benchmark_calls_match_the_package)
 BENCHMARK_CALLS = {
     "find_distinguishing_thetas": "the scan workload's search for one angle",
-    "Observable.rotated": "timed as a layer; no package module turns observables",
-    "haar_su2": "the benchmark's per-draw probe and its call counter read it",
+    "Observable.rotated": "the layer pass times it on haar_su2 frames; no "
+                          "package module turns observables",
+    "haar_su2": "the layer pass draws its probe frames with it, and its call "
+                "counter wraps it",
 }
 UNREFERENCED.update(BENCHMARK_CALLS)
 
@@ -166,10 +169,13 @@ def test_every_public_name_is_used_or_kept_on_purpose():
 def test_benchmark_calls_match_the_package(monkeypatch):
     """The benchmark's workloads reach the package through names and keywords
     that this test pins, so a change to the package that would break a
-    benchmark run fails here first.  Among them are the unused ``n_starts``,
-    ``seed`` and ``refine_tol``, ``haar_su2``, ``apply_collective`` and
-    ``Observable.rotated``, which ROADMAP item 2 deletes once item 1 has
-    changed the workloads."""
+    benchmark run fails here first.  What the benchmark alone holds in place,
+    which ROADMAP item 2 deletes once item 1 has changed the workloads: the
+    unused ``n_starts`` and ``seed`` of both Hardy solves, the scan's
+    ``refine_tol`` and ``OptimizationResult.n_feasible``, all read in the
+    static part, and the per-frame chain of the layer pass, run once below:
+    a ``haar_su2`` frame into ``apply_collective``, ``Observable.rotated``
+    and ``LocalRotation``."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
     modules = {a.asname or a.name: importlib.import_module(f"dfsbell.{a.name}")
                for node in tree.body if isinstance(node, ast.ImportFrom)
@@ -196,8 +202,17 @@ def test_benchmark_calls_match_the_package(monkeypatch):
     verdicts = workloads.hardy_calls(3, tracer) + workloads.lhv_calls(3, tracer)
     assert verdicts and all(v["passed"] for v in verdicts), verdicts
 
-    # as the probes use them: a method on an instance, a Check without source
-    assert callable(getattr(modules["dfs_states"].Observable, "rotated", None))
+    # the probe chain of workloads.probes, once, and a Check without source
+    qcore, dfs_states = modules["qcore"], modules["dfs_states"]
+    correlations = modules["correlations"]
+    eta, f, g = dfs_states.make_eta(), dfs_states.make_f(), dfs_states.make_g()
+    rng = np.random.default_rng(3)
+    u, v = qcore.haar_su2(rng), qcore.haar_su2(rng)
+    qcore.apply_collective(eta, u, wing="alice")
+    g.rotated(u)
+    correlations.joint_distribution(
+        eta, correlations.Setting(f, correlations.LocalRotation(u, "alice")),
+        correlations.Setting(g, correlations.LocalRotation(v, "bob")))
     modules["report"].Check(name="probe", passed=True)
 
     read = {name for kind, name in _reads(tree) if kind == "attr"}

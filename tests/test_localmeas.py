@@ -104,8 +104,8 @@ def test_rotated_frames_leave_the_word_pair_distribution_exactly():
     # the alignment-free claim is exact: for every frame pair (U_a, U_b) the
     # 256-word distribution on the two-wing state is the unrotated one
     rng = np.random.default_rng(17)
-    ua = np.stack([haar_su2(rng).matrix for _ in range(100)])
-    ub = np.stack([haar_su2(rng).matrix for _ in range(100)])
+    ua = np.stack([haar_su2(rng) for _ in range(100)])
+    ub = np.stack([haar_su2(rng) for _ in range(100)])
     m = make_eta().amplitudes.reshape(16, 16)
     for pa in ("F", "G"):
         for pb in ("F", "G"):
@@ -283,13 +283,14 @@ def test_word_tables_are_the_float_born_probabilities():
 
 def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
     # non-vacuity of the fresh-frame check: once the turn leaves one qubit
-    # alone, (F,F) (+1,+1) happens
+    # alone, (F,F) (+1,+1) happens.  The stand-in returns collective_turn's
+    # frame-last (16, r, m) layout.
     assert run_experiment(2000, "random", "fresh", seed=5).counts[("F", "F")][(1, 1)] == 0
     for skipped in range(4):
         def partial_turn(u, vecs):
             factors = [u] * 4
             factors[skipped] = np.broadcast_to(np.eye(2), u.shape)
-            return kron(factors) @ vecs
+            return np.moveaxis(kron(factors) @ vecs, 0, -1)
 
         monkeypatch.setattr(localmeas, "collective_turn", partial_turn)
         counts = run_experiment(2000, "random", "fresh", seed=5).counts
@@ -377,7 +378,7 @@ def test_word_distribution_matches_the_reference_product_basis():
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     s = QuantumState(amps / np.linalg.norm(amps))
     u = haar_su2(rng)
-    big = reduce(np.kron, [u.matrix] * 4)
+    big = reduce(np.kron, [u] * 4)
     for proto in ("F", "G"):
         bras = _protocol_bras(proto)
         assert np.allclose(wing_distribution(s, proto),

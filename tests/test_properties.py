@@ -14,7 +14,6 @@ from dfsbell.dfs_states import (DfsVector, dfs_embed, dfs_observable, make_f,
 from dfsbell.hardy import (HardyInstance, feasible_state, hardy_probability,
                            to_full_state)
 from dfsbell.localmeas import wing_outcome_distribution
-from dfsbell.qcore import Unitary2
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -31,7 +30,7 @@ def test_product_words_match_the_rank_two_projectors(c, q, protocol):
     assume(norm > 1e-3 and np.linalg.norm(qn) > 1e-3)
     s = dfs_embed(DfsVector(c0 / norm, c1 / norm))
     a, b, x, y = qn / np.linalg.norm(qn)
-    u = Unitary2(np.array([[a + 1j * b, x + 1j * y], [-x + 1j * y, a - 1j * b]]))
+    u = np.array([[a + 1j * b, x + 1j * y], [-x + 1j * y, a - 1j * b]])
     classified = wing_outcome_distribution(s, protocol, rotation=u)
     minus, plus = ((make_phi0(), make_phi1()) if protocol == "F"
                    else (make_psi0(), make_psi1()))

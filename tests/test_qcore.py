@@ -4,13 +4,15 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dfsbell.dfs_states import DfsVector
+from dfsbell.correlations import LocalRotation
+from dfsbell.dfs_states import DfsVector, make_g, make_phi0
 from dfsbell.hardy import HardyInstance
+from dfsbell.localmeas import wing_distribution, wing_outcome_distribution
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
-                           Unitary2, apply_collective, basis_state,
-                           check_density, collective_turn, haar_su2, haar_su2_batch,
-                           joint_probs, kron, partial_trace, permute_qubits, tensor,
-                           wing_bras)
+                           apply_collective, basis_state, check_density,
+                           check_unitary, collective_turn, haar_su2,
+                           haar_su2_batch, joint_probs, kron, partial_trace,
+                           permute_qubits, tensor, wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -67,16 +69,48 @@ def test_permute_qubits_inverse_roundtrip():
 
 
 def test_unitary_validation():
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(np.array([[1.0, 0.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(np.stack([np.eye(2), np.diag([1.0, 2.0])]))
+    with pytest.raises(ValueError, match="2, 2"):
+        check_unitary(np.eye(3))
+    u = np.eye(2)
+    assert check_unitary(u) is u
+    frames = haar_su2_batch(np.random.default_rng(1), (3, 2))
+    assert check_unitary(frames) is frames
+
+
+# every public function or type that takes a frame from a caller, each
+# called with the frame as its one varying argument
+_FRAME_ENTRY_POINTS = {
+    "apply_collective": lambda u: apply_collective(make_phi0(), u),
+    "Observable.rotated": lambda u: make_g().rotated(u),
+    "LocalRotation": lambda u: LocalRotation(u, "alice"),
+    "wing_distribution": lambda u: wing_distribution(make_phi0(), "F", u),
+    "wing_outcome_distribution":
+        lambda u: wing_outcome_distribution(make_phi0(), "F", u),
+}
+
+
+@pytest.mark.parametrize("frame", [
+    np.diag([1.0, 1.0 + 1e-6]),
+    np.array([[float("nan"), 0.0], [0.0, 1.0]]),
+    np.eye(3),
+], ids=["non-unitary", "nan", "3x3"])
+@pytest.mark.parametrize("entry", list(_FRAME_ENTRY_POINTS))
+def test_every_frame_entry_point_checks_its_frame(entry, frame):
+    call = _FRAME_ENTRY_POINTS[entry]
+    call(haar_su2(np.random.default_rng(2)))
     with pytest.raises(ValueError):
-        Unitary2(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    u = Unitary2(np.eye(2))
-    assert np.allclose(u.matrix, np.eye(2))
+        call(frame)
 
 
 def test_haar_su2_is_special_unitary():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        u = haar_su2(rng).matrix
+        u = haar_su2(rng)
+        assert u.shape == (2, 2)
         assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
         assert abs(np.linalg.det(u) - 1.0) < 1e-12
 
@@ -93,7 +127,7 @@ def _quaternion_draw(rng):
 def test_haar_su2_batch_is_the_single_draw_stream(shape):
     single, batch, ref = (np.random.default_rng(29) for _ in range(3))
     n = math.prod(shape)
-    expect = np.stack([haar_su2(single).matrix for _ in range(n)])
+    expect = np.stack([haar_su2(single) for _ in range(n)])
     got = haar_su2_batch(batch, shape)
     assert got.shape == (*shape, 2, 2)
     assert np.array_equal(got.reshape(n, 2, 2), expect)
@@ -115,7 +149,7 @@ def test_haar_su2_trace_moment():
     # E|tr U|^2 = 1 for Haar on SU(2); var is 1, so 2000 draws give
     # a standard error near 0.022 and a 0.15 window is comfortable.
     rng = np.random.default_rng(123)
-    vals = [abs(np.trace(haar_su2(rng).matrix)) ** 2 for _ in range(2000)]
+    vals = [abs(np.trace(haar_su2(rng))) ** 2 for _ in range(2000)]
     assert abs(np.mean(vals) - 1.0) < 0.15
 
 
@@ -124,13 +158,13 @@ def test_apply_collective_on_product_state():
     u = haar_su2(rng)
     s = basis_state("00")
     out = apply_collective(s, u)
-    expect = np.kron(u.matrix[:, 0], u.matrix[:, 0])
+    expect = np.kron(u[:, 0], u[:, 0])
     assert np.allclose(out.amplitudes, expect)
 
 
 def test_kron_helpers_match_numpy_kron():
     rng = np.random.default_rng(5)
-    us = [haar_su2(rng).matrix for _ in range(3)]
+    us = [haar_su2(rng) for _ in range(3)]
     stack = np.stack(us)
     for k in (1, 2, 4):
         batched = kron([stack] * k)
@@ -156,21 +190,24 @@ def test_collective_turn_matches_the_full_operator():
     for r in (1, 2, 5):
         vecs = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
         turned = collective_turn(u, vecs)
-        assert turned.shape == (33, 16, r)
-        assert turned.transpose(1, 2, 0).flags.c_contiguous
-        assert np.abs(turned - kron([u] * 4) @ vecs).max() < 1e-14
+        assert turned.shape == (16, r, 33)
+        assert turned.flags.c_contiguous
+        expect = kron([u] * 4) @ vecs
+        assert np.abs(turned - np.moveaxis(expect, 0, -1)).max() < 1e-14
 
 
 def test_collective_turn_of_a_frame_slice_is_that_slice_of_the_turn():
-    # frame blocks: frames [a:b] turned alone give rows [a:b] of the turn of
-    # all frames, bit for bit, for real and complex columns
+    # frame blocks: frames [a:b] turned alone give frames [a:b], on the last
+    # axis, of the turn of all frames, bit for bit, for real and complex
+    # columns
     rng = np.random.default_rng(44)
     u = haar_su2_batch(rng, (700,))
     real = rng.normal(size=(16, 2))
     for vecs in (real, real + 1j * rng.normal(size=(16, 2))):
         whole = collective_turn(u, vecs)
         for a, b in ((0, 512), (512, 700), (3, 4), (100, 611)):
-            assert np.array_equal(collective_turn(u[a:b], vecs), whole[a:b]), (a, b)
+            assert np.array_equal(collective_turn(u[a:b], vecs),
+                                  whole[..., a:b]), (a, b)
 
 
 def test_apply_collective_matches_the_full_operator():
@@ -181,10 +218,10 @@ def test_apply_collective_matches_the_full_operator():
     for n in range(1, 9):
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         s = QuantumState(amps / np.linalg.norm(amps))
-        wings = {"all": [u.matrix] * n}
+        wings = {"all": [u] * n}
         if n == 8:
-            wings["alice"] = [u.matrix] * 4 + [np.eye(2)] * 4
-            wings["bob"] = [np.eye(2)] * 4 + [u.matrix] * 4
+            wings["alice"] = [u] * 4 + [np.eye(2)] * 4
+            wings["bob"] = [np.eye(2)] * 4 + [u] * 4
         for wing, factors in wings.items():
             expect = reduce(np.kron, factors) @ s.amplitudes
             out = apply_collective(s, u, wing=wing).amplitudes
@@ -260,11 +297,11 @@ NAN = float("nan")
     lambda: DfsVector(NAN, 0.0),
     lambda: HardyInstance((NAN, 0.0, 0.0, 0.0), 0.0, 0.0),
     lambda: HardyInstance((1, 0, 0, 0), NAN, 0.0),
-    lambda: Unitary2(np.array([[NAN, 0.0], [0.0, 1.0]])),
+    lambda: check_unitary(np.array([[NAN, 0.0], [0.0, 1.0]])),
     # unit trace, so only the Hermitian and eigenvalue tests see the NaN
     lambda: DensityOperator(np.array([[1.0, NAN], [NAN, 0.0]])),
-], ids=["QuantumState", "DfsVector", "HardyInstance", "HardyInstance-angle", "Unitary2",
-        "DensityOperator"])
+], ids=["QuantumState", "DfsVector", "HardyInstance", "HardyInstance-angle",
+        "check_unitary", "DensityOperator"])
 def test_nan_fails_every_validated_type(build):
     # each check reads ``not err <= tol``: a NaN error compares False
     # against every tolerance, so ``err > tol`` would let it through; an
