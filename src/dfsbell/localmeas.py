@@ -24,12 +24,15 @@ pairs' round counts as one multinomial, the first draw of the seeded stream;
 fixed frames draw each setting pair's 256-word tally as one multinomial, fresh
 frames draw one word pair per round, and either way the tally is classified
 once into outcome pairs.  Fresh frames turn the state's factors instead of the
-bras: eta is (SECTOR ETA_COEFFS) SECTOR^T, and each frame turns two columns
-(``qcore.collective_turn``).  Bob's turned columns are orthonormal, so Alice's
-marginal ignores his frame: at the round's one uniform Alice's word comes from
-her 16-word marginal, then Bob's from his row given hers, which reads the 256
-word pairs' inverse CDF in Alice-major order; in each stage a uniform past a
-row's end takes its last possible word.  Two units split the fresh-frame work:
+bras: eta is L R^T with L = SECTOR ETA_COEFFS and R = SECTOR, and Alice's frame
+turns L's two columns (``qcore.collective_turn``).  Bob's turned R is
+orthonormal, so Alice's marginal ignores his frame: at the round's one uniform
+Alice's word comes from her 16-word marginal, then Bob's from his row given
+hers, which reads the 256 word pairs' inverse CDF in Alice-major order; in each
+stage a uniform past a row's end takes its last possible word.  Bob's row given
+Alice's word a is his turn of one column per frame, R xa[a] from her turned rows
+xa, by linearity alone: no invariance of the state is used, and every frame is
+applied numerically on both wings.  Two units split the fresh-frame work:
 the seeded stream is drawn a chunk of ``_ROUNDS_PER_CHUNK`` rounds at a time
 (Alice's frames, then Bob's, then the uniforms), and the word kernel runs on
 blocks of ``_FRAMES_PER_BLOCK`` of those frames, a size set by cache, not by
@@ -60,9 +63,13 @@ _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
 _ROUNDS_PER_CHUNK = 2048
 
 # Frames per call of the fresh-frame word kernel: the unit of its work arrays,
-# sized so that the (16, 2, frames) turns stay in cache.  8,000 fresh rounds
-# in a new interpreter took 0.037-0.039 s at 512, 0.043-0.048 s at 1,024 and
-# 0.046-0.050 s at 2,048 frames per block (2-core VM, perfbench simulate).
+# sized so that the turns stay in cache.  On a 2-core VM, 8,000 fresh rounds
+# in a new interpreter (perfbench simulate, wall_ref) took 0.024-0.027 s at
+# 512 against 0.029-0.032 s at 1,024, and 0.030-0.031 s against 0.031-0.037 s
+# at 256, in four alternated pairs each.  50,000 warm rounds (report-all's)
+# took 0.15 s at 1,024, 0.18 s at 512 and 0.20 s at 256 and 2,048 (medians
+# of 15).  1,024 gains on the warm rounds but loses more in a new
+# interpreter, so 512 stays.
 _FRAMES_PER_BLOCK = 512
 
 
@@ -183,8 +190,9 @@ def _draw_words(p, r) -> tuple:
 
 
 def _turned_columns(bras, u, vecs) -> np.ndarray:
-    """bras (U^(x4))^dagger vecs for the frame stack u, as (16, r, m): one
-    product over all frames, since ``collective_turn`` puts the frame last."""
+    """bras (U^(x4))^dagger vecs for the frame stack u, as (16, r, m), of
+    shared (16, r) or per-frame (16, r, m) columns: one product over all
+    frames, since ``collective_turn`` puts the frame last."""
     turned = collective_turn(u.conj().swapaxes(-1, -2), vecs)
     return (bras @ turned.reshape(16, -1)).reshape(turned.shape)
 
@@ -193,16 +201,17 @@ def _fresh_words(factors, bras_a, ua, bras_b, ub, r) -> np.ndarray:
     """Word pairs 16 a + b of the rounds in frames (ua, ub) at uniforms r.
 
     ``factors`` (L, R) give the state as L R^T, R with orthonormal columns, so
-    Bob's turned columns xb are orthonormal: Alice's marginal is the squared
-    row norms of her turned xa, and Bob's row given her word a is |xb xa[a]|^2.
+    Bob's turned R is orthonormal: Alice's marginal is the squared row norms
+    of her turned xa.  By linearity alone Bob's amplitudes given her word a
+    are his turn of the one column R xa[a] per frame.
     """
     xa = _turned_columns(bras_a, ua, factors[0])
-    xb = _turned_columns(bras_b, ub, factors[1])
     pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)
     total = pa.sum(axis=0)
     a, ca = _draw_words((pa / total).T, r)
     frames = np.arange(r.size)
-    amps = (xa[a, :, frames].T * xb).sum(axis=1)
+    v = factors[1] @ xa[a, :, frames].T
+    amps = _turned_columns(bras_b, ub, v[:, None])[:, 0]
     # Bob's word on what r leaves past Alice's words before a
     b, _ = _draw_words(((amps.real ** 2 + amps.imag ** 2) / total).T,
                        r - np.where(a > 0, ca[frames, a - 1], 0.0))

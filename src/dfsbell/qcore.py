@@ -9,10 +9,11 @@ A wing measurement is a matrix of bras, one row per outcome, and
 A turned frame takes one of two routes: ``wing_bras`` turns the bras by a
 collective U^(x4) that ``kron`` builds (``kron`` builds product-basis bras
 too), and ``collective_turn`` turns a few state columns instead, one qubit at
-a time for a whole stack of frames, without forming U^(x4).  Its work arrays
-grow with the stack; each frame's result depends on that frame alone, so a
-caller may cut the stack into blocks that fit in cache without changing a
-bit of it.
+a time for a whole stack of frames, without forming U^(x4).  The columns are
+shared by every frame or are each frame's own.  Its work arrays grow with
+the stack; each frame's result depends on that frame and its columns alone,
+so a caller may cut the stack into blocks that fit in cache without changing
+a bit of it.
 
 A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
@@ -135,10 +136,14 @@ def check_unitary(u) -> np.ndarray:
     u = np.asarray(u)
     if u.shape[-2:] != (2, 2):
         raise ValueError(f"expected (..., 2, 2) frames, got shape {u.shape}")
-    # einsum, not a batched 2x2 @: half the cost on a chunk of frames
-    gram = np.einsum("...ki,...kj->...ij", u.conj(), u)
-    err = np.linalg.norm(gram - np.eye(2), axis=(-2, -1))
-    if not np.all(err <= ATOL):
+    # U^dagger U - I of U = [[a, b], [c, d]] in closed form, g00 and g11 on
+    # its diagonal and g01 off it; the squared Frobenius norm is err2
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    g00 = a.real ** 2 + a.imag ** 2 + c.real ** 2 + c.imag ** 2 - 1.0
+    g11 = b.real ** 2 + b.imag ** 2 + d.real ** 2 + d.imag ** 2 - 1.0
+    g01 = a.conj() * b + c.conj() * d
+    err2 = g00 ** 2 + g11 ** 2 + 2 * (g01.real ** 2 + g01.imag ** 2)
+    if not np.all(err2 <= ATOL ** 2):
         raise ValueError("matrix is not unitary within 1e-10")
     return u
 
@@ -219,20 +224,21 @@ def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
 def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """U^(x4) applied to every column of ``vecs``, for a stack of frames.
 
-    ``u`` is (m, 2, 2) and ``vecs`` is (16, r); returns a contiguous
-    (16, r, m) array, frame last, so that a product of the result with a
-    fixed matrix is one 2-D product over every frame.  The turn goes one
-    qubit at a time with the frame axis last, so each product runs over m
-    contiguous frames and no U^(x4) is formed.  Qubit steps alternate between
-    two buffers, and each output half w[i, 0] t0 + w[i, 1] t1 takes its
-    second product in one spare half, so a turn allocates three arrays, not
-    new ones per qubit.
+    ``u`` is (m, 2, 2); ``vecs`` is (16, r), columns that every frame
+    shares, or (16, r, m), each frame's own columns, frame last.  Returns a
+    contiguous (16, r, m) array, frame last, so that a product of the result
+    with a fixed matrix is one 2-D product over every frame.  The turn goes
+    one qubit at a time with the frame axis last, so each product runs over
+    m contiguous frames and no U^(x4) is formed.  Qubit steps alternate
+    between two buffers, and each output half w[i, 0] t0 + w[i, 1] t1 takes
+    its second product in one spare half, so a turn allocates three arrays,
+    not new ones per qubit.
     """
     w = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # w[i, j]: entry (i, j) of every frame
     m, r = u.shape[0], vecs.shape[1]
     bufs = np.empty((2, 16 * r * m), np.result_type(u, vecs))
     spare = np.empty(8 * r * m, bufs.dtype)
-    t = vecs[..., None]
+    t = vecs if vecs.ndim == 3 else vecs[..., None]
     for q in range(4):
         t = t.reshape(2 ** q, 2, -1, t.shape[-1])
         out = bufs[q % 2].reshape(2 ** q, 2, -1, m)

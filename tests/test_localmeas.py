@@ -283,14 +283,16 @@ def test_word_tables_are_the_float_born_probabilities():
 
 def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
     # non-vacuity of the fresh-frame check: once the turn leaves one qubit
-    # alone, (F,F) (+1,+1) happens.  The stand-in returns collective_turn's
-    # frame-last (16, r, m) layout.
+    # alone, (F,F) (+1,+1) happens.  The stand-in takes shared (16, r) or
+    # per-frame (16, r, m) columns, as Alice's and Bob's turns pass them, and
+    # returns collective_turn's frame-last (16, r, m) layout.
     assert run_experiment(2000, "random", "fresh", seed=5).counts[("F", "F")][(1, 1)] == 0
     for skipped in range(4):
         def partial_turn(u, vecs):
             factors = [u] * 4
             factors[skipped] = np.broadcast_to(np.eye(2), u.shape)
-            return np.moveaxis(kron(factors) @ vecs, 0, -1)
+            per_frame = vecs.reshape(16, vecs.shape[1], -1)
+            return np.einsum("mij,jrm->irm", kron(factors), per_frame)
 
         monkeypatch.setattr(localmeas, "collective_turn", partial_turn)
         counts = run_experiment(2000, "random", "fresh", seed=5).counts

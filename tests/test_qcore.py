@@ -73,6 +73,17 @@ def test_unitary_validation():
         check_unitary(np.array([[1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="not unitary"):
         check_unitary(np.stack([np.eye(2), np.diag([1.0, 2.0])]))
+    # unit columns that are not orthogonal, and columns (1, 0) and
+    # (i s, sqrt(1 - s^2)): the Gram matrix's diagonal passes, its
+    # off-diagonal (1, and i s) does not, alone or as one frame of a stack
+    s = 1e-6
+    skewed = np.array([[1.0, 1.0], [0.0, 0.0]])
+    tilted = np.array([[1.0, 1j * s], [0.0, math.sqrt(1 - s * s)]])
+    for bad in (skewed, tilted):
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(bad)
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary(np.stack([np.eye(2), bad, np.eye(2)]))
     with pytest.raises(ValueError, match="2, 2"):
         check_unitary(np.eye(3))
     u = np.eye(2)
@@ -184,30 +195,42 @@ def test_kron_helpers_match_numpy_kron():
 
 
 def test_collective_turn_matches_the_full_operator():
-    # qubit by qubit with the frame axis last, against U^(x4) built by kron
+    # qubit by qubit with the frame axis last, against U^(x4) built by kron,
+    # on columns every frame shares and on each frame's own columns
     rng = np.random.default_rng(43)
     u = haar_su2_batch(rng, (33,))
+    full = kron([u] * 4)
     for r in (1, 2, 5):
         vecs = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
-        turned = collective_turn(u, vecs)
-        assert turned.shape == (16, r, 33)
-        assert turned.flags.c_contiguous
-        expect = kron([u] * 4) @ vecs
-        assert np.abs(turned - np.moveaxis(expect, 0, -1)).max() < 1e-14
+        cases = [(vecs, np.moveaxis(full @ vecs, 0, -1))]
+        if r < 5:
+            real = rng.normal(size=(16, r, 33))
+            for own in (real, real + 1j * rng.normal(size=(16, r, 33))):
+                cases.append((own, np.einsum("mij,jrm->irm", full, own)))
+        for columns, expect in cases:
+            turned = collective_turn(u, columns)
+            assert turned.shape == (16, r, 33)
+            assert turned.flags.c_contiguous
+            assert np.abs(turned - expect).max() < 1e-14, (r, columns.shape)
 
 
 def test_collective_turn_of_a_frame_slice_is_that_slice_of_the_turn():
     # frame blocks: frames [a:b] turned alone give frames [a:b], on the last
     # axis, of the turn of all frames, bit for bit, for real and complex
-    # columns
+    # columns, shared or each frame's own (sliced with their frames)
     rng = np.random.default_rng(44)
     u = haar_su2_batch(rng, (700,))
-    real = rng.normal(size=(16, 2))
-    for vecs in (real, real + 1j * rng.normal(size=(16, 2))):
+    shared = rng.normal(size=(16, 2))
+    own = rng.normal(size=(16, 2, 700))
+    cases = [shared, shared + 1j * rng.normal(size=(16, 2))]
+    for r in (1, 2):
+        cases += [own[:, :r], own[:, :r] + 1j * rng.normal(size=(16, r, 700))]
+    for vecs in cases:
         whole = collective_turn(u, vecs)
         for a, b in ((0, 512), (512, 700), (3, 4), (100, 611)):
-            assert np.array_equal(collective_turn(u[a:b], vecs),
-                                  whole[..., a:b]), (a, b)
+            columns = vecs[..., a:b] if vecs.ndim == 3 else vecs
+            assert np.array_equal(collective_turn(u[a:b], columns),
+                                  whole[..., a:b]), (vecs.shape, vecs.dtype, a, b)
 
 
 def test_apply_collective_matches_the_full_operator():
