@@ -226,6 +226,45 @@ def test_theta_d_closed_form_matches_the_word_grid():
         assert np.abs((p - (rot4 * q).real) / 8 - obj_grid).max() < 1e-14
 
 
+@pytest.mark.parametrize("resolution", [100, 104, 200])
+def test_coefficients_are_the_row_sums_bit_for_bit(resolution):
+    # the elementwise sums over the four (b, c) terms against np.sum(axis=1)
+    # on a (rows, 4) layout: no value may move by a bit
+    _, _, front = _front(resolution)
+    f0, f1 = front.reshape(len(front), 4, 2).transpose(2, 0, 1)
+    a, b = (f0 - 1j * f1) / 2, (f0 + 1j * f1) / 2
+    a2, b2 = a * a, b * b
+    aa, bb = (a * a.conj()).real, (b * b.conj()).real
+    reference = (2 * np.sum(aa * aa + bb * bb + 4 * aa * bb, axis=1),
+                 2 * np.sum(a2 * b2.conj(), axis=1),
+                 2 * np.sum(a2 * a2, axis=1),
+                 12 * np.sum(a2 * b2, axis=1),
+                 2 * np.sum(b2 * b2, axis=1))
+    for got, want in zip(_coefficients(front), reference):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("omega", [math.pi / 5, math.pi / 4])
+def test_overlap_word_maxima_are_a_max_reduction_bit_for_bit(monkeypatch, omega):
+    # the overlap's maxima over the 8 words, per (row, theta_d), against
+    # .max(axis=-1) over the same min(|Re|, |Im|) of every evaluated block
+    calls = []
+    minimum = np.minimum
+
+    def recorded(x, y, out):
+        calls.append((x.copy(), y.copy(), out))
+        return minimum(x, y, out=out)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "minimum", recorded)
+        value = grid_min_support_overlap(omega, resolution=100)
+    assert len(calls) > 1
+    for x, y, out in calls:
+        np.testing.assert_array_equal(out[..., 0], np.minimum(x, y).max(axis=-1))
+    assert value == min(out[..., 0].min() for _, _, out in calls[1:])
+
+
 def test_row_floors_bound_every_tuple():
     # each floor of the module docstring's Row floors is at most its
     # quantity at every tuple of r = 100: lam, the find objective and 8 ov^2.
@@ -381,11 +420,11 @@ def test_the_floors_leave_few_rows_to_evaluate(monkeypatch):
     assert 0 < len(evaluated) == len(set(evaluated)) < 10 ** 4 // 10
 
 
-def _traced_scan_peak(resolution):
-    scan_distinguishable_omegas(resolution=resolution)
+def _traced_peak(call, *args):
+    call(*args)
     tracemalloc.start()
     try:
-        scan_distinguishable_omegas(resolution=resolution)
+        call(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,10 +432,18 @@ def _traced_scan_peak(resolution):
 
 def test_scan_traced_memory_stays_flat():
     # the front and the five coefficients hold the rows; the rows that pass
-    # the floor are evaluated _CHUNK at a time: 5.2 MB traced at r = 200,
-    # bounded with 15 % headroom, where whole (r/2)^3 arrays of p, q and lam
-    # would take 32 MB
-    assert _traced_scan_peak(200) < 6e6
+    # the floor are evaluated _CHUNK at a time: 5.21 MB traced at r = 200,
+    # where whole (r/2)^3 arrays of p, q and lam would take 32 MB.  The
+    # bound also fails coefficients that keep a sum's four terms while the
+    # next are formed, or copy the terms to sum them (5.53 MB)
+    assert _traced_peak(scan_distinguishable_omegas, 200) < 5.4e6
+
+
+def test_overlap_traced_memory():
+    # 1.41 MB traced for the pi/4 grid at r = 100, which evaluates 1,642 of
+    # its 2,500 rows _CHUNK at a time; the word maxima are taken in the
+    # product's own buffer.  Copy-based coefficients take 1.49 MB
+    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 1.45e6
 
 
 def test_scan_traced_memory_at_800():
@@ -404,7 +451,7 @@ def test_scan_traced_memory_at_800():
     # and its squares while the coefficients are formed.  The 7,455 rows
     # that pass the floor, evaluated in one block instead of _CHUNK at a
     # time, take 153 MB
-    assert _traced_scan_peak(800) < 90e6
+    assert _traced_peak(scan_distinguishable_omegas, 800) < 90e6
 
 
 def test_scan_rejects_a_grid_without_pi_over_four():
