@@ -236,25 +236,29 @@ def standard_scenario(p_joint: Fraction = P_POSITIVE) -> LhvScenario:
 def _phase1_simplex(rows, rhs):
     """Exact feasibility of rows @ w = rhs, w >= 0, by phase-1 simplex.
 
-    Bland's rule, Fraction arithmetic throughout.  Returns the solution list
-    or None.
+    Bland's rule on an integer-preserving (Edmonds-Bareiss) tableau.  Rows
+    and right-hand sides are scaled by the lcm of their denominators and the
+    artificial columns kept at I: a positive scaling of columns and of the
+    objective, which moves no sign, ratio order or tie, so every pivot is
+    the Fraction tableau's.  The stored integers over the last pivot d are
+    that tableau, each pivot updates a row as (p a - f q) // d, exactly, and
+    the ratio test cross-multiplies.  Returns the solution list or None.
     """
     m, n = len(rows), len(rows[0])
+    scale = math.lcm(*(a.denominator for row in rows for a in row),
+                     *(b.denominator for b in rhs))
     tab = []
     for i in range(m):
-        row, b = list(rows[i]), rhs[i]
-        if b < 0:
-            row, b = [-a for a in row], -b
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tab.append(row + art + [b])
+        sign = -1 if rhs[i] < 0 else 1
+        art = [0] * m
+        art[i] = 1
+        tab.append([int(sign * scale * a) for a in rows[i]] + art
+                   + [int(sign * scale * rhs[i])])
     basis = list(range(n, n + m))
-    cost = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
+    cost = [-sum(col) for col in zip(*tab)]
     for j in range(n, n + m):
-        cost[j] += Fraction(1)
+        cost[j] += 1
+    d = 1
     while True:
         enter = next((j for j in range(n + m) if cost[j] < 0), None)
         if enter is None:
@@ -262,27 +266,30 @@ def _phase1_simplex(rows, rhs):
         best = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        piv = best[1]
-        pivval = tab[piv][enter]
-        tab[piv] = [a / pivval for a in tab[piv]]
+                if best is None:
+                    best = i
+                    continue
+                # tab[i][-1] / tab[i][enter] against the best row's ratio
+                left = tab[i][-1] * tab[best][enter]
+                right = tab[best][-1] * tab[i][enter]
+                if left < right or (left == right and basis[i] < basis[best]):
+                    best = i
+        piv = tab[best]
+        p = piv[enter]
         for i in range(m):
-            if i != piv and tab[i][enter] != 0:
+            if i != best:
                 f = tab[i][enter]
-                tab[i] = [a - f * p for a, p in zip(tab[i], tab[piv])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [a - f * p for a, p in zip(cost, tab[piv])]
-        basis[piv] = enter
-    if -cost[-1] != 0:
+                tab[i] = [(p * a - f * q) // d for a, q in zip(tab[i], piv)]
+        f = cost[enter]
+        cost = [(p * a - f * q) // d for a, q in zip(cost, piv)]
+        basis[best] = enter
+        d = p
+    if cost[-1] != 0:
         return None
     w = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
-            w[j] = tab[i][-1]
+            w[j] = Fraction(tab[i][-1], d)
     return w
 
 

@@ -64,12 +64,11 @@ _ROUNDS_PER_CHUNK = 2048
 
 # Frames per call of the fresh-frame word kernel: the unit of its work arrays,
 # sized so that the turns stay in cache.  On a 2-core VM, 8,000 fresh rounds
-# in a new interpreter (perfbench simulate, wall_ref) took 0.024-0.027 s at
-# 512 against 0.029-0.032 s at 1,024, and 0.030-0.031 s against 0.031-0.037 s
-# at 256, in four alternated pairs each.  50,000 warm rounds (report-all's)
-# took 0.15 s at 1,024, 0.18 s at 512 and 0.20 s at 256 and 2,048 (medians
-# of 15).  1,024 gains on the warm rounds but loses more in a new
-# interpreter, so 512 stays.
+# in a new interpreter (perfbench simulate, wall_ref) took 0.023-0.025 s at
+# 512 against 0.028-0.030 s at 1,024 in four alternated pairs, with 1.4 MB
+# less peak RSS, and 50,000 warm rounds (report-all's) 0.18-0.20 s against
+# 0.22-0.24 s (medians of 15).  256 and 2,048 were slower than 512 in earlier
+# timings of the same kind.
 _FRAMES_PER_BLOCK = 512
 
 
@@ -173,19 +172,20 @@ class ExperimentRecord:
 
 
 def _draw_words(p, r) -> tuple:
-    """Inverse-CDF word draws: row i of ``p``, clipped at _PROB_CLIP, at r[i].
+    """Inverse-CDF word draws: column i of ``p``, frame last, clipped at
+    _PROB_CLIP, at r[i].
 
-    A row's last cumulative value can fall a few ulps short of the mass the
-    row stands for, and an r above it would count past the last word; such a
-    draw takes the row's last word of positive probability.  Every other draw
-    is the plain count of cumulative values below r.  Returns the words and
-    the cumulative rows.
+    A column's last cumulative value can fall a few ulps short of the mass
+    it stands for, and an r above it would count past the last word; such a
+    draw takes the column's last word of positive probability.  Every other
+    draw is the plain count of cumulative values below r.  Returns the words
+    and the cumulative columns.
     """
     p = np.where(p < _PROB_CLIP, 0.0, p)
-    c = np.cumsum(p, axis=1)
-    words = (c < r[:, None]).sum(axis=1)
-    past = np.flatnonzero(words == p.shape[1])
-    words[past] = p.shape[1] - 1 - np.argmax(p[past, ::-1] > 0, axis=1)
+    c = np.cumsum(p, axis=0)
+    words = (c < r).sum(axis=0)
+    past = np.flatnonzero(words == len(p))
+    words[past] = len(p) - 1 - np.argmax(p[::-1, past] > 0, axis=0)
     return words, c
 
 
@@ -208,13 +208,13 @@ def _fresh_words(factors, bras_a, ua, bras_b, ub, r) -> np.ndarray:
     xa = _turned_columns(bras_a, ua, factors[0])
     pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)
     total = pa.sum(axis=0)
-    a, ca = _draw_words((pa / total).T, r)
+    a, ca = _draw_words(pa / total, r)
     frames = np.arange(r.size)
     v = factors[1] @ xa[a, :, frames].T
     amps = _turned_columns(bras_b, ub, v[:, None])[:, 0]
     # Bob's word on what r leaves past Alice's words before a
-    b, _ = _draw_words(((amps.real ** 2 + amps.imag ** 2) / total).T,
-                       r - np.where(a > 0, ca[frames, a - 1], 0.0))
+    b, _ = _draw_words((amps.real ** 2 + amps.imag ** 2) / total,
+                       r - np.where(a > 0, ca[a - 1, frames], 0.0))
     return 16 * a + b
 
 

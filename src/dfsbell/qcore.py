@@ -6,14 +6,14 @@ significant bit of the basis index, so ``|q1 q2 q3 q4>`` reads left to right.
 
 A wing measurement is a matrix of bras, one row per outcome, and
 ``joint_probs`` gives its outcome-pair probabilities on a two-wing state.
-A turned frame takes one of two routes: ``wing_bras`` turns the bras by a
-collective U^(x4) that ``kron`` builds (``kron`` builds product-basis bras
-too), and ``collective_turn`` turns a few state columns instead, one qubit at
-a time for a whole stack of frames, without forming U^(x4).  The columns are
-shared by every frame or are each frame's own.  Its work arrays grow with
-the stack; each frame's result depends on that frame and its columns alone,
-so a caller may cut the stack into blocks that fit in cache without changing
-a bit of it.
+A turned frame takes one route: ``collective_turn`` applies U^(x4) to a few
+columns, one qubit at a time for a whole stack of frames, without forming
+U^(x4).  The columns are shared by every frame or are each frame's own.  Its
+work arrays grow with the stack; each frame's result depends on that frame
+and its columns alone, so a caller may cut the stack into blocks that fit in
+cache without changing a bit of it.  ``wing_bras`` turns a wing's bras
+through it; ``kron`` builds product-basis bras and the U^(x k) of
+``apply_collective``.
 
 A product basis measures each qubit along an x-z plane direction theta: the
 qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
@@ -216,9 +216,12 @@ def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``bras`` is (k, 16), one row per outcome; ``u`` is (..., 2, 2).  Returns
     ``bras @ (U^(x4))^dagger`` of shape (..., k, 16): the bra of U^(x4)|w>
-    for each outcome ket |w>.
+    for each outcome ket |w>.  Its transpose is conj(U)^(x4) bras^T, so the
+    result is a transposed view of ``collective_turn`` on the frames' complex
+    conjugates, and no U^(x4) is formed.
     """
-    return bras @ kron([u] * 4).conj().swapaxes(-1, -2)
+    turned = collective_turn(u.conj().reshape(-1, 2, 2), bras.T).transpose(2, 1, 0)
+    return turned.reshape(*u.shape[:-2], *turned.shape[1:])
 
 
 def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -229,24 +232,26 @@ def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     contiguous (16, r, m) array, frame last, so that a product of the result
     with a fixed matrix is one 2-D product over every frame.  The turn goes
     one qubit at a time with the frame axis last, so each product runs over
-    m contiguous frames and no U^(x4) is formed.  Qubit steps alternate
-    between two buffers, and each output half w[i, 0] t0 + w[i, 1] t1 takes
-    its second product in one spare half, so a turn allocates three arrays,
-    not new ones per qubit.
+    m contiguous frames and no U^(x4) is formed.  A qubit step makes both
+    output halves w[:, 0] t0 + w[:, 1] t1 at once, the frame's column w[:, j]
+    broadcast against t's half j: three calls per step, twelve per turn.
+    Steps alternate between two buffers and take the second products in a
+    spare, so a turn allocates three arrays of 16 r m entries, not new ones
+    per qubit, and returns a view of one of them.
     """
     w = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # w[i, j]: entry (i, j) of every frame
     m, r = u.shape[0], vecs.shape[1]
-    bufs = np.empty((2, 16 * r * m), np.result_type(u, vecs))
-    spare = np.empty(8 * r * m, bufs.dtype)
+    dtype = np.result_type(u, vecs)
+    bufs = [np.empty(16 * r * m, dtype) for _ in range(2)]
+    spare = np.empty(16 * r * m, dtype)
     t = vecs if vecs.ndim == 3 else vecs[..., None]
     for q in range(4):
         t = t.reshape(2 ** q, 2, -1, t.shape[-1])
         out = bufs[q % 2].reshape(2 ** q, 2, -1, m)
-        half = spare.reshape(out[:, 0].shape)
-        for i in range(2):
-            np.multiply(w[i, 0], t[:, 0], out=out[:, i])
-            np.multiply(w[i, 1], t[:, 1], out=half)
-            np.add(out[:, i], half, out=out[:, i])
+        half = spare.reshape(out.shape)
+        np.multiply(w[:, 0, None], t[:, 0:1], out=out)
+        np.multiply(w[:, 1, None], t[:, 1:2], out=half)
+        np.add(out, half, out=out)
         t = out
     return t.reshape(16, r, m)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,7 @@ def test_lhv_standard_scenario_is_infeasible():
 def test_lhv_zero_joint_control_is_feasible():
     verdict = lhv_feasibility(standard_scenario(p_joint=Fraction(0)))
     assert isinstance(verdict, Feasible)
+    assert verdict.weights == {(-1, -1, -1, -1): Fraction(1)}
     # re-verify the returned weights against every constraint, exactly
     scenario = standard_scenario(p_joint=Fraction(0))
     total = sum(verdict.weights.values())
@@ -223,6 +225,71 @@ def test_lhv_feasible_scenario_with_positive_probability():
     assert isinstance(verdict, Feasible)
     mass = sum(w for s, w in verdict.weights.items() if s[0] == +1)
     assert mass == Fraction(1, 2)
+    # the pivots are Bland's, so the witness is pinned
+    assert verdict.weights == {(-1, -1, -1, -1): Fraction(1, 6),
+                               (-1, -1, -1, 1): Fraction(1, 3),
+                               (1, -1, -1, -1): Fraction(1, 2)}
+
+
+def _fraction_simplex(rows, rhs):
+    # reference: the same phase-1 simplex and Bland's rule on a Fraction
+    # tableau, each pivot row divided through by its pivot
+    m, n = len(rows), len(rows[0])
+    tab = []
+    for i in range(m):
+        sign = -1 if rhs[i] < 0 else 1
+        art = [Fraction(0)] * m
+        art[i] = Fraction(1)
+        tab.append([sign * a for a in rows[i]] + art + [sign * rhs[i]])
+    basis = list(range(n, n + m))
+    cost = [-sum(col) for col in zip(*tab)]
+    for j in range(n, n + m):
+        cost[j] += 1
+    while (enter := next((j for j in range(n + m) if cost[j] < 0), None)) is not None:
+        rows_in = [i for i in range(m) if tab[i][enter] > 0]
+        piv = min(rows_in, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        tab[piv] = [a / tab[piv][enter] for a in tab[piv]]
+        for i in range(m):
+            if i != piv:
+                tab[i] = [a - tab[i][enter] * p for a, p in zip(tab[i], tab[piv])]
+        cost = [a - cost[enter] * p for a, p in zip(cost, tab[piv])]
+        basis[piv] = enter
+    if cost[-1] != 0:
+        return None
+    w = [Fraction(0)] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            w[j] = tab[i][-1]
+    return w
+
+
+def test_phase1_simplex_matches_the_fraction_tableau():
+    # rational entries of mixed signs and negative right-hand sides, and
+    # degenerate 0/1 systems like the strategy LPs, where ratio ties are
+    # common; every second system has a nonnegative solution by
+    # construction, the others are shifted off it and are often infeasible
+    rnd = random.Random(3)
+    feasible = 0
+    for trial in range(400):
+        m, n = rnd.randint(1, 6), rnd.randint(1, 9)
+        if trial < 200:
+            rows = [[Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(n)]
+                    for _ in range(m)]
+            w0 = [Fraction(rnd.randint(0, 3), rnd.randint(1, 5)) for _ in range(n)]
+        else:
+            rows = [[Fraction(rnd.randint(0, 1)) for _ in range(n)] for _ in range(m)]
+            w0 = [Fraction(rnd.choice((0, 0, 1, 2)), 3) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, w0)) + Fraction(trial % 2, 7)
+               for row in rows]
+        w = hardy._phase1_simplex(rows, rhs)
+        assert w == _fraction_simplex(rows, rhs), (rows, rhs)
+        if trial % 2 == 0:
+            assert w is not None
+        if w is not None:
+            feasible += 1
+            assert min(w) >= 0
+            assert [sum(a * x for a, x in zip(row, w)) for row in rows] == rhs
+    assert 200 < feasible < 400
 
 
 def test_lhv_infeasible_without_forced_zero_narrative():

@@ -179,7 +179,7 @@ def _bra_route_words(amp16, bras_a, ua, bras_b, ub, r):
     p = joint_probs(wing_bras(bras_a, ua), amp16, wing_bras(bras_b, ub))
     p = p.reshape(-1, 256)
     p = np.where(p < _PROB_CLIP, 0.0, p)
-    return _draw_words(p / p.sum(axis=1, keepdims=True), r)[0]
+    return _draw_words((p / p.sum(axis=1, keepdims=True)).T, r)[0]
 
 
 def test_two_stage_draw_is_the_bra_route_draw_for_draw():
@@ -360,8 +360,8 @@ def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():
     # a normalized row can sum to a few ulps below 1; a uniform between that
     # sum and 1 must still draw a word of positive probability
     top = np.nextafter(1.0, 0.0)
-    p = np.zeros((1, 256))
-    p[0, :3] = (0.5, 0.25, 0.25 - 2.0 ** -52)
+    p = np.zeros((256, 1))
+    p[:3, 0] = (0.5, 0.25, 0.25 - 2.0 ** -52)
     assert _draw_words(p, np.array([top]))[0].tolist() == [2]
     # seeded fresh-frame (F,F) rounds at that uniform, in both stages: word
     # 255 is the forbidden (+1,+1) pair and has probability 0 in every frame

@@ -194,6 +194,21 @@ def test_kron_helpers_match_numpy_kron():
                        np.abs(np.einsum("nai,ij,bj->nab", turned, m, bras)) ** 2)
 
 
+def test_wing_bras_matches_the_numpy_kron_route():
+    # bras @ (U^(x4))^dagger with U^(x4) built by np.kron, for one frame, a
+    # stack of frames and a stack of frame tuples, on real and complex bras
+    rng = np.random.default_rng(45)
+    real = rng.normal(size=(16, 16))
+    for lead in ((), (7,), (5, 4)):
+        u = haar_su2_batch(rng, lead)
+        for bras in (real, rng.normal(size=(2, 16)) + 1j * rng.normal(size=(2, 16))):
+            turned = wing_bras(bras, u)
+            assert turned.shape == (*lead, len(bras), 16)
+            for index in np.ndindex(*lead):
+                big = reduce(np.kron, [u[index]] * 4)
+                assert np.abs(turned[index] - bras @ big.conj().T).max() < 1e-13
+
+
 def test_collective_turn_matches_the_full_operator():
     # qubit by qubit with the frame axis last, against U^(x4) built by kron,
     # on columns every frame shares and on each frame's own columns
