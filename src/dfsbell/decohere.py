@@ -12,24 +12,26 @@ draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in the global
 scope, (k, 2) per wing, so that draw by draw Alice's frame comes before
 Bob's, as k single draws would give them.
 
-Each state is scored on its support only, through ``qcore.collective_turn``:
-no U^(x4) is formed and no turned density operator is built.  The support
-keeps the eigenvalues at or above the cut of 1e-12 that ``state_fidelity``
-chops to zero.
+Each state is scored on its support only: it takes one ``qcore.turn_table``
+from the state, and each chunk makes one ``qcore.collective_turn`` of that
+table per wing, with no U^(x4) formed and no turned density operator built.
+The support keeps the eigenvalues at or above the cut of 1e-12 that
+``state_fidelity`` chops to zero.
 
-- A 4-qubit pure state turns its one column; its fidelity is
-  |<psi|rotated>|^2.
+- A 4-qubit pure state's table is psi^dagger T_mu psi, whose turn is the
+  overlap <psi|rotated>; its fidelity is |<psi|rotated>|^2.
 - An 8-qubit pure state, as a 16 x 16 matrix M with Alice's index first,
   keeps the r eigenvectors L of M M^dagger past the cut (its Schmidt
   support; r = 2 for the two-wing state).  With R = M^dagger L it gives
-  <psi|U^(x4) x V^(x4)|psi> = sum_ab X_ab Y_ba for X = L^dagger U^(x4) L and
-  Y = R^dagger (V^T)^(x4) R, so each wing turns r columns, not 16.  This
-  scores psi' = (L L^dagger x 1) psi, which differs from psi by a vector of
+  <psi|U^(x4) x V^(x4)|psi> = sum_ab X_ab Y_ab for X = L^dagger U^(x4) L and
+  Y = R^T V^(x4) conj(R), two r x r tables, not 16 x 16.  This scores
+  psi' = (L L^dagger x 1) psi, which differs from psi by a vector of
   squared norm e, the sum of the dropped eigenvalues (below 1.5e-11); the
   fidelity moves by at most 4 sqrt(e) + 2 e.  When psi has Schmidt rank r
   exactly, as the two-wing state does, e is rounding noise.
 - A 4-qubit density operator rho keeps its eigenvectors V past the cut and
-  D = diag(sqrt p) of their eigenvalues p.  With W = (U^dagger)^(x4) V the
+  D = diag(sqrt p) of their eigenvalues p.  Its table is that of the
+  identity rows and V, whose turn by U^dagger is W = (U^dagger)^(x4) V; the
   Uhlmann fidelity with U^(x4) rho U^(x4)^dagger is
   (sum sqrt(eig(D W^dagger rho W D)))^2: the nonzero eigenvalues of that
   r x r matrix are those of sqrt(rho) rho' sqrt(rho).  Every frame's W must
@@ -49,15 +51,12 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (ATOL, DensityOperator, QuantumState, basis_state,
-                    collective_turn, haar_su2_batch, partial_trace)
+                    collective_turn, haar_su2_batch, partial_trace, turn_table)
 
 IMMUNITY_ATOL = 1e-9
 
-# Draws per chunk.  The support kernels turn at most 16 columns (a random
-# 8-qubit state; 1 or 2 for the report's states), so a chunk's arrays stay
-# in the hundreds of kB.  On the 8 x 1000 draws of the immunity report, 256
-# took a third of the time of 32 with no more traced memory; larger chunks
-# saved at most 2 ms more, and 1024 took the traced peak from 1.4 to 2.5 MB.
+# Draws per chunk: the unit of the kernels' work arrays, a (35, CHUNK)
+# stack of monomials and a turned table per wing.
 CHUNK = 256
 
 # Eigenvalues below this are exact zeros: of a density operator, and of
@@ -115,13 +114,13 @@ def state_fidelity(a, b) -> float:
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
-def _mixed_fidelities(rho: np.ndarray, vecs: np.ndarray, d: np.ndarray,
+def _mixed_fidelities(rho: np.ndarray, table: np.ndarray, d: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
-    (k, 2, 2) frames, on rho's support: ``vecs`` (16, r) and ``d`` (r,) are
-    the eigenvectors of rho past the cut and the square roots of their
-    eigenvalues."""
-    w = collective_turn(u.conj().swapaxes(-1, -2), vecs)
+    (k, 2, 2) frames, on rho's support: ``table`` is the ``turn_table`` of
+    the identity rows and rho's eigenvectors past the cut, and ``d`` (r,) the
+    square roots of their eigenvalues."""
+    w = collective_turn(table, u.conj().swapaxes(-1, -2)).reshape(16, len(d), -1)
     wc = w.conj()
     err = np.linalg.norm(np.einsum("iak,ibk->kab", wc, w) - np.eye(len(d)),
                          axis=(-2, -1))
@@ -132,25 +131,24 @@ def _mixed_fidelities(rho: np.ndarray, vecs: np.ndarray, d: np.ndarray,
     return np.minimum(1.0, np.sum(np.sqrt(_chop(ev)), axis=-1) ** 2)
 
 
-def _pure_fidelities(psi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """|<psi|rotated>|^2 of a 4-qubit state for a chunk of (k, 2, 2) frames."""
-    overlaps = collective_turn(u, psi[:, None])[:, 0].T @ psi.conj()
-    return np.minimum(1.0, np.abs(overlaps) ** 2)
+def _pure_fidelities(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|<psi|rotated>|^2 of a 4-qubit state for a chunk of (k, 2, 2) frames,
+    from the (1, 35) ``turn_table`` of psi^dagger and psi."""
+    overlaps = collective_turn(table, u)[0]
+    return np.minimum(1.0, overlaps.real ** 2 + overlaps.imag ** 2)
 
 
-def _schmidt_fidelities(left: np.ndarray, right: np.ndarray,
+def _schmidt_fidelities(table_x: np.ndarray, table_y: np.ndarray,
                         u: np.ndarray) -> np.ndarray:
     """|<psi|rotated>|^2 of an 8-qubit state M (16 x 16, Alice's index
-    first) for a chunk of frames, on its Schmidt support: ``left`` (16, r)
-    spans the support of M M^dagger and ``right`` is M^dagger left.  ``u``
-    is (k, 2, 2) in the global scope and (k, 2, 2, 2) per wing, Alice's
-    frame first."""
+    first) for a chunk of frames, on its Schmidt support: ``table_x`` and
+    ``table_y`` are the (r r, 35) ``turn_table``s of X and Y in the module
+    docstring.  ``u`` is (k, 2, 2) in the global scope and (k, 2, 2, 2) per
+    wing, Alice's frame first."""
     alice, bob = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
-    x = np.tensordot(left.conj(), collective_turn(alice, left), (0, 0))
-    y = np.tensordot(right.conj(), collective_turn(bob.swapaxes(-1, -2), right),
-                     (0, 0))
-    overlaps = np.einsum("abk,bak->k", x, y)
-    return np.minimum(1.0, np.abs(overlaps) ** 2)
+    x, y = collective_turn(table_x, alice), collective_turn(table_y, bob)
+    overlaps = (x * y).sum(axis=0)
+    return np.minimum(1.0, overlaps.real ** 2 + overlaps.imag ** 2)
 
 
 def _support(h: np.ndarray):
@@ -176,16 +174,20 @@ def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
             raise ValueError(
                 f"density operators of 4 qubits only, got {state.n_qubits}")
         vecs, p = _support(state.matrix)
-        score = partial(_mixed_fidelities, state.matrix, vecs, np.sqrt(p))
+        score = partial(_mixed_fidelities, state.matrix, turn_table(np.eye(16), vecs),
+                        np.sqrt(p))
     elif state.n_qubits == 8:
         m = state.amplitudes.reshape(16, 16)
         left, _ = _support(m @ m.conj().T)
-        score = partial(_schmidt_fidelities, left, m.conj().T @ left)
+        right = m.conj().T @ left
+        score = partial(_schmidt_fidelities, turn_table(left.conj().T, left),
+                        turn_table(right.T, right.conj()))
     elif state.n_qubits == 4:
         if channel.scope == "per-wing":
             raise ValueError("the per-wing scope requires an 8-qubit state, "
                              f"got {state.n_qubits}")
-        score = partial(_pure_fidelities, state.amplitudes)
+        psi = state.amplitudes
+        score = partial(_pure_fidelities, turn_table(psi.conj()[None], psi[:, None]))
     else:
         raise ValueError(
             f"pure states of 4 or 8 qubits only, got {state.n_qubits}")

@@ -23,21 +23,23 @@ The simulation keeps only word tallies.  Random settings draw the four setting
 pairs' round counts as one multinomial, the first draw of the seeded stream;
 fixed frames draw each setting pair's 256-word tally as one multinomial, fresh
 frames draw one word pair per round, and either way the tally is classified
-once into outcome pairs.  Fresh frames turn the state's factors instead of the
-bras: eta is L R^T with L = SECTOR ETA_COEFFS and R = SECTOR, and Alice's frame
-turns L's two columns (``qcore.collective_turn``).  Bob's turned R is
-orthonormal, so Alice's marginal ignores his frame: at the round's one uniform
-Alice's word comes from her 16-word marginal, then Bob's from his row given
-hers, which reads the 256 word pairs' inverse CDF in Alice-major order; in each
-stage a uniform past a row's end takes its last possible word.  Bob's row given
-Alice's word a is his turn of one column per frame, R xa[a] from her turned rows
-xa, by linearity alone: no invariance of the state is used, and every frame is
-applied numerically on both wings.  Two units split the fresh-frame work:
-the seeded stream is drawn a chunk of ``_ROUNDS_PER_CHUNK`` rounds at a time
-(Alice's frames, then Bob's, then the uniforms), and the word kernel runs on
-blocks of ``_FRAMES_PER_BLOCK`` of those frames, a size set by cache, not by
-the stream, since each round's words depend on its own frames and uniform
-alone.
+once into outcome pairs.  Fresh frames turn the state's factors instead of
+the bras: eta is L R^T with L = SECTOR ETA_COEFFS and R = SECTOR, and each
+wing's bras and factor are one ``qcore.turn_table``, built at import from the
+integer bras, V0, V1 and ETA_TABLE and scaled once, so that a block of frames
+costs one ``qcore.collective_turn`` per wing.  Bob's turned R is orthonormal,
+so Alice's marginal ignores his frame: at the round's one uniform Alice's
+word comes from her 16-word marginal, then Bob's from his row given hers,
+which reads the 256 word pairs' inverse CDF in Alice-major order; in each
+stage a uniform past a row's end takes its last possible word.  Bob's row
+given Alice's word a is his two turned columns contracted with her turned row
+xa[a], since R xa[a] lies in R's span: linearity alone, no invariance of the
+state, and every frame is applied numerically on both wings.  Two units split
+the fresh-frame work: the seeded stream is drawn a chunk of
+``_ROUNDS_PER_CHUNK`` rounds at a time (Alice's frames, then Bob's, then the
+uniforms), and the word kernel runs on blocks of ``_FRAMES_PER_BLOCK`` of
+those frames, a size set by cache, not by the stream; a round's words depend
+on the rest of its block only through the rounding of the turn's product.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dfs_states import ETA_COEFFS, ETA_INT, SECTOR, make_eta
+from .dfs_states import ETA_INT, ETA_TABLE, V0, V1, make_eta
 from .qcore import (QuantumState, check_unitary, collective_turn, haar_su2_batch,
-                    joint_probs, kron, product_bras, wing_bras)
+                    joint_probs, kron, product_bras, turn_table, wing_bras)
 
 # Fresh-frame marginal and conditional word probabilities analytically zero
 # come out of floating-point amplitude algebra at ~1e-32; clipping below this
@@ -63,13 +65,9 @@ _SETTING_PAIRS = (("F", "F"), ("F", "G"), ("G", "F"), ("G", "G"))
 _ROUNDS_PER_CHUNK = 2048
 
 # Frames per call of the fresh-frame word kernel: the unit of its work arrays,
-# sized so that the turns stay in cache.  On a 2-core VM, 8,000 fresh rounds
-# in a new interpreter (perfbench simulate, wall_ref) took 0.023-0.025 s at
-# 512 against 0.028-0.030 s at 1,024 in four alternated pairs, with 1.4 MB
-# less peak RSS, and 50,000 warm rounds (report-all's) 0.18-0.20 s against
-# 0.22-0.24 s (medians of 15).  256 and 2,048 were slower than 512 in earlier
-# timings of the same kind.
-_FRAMES_PER_BLOCK = 512
+# sized so that they stay in cache and the turn's product runs on one BLAS
+# thread.
+_FRAMES_PER_BLOCK = 256
 
 
 # Per-qubit measurement directions as x-z plane angles (z axis at 0, x at pi/4).
@@ -111,9 +109,25 @@ _INT_BRAS = {p: kron([_INT_ROWS[t] for t in thetas]) for p, thetas in PROTOCOLS.
 _TABLES = {(a, b): ((_INT_BRAS[a] @ ETA_INT.reshape(16, 16) @ _INT_BRAS[b].T) ** 2).ravel()
            for a, b in _SETTING_PAIRS}
 _AMP16 = make_eta().amplitudes.reshape(16, 16)
-# eta = (SECTOR ETA_COEFFS) SECTOR^T.  einsum, not @: a float matmul at import
-# would add BLAS buffers (0.3 MB of peak RSS) to runs without fresh frames.
-_ETA_FACTORS = (np.einsum("vj,jk->vk", SECTOR, ETA_COEFFS), SECTOR)
+
+
+def _factor_tables(vecs, scale) -> dict:
+    """Per protocol, the (32, 35) ``turn_table`` of its bras and the factor
+    ``vecs`` diag(scale), from the integer table of its integer bras (twice
+    the bras) and the integer (16, 2) ``vecs``."""
+    return {p: (turn_table(bras, vecs).reshape(16, 2, 35) * (scale[:, None] / 2)
+                ).reshape(32, 35) for p, bras in _INT_BRAS.items()}
+
+
+# eta = L R^T: R = SECTOR = V diag(1 / |V_j|) and L = SECTOR ETA_COEFFS =
+# V ETA_TABLE diag(|V_k| / |ETA_INT|), for the integer columns V = (V0, V1).
+# Integers and elementwise scaling only: a float matmul at import would add
+# BLAS buffers to the peak RSS of runs without fresh frames.
+_V = np.stack([V0, V1], axis=1)
+_V_NORMS = np.sqrt((_V * _V).sum(axis=0))
+_ALICE_TABLES = _factor_tables(_V @ ETA_TABLE,
+                              _V_NORMS / math.sqrt((ETA_INT * ETA_INT).sum()))
+_BOB_TABLES = _factor_tables(_V, 1.0 / _V_NORMS)
 
 
 def wing_distribution(state: QuantumState, protocol: str,
@@ -189,36 +203,29 @@ def _draw_words(p, r) -> tuple:
     return words, c
 
 
-def _turned_columns(bras, u, vecs) -> np.ndarray:
-    """bras (U^(x4))^dagger vecs for the frame stack u, as (16, r, m), of
-    shared (16, r) or per-frame (16, r, m) columns: one product over all
-    frames, since ``collective_turn`` puts the frame last."""
-    turned = collective_turn(u.conj().swapaxes(-1, -2), vecs)
-    return (bras @ turned.reshape(16, -1)).reshape(turned.shape)
-
-
-def _fresh_words(factors, bras_a, ua, bras_b, ub, r) -> np.ndarray:
+def _fresh_words(table_a, ua, table_b, ub, r) -> np.ndarray:
     """Word pairs 16 a + b of the rounds in frames (ua, ub) at uniforms r.
 
-    ``factors`` (L, R) give the state as L R^T, R with orthonormal columns, so
-    Bob's turned R is orthonormal: Alice's marginal is the squared row norms
-    of her turned xa.  By linearity alone Bob's amplitudes given her word a
-    are his turn of the one column R xa[a] per frame.
+    ``table_a`` and ``table_b`` are the ``turn_table``s of each wing's bras
+    with the factors (L, R) of the state L R^T, R with orthonormal columns,
+    so Bob's turned R is orthonormal: Alice's marginal is the squared row
+    norms of her turned xa.  Bob's amplitudes given her word a are R xa[a]
+    turned, which by linearity is his turned R times xa[a].
     """
-    xa = _turned_columns(bras_a, ua, factors[0])
+    frames = np.arange(r.size)
+    xa = collective_turn(table_a, ua.conj().swapaxes(-1, -2)).reshape(16, -1, r.size)
     pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)
     total = pa.sum(axis=0)
     a, ca = _draw_words(pa / total, r)
-    frames = np.arange(r.size)
-    v = factors[1] @ xa[a, :, frames].T
-    amps = _turned_columns(bras_b, ub, v[:, None])[:, 0]
+    xb = collective_turn(table_b, ub.conj().swapaxes(-1, -2)).reshape(16, -1, r.size)
+    amps = (xb * xa[a, :, frames].T).sum(axis=1)
     # Bob's word on what r leaves past Alice's words before a
     b, _ = _draw_words((amps.real ** 2 + amps.imag ** 2) / total,
                        r - np.where(a > 0, ca[a - 1, frames], 0.0))
     return 16 * a + b
 
 
-def _sample_fresh_rotations(bras_a, bras_b, n, rng):
+def _sample_fresh_rotations(table_a, table_b, n, rng):
     """256-word tally of n rounds, each wing in a fresh Haar frame every round:
     frames and uniforms are drawn per chunk, words per block of its frames."""
     tally = np.zeros(256, dtype=np.int64)
@@ -229,7 +236,7 @@ def _sample_fresh_rotations(bras_a, bras_b, n, rng):
         r = rng.random(m)
         for lo in range(0, m, _FRAMES_PER_BLOCK):
             block = slice(lo, lo + _FRAMES_PER_BLOCK)
-            words = _fresh_words(_ETA_FACTORS, bras_a, ua[block], bras_b, ub[block], r[block])
+            words = _fresh_words(table_a, ua[block], table_b, ub[block], r[block])
             tally += np.bincount(words, minlength=256)
     return tally
 
@@ -246,9 +253,11 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     rng = np.random.default_rng(seed)
     ua = haar_su2_batch(rng, (n_frames,))
     ub = haar_su2_batch(rng, (n_frames,))
+    alice = {p: wing_bras(bras, ua) for p, bras in _BRAS.items()}
+    bob = {p: wing_bras(bras, ub) for p, bras in _BRAS.items()}
     drift = np.zeros(n_frames)
     for (pa, pb), table in _TABLES.items():
-        rotated = joint_probs(wing_bras(_BRAS[pa], ua), _AMP16, wing_bras(_BRAS[pb], ub))
+        rotated = joint_probs(alice[pa], _AMP16, bob[pb])
         fixed = (table / table.sum()).reshape(16, 16)
         drift = np.maximum(drift, np.abs(rotated - fixed).max(axis=(1, 2)))
     return float(drift.max()), int(drift.argmax())
@@ -332,7 +341,8 @@ def run_experiment(n_rounds: int, settings_policy="random",
         if rotations_policy == "identity":
             tally = _word_tally(_TABLES[(pa, pb)], n_pair, rng)
         else:
-            tally = _sample_fresh_rotations(_BRAS[pa], _BRAS[pb], n_pair, rng)
+            tally = _sample_fresh_rotations(_ALICE_TABLES[pa], _BOB_TABLES[pb],
+                                            n_pair, rng)
         counts[(pa, pb)] = {cell: int(count)
                             for cell, count in _class_cells(tally, pa, pb).items()}
     return ExperimentRecord(

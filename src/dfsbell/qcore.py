@@ -6,13 +6,13 @@ significant bit of the basis index, so ``|q1 q2 q3 q4>`` reads left to right.
 
 A wing measurement is a matrix of bras, one row per outcome, and
 ``joint_probs`` gives its outcome-pair probabilities on a two-wing state.
-A turned frame takes one route: ``collective_turn`` applies U^(x4) to a few
-columns, one qubit at a time for a whole stack of frames, without forming
-U^(x4).  The columns are shared by every frame or are each frame's own.  Its
-work arrays grow with the stack; each frame's result depends on that frame
-and its columns alone, so a caller may cut the stack into blocks that fit in
-cache without changing a bit of it.  ``wing_bras`` turns a wing's bras
-through it; ``kron`` builds product-basis bras and the U^(x k) of
+A turned frame takes one route, a polynomial: U^(x4) = sum_mu mu(U) T_mu over
+the 35 monomials mu of degree 4 in U's entries, the T_mu integer 0/1 matrices
+that partition the 16 x 16 grid.  ``turn_table`` contracts fixed rows and
+vecs with every T_mu once, and ``collective_turn`` gives rows U^(x4) vecs for
+a whole stack of frames as one product of that table with their monomials,
+frame last; no U^(x4) is formed.  ``wing_bras`` turns a wing's bras through
+it; ``kron`` builds product-basis bras and the U^(x k) of
 ``apply_collective``.
 
 A product basis measures each qubit along an x-z plane direction theta: the
@@ -215,45 +215,83 @@ def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Bras of one wing's measurement with its frame turned by U^(x4).
 
     ``bras`` is (k, 16), one row per outcome; ``u`` is (..., 2, 2).  Returns
-    ``bras @ (U^(x4))^dagger`` of shape (..., k, 16): the bra of U^(x4)|w>
-    for each outcome ket |w>.  Its transpose is conj(U)^(x4) bras^T, so the
-    result is a transposed view of ``collective_turn`` on the frames' complex
-    conjugates, and no U^(x4) is formed.
+    the contiguous ``bras @ (U^(x4))^dagger`` of shape (..., k, 16), the bra
+    of U^(x4)|w> for each outcome ket |w>: the bras' turn by the adjoints.
     """
-    turned = collective_turn(u.conj().reshape(-1, 2, 2), bras.T).transpose(2, 1, 0)
-    return turned.reshape(*u.shape[:-2], *turned.shape[1:])
+    uh = u.conj().swapaxes(-1, -2).reshape(-1, 2, 2)
+    turned = collective_turn(turn_table(bras), uh).T
+    return np.ascontiguousarray(turned).reshape(*u.shape[:-2], *bras.shape)
 
 
-def collective_turn(u: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """U^(x4) applied to every column of ``vecs``, for a stack of frames.
+# The 10 pair products x_a x_b (a <= b) of U's entries x = (u00, u01, u10,
+# u11): a monomial x_a x_b x_c x_d of degree 4 (a <= b <= c <= d) is pair
+# (a, b) times a pair of the suffix of _PAIRS that starts at (b, b).
+_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
+_SUFFIX = [_PAIRS.index((b, b)) for _, b in _PAIRS]
 
-    ``u`` is (m, 2, 2); ``vecs`` is (16, r), columns that every frame
-    shares, or (16, r, m), each frame's own columns, frame last.  Returns a
-    contiguous (16, r, m) array, frame last, so that a product of the result
-    with a fixed matrix is one 2-D product over every frame.  The turn goes
-    one qubit at a time with the frame axis last, so each product runs over
-    m contiguous frames and no U^(x4) is formed.  A qubit step makes both
-    output halves w[:, 0] t0 + w[:, 1] t1 at once, the frame's column w[:, j]
-    broadcast against t's half j: three calls per step, twelve per turn.
-    Steps alternate between two buffers and take the second products in a
-    spare, so a turn allocates three arrays of 16 r m entries, not new ones
-    per qubit, and returns a view of one of them.
+
+def _grid_table() -> np.ndarray:
+    """The (35, 16, 16) 0/1 matrices T_mu of U^(x4) = sum_mu mu(U) T_mu.
+    Entry (I, J) of U^(x4) is the product of the four u[i_q, j_q]: u01 on
+    the qubits set in J alone, u10 in I alone and u11 in both."""
+    order = [pair + _PAIRS[k] for pair, s in zip(_PAIRS, _SUFFIX) for k in range(s, 10)]
+    index = {tuple(map(key.count, (1, 2, 3))): mu for mu, key in enumerate(order)}
+    mu = [index[(~i & j).bit_count(), (i & ~j).bit_count(), (i & j).bit_count()]
+          for i in range(16) for j in range(16)]
+    t = np.zeros((35, 256), dtype=np.int8)
+    t[mu, range(256)] = 1
+    return t.reshape(35, 16, 16)
+
+
+_T = _grid_table()
+
+
+def _monomials(u: np.ndarray) -> np.ndarray:
+    """(35, m) complex monomials of the (m, 2, 2) frames, frame last, in
+    ``_grid_table``'s order: 4 multiplies make the 10 pair products, 10 more
+    multiply each pair by its suffix of the pairs."""
+    x = np.ascontiguousarray(u.reshape(-1, 4).T)
+    pairs = np.empty((10, x.shape[1]), complex)
+    mono = np.empty((35, x.shape[1]), complex)
+    lo = 0
+    for a in range(4):
+        np.multiply(x[a], x[a:], out=pairs[lo:lo + 4 - a])
+        lo += 4 - a
+    lo = 0
+    for k, s in enumerate(_SUFFIX):
+        np.multiply(pairs[k], pairs[s:], out=mono[lo:lo + 10 - s])
+        lo += 10 - s
+    return mono
+
+
+def turn_table(rows: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
+    """(k r, 35) table whose row (i, j) holds rows[i] T_mu vecs[:, j] for the
+    35 monomials mu, so that ``collective_turn`` of it gives rows U^(x4) vecs.
+
+    ``rows`` is (k, 16) and ``vecs`` (16, r), the identity when omitted; the
+    table takes their dtype, so integer rows and vecs give an integer table,
+    exactly and with no float product.
     """
-    w = np.ascontiguousarray(np.moveaxis(u, 0, -1))  # w[i, j]: entry (i, j) of every frame
-    m, r = u.shape[0], vecs.shape[1]
-    dtype = np.result_type(u, vecs)
-    bufs = [np.empty(16 * r * m, dtype) for _ in range(2)]
-    spare = np.empty(16 * r * m, dtype)
-    t = vecs if vecs.ndim == 3 else vecs[..., None]
-    for q in range(4):
-        t = t.reshape(2 ** q, 2, -1, t.shape[-1])
-        out = bufs[q % 2].reshape(2 ** q, 2, -1, m)
-        half = spare.reshape(out.shape)
-        np.multiply(w[:, 0, None], t[:, 0:1], out=out)
-        np.multiply(w[:, 1, None], t[:, 1:2], out=half)
-        np.add(out, half, out=out)
-        t = out
-    return t.reshape(16, r, m)
+    t = rows @ _T if vecs is None else rows @ (_T @ vecs)
+    return np.ascontiguousarray(t.reshape(35, -1).T)
+
+
+def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """rows U^(x4) vecs for the (k r, 35) ``turn_table`` of rows and vecs and
+    a stack of (m, 2, 2) frames: (k r, m) complex, frame last.
+
+    U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, unitary or not,
+    so the turn is ``table @ monomials(u)``, one product over every frame,
+    real on the monomials' float view when the table is real.  A frame's
+    result depends on the other frames of the stack only through the BLAS
+    product's rounding: within 1e-15 for unitary frames and rows and vecs
+    of unit norm
+    (``test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15``).
+    """
+    mono = _monomials(u)
+    if table.dtype.kind == "c":
+        return table @ mono
+    return (table @ mono.view(float)).view(complex)
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:

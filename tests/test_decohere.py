@@ -242,15 +242,16 @@ def test_a_frame_that_is_not_unitary_raises_in_the_density_kernel(monkeypatch):
 
 
 def test_schmidt_cut_keeps_the_two_wing_state_at_rank_two(monkeypatch):
-    # each wing of the two-wing state turns its 2 Schmidt columns, not 16
+    # each wing of the two-wing state turns the table of a 2 x 2 block of its
+    # 2 Schmidt columns, 4 rows, not the 256 of a 16 x 16 block
     widths, original = [], decohere.collective_turn
 
-    def recorded(u, cols):
-        widths.append(cols.shape)
-        return original(u, cols)
+    def recorded(table, u):
+        widths.append(table.shape)
+        return original(table, u)
     monkeypatch.setattr(decohere, "collective_turn", recorded)
     fidelity_samples(make_eta(), CollectiveChannel(3, "per-wing"), seed=1)
-    assert widths == [(16, 2), (16, 2)]
+    assert widths == [(4, 35), (4, 35)]
 
 
 def test_immunity_report_traced_memory():

@@ -292,6 +292,18 @@ def test_phase1_simplex_matches_the_fraction_tableau():
     assert 200 < feasible < 400
 
 
+def test_phase1_simplex_breaks_ratio_ties_by_blands_rule():
+    # w1 + w3 = w0 + w1 + w2 = w2 + w3 = 2, a degenerate system: when w1
+    # enters at the second pivot, the row of basic w0 and the row of the
+    # first artificial tie in the ratio test.  Bland's rule drops the smaller
+    # index, w0, and the simplex ends at (2, 0, 0, 2); dropping the
+    # artificial instead ends at the other vertex (0, 1, 1, 1).
+    rows = [[Fraction(a) for a in row] for row in ((0, 1, 0, 1), (1, 1, 1, 0), (0, 0, 1, 1))]
+    rhs = [Fraction(2)] * 3
+    assert hardy._phase1_simplex(rows, rhs) == [2, 0, 0, 2]
+    assert _fraction_simplex(rows, rhs) == [2, 0, 0, 2]
+
+
 def test_lhv_infeasible_without_forced_zero_narrative():
     # two events that each demand full weight on disjoint strategy sets;
     # no zero constraint exists, so the generic certificate is returned

@@ -9,18 +9,19 @@ import pytest
 
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
-from dfsbell.localmeas import (PROTOCOLS, _BRAS, _ETA_FACTORS, _FRAMES_PER_BLOCK,
-                               _INT_BRAS, _PROB_CLIP, _ROUNDS_PER_CHUNK, _SETTING_PAIRS,
-                               _TABLES,
+from dfsbell.localmeas import (PROTOCOLS, _ALICE_TABLES, _BOB_TABLES, _BRAS,
+                               _FRAMES_PER_BLOCK, _INT_BRAS, _PROB_CLIP,
+                               _ROUNDS_PER_CHUNK, _SETTING_PAIRS, _TABLES,
                                _draw_words, _fresh_words, _sample_fresh_rotations,
-                               _turned_columns, _word_tally,
+                               _word_tally,
                                classify_outcome, exact_class_cells,
                                max_frame_drift, run_experiment,
                                wing_distribution, wing_outcome_distribution)
 from dfsbell.dfs_states import (ETA_COEFFS, SECTOR, make_eta, make_f, make_g,
                                 make_phi0, make_phi1, make_psi0)
-from dfsbell.qcore import (QuantumState, basis_state, haar_su2, haar_su2_batch,
-                           joint_probs, kron, product_bras, wing_bras)
+from dfsbell.qcore import (QuantumState, basis_state, collective_turn, haar_su2,
+                           haar_su2_batch, joint_probs, kron, product_bras,
+                           turn_table, wing_bras)
 
 F_MINUS_WORDS = {0b0101, 0b0110, 0b1001, 0b1010}
 G_MINUS_WORDS = {0b0011, 0b0110, 0b1001, 0b1100}
@@ -173,6 +174,16 @@ def test_eta_has_two_schmidt_terms():
     assert abs(np.linalg.det(ETA_COEFFS)) > 0.1
 
 
+def test_fresh_tables_are_the_tables_of_the_float_factors():
+    # the tables built at import from integers are those of each wing's bras
+    # with eta's float factors L = SECTOR ETA_COEFFS and R = SECTOR
+    for p in ("F", "G"):
+        for table, factor in ((_ALICE_TABLES[p], SECTOR @ ETA_COEFFS),
+                              (_BOB_TABLES[p], SECTOR)):
+            assert table.dtype == float and table.shape == (32, 35)
+            assert np.abs(table - turn_table(_BRAS[p], factor)).max() < 1e-15
+
+
 def _bra_route_words(amp16, bras_a, ua, bras_b, ub, r):
     # reference route: one draw from the clipped, normalized 256-word joint
     # distribution of the wings' bras turned by their frames
@@ -193,36 +204,37 @@ def test_two_stage_draw_is_the_bra_route_draw_for_draw():
             ua = haar_su2_batch(rng, (2048,))
             ub = haar_su2_batch(rng, (2048,))
             r = rng.random(2048)
-            words = _fresh_words(_ETA_FACTORS, _BRAS[pa], ua, _BRAS[pb], ub, r)
+            words = _fresh_words(_ALICE_TABLES[pa], ua, _BOB_TABLES[pb], ub, r)
             expect = _bra_route_words(eta16, _BRAS[pa], ua, _BRAS[pb], ub, r)
             assert (words == expect).all(), (seed, pa, pb)
 
 
 def test_two_stage_draw_needs_no_rotation_invariance():
-    # on states that the frames do move, with general factors (M, I): the
-    # marginal times the conditional row is the joint distribution of the
-    # turned bras, and the draws are the bra route's
+    # on states that the frames do move, with tables of general factors
+    # (M, I): the marginal times the conditional row is the joint
+    # distribution of the turned bras, and the draws are the bra route's
     rng = np.random.default_rng(47)
     amps = rng.normal(size=256) + 1j * rng.normal(size=256)
     states = (amps / np.linalg.norm(amps), basis_state("01010011").amplitudes)
     for state in states:
         amp16 = state.reshape(16, 16)
-        factors = (amp16, np.eye(16))
         for pa in ("F", "G"):
             for pb in ("F", "G"):
+                table_a = turn_table(_BRAS[pa], amp16)
+                table_b = turn_table(_BRAS[pb], np.eye(16))
                 ua = haar_su2_batch(rng, (256,))
                 ub = haar_su2_batch(rng, (256,))
                 r = rng.random(256)
                 joint = joint_probs(wing_bras(_BRAS[pa], ua), amp16,
                                     wing_bras(_BRAS[pb], ub))
-                xa = _turned_columns(_BRAS[pa], ua, factors[0])
-                xb = _turned_columns(_BRAS[pb], ub, factors[1])
+                xa, xb = (collective_turn(t, u.conj().swapaxes(-1, -2)).reshape(16, 16, 256)
+                          for t, u in ((table_a, ua), (table_b, ub)))
                 marginal = (np.abs(xa) ** 2).sum(axis=1).T
                 assert np.abs(marginal - joint.sum(axis=2)).max() < 1e-14
                 rows = np.abs(np.einsum("akm,bkm->mab", xa, xb)) ** 2
                 conditional = rows / marginal[:, :, None]
                 assert np.abs(marginal[:, :, None] * conditional - joint).max() < 1e-14
-                words = _fresh_words(factors, _BRAS[pa], ua, _BRAS[pb], ub, r)
+                words = _fresh_words(table_a, ua, table_b, ub, r)
                 expect = _bra_route_words(amp16, _BRAS[pa], ua, _BRAS[pb], ub, r)
                 assert (words == expect).all(), pa + pb
                 still = joint_probs(_BRAS[pa], amp16, _BRAS[pb])
@@ -242,9 +254,11 @@ def test_frame_blocks_leave_the_chunk_tally():
         for m in (_ROUNDS_PER_CHUNK, last):
             ua = haar_su2_batch(ref, (m,))
             ub = haar_su2_batch(ref, (m,))
-            words = _fresh_words(_ETA_FACTORS, _BRAS["G"], ua, _BRAS["F"], ub, ref.random(m))
+            words = _fresh_words(_ALICE_TABLES["G"], ua, _BOB_TABLES["F"], ub,
+                                 ref.random(m))
             expect += np.bincount(words, minlength=256)
-        tally = _sample_fresh_rotations(_BRAS["G"], _BRAS["F"], _ROUNDS_PER_CHUNK + last, rng)
+        tally = _sample_fresh_rotations(_ALICE_TABLES["G"], _BOB_TABLES["F"],
+                                        _ROUNDS_PER_CHUNK + last, rng)
         assert np.array_equal(tally, expect), seed
         assert rng.random() == ref.random()
 
@@ -283,16 +297,21 @@ def test_word_tables_are_the_float_born_probabilities():
 
 def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
     # non-vacuity of the fresh-frame check: once the turn leaves one qubit
-    # alone, (F,F) (+1,+1) happens.  The stand-in takes shared (16, r) or
-    # per-frame (16, r, m) columns, as Alice's and Bob's turns pass them, and
-    # returns collective_turn's frame-last (16, r, m) layout.
+    # alone, (F,F) (+1,+1) happens.  The stand-in turns the rows and vecs of
+    # each wing's table by U^(x3) x I through kron, in the order of the
+    # table's rows and collective_turn's frame-last layout.
     assert run_experiment(2000, "random", "fresh", seed=5).counts[("F", "F")][(1, 1)] == 0
+    factors = (SECTOR @ ETA_COEFFS, SECTOR)
+    routes = {id(tables[p]): (_BRAS[p], factor)
+              for tables, factor in zip((_ALICE_TABLES, _BOB_TABLES), factors)
+              for p in PROTOCOLS}
     for skipped in range(4):
-        def partial_turn(u, vecs):
-            factors = [u] * 4
-            factors[skipped] = np.broadcast_to(np.eye(2), u.shape)
-            per_frame = vecs.reshape(16, vecs.shape[1], -1)
-            return np.einsum("mij,jrm->irm", kron(factors), per_frame)
+        def partial_turn(table, u):
+            rows, vecs = routes[id(table)]
+            turns = [u] * 4
+            turns[skipped] = np.broadcast_to(np.eye(2), u.shape)
+            turned = np.einsum("ai,mij,jr->arm", rows, kron(turns), vecs)
+            return turned.reshape(-1, len(u))
 
         monkeypatch.setattr(localmeas, "collective_turn", partial_turn)
         counts = run_experiment(2000, "random", "fresh", seed=5).counts
@@ -334,10 +353,10 @@ def test_fixed_frame_tally_matches_the_eigen_bras_route():
 def test_run_experiment_traced_peak_memory():
     # fixed frames build no per-round array, under either settings policy:
     # random settings are one multinomial of four counts, so a run of 10**6
-    # or 10**12 rounds peaks at about 15 KB.  Fresh frames turn two state
-    # columns per frame and wing, a block of 512 frames at a time, in reused
-    # buffers: 8,000 rounds peak at about 1.7 MB, where whole-chunk
-    # temporaries of 2,048 frames peaked at 4.75 MB and (rounds, 256)
+    # or 10**12 rounds peaks at about 15 KB.  Fresh frames turn a 32-row
+    # table per wing, a block of 256 frames at a time: 8,000 rounds peak at
+    # about 0.9 MB, where whole-chunk temporaries of 2,048 frames peaked at
+    # 4.75 MB in an earlier kernel and (rounds, 256)
     # word-pair probabilities or (rounds, 16, 16) U^(x4) stacks would go
     # higher still.  numpy.random is imported first, so that its one-time
     # imports are not traced.
@@ -371,7 +390,7 @@ def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():
     bras = _BRAS["F"]
     p = joint_probs(wing_bras(bras, ua), make_eta().amplitudes.reshape(16, 16),
                     wing_bras(bras, ub)).reshape(512, 256)
-    words = _fresh_words(_ETA_FACTORS, bras, ua, bras, ub, np.full(512, top))
+    words = _fresh_words(_ALICE_TABLES["F"], ua, _BOB_TABLES["F"], ub, np.full(512, top))
     assert (p[np.arange(512), words] >= _PROB_CLIP).all() and 255 not in words
 
 

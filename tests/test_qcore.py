@@ -12,7 +12,7 @@ from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            apply_collective, basis_state, check_density,
                            check_unitary, collective_turn, haar_su2,
                            haar_su2_batch, joint_probs, kron, partial_trace,
-                           permute_qubits, tensor, wing_bras)
+                           permute_qubits, tensor, turn_table, wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -209,43 +209,54 @@ def test_wing_bras_matches_the_numpy_kron_route():
                 assert np.abs(turned[index] - bras @ big.conj().T).max() < 1e-13
 
 
+def test_grid_tables_partition_the_grid_and_sum_to_the_kron():
+    # the table of the identity rows is the 35 integer T_mu, grid entry by
+    # grid entry: each entry lies in exactly one T_mu, and sum_mu mu(u) T_mu
+    # is U^(x4) for any 2 x 2 matrix, unitary or not
+    grid = turn_table(np.eye(16, dtype=int))
+    assert grid.dtype.kind == "i" and grid.shape == (256, 35)
+    assert set(grid.ravel().tolist()) == {0, 1}
+    assert (grid.sum(axis=1) == 1).all() and grid.sum(axis=0).min() > 0
+    rng = np.random.default_rng(46)
+    u = (rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))) / math.sqrt(2)
+    turned = collective_turn(grid, u).reshape(16, 16, 9)
+    assert np.abs(np.moveaxis(turned, -1, 0) - kron([u] * 4)).max() < 1e-14
+
+
 def test_collective_turn_matches_the_full_operator():
-    # qubit by qubit with the frame axis last, against U^(x4) built by kron,
-    # on columns every frame shares and on each frame's own columns
+    # rows U^(x4) vecs with U^(x4) built by kron, frame last, for real and
+    # complex rows and vecs; the table takes their dtype
     rng = np.random.default_rng(43)
     u = haar_su2_batch(rng, (33,))
     full = kron([u] * 4)
-    for r in (1, 2, 5):
-        vecs = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
-        cases = [(vecs, np.moveaxis(full @ vecs, 0, -1))]
-        if r < 5:
-            real = rng.normal(size=(16, r, 33))
-            for own in (real, real + 1j * rng.normal(size=(16, r, 33))):
-                cases.append((own, np.einsum("mij,jrm->irm", full, own)))
-        for columns, expect in cases:
-            turned = collective_turn(u, columns)
-            assert turned.shape == (16, r, 33)
-            assert turned.flags.c_contiguous
-            assert np.abs(turned - expect).max() < 1e-14, (r, columns.shape)
+    for k, r in ((1, 1), (16, 2), (3, 5)):
+        rows = rng.normal(size=(k, 16))
+        vecs = rng.normal(size=(16, r))
+        for rows_c, vecs_c, dtype in ((rows, vecs, float), (rows + 0j, vecs, complex),
+                                      (rows, vecs + 1j * vecs[::-1], complex),
+                                      (rows + 1j * rows[:, ::-1], vecs, complex)):
+            table = turn_table(rows_c, vecs_c)
+            assert table.shape == (k * r, 35) and table.dtype == dtype
+            turned = collective_turn(table, u)
+            assert turned.shape == (k * r, 33) and turned.flags.c_contiguous
+            expect = np.einsum("ai,mij,jr->arm", rows_c, full, vecs_c).reshape(k * r, 33)
+            assert np.abs(turned - expect).max() < 1e-13, (k, r)
 
 
-def test_collective_turn_of_a_frame_slice_is_that_slice_of_the_turn():
-    # frame blocks: frames [a:b] turned alone give frames [a:b], on the last
-    # axis, of the turn of all frames, bit for bit, for real and complex
-    # columns, shared or each frame's own (sliced with their frames)
+def test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15():
+    # frames [a:b] turned alone give frames [a:b] of the turn of all frames
+    # up to the BLAS product's rounding, which the block may change: within
+    # the 1e-15 that collective_turn states, for rows and vecs of unit norm
     rng = np.random.default_rng(44)
     u = haar_su2_batch(rng, (700,))
-    shared = rng.normal(size=(16, 2))
-    own = rng.normal(size=(16, 2, 700))
-    cases = [shared, shared + 1j * rng.normal(size=(16, 2))]
-    for r in (1, 2):
-        cases += [own[:, :r], own[:, :r] + 1j * rng.normal(size=(16, r, 700))]
-    for vecs in cases:
-        whole = collective_turn(u, vecs)
-        for a, b in ((0, 512), (512, 700), (3, 4), (100, 611)):
-            columns = vecs[..., a:b] if vecs.ndim == 3 else vecs
-            assert np.array_equal(collective_turn(u[a:b], columns),
-                                  whole[..., a:b]), (vecs.shape, vecs.dtype, a, b)
+    rows = rng.normal(size=(16, 16))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    vecs = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    for v in (vecs.real, vecs):
+        table = turn_table(rows, v / np.linalg.norm(v, axis=0))
+        whole = collective_turn(table, u)
+        for a, b in ((0, 512), (512, 700), (3, 4), (100, 611), (5, 261)):
+            assert np.abs(collective_turn(table, u[a:b]) - whole[:, a:b]).max() < 1e-15
 
 
 def test_apply_collective_matches_the_full_operator():
