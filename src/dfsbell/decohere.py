@@ -12,31 +12,34 @@ draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in the global
 scope, (k, 2) per wing, so that draw by draw Alice's frame comes before
 Bob's, as k single draws would give them.
 
-Each state is scored on its support only: it takes one ``qcore.turn_table``
-from the state, and each chunk makes one ``qcore.collective_turn`` of that
-table per wing, with no U^(x4) formed and no turned density operator built.
-The support keeps the eigenvalues at or above the cut of 1e-12 that
-``state_fidelity`` chops to zero.
+Each state is scored on its support only: r orthonormal columns S, cut
+where an eigenvalue falls below the 1e-12 that ``state_fidelity`` chops to
+zero.  It takes the (r^2, 35) ``qcore.turn_table`` of S^dagger and S per
+wing, whose ``qcore.collective_turn`` is the r x r table S^dagger U^(x4) S,
+and each chunk makes one turn per wing, with no U^(x4) formed and no turned
+state or density operator built.
 
-- A 4-qubit pure state's table is psi^dagger T_mu psi, whose turn is the
-  overlap <psi|rotated>; its fidelity is |<psi|rotated>|^2.
-- An 8-qubit pure state, as a 16 x 16 matrix M with Alice's index first,
-  keeps the r eigenvectors L of M M^dagger past the cut (its Schmidt
-  support; r = 2 for the two-wing state).  With R = M^dagger L it gives
-  <psi|U^(x4) x V^(x4)|psi> = sum_ab X_ab Y_ab for X = L^dagger U^(x4) L and
-  Y = R^T V^(x4) conj(R), two r x r tables, not 16 x 16.  This scores
-  psi' = (L L^dagger x 1) psi, which differs from psi by a vector of
+- A pure state, as a 16 x 16 matrix M with Alice's index first when it has
+  8 qubits, keeps the r eigenvectors L of M M^dagger past the cut (its
+  Schmidt support; r = 2 for the two-wing state).  With R = M^dagger L it
+  gives <psi|U_a^(x4) x U_b^(x4)|psi> = sum_ij X_ij Y_ij for the tables
+  X = L^dagger U_a^(x4) L and Y = R^T U_b^(x4) conj(R), not 16 x 16.  This
+  scores psi' = (L L^dagger x 1) psi, which differs from psi by a vector of
   squared norm e, the sum of the dropped eigenvalues (below 1.5e-11); the
   fidelity moves by at most 4 sqrt(e) + 2 e.  When psi has Schmidt rank r
-  exactly, as the two-wing state does, e is rounding noise.
-- A 4-qubit density operator rho keeps its eigenvectors V past the cut and
-  D = diag(sqrt p) of their eigenvalues p.  Its table is that of the
-  identity rows and V, whose turn by U^dagger is W = (U^dagger)^(x4) V; the
-  Uhlmann fidelity with U^(x4) rho U^(x4)^dagger is
-  (sum sqrt(eig(D W^dagger rho W D)))^2: the nonzero eigenvalues of that
-  r x r matrix are those of sqrt(rho) rho' sqrt(rho).  Every frame's W must
-  stay orthonormal, W^dagger W = 1 within ``qcore.ATOL``, which is what
-  makes the turned rho a density operator; otherwise ValueError.
+  exactly, as the two-wing state does, e is rounding noise.  A 4-qubit
+  state is the one-wing case L = psi, whose 1 x 1 table is the overlap
+  <psi|rotated>.  Either way the fidelity is the overlap's squared modulus.
+- A 4-qubit density operator rho = V D^2 V^dagger keeps its eigenvectors V
+  past the cut and D = diag(sqrt p) of their eigenvalues p.  With
+  sqrt(rho) = V D V^dagger, the Uhlmann fidelity with
+  sigma = U^(x4) rho U^(x4)^dagger is ||sqrt(rho) U^(x4) sqrt(rho)||_1^2, the
+  squared sum of the singular values of D X D for X = V^dagger U^(x4) V: the
+  square roots of the eigenvalues of (D X D)(D X D)^dagger, which are the
+  nonzero eigenvalues of sqrt(rho) sigma sqrt(rho), one batched eigensolve
+  per chunk.  The identity needs U unitary, and the final clamp to 1 would
+  hide a frame that is not, so every chunk's frames pass
+  ``qcore.check_unitary`` first.
 
 ``state_fidelity`` is the per-draw route the tests compare the chunks
 against.
@@ -50,7 +53,7 @@ from functools import partial
 import numpy as np
 
 from . import dfs_states
-from .qcore import (ATOL, DensityOperator, QuantumState, basis_state,
+from .qcore import (DensityOperator, QuantumState, basis_state, check_unitary,
                     collective_turn, haar_su2_batch, partial_trace, turn_table)
 
 IMMUNITY_ATOL = 1e-9
@@ -114,40 +117,26 @@ def state_fidelity(a, b) -> float:
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
-def _mixed_fidelities(rho: np.ndarray, table: np.ndarray, d: np.ndarray,
+def _mixed_fidelities(table: np.ndarray, d: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
-    (k, 2, 2) frames, on rho's support: ``table`` is the ``turn_table`` of
-    the identity rows and rho's eigenvectors past the cut, and ``d`` (r,) the
-    square roots of their eigenvalues."""
-    w = collective_turn(table, u.conj().swapaxes(-1, -2)).reshape(16, len(d), -1)
-    wc = w.conj()
-    err = np.linalg.norm(np.einsum("iak,ibk->kab", wc, w) - np.eye(len(d)),
-                         axis=(-2, -1))
-    if not np.all(err <= ATOL):
-        raise ValueError("turned support is not orthonormal within 1e-10")
-    inner = np.einsum("iak,ibk->kab", wc, np.tensordot(rho, w, 1))
-    ev = np.linalg.eigvalsh(d[:, None] * inner * d)
+    (k, 2, 2) frames, on rho's support: ``table`` is the (r r, 35)
+    ``turn_table`` of X in the module docstring, and ``d`` (r,) the square
+    roots of the kept eigenvalues."""
+    x = collective_turn(table, check_unitary(u)).T.reshape(-1, len(d), len(d))
+    dxd = d[:, None] * x * d
+    ev = np.linalg.eigvalsh(dxd @ dxd.conj().swapaxes(-1, -2))
     return np.minimum(1.0, np.sum(np.sqrt(_chop(ev)), axis=-1) ** 2)
 
 
-def _pure_fidelities(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """|<psi|rotated>|^2 of a 4-qubit state for a chunk of (k, 2, 2) frames,
-    from the (1, 35) ``turn_table`` of psi^dagger and psi."""
-    overlaps = collective_turn(table, u)[0]
-    return np.minimum(1.0, overlaps.real ** 2 + overlaps.imag ** 2)
-
-
-def _schmidt_fidelities(table_x: np.ndarray, table_y: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-    """|<psi|rotated>|^2 of an 8-qubit state M (16 x 16, Alice's index
-    first) for a chunk of frames, on its Schmidt support: ``table_x`` and
-    ``table_y`` are the (r r, 35) ``turn_table``s of X and Y in the module
-    docstring.  ``u`` is (k, 2, 2) in the global scope and (k, 2, 2, 2) per
-    wing, Alice's frame first."""
-    alice, bob = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
-    x, y = collective_turn(table_x, alice), collective_turn(table_y, bob)
-    overlaps = (x * y).sum(axis=0)
+def _pure_fidelities(tables: tuple, u: np.ndarray) -> np.ndarray:
+    """|<psi|rotated>|^2 of a pure state for a chunk of frames, on its
+    Schmidt support: ``tables`` holds the (r r, 35) ``turn_table``s of X, or
+    of X and Y, in the module docstring.  ``u`` is (k, 2, 2) in the global
+    scope and (k, 2, 2, 2) per wing, Alice's frame first."""
+    wings = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
+    overlaps = np.prod([collective_turn(t, w) for t, w in zip(tables, wings)],
+                       axis=0).sum(axis=0)
     return np.minimum(1.0, overlaps.real ** 2 + overlaps.imag ** 2)
 
 
@@ -174,20 +163,19 @@ def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
             raise ValueError(
                 f"density operators of 4 qubits only, got {state.n_qubits}")
         vecs, p = _support(state.matrix)
-        score = partial(_mixed_fidelities, state.matrix, turn_table(np.eye(16), vecs),
-                        np.sqrt(p))
+        score = partial(_mixed_fidelities, turn_table(vecs.conj().T, vecs), np.sqrt(p))
     elif state.n_qubits == 8:
         m = state.amplitudes.reshape(16, 16)
         left, _ = _support(m @ m.conj().T)
         right = m.conj().T @ left
-        score = partial(_schmidt_fidelities, turn_table(left.conj().T, left),
-                        turn_table(right.T, right.conj()))
+        score = partial(_pure_fidelities, (turn_table(left.conj().T, left),
+                                           turn_table(right.T, right.conj())))
     elif state.n_qubits == 4:
         if channel.scope == "per-wing":
             raise ValueError("the per-wing scope requires an 8-qubit state, "
                              f"got {state.n_qubits}")
         psi = state.amplitudes
-        score = partial(_pure_fidelities, turn_table(psi.conj()[None], psi[:, None]))
+        score = partial(_pure_fidelities, (turn_table(psi.conj()[None], psi[:, None]),))
     else:
         raise ValueError(
             f"pure states of 4 or 8 qubits only, got {state.n_qubits}")

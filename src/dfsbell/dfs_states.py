@@ -11,10 +11,11 @@ in this span is invariant under U x U x U x U for U in SU(2), which is what
 makes all constructions here immune to collective rotations.
 
 One integer table defines the sector: V0 = 2 phi0 and V1 = 2 sqrt3 phi1 are
-integer vectors, and so is ETA_INT = 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0, whose
-coefficients over V_i (x) V_j are ETA_TABLE.  Every float of the sector is one
-of them scaled to unit norm: the (16, 2) basis SECTOR of columns phi0 and phi1,
-eta, and eta's coefficients ETA_COEFFS over phi_i (x) phi_j.
+integer vectors, the columns of V with norms V_NORMS, and so is
+ETA_INT = 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0, whose coefficients over
+V_i (x) V_j are ETA_TABLE.  Every float of the sector is one of them scaled
+to unit norm: the (16, 2) basis SECTOR of columns phi0 and phi1, eta, and
+eta's coefficients ETA_COEFFS over phi_i (x) phi_j.
 """
 
 from __future__ import annotations
@@ -35,16 +36,17 @@ V1[[0b0101, 0b0110, 0b1001, 0b1010]] = -1
 # eta over V_i (x) V_j: no V1 V1 term
 ETA_TABLE = np.array([[1, 1], [1, 0]])
 
-_V = np.stack([V0, V1], axis=1)
-ETA_INT = (_V @ ETA_TABLE @ _V.T).ravel()
+# the integer columns V = (V0, V1)
+V = np.stack([V0, V1], axis=1)
+ETA_INT = (V @ ETA_TABLE @ V.T).ravel()
 
 # the norms (2, 2 sqrt3) of V0 and V1, and 1 / (4 sqrt7) = 1 / |ETA_INT|
-_NORMS = np.sqrt((_V * _V).sum(axis=0))
+V_NORMS = np.sqrt((V * V).sum(axis=0))
 _ETA_SCALE = 1.0 / math.sqrt(ETA_INT @ ETA_INT)
 
-SECTOR = _V / _NORMS
-ETA_COEFFS = ETA_TABLE * np.outer(_NORMS, _NORMS) * _ETA_SCALE
-for _table in (V0, V1, ETA_TABLE, ETA_INT, SECTOR, ETA_COEFFS):
+SECTOR = V / V_NORMS
+ETA_COEFFS = ETA_TABLE * np.outer(V_NORMS, V_NORMS) * _ETA_SCALE
+for _table in (V0, V1, V, ETA_TABLE, ETA_INT, V_NORMS, SECTOR, ETA_COEFFS):
     _table.setflags(write=False)
 
 

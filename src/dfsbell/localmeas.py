@@ -26,7 +26,7 @@ frames draw one word pair per round, and either way the tally is classified
 once into outcome pairs.  Fresh frames turn the state's factors instead of
 the bras: eta is L R^T with L = SECTOR ETA_COEFFS and R = SECTOR, and each
 wing's bras and factor are one ``qcore.turn_table``, built at import from the
-integer bras, V0, V1 and ETA_TABLE and scaled once, so that a block of frames
+integer bras, V and ETA_TABLE and scaled once, so that a block of frames
 costs one ``qcore.collective_turn`` per wing.  Bob's turned R is orthonormal,
 so Alice's marginal ignores his frame: at the round's one uniform Alice's
 word comes from her 16-word marginal, then Bob's from his row given hers,
@@ -50,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dfs_states import ETA_INT, ETA_TABLE, V0, V1, make_eta
+from .dfs_states import ETA_INT, ETA_TABLE, V, V_NORMS, make_eta
 from .qcore import (QuantumState, check_unitary, collective_turn, haar_su2_batch,
                     joint_probs, kron, product_bras, turn_table, wing_bras)
 
@@ -123,11 +123,9 @@ def _factor_tables(vecs, scale) -> dict:
 # V ETA_TABLE diag(|V_k| / |ETA_INT|), for the integer columns V = (V0, V1).
 # Integers and elementwise scaling only: a float matmul at import would add
 # BLAS buffers to the peak RSS of runs without fresh frames.
-_V = np.stack([V0, V1], axis=1)
-_V_NORMS = np.sqrt((_V * _V).sum(axis=0))
-_ALICE_TABLES = _factor_tables(_V @ ETA_TABLE,
-                              _V_NORMS / math.sqrt((ETA_INT * ETA_INT).sum()))
-_BOB_TABLES = _factor_tables(_V, 1.0 / _V_NORMS)
+_ALICE_TABLES = _factor_tables(V @ ETA_TABLE,
+                              V_NORMS / math.sqrt((ETA_INT * ETA_INT).sum()))
+_BOB_TABLES = _factor_tables(V, 1.0 / V_NORMS)
 
 
 def wing_distribution(state: QuantumState, protocol: str,
@@ -136,7 +134,8 @@ def wing_distribution(state: QuantumState, protocol: str,
     its frame turned by the (2, 2) ``rotation`` when one is given."""
     if state.n_qubits != 4:
         raise ValueError("wing_distribution expects a 4-qubit state")
-    bras = product_bras(_thetas(protocol))
+    _thetas(protocol)  # unknown names raise here
+    bras = _BRAS[protocol]
     if rotation is not None:
         bras = wing_bras(bras, check_unitary(rotation))
     return np.abs(bras @ state.amplitudes) ** 2

@@ -114,15 +114,16 @@ def test_worst_draw_reproduces_the_smallest_fidelity():
 
 
 def test_density_draws_match_the_pure_route():
-    # the density path turns rho's one support column; on a pure state's
-    # density its fidelity with the state equals the pure-state draw's
+    # the density path turns the 1 x 1 table of rho's one support column; on a
+    # pure state's density its fidelity with the state equals the pure-state
+    # draw's
     rng = np.random.default_rng(21)
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     s = QuantumState(amps / np.linalg.norm(amps))
     channel = CollectiveChannel(n_samples=20)
     pure = fidelity_samples(s, channel, seed=4)
     mixed = fidelity_samples(s.density(), channel, seed=4)
-    assert np.allclose(pure, mixed, atol=1e-9)
+    assert np.abs(pure - mixed).max() <= 1e-14
 
 
 def _random_state(rng, n):
@@ -231,27 +232,35 @@ def test_unsupported_pure_inputs_raise_before_any_draw(monkeypatch, state, scope
 
 
 def test_a_frame_that_is_not_unitary_raises_in_the_density_kernel(monkeypatch):
-    # the turned support must stay orthonormal, frame by frame: that is what
-    # makes the turned rho a density operator
+    # the density fidelity ||sqrt(rho) U sqrt(rho)||_1^2 holds only for a
+    # unitary U, and the clamp of the fidelity to 1 would hide a frame that is
+    # not: each chunk's frames must pass the unitarity check
     original = decohere.haar_su2_batch
     monkeypatch.setattr(decohere, "haar_su2_batch",
                         lambda rng, shape: original(rng, shape) * (1 + 1e-6))
     rho = partial_trace(make_eta(), keep=(1, 2, 3, 4))
-    with pytest.raises(ValueError, match="orthonormal"):
+    with pytest.raises(ValueError, match="not unitary"):
         fidelity_samples(rho, CollectiveChannel(n_samples=3), seed=1)
 
 
-def test_schmidt_cut_keeps_the_two_wing_state_at_rank_two(monkeypatch):
-    # each wing of the two-wing state turns the table of a 2 x 2 block of its
-    # 2 Schmidt columns, 4 rows, not the 256 of a 16 x 16 block
+@pytest.mark.parametrize("state, scope, shapes", [
+    (make_phi0(), "global", [(1, 35)]),
+    (partial_trace(make_eta(), keep=(1, 2, 3, 4)), "global", [(4, 35)]),
+    (_random_density(np.random.default_rng(31), 4), "global", [(9, 35)]),
+    (make_eta(), "per-wing", [(4, 35), (4, 35)]),
+], ids=["pure 4", "reduced density", "rank-3 density", "eta per-wing"])
+def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes):
+    # a support of r columns turns the r x r table V^dagger U^(x4) V, r^2
+    # rows: 2 Schmidt columns per wing of the two-wing state, 4 rows, not the
+    # 256 of a 16 x 16 block, and 2 columns of its reduced density, not 16 x 2
     widths, original = [], decohere.collective_turn
 
     def recorded(table, u):
         widths.append(table.shape)
         return original(table, u)
     monkeypatch.setattr(decohere, "collective_turn", recorded)
-    fidelity_samples(make_eta(), CollectiveChannel(3, "per-wing"), seed=1)
-    assert widths == [(4, 35), (4, 35)]
+    fidelity_samples(state, CollectiveChannel(3, scope), seed=1)
+    assert widths == shapes
 
 
 def test_immunity_report_traced_memory():
