@@ -12,7 +12,7 @@ rotating all four axes by a common angle is a collective SU(2) rotation,
 which leaves every singlet-sector state exactly invariant, so the component
 table depends only on the angle differences.
 
-The grid scans rest on three exact identities.
+The grid scans rest on exact identities.
 
 Complex packing.  phi0, phi1 and the axis rows are real, so the components
 (A_w, B_w) of (phi0, phi1) on word w are the real and imaginary parts of the
@@ -63,9 +63,19 @@ the bits b and c (test_theta_d_sums_are_polynomial_identities),
 
 with P0 = 2 sum (|A|^4 + |B|^4 + 4 |A|^2 |B|^2), P4 = 2 sum A^2 conj(B)^2,
 Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan and
-the find compute five numbers per (theta_b, theta_c) and evaluate p and q
-on the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
+the find take five numbers per (theta_b, theta_c) and evaluate p and q on
+the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
 has no such form and evaluates the words.
+
+Closed form in theta_b and theta_c.  Each coefficient sums, over the bits b
+and c, a quartic form in qubit b's row, and the row of bit 1 at t is minus
+the row of bit 0 at t + pi/2 (quarter turn); so the sum is f(t) + f(t +
+pi/2), which keeps only the harmonics 0 and +-4t, and likewise for c.  Each
+coefficient is thus basis_b T basis_c^T over (1, E, 1/E), E = e^{4i theta},
+with 576 T a constant 3x3 table over Z[i sqrt3] (_TABLES, exact by
+test_coefficient_tables_are_exact); P0 = (9 + cos 4theta_b + cos 4theta_c +
+cos 4(theta_b - theta_c)) / 48.  The grid's coefficients take two small
+products, with no word component.
 
 Row floors.  The five coefficients also bound each (theta_b, theta_c) row
 over all theta_d.  With E = e^{4it} and rho = e^{-4i omega},
@@ -122,6 +132,17 @@ _CHUNK = 64
 # 1e-15; 1e-12 covers that a thousandfold, and lets through beyond the exact
 # bound only the rows whose floor lies within 1e-12 of it.
 _FLOOR_MARGIN = 1e-12
+
+# 576 T = a + b i sqrt3 for each coefficient (P0, P4, Q4, Q0, Q-4), as
+# (a, b); rows index theta_b and columns theta_c over the basis (1, E, 1/E),
+# E = e^{4i theta} (Closed form in theta_b and theta_c)
+_TABLES = np.array([
+    [[[108, 6, 6], [6, 0, 6], [6, 6, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+    [[[6, 0, 6], [0, 0, 2], [6, 2, 2]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]],
+    [[[-6, 0, 12], [0, 0, -1], [-6, 2, -1]], [[6, 0, 0], [0, 0, -1], [-6, 0, 1]]],
+    [[[0, -6, -6], [12, 0, -6], [12, -6, 0]], [[0, -6, -6], [0, 0, 6], [0, 6, 0]]],
+    [[[-6, 12, 0], [-6, -1, 2], [0, -1, 0]], [[6, 0, 0], [-6, 1, 0], [0, -1, 0]]],
+])
 
 
 @dataclass(frozen=True)
@@ -180,7 +201,7 @@ def check_resolution(resolution: int) -> int:
 
     A multiple of 4 puts pi/4, and with it the images of the exact tuples, on
     the grid (module docstring).  The scan's traced peak memory grows as r^2
-    (21 MB at r = 400), so r = 1600 takes about 0.33 GB and 1.3 s.  Returns
+    (4.7 MB at r = 400), so r = 1600 takes about 61 MB and 0.5 s.  Returns
     the resolution; raises ValueError otherwise.
     """
     if resolution % 4 or not 100 <= resolution <= 1600:
@@ -216,49 +237,30 @@ def _front(resolution: int):
     return thetas, rows, front.reshape(n * n, 2, 2, 2)
 
 
-def _coefficients(front):
-    """``(P0, P4, Q4, Q0, Q-4)`` of each row, the module docstring's closed
-    form in theta_d, from the ``front`` of ``_front``."""
-    f0, f1 = front.reshape(len(front), 4, 2).transpose(2, 0, 1)
-    # A and B are dropped as soon as their squares are formed
-    a2, aa = _squares((f0 - 1j * f1) / 2)
-    b2, bb = _squares((f0 + 1j * f1) / 2)
-    # The sums over the bits b and c add the four columns, elementwise over
-    # all rows: a reduction over an innermost axis of four runs as a loop per
-    # row.  They add in the order of np.sum(axis=1) on a row of four, so every
-    # value is bit-identical to it: left to right for the real P0, (x0 + x1)
-    # + (x2 + x3) for the complex sums.  They add in place in the product
-    # temporaries, and each sum is copied out, as np.sum's result is, so that
-    # the product is freed before the scaled coefficient is allocated; one
-    # allocated above the live product keeps the freed heap resident (0.3 MB
-    # more peak RSS).
-    def left_to_right(x):
-        for k in range(1, 4):
-            x[:, 0] += x[:, k]
-        return x[:, 0].copy()
+def _grid_coefficients(resolution: int):
+    """``(thetas, coef)`` of the quarter grid, with no word component.
 
-    def pairwise(x):
-        x[:, ::2] += x[:, 1::2]
-        x[:, 0] += x[:, 2]
-        return x[:, 0].copy()
-
-    return (2 * left_to_right(aa * aa + bb * bb + 4 * aa * bb),
-            2 * pairwise(a2 * b2.conj()),
-            2 * pairwise(a2 * a2),
-            12 * pairwise(a2 * b2),
-            2 * pairwise(b2 * b2))
-
-
-def _squares(x):
-    """``x^2`` and ``|x|^2``."""
-    return x * x, (x * x.conj()).real
+    ``thetas`` is as for ``_front``; ``coef`` holds the five coefficients
+    (P0, P4, Q4, Q0, Q-4) of the closed form in theta_d, each flat over the
+    rows i * r/2 + j at (thetas[i], thetas[j]), as basis_b T basis_c^T from
+    _TABLES (Closed form in theta_b and theta_c).  P0 is real.
+    """
+    r = check_resolution(resolution)
+    thetas = np.arange(r // 2) * (math.pi / r)
+    e4 = np.exp(4j * thetas)
+    basis = np.stack([np.ones(len(thetas)), e4, e4.conj()], axis=1)
+    tables = (_TABLES[:, 0] + 1j * math.sqrt(3) * _TABLES[:, 1]) / 576
+    # this association keeps the printed values (test_report_values_are_pinned)
+    coef = (basis @ (tables @ basis.T)).reshape(5, -1)
+    return thetas, (coef[0].real, *coef[1:])
 
 
 def _theta_d_rows(coef, e4, rows):
     """``(p, q)`` on the given rows at every theta_d, each (len(rows), r/2).
 
     ``p`` = sum |z^2|^2 and ``q`` = sum z^4 over the words 0bcd, from the
-    ``_coefficients`` ``coef`` and ``e4`` = e^{4i theta_d} on the grid.
+    coefficients ``coef`` of ``_grid_coefficients`` and ``e4`` =
+    e^{4i theta_d} on the grid.
     """
     p0, p4, q4, q0, qm4 = (c[rows, None] for c in coef)
     return p0 + 2 * (p4 * e4).real, q4 * e4 + q0 + qm4 * e4.conj()
@@ -320,12 +322,11 @@ def scan_distinguishable_omegas(resolution: int = 200,
         grids without pi/4 stay above the candidate cut, and nothing is
         found).
     refine_tol : float
-        Fold width: a representative within ``refine_tol`` below pi is
+        Fold width: a representative within ``refine_tol`` of 0 or of pi is
         reported as 0.  Kept while the benchmark's scan passes it (ROADMAP
         item 1, test_benchmark_calls_match_the_package).
     """
-    thetas, _, front = _front(resolution)
-    coef = _coefficients(front)
+    thetas, coef = _grid_coefficients(resolution)
     e4 = np.exp(4j * thetas)
     found = []
     for rows in _rows_below(_lam_floor(coef), 1e-5):
@@ -345,8 +346,16 @@ def scan_distinguishable_omegas(resolution: int = 200,
             if np.sum((psi * perp) ** 2) > 1e-20 or not is_distinguishing(inst):
                 continue
             for rep in (w, (w + math.pi / 2) % math.pi):
-                found.append(0.0 if math.pi - rep < refine_tol else rep)
+                found.append(0.0 if min(rep, math.pi - rep) < refine_tol else rep)
     return sorted(found)
+
+
+def _word_maxima(u):
+    """max_w min(|Re|, |Im|) at each (row, theta_d) of the word products
+    ``u``, (rows, 8 words, re/im, theta_d), which it overwrites; the words
+    axis is not innermost, so the maximum runs elementwise over planes."""
+    u = np.abs(u, out=u)
+    return np.minimum(u[:, :, 0], u[:, :, 1], out=u[:, :, 0]).max(axis=1)
 
 
 def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
@@ -361,23 +370,16 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     front = front.reshape(n * n, 8)
     eye = np.eye(2)
     # block matrix taking the real columns (b, c, l, re/im) of a front row to
-    # (theta_d, b, c, d, re/im): each theta_d, then the 8 words 0bcd
-    words = np.einsum("bB,cC,tdl,eE->bcletBCdE", eye, eye, axes, eye).reshape(16, -1)
+    # (b, c, d, re/im, theta_d): the 8 words 0bcd, each at every theta_d
+    words = np.einsum("bB,cC,tdl,eE->bcleBCdEt", eye, eye, axes, eye).reshape(16, -1)
 
     def overlap(rows):
         # e^{-i omega} turned into the front: Re and -Im of the product are
         # the psi and psi_perp components
         u = (rot * front[rows]).view(float) @ words
-        u = np.abs(u, out=u).reshape(len(rows), n, 8, 2)
-        m = np.minimum(u[..., 0], u[..., 1], out=u[..., 0])
-        # the maximum over the 8 words as elementwise maxima of (rows,
-        # theta_d) planes, word 0 up; max(axis=-1) over an axis of 8 runs as
-        # a loop per tuple.  Max and min are exact, so the order is free.
-        for w in range(1, 8):
-            np.maximum(m[..., 0], m[..., w], out=m[..., 0])
-        return m[..., 0]
+        return _word_maxima(u.reshape(len(rows), 8, 2, n))
 
-    floor = _objective_floor(_coefficients(front), rot ** 4)
+    floor = _objective_floor(_grid_coefficients(resolution)[1], rot ** 4)
     bound = overlap([np.argmin(floor)]).min()
     # 8 ov^2 >= floor: the margin goes on that scale, before any square root
     return float(min(overlap(rows).min()
@@ -393,8 +395,7 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
     the last three in [0, pi/2) (quarter grid, module docstring).
     ``resolution`` is as for the scan.
     """
-    thetas, _, front = _front(resolution)
-    coef = _coefficients(front)
+    thetas, coef = _grid_coefficients(resolution)
     e4 = np.exp(4j * thetas)
     rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
 

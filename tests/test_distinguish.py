@@ -1,19 +1,21 @@
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from dfsbell import distinguish, qcore
-from dfsbell.distinguish import (_CHUNK, SUPPORT_TOL, DistinguishInstance,
-                                 _coefficients, _front, _lam_floor,
+from dfsbell.distinguish import (_CHUNK, _TABLES, SUPPORT_TOL,
+                                 DistinguishInstance, _front,
+                                 _grid_coefficients, _lam_floor,
                                  _objective_floor, _theta_d_rows, component_table,
                                  find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
                                  omega_from_thetas,
                                  scan_distinguishable_omegas, support_overlap)
-from dfsbell.dfs_states import SECTOR, singlet
+from dfsbell.dfs_states import SECTOR, V0, V1, singlet
 from dfsbell.qcore import axis_rows, permute_qubits, tensor
 
 F_THETAS = (0.0, 0.0, math.pi / 4, math.pi / 4)
@@ -69,9 +71,8 @@ def _recorded_blocks(monkeypatch):
 
 def _all_rows(resolution):
     """``(coef, p, q)`` of the closed form in theta_d on every row, (r/2)^3."""
-    thetas, _, front = _front(resolution)
+    thetas, coef = _grid_coefficients(resolution)
     n = len(thetas)
-    coef = _coefficients(front)
     p, q = _theta_d_rows(coef, np.exp(4j * thetas), np.arange(n * n))
     return coef, p.reshape(n, n, n), q.reshape(n, n, n)
 
@@ -226,43 +227,109 @@ def test_theta_d_closed_form_matches_the_word_grid():
         assert np.abs((p - (rot4 * q).real) / 8 - obj_grid).max() < 1e-14
 
 
-@pytest.mark.parametrize("resolution", [100, 104, 200])
-def test_coefficients_are_the_row_sums_bit_for_bit(resolution):
-    # the elementwise sums over the four (b, c) terms against np.sum(axis=1)
-    # on a (rows, 4) layout: no value may move by a bit
-    _, _, front = _front(resolution)
+def _coefficients(front):
+    """(P0, P4, Q4, Q0, Q-4) of each front row as the module docstring's sums
+    over the bits b and c: the per-row reference route of the tables."""
     f0, f1 = front.reshape(len(front), 4, 2).transpose(2, 0, 1)
     a, b = (f0 - 1j * f1) / 2, (f0 + 1j * f1) / 2
     a2, b2 = a * a, b * b
     aa, bb = (a * a.conj()).real, (b * b.conj()).real
-    reference = (2 * np.sum(aa * aa + bb * bb + 4 * aa * bb, axis=1),
-                 2 * np.sum(a2 * b2.conj(), axis=1),
-                 2 * np.sum(a2 * a2, axis=1),
-                 12 * np.sum(a2 * b2, axis=1),
-                 2 * np.sum(b2 * b2, axis=1))
-    for got, want in zip(_coefficients(front), reference):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    return (2 * np.sum(aa * aa + bb * bb + 4 * aa * bb, axis=1),
+            2 * np.sum(a2 * b2.conj(), axis=1),
+            2 * np.sum(a2 * a2, axis=1),
+            12 * np.sum(a2 * b2, axis=1),
+            2 * np.sum(b2 * b2, axis=1))
+
+
+def _front_at(theta_b, theta_c):
+    """The front of ``distinguish._front`` at the pairs (theta_b[m],
+    theta_c[m]), any angles: (m, b, c, l), qubit d in its computational bit."""
+    phi = (SECTOR @ np.array([1, 1j])).reshape(2, 2, 2, 2)[0]
+    rows_b, rows_c = ([axis_rows(t) for t in ts] for ts in (theta_b, theta_c))
+    return np.einsum("mbj,mck,jkl->mbcl", rows_b, rows_c, phi)
+
+
+@pytest.mark.parametrize("resolution", [100, 104, 200])
+def test_coefficient_tables_match_the_row_sums(resolution):
+    # the tables on the grid against the per-row sums over the four (b, c)
+    # terms of the front
+    _, coef = _grid_coefficients(resolution)
+    assert coef[0].dtype == float
+    _, _, front = _front(resolution)
+    for got, want in zip(coef, _coefficients(front)):
+        assert np.abs(got - want).max() < 1e-15
+
+
+def test_coefficient_tables_hold_off_the_grid():
+    # the identity holds on the whole (theta_b, theta_c) torus
+    rng = np.random.default_rng(56)
+    theta_b, theta_c = rng.uniform(0, math.pi, size=(2, 200))
+    tables = (_TABLES[:, 0] + 1j * math.sqrt(3) * _TABLES[:, 1]) / 576
+    basis_b, basis_c = (np.stack([np.ones(200), np.exp(4j * t), np.exp(-4j * t)])
+                        for t in (theta_b, theta_c))
+    got = np.einsum("im,kij,jm->km", basis_b, tables, basis_c)
+    for g, want in zip(got, _coefficients(_front_at(theta_b, theta_c))):
+        assert np.abs(g - want).max() < 1e-15
+
+
+def test_coefficient_tables_are_exact(monkeypatch):
+    # exact values in Q(sqrt3, i) at the 3 x 3 nodes theta in {0, pi/6,
+    # pi/3}, where every row entry and e^{4i theta} lie in that field.  The
+    # basis (1, E, 1/E) at E = 1, e^{2i pi/3}, e^{-2i pi/3} is the invertible
+    # 3-point Fourier matrix, so the nine values fix each table
+    sp = pytest.importorskip("sympy")
+    assert _TABLES.dtype.kind == "i"
+    s3 = sp.sqrt(3)
+    phi = [sp.Rational(int(a), 2) + sp.I * int(b) / (2 * s3) for a, b in zip(V0, V1)]
+    nodes = (0, sp.pi / 6, sp.pi / 3)
+    basis = [(1, sp.cos(4 * t) + sp.I * sp.sin(4 * t),
+              sp.cos(4 * t) - sp.I * sp.sin(4 * t)) for t in nodes]
+    tables = [[[(int(a) + sp.I * s3 * int(b)) / 576 for a, b in zip(ra, rb)]
+               for ra, rb in zip(*table)] for table in _TABLES]
+    with monkeypatch.context() as m:
+        m.setattr(qcore, "math", sp)
+        rows = [axis_rows(t) for t in nodes]
+    for (eb, rb), (ec, rc) in itertools.product(zip(basis, rows), repeat=2):
+        sums = [0] * 5
+        # one bit's row of qubit b and one of qubit c per term of the sums
+        for row_b, row_c in itertools.product(rb, rc):
+            f0, f1 = (sum(row_b[j] * row_c[k] * phi[4 * j + 2 * k + l]
+                          for j in range(2) for k in range(2)) for l in range(2))
+            # expanded at each step, which keeps the expressions short
+            a, b = (sp.expand(f0 + sign * sp.I * f1) / 2 for sign in (-1, 1))
+            a2, b2 = sp.expand(a * a), sp.expand(b * b)
+            aa, bb = (sp.expand(x * sp.conjugate(x)) for x in (a, b))
+            terms = (2 * (aa * aa + bb * bb + 4 * aa * bb),
+                     2 * a2 * sp.conjugate(b2), 2 * a2 * a2, 12 * a2 * b2,
+                     2 * b2 * b2)
+            sums = [sp.expand(s + t) for s, t in zip(sums, terms)]
+        for table, want in zip(tables, sums):
+            got = sum(t * eb[i] * ec[j] for i, row in enumerate(table)
+                      for j, t in enumerate(row))
+            assert sp.expand(got - want) == 0
 
 
 @pytest.mark.parametrize("omega", [math.pi / 5, math.pi / 4])
 def test_overlap_word_maxima_are_a_max_reduction_bit_for_bit(monkeypatch, omega):
     # the overlap's maxima over the 8 words, per (row, theta_d), against
-    # .max(axis=-1) over the same min(|Re|, |Im|) of every evaluated block
+    # np.minimum(|Re|, |Im|).max(axis=-1), with the words last, on each
+    # evaluated block's word products (rows, word, re/im, theta_d)
     calls = []
-    minimum = np.minimum
+    word_maxima = distinguish._word_maxima
 
-    def recorded(x, y, out):
-        calls.append((x.copy(), y.copy(), out))
-        return minimum(x, y, out=out)
+    def recorded(u):
+        product = u.copy()
+        calls.append((product, word_maxima(u)))
+        return calls[-1][1]
 
-    with monkeypatch.context() as m:
-        m.setattr(np, "minimum", recorded)
-        value = grid_min_support_overlap(omega, resolution=100)
+    monkeypatch.setattr(distinguish, "_word_maxima", recorded)
+    value = grid_min_support_overlap(omega, resolution=100)
     assert len(calls) > 1
-    for x, y, out in calls:
-        np.testing.assert_array_equal(out[..., 0], np.minimum(x, y).max(axis=-1))
-    assert value == min(out[..., 0].min() for _, _, out in calls[1:])
+    for u, got in calls:
+        words_last = np.abs(u).transpose(0, 3, 1, 2)
+        np.testing.assert_array_equal(
+            got, np.minimum(words_last[..., 0], words_last[..., 1]).max(axis=-1))
+    assert value == min(got.min() for _, got in calls[1:])
 
 
 def test_row_floors_bound_every_tuple():
@@ -341,8 +408,33 @@ def test_scan_finds_the_pi_over_six_grid():
     for k, w in enumerate(sorted(found)):
         assert abs(w - k * math.pi / 6) < 1e-6
     # no candidate sits at omega = 0: the 0.0 is the partner of the pi/2
-    # candidate, folded from pi
+    # candidate, folded to 0 from either side
     assert sorted(found)[0] == 0.0
+
+
+@pytest.mark.parametrize("shift", [-1e-13, 1e-13])
+def test_scan_folds_both_ends_of_the_representatives(monkeypatch, shift):
+    # 2w of the pi/2 candidate is at pi; moved by a rounding-size shift it
+    # gives w just above 0 (partner near pi/2) or a partner just below pi,
+    # and both read 0.0
+    fake = types.SimpleNamespace(**{k: v for k, v in vars(math).items()
+                                    if not k.startswith("_")})
+    fake.atan2 = lambda y, x: math.atan2(y, x) + shift
+    monkeypatch.setattr(distinguish, "math", fake)
+    found = scan_distinguishable_omegas(resolution=100)
+    assert len(found) == 6 and sorted(found)[0] == 0.0
+    for k, w in enumerate(sorted(found)):
+        assert abs(w - k * math.pi / 6) < 1e-6
+
+
+def test_report_values_are_pinned():
+    # the r = 200 scan and the r = 100 exclusion overlaps that report-all
+    # prints, by repr: a rounding change in the grids shows here
+    assert repr(scan_distinguishable_omegas(resolution=200)) == (
+        "[0.0, 0.5235987755982988, 1.0471975511965976, 1.5707963267948966, "
+        "2.0943951023931953, 2.617993877991494]")
+    assert repr(grid_min_support_overlap(math.pi / 5, 100)) == "0.051929408912818366"
+    assert repr(grid_min_support_overlap(math.pi / 4, 100)) == "0.1254782333260226"
 
 
 def test_the_scan_cut_passes_exactly_three_tuples(monkeypatch):
@@ -431,27 +523,25 @@ def _traced_peak(call, *args):
 
 
 def test_scan_traced_memory_stays_flat():
-    # the front and the five coefficients hold the rows; the rows that pass
-    # the floor are evaluated _CHUNK at a time: 5.21 MB traced at r = 200,
-    # where whole (r/2)^3 arrays of p, q and lam would take 32 MB.  The
-    # bound also fails coefficients that keep a sum's four terms while the
-    # next are formed, or copy the terms to sum them (5.53 MB)
-    assert _traced_peak(scan_distinguishable_omegas, 200) < 5.4e6
+    # the five coefficients hold the rows (0.8 MB at r = 200); the 459 rows
+    # that pass the floor are evaluated _CHUNK at a time: 1.56 MB traced,
+    # where whole (r/2)^3 arrays of p, q and lam would take 32 MB and the
+    # passing rows in one block 3.0 MB
+    assert _traced_peak(scan_distinguishable_omegas, 200) < 1.7e6
 
 
 def test_overlap_traced_memory():
-    # 1.41 MB traced for the pi/4 grid at r = 100, which evaluates 1,642 of
+    # 1.07 MB traced for the pi/4 grid at r = 100, which evaluates 1,642 of
     # its 2,500 rows _CHUNK at a time; the word maxima are taken in the
-    # product's own buffer.  Copy-based coefficients take 1.49 MB
-    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 1.45e6
+    # product's own buffer, and a copy of it takes 1.48 MB
+    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 1.15e6
 
 
 def test_scan_traced_memory_at_800():
-    # 83.2 MB traced, bounded with 8 % headroom: most of it is the front
-    # and its squares while the coefficients are formed.  The 7,455 rows
-    # that pass the floor, evaluated in one block instead of _CHUNK at a
-    # time, take 153 MB
-    assert _traced_peak(scan_distinguishable_omegas, 800) < 90e6
+    # 16.3 MB traced, bounded with 8 % headroom: 12.8 MB of it is the five
+    # coefficients.  The 7,455 rows that pass the floor, evaluated in one
+    # block instead of _CHUNK at a time, take 134 MB
+    assert _traced_peak(scan_distinguishable_omegas, 800) < 17.5e6
 
 
 def test_scan_rejects_a_grid_without_pi_over_four():
