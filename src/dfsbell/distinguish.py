@@ -65,7 +65,8 @@ with P0 = 2 sum (|A|^4 + |B|^4 + 4 |A|^2 |B|^2), P4 = 2 sum A^2 conj(B)^2,
 Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan and
 the find take five numbers per (theta_b, theta_c) and evaluate p and q on
 the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
-has no such form and evaluates the words.
+has no such form and evaluates the words: it contracts qubit c once at
+every grid angle, then qubit b on each row it evaluates.
 
 Closed form in theta_b and theta_c.  Each coefficient sums, over the bits b
 and c, a quartic form in qubit b's row, and the row of bit 1 at t is minus
@@ -145,6 +146,12 @@ _TABLES = np.array([
 ])
 
 
+def _check_finite(*angles):
+    """Raise ValueError unless every angle is finite."""
+    if not all(math.isfinite(t) for t in angles):
+        raise ValueError(f"angles must be finite, got {angles}")
+
+
 @dataclass(frozen=True)
 class DistinguishInstance:
     """One candidate: pair angle omega plus the four measurement angles."""
@@ -156,6 +163,7 @@ class DistinguishInstance:
         if len(self.thetas) != 4:
             raise ValueError("exactly four measurement angles required")
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        _check_finite(self.omega, *self.thetas)
 
 
 def component_table(inst: DistinguishInstance) -> np.ndarray:
@@ -210,40 +218,14 @@ def check_resolution(resolution: int) -> int:
     return resolution
 
 
-def _front(resolution: int):
-    """``(thetas, rows, front)`` of the quarter grid, qubits b and c contracted.
-
-    ``thetas`` is the r/2 angles k pi/r on [0, pi/2) and ``rows`` their
-    ``axis_rows``; ``front[i * r/2 + j, b, c, l]`` is the component of phi0 +
-    i phi1 with qubit a on bit 0 at theta 0, qubit b on bit b at thetas[i],
-    qubit c on bit c at thetas[j], and qubit d still in the computational
-    index l.  Row i * r/2 + j is the (theta_b, theta_c) row of the grid.  The
-    resolution follows ``check_resolution``.
-    """
-    r = check_resolution(resolution)
-    n = r // 2
-    thetas = np.arange(n) * (math.pi / r)
-    rows = np.stack([axis_rows(t) for t in thetas])
-    # the complex packing phi0 + i phi1; qubit a at theta 0 keeps the i = 0
-    # half, indexed (j, k, l) by the computational bits of qubits b, c, d
-    phi = (SECTOR @ np.array([1, 1j])).reshape(2, 2, 2, 2)[0]
-    bras = rows.reshape(2 * n, 2)
-    # two real products on the (re, im) views: qubit c gives [(s, c), (j,
-    # l)], then qubit b gives [(r, b), (s, c, l)]
-    front = (bras @ phi.transpose(1, 0, 2).reshape(2, 4).view(float)).view(complex)
-    front = front.reshape(2 * n, 2, 2).transpose(1, 0, 2).reshape(2, 4 * n)
-    front = (bras @ front.view(float)).view(complex)
-    front = front.reshape(n, 2, n, 2, 2).transpose(0, 2, 1, 3, 4)
-    return thetas, rows, front.reshape(n * n, 2, 2, 2)
-
-
 def _grid_coefficients(resolution: int):
     """``(thetas, coef)`` of the quarter grid, with no word component.
 
-    ``thetas`` is as for ``_front``; ``coef`` holds the five coefficients
-    (P0, P4, Q4, Q0, Q-4) of the closed form in theta_d, each flat over the
-    rows i * r/2 + j at (thetas[i], thetas[j]), as basis_b T basis_c^T from
-    _TABLES (Closed form in theta_b and theta_c).  P0 is real.
+    ``thetas`` is the r/2 angles k pi/r on [0, pi/2); ``coef`` holds the
+    five coefficients (P0, P4, Q4, Q0, Q-4) of the closed form in theta_d,
+    each flat over the rows i * r/2 + j at (thetas[i], thetas[j]), as
+    basis_b T basis_c^T from _TABLES (Closed form in theta_b and theta_c).
+    P0 is real.  The resolution follows ``check_resolution``.
     """
     r = check_resolution(resolution)
     thetas = np.arange(r // 2) * (math.pi / r)
@@ -364,22 +346,35 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     A value far above SUPPORT_TOL certifies that no grid basis distinguishes
     the pair at this omega.  ``resolution`` is as for the scan.
     """
-    thetas, axes, front = _front(resolution)
-    n = len(thetas)
+    _check_finite(omega)
     rot = complex(math.cos(omega), -math.sin(omega))
-    front = front.reshape(n * n, 8)
+    thetas, coef = _grid_coefficients(resolution)
+    floor = _objective_floor(coef, rot ** 4)
+    # the blocks read only the floor; freed, the coefficients leave the
+    # traced peak (0.2 MB of it at r = 100)
+    del coef
+    n = len(thetas)
+    axes = np.stack([axis_rows(t) for t in thetas])
+    # the complex packing phi0 + i phi1; qubit a at theta 0 keeps the i = 0
+    # half, indexed (j, k, l) by the computational bits of qubits b, c, d
+    phi = (SECTOR @ np.array([1, 1j])).reshape(2, 2, 2, 2)[0]
+    # qubit c at every angle, one real product: half[j] holds the real
+    # columns (c, l, re/im) at theta_c = thetas[j], by qubit b's bit
+    half = axes.reshape(2 * n, 2) @ phi.transpose(1, 0, 2).reshape(2, 4).view(float)
+    half = half.reshape(n, 2, 2, 4).transpose(0, 2, 1, 3).reshape(n, 2, 8)
     eye = np.eye(2)
     # block matrix taking the real columns (b, c, l, re/im) of a front row to
     # (b, c, d, re/im, theta_d): the 8 words 0bcd, each at every theta_d
     words = np.einsum("bB,cC,tdl,eE->bcleBCdEt", eye, eye, axes, eye).reshape(16, -1)
 
     def overlap(rows):
-        # e^{-i omega} turned into the front: Re and -Im of the product are
-        # the psi and psi_perp components
-        u = (rot * front[rows]).view(float) @ words
+        # qubit b on the block's own rows, then e^{-i omega} turned into the
+        # front: Re and -Im of the product are the psi and psi_perp components
+        i, j = np.divmod(rows, n)
+        front = (axes[i] @ half[j]).view(complex).reshape(len(rows), 8)
+        u = (rot * front).view(float) @ words
         return _word_maxima(u.reshape(len(rows), 8, 2, n))
 
-    floor = _objective_floor(_grid_coefficients(resolution)[1], rot ** 4)
     bound = overlap([np.argmin(floor)]).min()
     # 8 ov^2 >= floor: the margin goes on that scale, before any square root
     return float(min(overlap(rows).min()
@@ -395,6 +390,7 @@ def find_distinguishing_thetas(omega: float, resolution: int = 100):
     the last three in [0, pi/2) (quarter grid, module docstring).
     ``resolution`` is as for the scan.
     """
+    _check_finite(omega)
     thetas, coef = _grid_coefficients(resolution)
     e4 = np.exp(4j * thetas)
     rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))

@@ -8,8 +8,7 @@ import pytest
 
 from dfsbell import distinguish, qcore
 from dfsbell.distinguish import (_CHUNK, _TABLES, SUPPORT_TOL,
-                                 DistinguishInstance, _front,
-                                 _grid_coefficients, _lam_floor,
+                                 DistinguishInstance, _grid_coefficients, _lam_floor,
                                  _objective_floor, _theta_d_rows, component_table,
                                  find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
@@ -26,6 +25,25 @@ FLOOR_OMEGAS = (*(k * math.pi / 6 for k in range(6)), math.pi / 5,
                 math.pi / 4, 1.0)
 
 
+def _front_at(theta_b, theta_c):
+    """The components of phi0 + i phi1 with qubits a, b and c measured, at
+    the pairs (theta_b[m], theta_c[m]), any angles: (m, b, c, l), qubit a on
+    bit 0 at theta 0 and qubit d in its computational bit l.  One einsum,
+    independent of the package's products."""
+    phi = (SECTOR @ np.array([1, 1j])).reshape(2, 2, 2, 2)[0]
+    rows_b, rows_c = ([axis_rows(t) for t in ts] for ts in (theta_b, theta_c))
+    return np.einsum("mbj,mck,jkl->mbcl", rows_b, rows_c, phi)
+
+
+def _grid_front(resolution):
+    """``(thetas, front)``: the grid angles k pi/r on [0, pi/2) and
+    ``_front_at`` at every grid pair, row i * r/2 + j at (thetas[i],
+    thetas[j])."""
+    thetas, _ = _grid_coefficients(resolution)
+    n = len(thetas)
+    return thetas, _front_at(np.repeat(thetas, n), np.tile(thetas, n))
+
+
 def _grid_chunks(resolution, width=3):
     """The unpruned word grid, the reference of the row floors.
 
@@ -35,8 +53,9 @@ def _grid_chunks(resolution, width=3):
     k]).  3 divides neither 50 nor 100, so the last block is ragged at the
     usual resolutions.
     """
-    thetas, rows, front = _front(resolution)
+    thetas, front = _grid_front(resolution)
     n = len(thetas)
+    rows = np.stack([axis_rows(t) for t in thetas])
     # real columns (b, c, l, re/im) of the complex front
     front = front.reshape(n * n, 8).view(float)
     eye = np.eye(2)
@@ -241,22 +260,13 @@ def _coefficients(front):
             2 * np.sum(b2 * b2, axis=1))
 
 
-def _front_at(theta_b, theta_c):
-    """The front of ``distinguish._front`` at the pairs (theta_b[m],
-    theta_c[m]), any angles: (m, b, c, l), qubit d in its computational bit."""
-    phi = (SECTOR @ np.array([1, 1j])).reshape(2, 2, 2, 2)[0]
-    rows_b, rows_c = ([axis_rows(t) for t in ts] for ts in (theta_b, theta_c))
-    return np.einsum("mbj,mck,jkl->mbcl", rows_b, rows_c, phi)
-
-
 @pytest.mark.parametrize("resolution", [100, 104, 200])
 def test_coefficient_tables_match_the_row_sums(resolution):
     # the tables on the grid against the per-row sums over the four (b, c)
     # terms of the front
     _, coef = _grid_coefficients(resolution)
     assert coef[0].dtype == float
-    _, _, front = _front(resolution)
-    for got, want in zip(coef, _coefficients(front)):
+    for got, want in zip(coef, _coefficients(_grid_front(resolution)[1])):
         assert np.abs(got - want).max() < 1e-15
 
 
@@ -330,6 +340,17 @@ def test_overlap_word_maxima_are_a_max_reduction_bit_for_bit(monkeypatch, omega)
         np.testing.assert_array_equal(
             got, np.minimum(words_last[..., 0], words_last[..., 1]).max(axis=-1))
     assert value == min(got.min() for _, got in calls[1:])
+
+
+@pytest.mark.parametrize("omega", [math.pi / 5, math.pi / 4, math.pi / 6])
+def test_the_overlap_does_not_depend_on_the_block_size(monkeypatch, omega):
+    # every row's front and words are the same floats in any block, so the
+    # returned minimum is the same float bit for bit
+    values = set()
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(distinguish, "_CHUNK", chunk)
+        values.add(grid_min_support_overlap(omega, resolution=100))
+    assert len(values) == 1
 
 
 def test_row_floors_bound_every_tuple():
@@ -460,9 +481,9 @@ def test_the_floors_prune_nothing_that_holds_the_answer(monkeypatch):
     # an infinite margin passes every row: the unpruned grid.  The scan's
     # list and the find's argmin tuple (the grid tuple before the
     # disjoint-support test) are the same objects with and without the
-    # floors.  The overlap agrees with the word grid to rounding: its word
-    # products run through BLAS, whose last bit may depend on the block a
-    # row is evaluated in
+    # floors.  The overlap agrees with the word grid to rounding: the word
+    # grid is a different contraction, one einsum per front and theta_d in
+    # blocks of three
     def answers(margin):
         monkeypatch.setattr(distinguish, "_FLOOR_MARGIN", margin)
         scans = [repr(scan_distinguishable_omegas(resolution=r))
@@ -531,10 +552,11 @@ def test_scan_traced_memory_stays_flat():
 
 
 def test_overlap_traced_memory():
-    # 1.07 MB traced for the pi/4 grid at r = 100, which evaluates 1,642 of
-    # its 2,500 rows _CHUNK at a time; the word maxima are taken in the
-    # product's own buffer, and a copy of it takes 1.48 MB
-    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 1.15e6
+    # 0.76 MB traced for the pi/4 grid at r = 100, bounded with 10 %
+    # headroom: it evaluates 1,642 of its 2,500 rows _CHUNK at a time, each
+    # block forming its own front; the word maxima are taken in the
+    # product's own buffer, and a copy of it takes 1.17 MB
+    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 0.84e6
 
 
 def test_scan_traced_memory_at_800():
@@ -644,6 +666,18 @@ def test_exact_certificate_of_the_six_angles():
         cot = omega_from_thetas(0.0, *(k * math.pi / 4 for k in tail))
         if cot is not None:
             assert min(abs(cot - c) for c in cots) < 1e-12
+
+
+@pytest.mark.parametrize("grid", [grid_min_support_overlap,
+                                  find_distinguishing_thetas])
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_non_finite_omega_fails_before_the_grid(monkeypatch, grid, omega):
+    def no_grid(resolution):
+        raise AssertionError("grid work on a non-finite omega")
+
+    monkeypatch.setattr(distinguish, "_grid_coefficients", no_grid)
+    with pytest.raises(ValueError, match="finite"):
+        grid(omega, 100)
 
 
 def test_instance_validation():

@@ -7,8 +7,10 @@ exempt: its imports are the package's re-exports.  Importing the command
 line loads no scipy module, which would cost every process its import time.
 Haar frames are drawn in batches everywhere.  Every public function, class
 and method is used somewhere in the package outside its own body, or is
-listed in ``UNREFERENCED`` with the reason it is kept.  What the benchmark's
-workloads call still exists, with the keywords they pass.
+listed in ``UNREFERENCED`` with the reason it is kept.  Every private
+module-level function, class and constant is read in its own module outside
+its own definition.  What the benchmark's workloads call still exists, with
+the keywords they pass.
 """
 
 import ast
@@ -164,6 +166,41 @@ def test_every_public_name_is_used_or_kept_on_purpose():
     unused = {name for tree in trees for name, node in _public_definitions(tree)
               if not used(name, node)}
     assert sorted(unused) == sorted(UNREFERENCED)
+
+
+def _private_definitions(tree) -> list:
+    """``(name, node)`` of each private module-level function, class and
+    constant."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        defs += [(name, node) for name in names
+                 if name.startswith("_") and not name.endswith("__")]
+    return defs
+
+
+def _loads(node) -> Counter:
+    """How often each bare name is read under ``node``."""
+    return Counter(n.id for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read_in_its_module(path):
+    # no other package module may import it, so a private name that its own
+    # module never reads serves only the tests, and belongs in them.  Reads
+    # inside its own definition (a recursive call) do not count
+    tree = ast.parse(path.read_text())
+    loads = _loads(tree)
+    assert [name for name, node in _private_definitions(tree)
+            if not (loads - _loads(node))[name]] == []
 
 
 def test_benchmark_calls_match_the_package(monkeypatch):

@@ -6,6 +6,8 @@ import pytest
 
 from dfsbell.correlations import LocalRotation
 from dfsbell.dfs_states import DfsVector, make_g, make_phi0
+from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
+                                 grid_min_support_overlap)
 from dfsbell.hardy import HardyInstance
 from dfsbell.localmeas import wing_distribution, wing_outcome_distribution
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
@@ -349,8 +351,14 @@ NAN = float("nan")
     lambda: check_unitary(np.array([[NAN, 0.0], [0.0, 1.0]])),
     # unit trace, so only the Hermitian and eigenvalue tests see the NaN
     lambda: DensityOperator(np.array([[1.0, NAN], [NAN, 0.0]])),
+    lambda: DistinguishInstance(NAN, (0.0, 0.0, 0.0, 0.0)),
+    lambda: DistinguishInstance(0.0, (0.0, NAN, math.inf, 0.0)),
+    lambda: grid_min_support_overlap(NAN, 100),
+    lambda: find_distinguishing_thetas(NAN, 100),
 ], ids=["QuantumState", "DfsVector", "HardyInstance", "HardyInstance-angle",
-        "check_unitary", "DensityOperator"])
+        "check_unitary", "DensityOperator", "DistinguishInstance",
+        "DistinguishInstance-theta", "grid_min_support_overlap",
+        "find_distinguishing_thetas"])
 def test_nan_fails_every_validated_type(build):
     # each check reads ``not err <= tol``: a NaN error compares False
     # against every tolerance, so ``err > tol`` would let it through; an
