@@ -38,6 +38,26 @@ class UndefinedConditionalError(ValueError):
     """Conditioning event has probability (numerically) zero."""
 
 
+def _check_wing(wing: str) -> None:
+    """Raise ValueError unless ``wing`` is 'alice' or 'bob'."""
+    if wing not in ("alice", "bob"):
+        raise ValueError(f"wing must be 'alice' or 'bob', got {wing!r}")
+
+
+def _check_outcomes(*outcomes) -> None:
+    """Raise ValueError unless every outcome is -1, +1 or NULL."""
+    for o in outcomes:
+        if o not in OUTCOMES:
+            raise ValueError(f"unknown outcome {o!r}")
+
+
+def _wing_matrix(state: QuantumState, caller: str) -> np.ndarray:
+    """The (16, 16) amplitudes of an 8-qubit state, Alice's word by Bob's."""
+    if state.n_qubits != 8:
+        raise ValueError(f"{caller} expects an 8-qubit state")
+    return state.amplitudes.reshape(16, 16)
+
+
 @dataclass(frozen=True)
 class LocalRotation:
     """Collective rotation of one wing's observable: each eigenvector gets
@@ -48,8 +68,7 @@ class LocalRotation:
 
     def __post_init__(self):
         object.__setattr__(self, "u", check_unitary(self.u))
-        if self.wing not in ("alice", "bob"):
-            raise ValueError(f"wing must be 'alice' or 'bob', got {self.wing!r}")
+        _check_wing(self.wing)
 
 
 @dataclass(frozen=True)
@@ -82,9 +101,7 @@ def _marginal(bras: np.ndarray, m: np.ndarray, wing: str) -> np.ndarray:
 
 def joint_distribution(state: QuantumState, a: Setting, b: Setting) -> dict:
     """All nine outcome-pair probabilities for settings (a on Alice, b on Bob)."""
-    if state.n_qubits != 8:
-        raise ValueError("joint_distribution expects an 8-qubit state")
-    m = state.amplitudes.reshape(16, 16)
+    m = _wing_matrix(state, "joint_distribution")
     ba, bb = _setting_bras(a, "alice"), _setting_bras(b, "bob")
     joint = joint_probs(ba, m, bb)
     pa, pb = _marginal(ba, m, "alice"), _marginal(bb, m, "bob")
@@ -104,15 +121,15 @@ def joint_distribution(state: QuantumState, a: Setting, b: Setting) -> dict:
 def joint_probability(state: QuantumState, a: Setting, b: Setting,
                       outcome_a, outcome_b) -> float:
     """Born probability of one outcome pair; outcomes are -1, +1 or NULL."""
-    for o in (outcome_a, outcome_b):
-        if o not in OUTCOMES:
-            raise ValueError(f"unknown outcome {o!r}")
+    _check_outcomes(outcome_a, outcome_b)
     return joint_distribution(state, a, b)[(outcome_a, outcome_b)]
 
 
 def wing_marginal(state: QuantumState, setting: Setting, wing: str) -> dict:
     """Single-wing outcome distribution, other wing unmeasured."""
-    p = _marginal(_setting_bras(setting, wing), state.amplitudes.reshape(16, 16), wing)
+    _check_wing(wing)
+    m = _wing_matrix(state, "wing_marginal")
+    p = _marginal(_setting_bras(setting, wing), m, wing)
     probs = {label: float(x) for label, x in zip(_LABELS, p)}
     probs[NULL] = max(0.0, 1.0 - sum(probs.values()))
     return probs
@@ -129,6 +146,7 @@ def conditional_probability(state: QuantumState, target, given) -> float:
     g_setting, g_outcome, g_wing = given
     if {t_wing, g_wing} != {"alice", "bob"}:
         raise ValueError("target and given must be on opposite wings")
+    _check_outcomes(t_outcome, g_outcome)
     if t_wing == "alice":
         dist = joint_distribution(state, t_setting, g_setting)
         p_joint = dist[(t_outcome, g_outcome)]

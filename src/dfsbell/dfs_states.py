@@ -40,9 +40,10 @@ ETA_TABLE = np.array([[1, 1], [1, 0]])
 V = np.stack([V0, V1], axis=1)
 ETA_INT = (V @ ETA_TABLE @ V.T).ravel()
 
-# the norms (2, 2 sqrt3) of V0 and V1, and 1 / (4 sqrt7) = 1 / |ETA_INT|
+# the norms (2, 2 sqrt3) of V0 and V1, and 4 sqrt7 = |ETA_INT|
 V_NORMS = np.sqrt((V * V).sum(axis=0))
-_ETA_SCALE = 1.0 / math.sqrt(ETA_INT @ ETA_INT)
+ETA_NORM = math.sqrt(ETA_INT @ ETA_INT)
+_ETA_SCALE = 1.0 / ETA_NORM
 
 SECTOR = V / V_NORMS
 ETA_COEFFS = ETA_TABLE * np.outer(V_NORMS, V_NORMS) * _ETA_SCALE

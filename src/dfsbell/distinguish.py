@@ -66,7 +66,8 @@ Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan and
 the find take five numbers per (theta_b, theta_c) and evaluate p and q on
 the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
 has no such form and evaluates the words: it contracts qubit c once at
-every grid angle, then qubit b on each row it evaluates.
+every grid angle, then qubit b on each row it evaluates, then qubit d at
+every theta_d as one real product for each of the planes Re and Im.
 
 Closed form in theta_b and theta_c.  Each coefficient sums, over the bits b
 and c, a quartic form in qubit b's row, and the row of bit 1 at t is minus
@@ -332,14 +333,6 @@ def scan_distinguishable_omegas(resolution: int = 200,
     return sorted(found)
 
 
-def _word_maxima(u):
-    """max_w min(|Re|, |Im|) at each (row, theta_d) of the word products
-    ``u``, (rows, 8 words, re/im, theta_d), which it overwrites; the words
-    axis is not innermost, so the maximum runs elementwise over planes."""
-    u = np.abs(u, out=u)
-    return np.minimum(u[:, :, 0], u[:, :, 1], out=u[:, :, 0]).max(axis=1)
-
-
 def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     """Smallest support overlap achievable at fixed omega over the theta grid.
 
@@ -362,18 +355,18 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
     # columns (c, l, re/im) at theta_c = thetas[j], by qubit b's bit
     half = axes.reshape(2 * n, 2) @ phi.transpose(1, 0, 2).reshape(2, 4).view(float)
     half = half.reshape(n, 2, 2, 4).transpose(0, 2, 1, 3).reshape(n, 2, 8)
-    eye = np.eye(2)
-    # block matrix taking the real columns (b, c, l, re/im) of a front row to
-    # (b, c, d, re/im, theta_d): the 8 words 0bcd, each at every theta_d
-    words = np.einsum("bB,cC,tdl,eE->bcleBCdEt", eye, eye, axes, eye).reshape(16, -1)
+    # qubit d at every angle: dcols[l] holds the real columns (d, theta_d)
+    # of qubit d's computational bit l
+    dcols = axes.transpose(2, 1, 0).reshape(2, 2 * n)
 
     def overlap(rows):
         # qubit b on the block's own rows, then e^{-i omega} turned into the
-        # front: Re and -Im of the product are the psi and psi_perp components
+        # front, rows (row, b, c) by qubit d's bit: Re and -Im of its product
+        # with dcols are the psi and psi_perp components of the words 0bcd
         i, j = np.divmod(rows, n)
-        front = (axes[i] @ half[j]).view(complex).reshape(len(rows), 8)
-        u = (rot * front).view(float) @ words
-        return _word_maxima(u.reshape(len(rows), 8, 2, n))
+        f = rot * (axes[i] @ half[j]).view(complex).reshape(4 * len(rows), 2)
+        psi, perp = np.abs(f.real @ dcols), np.abs(f.imag @ dcols)
+        return np.minimum(psi, perp, out=psi).reshape(len(rows), 8, n).max(axis=1)
 
     bound = overlap([np.argmin(floor)]).min()
     # 8 ov^2 >= floor: the margin goes on that scale, before any square root

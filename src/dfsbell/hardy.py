@@ -144,8 +144,10 @@ def grid_probabilities(n: int) -> np.ndarray:
     array pass: the n ``axis_rows`` once, the feasible states as one
     (n, n, 4) array, and the event's amplitude as one einsum of its own
     rows.  Entries may differ from the per-pair route by a few ulps.  Raises
-    ValueError where ``feasible_state`` would.
+    ValueError where ``feasible_state`` would, and for n below 1.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     step = math.pi / (2 * n)
     rows = np.stack([axis_rows(k * step) for k in range(n)])
     c, s = rows[:, 0, 0], rows[:, 0, 1]

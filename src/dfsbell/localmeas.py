@@ -50,7 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dfs_states import ETA_INT, ETA_TABLE, V, V_NORMS, make_eta
+from .dfs_states import ETA_INT, ETA_NORM, ETA_TABLE, V, V_NORMS, make_eta
 from .qcore import (QuantumState, check_unitary, collective_turn, haar_su2_batch,
                     joint_probs, kron, product_bras, turn_table, wing_bras)
 
@@ -123,8 +123,7 @@ def _factor_tables(vecs, scale) -> dict:
 # V ETA_TABLE diag(|V_k| / |ETA_INT|), for the integer columns V = (V0, V1).
 # Integers and elementwise scaling only: a float matmul at import would add
 # BLAS buffers to the peak RSS of runs without fresh frames.
-_ALICE_TABLES = _factor_tables(V @ ETA_TABLE,
-                              V_NORMS / math.sqrt((ETA_INT * ETA_INT).sum()))
+_ALICE_TABLES = _factor_tables(V @ ETA_TABLE, V_NORMS / ETA_NORM)
 _BOB_TABLES = _factor_tables(V, 1.0 / V_NORMS)
 
 
@@ -249,6 +248,8 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     its sum.  The alignment-free claim makes the drift zero up to rounding.
     Returns the drift and the index of the frame pair that produced it.
     """
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
     rng = np.random.default_rng(seed)
     ua = haar_su2_batch(rng, (n_frames,))
     ub = haar_su2_batch(rng, (n_frames,))

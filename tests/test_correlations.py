@@ -9,7 +9,7 @@ from dfsbell.correlations import (EXPECTED_CORRELATIONS, NULL, OUTCOMES,
                                   conditional_probability, joint_distribution,
                                   joint_probability, verify_correlation_suite,
                                   wing_marginal)
-from dfsbell.dfs_states import make_eta, make_f, make_g, make_phi0
+from dfsbell.dfs_states import make_eta, make_f, make_g, make_phi0, make_phi1
 from dfsbell.qcore import haar_su2, tensor
 
 
@@ -60,6 +60,15 @@ def test_outcome_and_wing_validation():
         conditional_probability(eta, (fa, +1, "alice"), (fa, +1, "alice"))
     with pytest.raises(ValueError):
         LocalRotation(haar_su2(np.random.default_rng(0)), "charlie")
+    # a wing name other than "bob" is not read as Alice
+    with pytest.raises(ValueError, match="wing must be 'alice' or 'bob'"):
+        wing_marginal(tensor(make_phi0(), make_phi1()), fa, "carol")
+    with pytest.raises(ValueError, match="expects an 8-qubit state"):
+        wing_marginal(make_phi0(), fa, "alice")
+    with pytest.raises(ValueError, match="unknown outcome 0"):
+        conditional_probability(eta, (fa, 0, "alice"), (fa, +1, "bob"))
+    with pytest.raises(ValueError, match="unknown outcome 0"):
+        conditional_probability(eta, (fa, +1, "alice"), (fa, 0, "bob"))
 
 
 def test_conditioning_on_impossible_event():

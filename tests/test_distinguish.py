@@ -319,38 +319,17 @@ def test_coefficient_tables_are_exact(monkeypatch):
             assert sp.expand(got - want) == 0
 
 
-@pytest.mark.parametrize("omega", [math.pi / 5, math.pi / 4])
-def test_overlap_word_maxima_are_a_max_reduction_bit_for_bit(monkeypatch, omega):
-    # the overlap's maxima over the 8 words, per (row, theta_d), against
-    # np.minimum(|Re|, |Im|).max(axis=-1), with the words last, on each
-    # evaluated block's word products (rows, word, re/im, theta_d)
-    calls = []
-    word_maxima = distinguish._word_maxima
-
-    def recorded(u):
-        product = u.copy()
-        calls.append((product, word_maxima(u)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(distinguish, "_word_maxima", recorded)
-    value = grid_min_support_overlap(omega, resolution=100)
-    assert len(calls) > 1
-    for u, got in calls:
-        words_last = np.abs(u).transpose(0, 3, 1, 2)
-        np.testing.assert_array_equal(
-            got, np.minimum(words_last[..., 0], words_last[..., 1]).max(axis=-1))
-    assert value == min(got.min() for _, got in calls[1:])
-
-
-@pytest.mark.parametrize("omega", [math.pi / 5, math.pi / 4, math.pi / 6])
+@pytest.mark.parametrize("omega", [math.pi / 5, math.pi / 4, math.pi / 6, 1.0])
 def test_the_overlap_does_not_depend_on_the_block_size(monkeypatch, omega):
-    # every row's front and words are the same floats in any block, so the
-    # returned minimum is the same float bit for bit
-    values = set()
-    for chunk in (1, 7, 64):
-        monkeypatch.setattr(distinguish, "_CHUNK", chunk)
-        values.add(grid_min_support_overlap(omega, resolution=100))
-    assert len(values) == 1
+    # every row's front and words are the same floats in any block, though
+    # the block's 4 * _CHUNK front rows set the shape of qubit d's products,
+    # so the returned minimum is the same float bit for bit
+    for resolution in (100, 104, 200):
+        values = set()
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(distinguish, "_CHUNK", chunk)
+            values.add(grid_min_support_overlap(omega, resolution=resolution))
+        assert len(values) == 1, resolution
 
 
 def test_row_floors_bound_every_tuple():
@@ -552,11 +531,11 @@ def test_scan_traced_memory_stays_flat():
 
 
 def test_overlap_traced_memory():
-    # 0.76 MB traced for the pi/4 grid at r = 100, bounded with 10 %
+    # 0.68 MB traced for the pi/4 grid at r = 100, bounded with 9 %
     # headroom: it evaluates 1,642 of its 2,500 rows _CHUNK at a time, each
-    # block forming its own front; the word maxima are taken in the
-    # product's own buffer, and a copy of it takes 1.17 MB
-    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 0.84e6
+    # block forming its own front; the minimum of the two planes' products
+    # is taken in the first one's buffer, which numpy fills with no temporary
+    assert _traced_peak(grid_min_support_overlap, math.pi / 4, 100) < 0.74e6
 
 
 def test_scan_traced_memory_at_800():

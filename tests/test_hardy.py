@@ -331,6 +331,12 @@ def test_grid_probabilities_match_the_per_pair_route():
     assert np.abs(grid_probabilities(n) - per_pair).max() <= 1e-15
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_grid_probabilities_reject_sizes_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        grid_probabilities(n)
+
+
 def test_grid_probabilities_raise_where_feasible_state_does(monkeypatch):
     # no pair of the grid on [0, pi/2)^2 loses rank; a tolerance above every
     # state norm shows that the grid keeps feasible_state's raise

@@ -469,3 +469,6 @@ def test_invalid_arguments():
         run_experiment(10, rotations_policy="stale")
     with pytest.raises(ValueError):
         wing_distribution(make_phi0(), "Q")
+    for n_frames in (0, -2):
+        with pytest.raises(ValueError, match="n_frames must be >= 1"):
+            max_frame_drift(n_frames, seed=17)
