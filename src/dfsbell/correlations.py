@@ -21,8 +21,8 @@ import numpy as np
 
 from .dfs_states import Observable, make_eta, make_f, make_g
 from .hardy import P_POSITIVE
-from .qcore import (QuantumState, check_unitary, haar_su2_batch, joint_probs,
-                    wing_bras)
+from .qcore import (QuantumState, check_count, check_unitary, haar_su2_batch,
+                    joint_probs, wing_bras)
 
 NULL = "null"
 # the labelled outcomes, in the order of a wing's two bras
@@ -203,8 +203,7 @@ def verify_correlation_suite(n_rotation_samples: int = 100,
     the largest null-outcome probability over all four settings, unrotated
     and rotated, which must stay at zero for spin-zero states.
     """
-    if n_rotation_samples < 1:
-        raise ValueError("n_rotation_samples must be >= 1")
+    check_count("n_rotation_samples", n_rotation_samples)
     m = make_eta().amplitudes.reshape(16, 16)
     rng = np.random.default_rng(seed)
     # tuple 0 is unrotated, tuple i + 1 holds sample i's four rotations

@@ -53,8 +53,9 @@ from functools import partial
 import numpy as np
 
 from . import dfs_states
-from .qcore import (DensityOperator, QuantumState, basis_state, check_unitary,
-                    collective_turn, haar_su2_batch, partial_trace, turn_table)
+from .qcore import (DensityOperator, QuantumState, basis_state, check_count,
+                    check_unitary, collective_turn, haar_su2_batch, partial_trace,
+                    turn_table)
 
 IMMUNITY_ATOL = 1e-9
 
@@ -81,8 +82,7 @@ class CollectiveChannel:
     scope: str = "global"
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        check_count("n_samples", self.n_samples, "must be positive")
         if self.scope not in _SCOPES:
             raise ValueError(f"scope must be one of {_SCOPES}")
 

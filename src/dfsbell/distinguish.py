@@ -37,9 +37,9 @@ shifting theta_b, theta_c or theta_d by pi/2, the component of word w is the
 old component of w with that qubit's bit flipped, negated where the bit of w
 is 0; with theta_a = 0 the 8 words 0bcd map onto themselves.  The per-tuple
 reductions (p, q and the omega they give, the overlap max_w min(|Re|, |Im|)
-and the find objective sum_w (Re * Im)^2) are unchanged by a permutation of
-words with signs, so the grids cover [0, pi/2)^3 with spacing pi/r, and
-every tuple of [0, pi)^3 has the values of its image there
+and sum_w (Re * Im)^2) are unchanged by a permutation of words with signs,
+so the grids cover [0, pi/2)^3 with spacing pi/r, and every tuple of
+[0, pi)^3 has the values of its image there
 (test_quarter_grid_images_carry_the_same_reductions).
 
 Closed-form omega.  Writing z^2 = (A^2 - B^2) + i 2AB, the 2x2 moment
@@ -49,9 +49,9 @@ p = sum |z^2|^2 and q = sum z^4 over the 8 words 0bcd,
     lam_min = p - |q|,   sxx = p + Re q,   sxy = Im q,
 
 and its small eigenvector gives the only omega that can split the pair at
-that theta tuple.  The find objective sum_w (Re * Im)^2 of e^{-i omega} z
-over the words 0bcd is (p - Re(e^{-4i omega} q)) / 8, since (Re u Im u)^2
-= (|u|^4 - Re u^4) / 8.
+that theta tuple.  The summed squared support products sum_w (Re * Im)^2
+of e^{-i omega} z over the words 0bcd are (p - Re(e^{-4i omega} q)) / 8,
+since (Re u Im u)^2 = (|u|^4 - Re u^4) / 8.
 
 Closed form in theta_d.  With qubits b and c contracted, the components
 (F0, F1) of qubit d's computational bits give, at theta_d = t and e =
@@ -62,9 +62,9 @@ the bits b and c (test_theta_d_sums_are_polynomial_identities),
     p(t) = P0 + 2 Re(P4 e^{4it}),   q(t) = Q4 e^{4it} + Q0 + Q-4 e^{-4it},
 
 with P0 = 2 sum (|A|^4 + |B|^4 + 4 |A|^2 |B|^2), P4 = 2 sum A^2 conj(B)^2,
-Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan and
-the find take five numbers per (theta_b, theta_c) and evaluate p and q on
-the theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
+Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan
+takes five numbers per (theta_b, theta_c) and evaluates p and q on the
+theta_d grid, with no word grid.  The overlap max_w min(|Re|, |Im|)
 has no such form and evaluates the words: it contracts qubit c once at
 every grid angle, then qubit b on each row it evaluates, then qubit d at
 every theta_d as one real product for each of the planes Re and Im.
@@ -87,18 +87,19 @@ over all theta_d.  With E = e^{4it} and rho = e^{-4i omega},
     8 ov^2 >= C0 - |C4|,
 
 with C0 = P0 - Re(rho Q0) and C4 = 2 P4 - rho Q4 - conj(rho Q-4), so C0 -
-|C4| is the exact minimum of the find objective over t.  The third holds
-for the overlap ov = max_w min(|psi_w|, |perp_w|) because psi_w^2 + perp_w^2
-= |z_w|^2 and the 8 words 0bcd carry sum |z_w|^2 = 1, so sum (psi_w
-perp_w)^2 <= ov^2 sum max(|psi_w|, |perp_w|)^2 <= ov^2.  The scan evaluates
-only the rows whose first floor is below its cut on lam.  The find and the
-overlap evaluate the row with the smallest floor first; its best value U
-bounds the answer, and they then evaluate, in row-major order, every row
-whose floor is at most U (8 U^2 for the overlap), so the answer and the
-find's first-occurrence tie-break are those of the whole grid.  Each
-comparison allows _FLOOR_MARGIN for rounding, on the floor's own scale: a
-margin added after a square root would be far too small next to the
-floors' rounding, which near ov = 0 is many times 8 ov^2.
+|C4| is the exact minimum over t of 8 sum_w (psi_w perp_w)^2.  The third
+holds for the overlap ov = max_w min(|psi_w|, |perp_w|) because psi_w^2 +
+perp_w^2 = |z_w|^2 and the 8 words 0bcd carry sum |z_w|^2 = 1, so sum
+(psi_w perp_w)^2 <= ov^2 sum max(|psi_w|, |perp_w|)^2 <= ov^2.  The scan
+evaluates only the rows whose first floor is below its cut on lam.  At
+fixed omega only the overlap's search evaluates rows: the row with the
+smallest floor first, whose best value U bounds the answer, then, in
+row-major order, every row whose floor is at most 8 U^2.  So its minimum,
+and the first tuple in row-major order that attains it, which the find
+returns, are those of the whole grid.  Each comparison allows _FLOOR_MARGIN
+for rounding, on the floor's own scale: a margin added after a square root
+would be far too small next to the floors' rounding, which near ov = 0 is
+many times 8 ov^2.
 
 Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d on
 the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6 are
@@ -106,7 +107,7 @@ split (test_exact_certificate_of_the_six_angles, in exact arithmetic).  The
 grids have a multiple of 4 points per angle (``check_resolution``), so they
 contain {0, pi/4}, the quarter-grid images of that lattice: the scan checks
 each candidate at its grid tuple with the closed-form omega, and the find
-returns the best grid tuple, with no local search.
+returns the grid tuple of smallest overlap, with no local search.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import SECTOR
-from .qcore import axis_rows, product_bras
+from .qcore import axis_rows, check_count, product_bras
 
 SUPPORT_TOL = 1e-8
 
@@ -211,12 +212,12 @@ def check_resolution(resolution: int) -> int:
     A multiple of 4 puts pi/4, and with it the images of the exact tuples, on
     the grid (module docstring).  The scan's traced peak memory grows as r^2
     (4.7 MB at r = 400), so r = 1600 takes about 61 MB and 0.5 s.  Returns
-    the resolution; raises ValueError otherwise.
+    the resolution as an int; raises ValueError otherwise.
     """
     if resolution % 4 or not 100 <= resolution <= 1600:
         raise ValueError("resolution must be a multiple of 4 from 100 to 1600 "
                          "points per angle, so that pi/4 is on the grid")
-    return resolution
+    return check_count("resolution", resolution)
 
 
 def _grid_coefficients(resolution: int):
@@ -258,7 +259,7 @@ def _lam_floor(coef):
 
 def _objective_floor(coef, rot4):
     """C0 - |C4| of each row, with ``rot4`` = e^{-4i omega}: the minimum over
-    theta_d of the find objective, and a floor of 8 ov^2 (Row floors)."""
+    theta_d of 8 sum_w (psi_w perp_w)^2, and a floor of 8 ov^2 (Row floors)."""
     p0, p4, q4, q0, qm4 = coef
     c4 = 2 * p4 - rot4 * q4 - (rot4 * qm4).conj()
     return p0 - (rot4 * q0).real - np.abs(c4)
@@ -333,12 +334,10 @@ def scan_distinguishable_omegas(resolution: int = 200,
     return sorted(found)
 
 
-def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
-    """Smallest support overlap achievable at fixed omega over the theta grid.
-
-    A value far above SUPPORT_TOL certifies that no grid basis distinguishes
-    the pair at this omega.  ``resolution`` is as for the scan.
-    """
+def _min_overlap(omega: float, resolution: int):
+    """``(value, thetas)``: the smallest support overlap at fixed omega over
+    the theta grid, and the first grid tuple (0, theta_b, theta_c, theta_d)
+    in row-major order that attains it (Row floors)."""
     _check_finite(omega)
     rot = complex(math.cos(omega), -math.sin(omega))
     thetas, coef = _grid_coefficients(resolution)
@@ -369,36 +368,32 @@ def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
         return np.minimum(psi, perp, out=psi).reshape(len(rows), 8, n).max(axis=1)
 
     bound = overlap([np.argmin(floor)]).min()
+    best = (math.inf, None)
     # 8 ov^2 >= floor: the margin goes on that scale, before any square root
-    return float(min(overlap(rows).min()
-                     for rows in _rows_below(floor, 8 * bound * bound)))
+    for rows in _rows_below(floor, 8 * bound * bound):
+        ov = overlap(rows)
+        m, k = np.unravel_index(np.argmin(ov), ov.shape)
+        if ov[m, k] < best[0]:
+            best = (float(ov[m, k]), (*divmod(rows[m], n), k))
+    return best[0], (0.0, *thetas[list(best[1])])
+
+
+def grid_min_support_overlap(omega: float, resolution: int = 200) -> float:
+    """Smallest support overlap achievable at fixed omega over the theta grid.
+
+    A value far above SUPPORT_TOL certifies that no grid basis distinguishes
+    the pair at this omega.  ``resolution`` is as for the scan.
+    """
+    return _min_overlap(omega, resolution)[0]
 
 
 def find_distinguishing_thetas(omega: float, resolution: int = 100):
     """A grid theta tuple making the pair at omega distinguishable, or None.
 
-    Takes the grid tuple with the smallest summed squared support products
-    (the first in row-major order on a tie) and returns it if it passes the
-    disjoint-support test.  The tuple is (0, theta_b, theta_c, theta_d) with
-    the last three in [0, pi/2) (quarter grid, module docstring).
-    ``resolution`` is as for the scan.
+    The tuple whose overlap ``grid_min_support_overlap`` reports (the first
+    in row-major order on a tie), if it passes the disjoint-support test:
+    (0, theta_b, theta_c, theta_d), the last three in [0, pi/2) (quarter
+    grid).  ``resolution`` is as for the scan.
     """
-    _check_finite(omega)
-    thetas, coef = _grid_coefficients(resolution)
-    e4 = np.exp(4j * thetas)
-    rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
-
-    def objective(rows):
-        # 8 sum_w (psi_w perp_w)^2 over the words 0bcd (module docstring)
-        p, q = _theta_d_rows(coef, e4, rows)
-        return p - (rot4 * q).real
-
-    floor = _objective_floor(coef, rot4)
-    best = (math.inf, None)
-    for rows in _rows_below(floor, objective([np.argmin(floor)]).min()):
-        obj = objective(rows)
-        m, k = np.unravel_index(np.argmin(obj), obj.shape)
-        if obj[m, k] < best[0]:
-            best = (float(obj[m, k]), (*divmod(rows[m], len(thetas)), k))
-    inst = DistinguishInstance(omega, (0.0, *thetas[list(best[1])]))
+    inst = DistinguishInstance(omega, _min_overlap(omega, resolution)[1])
     return inst.thetas if is_distinguishing(inst) else None

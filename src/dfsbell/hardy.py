@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dfs_states import ETA_COEFFS, SECTOR
-from .qcore import QuantumState, axis_rows
+from .qcore import QuantumState, axis_rows, check_count
 
 # The Hardy pattern as (Alice's setting, Bob's setting, Alice's outcome,
 # Bob's outcome): three events that never occur, and one that does.
@@ -52,8 +52,8 @@ _F_ROWS = axis_rows(0.0)
 
 # The three zero-constraint rows lose rank where the volume they span, the
 # product of their singular values, falls below this.  That volume is the norm
-# of feasible_state's null vector, so zero_constraint_rank and feasible_state
-# decide rank loss alike.
+# of the null vector of _feasible_amplitudes, so zero_constraint_rank,
+# feasible_state and grid_probabilities decide rank loss alike.
 _RANK_TOL = 1e-12
 
 
@@ -121,44 +121,42 @@ def hardy_probability(inst: HardyInstance):
     return p, vals
 
 
+def _feasible_amplitudes(rows_a, rows_b) -> np.ndarray:
+    """Unit null vectors (ca cb, ca sb, sa cb, 0) / norm of the zero constraints
+    from broadcasting ``axis_rows`` stacks of the two angles, or ValueError."""
+    ca, sa = rows_a[..., 0, 0], rows_a[..., 0, 1]
+    cb, sb = rows_b[..., 0, 0], rows_b[..., 0, 1]
+    raw = np.stack(np.broadcast_arrays(ca * cb, ca * sb, sa * cb, 0.0), axis=-1)
+    norm = np.linalg.norm(raw, axis=-1, keepdims=True)
+    if np.any(norm < _RANK_TOL):
+        raise ValueError("the zero constraints lose rank at these angles")
+    return raw / norm
+
+
 def feasible_state(alpha_a: float, alpha_b: float) -> HardyInstance:
     """The unique state satisfying all three zero constraints at these angles.
 
     Not unique when both angles are pi/2, where the rows lose rank and every
     feasible state has probability zero; raises ValueError there.
     """
-    sa, ca = math.sin(alpha_a), math.cos(alpha_a)
-    sb, cb = math.sin(alpha_b), math.cos(alpha_b)
-    raw = np.array([ca * cb, ca * sb, sa * cb, 0.0])
-    norm = np.linalg.norm(raw)
-    if norm < _RANK_TOL:
-        raise ValueError("the zero constraints lose rank at these angles")
-    return HardyInstance(tuple(raw / norm), alpha_a, alpha_b)
+    amps = _feasible_amplitudes(axis_rows(alpha_a), axis_rows(alpha_b))
+    return HardyInstance(tuple(amps), alpha_a, alpha_b)
 
 
 def grid_probabilities(n: int) -> np.ndarray:
     """Positive-event probability of the feasible state at every grid pair.
 
     Entry (ka, kb) is ``hardy_probability(feasible_state(ka * step, kb *
-    step))[0]`` with step = pi / (2 n), by the same Born-rule route in one
-    array pass: the n ``axis_rows`` once, the feasible states as one
-    (n, n, 4) array, and the event's amplitude as one einsum of its own
-    rows.  Entries may differ from the per-pair route by a few ulps.  Raises
-    ValueError where ``feasible_state`` would, and for n below 1.
+    step))[0]`` with step = pi / (2 n), to a few ulps, in one array pass: the
+    feasible states of every pair as ``feasible_state`` builds them, from the
+    n ``axis_rows``, and the event's amplitude as one einsum of its own rows.
+    Raises ValueError where ``feasible_state`` would, and unless n is an
+    integer of at least 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
     step = math.pi / (2 * n)
     rows = np.stack([axis_rows(k * step) for k in range(n)])
-    c, s = rows[:, 0, 0], rows[:, 0, 1]
-    raw = np.zeros((n, n, 4))
-    raw[..., 0] = c[:, None] * c
-    raw[..., 1] = c[:, None] * s
-    raw[..., 2] = s[:, None] * c
-    norm = np.linalg.norm(raw, axis=-1)
-    if np.any(norm < _RANK_TOL):
-        raise ValueError("the zero constraints lose rank at these angles")
-    states = (raw / norm[..., None]).reshape(n, n, 2, 2)
+    states = _feasible_amplitudes(rows[:, None], rows).reshape(n, n, 2, 2)
     wing = {"F": np.broadcast_to(_F_ROWS, rows.shape), "G": rows}
     sa, sb, oa, ob = POSITIVE_EVENT
     amp = np.einsum("ai,bj,abij->ab", wing[sa][:, int(oa > 0)],
@@ -195,12 +193,18 @@ class LhvConstraint:
     """An exact probability assignment for one event over strategies.
 
     ``predicate`` maps a strategy tuple (f_a, g_a, f_b, g_b) to bool;
-    ``probability`` is the exact total weight the event must receive.
+    ``probability`` is the exact total weight the event must receive, an int
+    or a Fraction in [0, 1]; anything else raises ValueError.
     """
 
     description: str
     predicate: object
     probability: Fraction
+
+    def __post_init__(self):
+        if type(self.probability) not in (int, Fraction) or not 0 <= self.probability <= 1:
+            raise ValueError("probability must be an int or a Fraction in [0, 1], "
+                             f"got {self.probability!r}")
 
 
 @dataclass(frozen=True)

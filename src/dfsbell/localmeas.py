@@ -51,8 +51,9 @@ from fractions import Fraction
 import numpy as np
 
 from .dfs_states import ETA_INT, ETA_NORM, ETA_TABLE, V, V_NORMS, make_eta
-from .qcore import (QuantumState, check_unitary, collective_turn, haar_su2_batch,
-                    joint_probs, kron, product_bras, turn_table, wing_bras)
+from .qcore import (QuantumState, check_count, check_unitary, collective_turn,
+                    haar_su2_batch, joint_probs, kron, product_bras, turn_table,
+                    wing_bras)
 
 # Fresh-frame marginal and conditional word probabilities analytically zero
 # come out of floating-point amplitude algebra at ~1e-32; clipping below this
@@ -248,8 +249,7 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     its sum.  The alignment-free claim makes the drift zero up to rounding.
     Returns the drift and the index of the frame pair that produced it.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
+    check_count("n_frames", n_frames)
     rng = np.random.default_rng(seed)
     ua = haar_su2_batch(rng, (n_frames,))
     ub = haar_su2_batch(rng, (n_frames,))
@@ -302,12 +302,11 @@ def run_experiment(n_rounds: int, settings_policy="random",
     Parameters
     ----------
     n_rounds : int
-        Number of prepared copies; must be >= 1.
-    settings_policy : "random" or a pair like ("G", "G")
-        Either each wing picks F or G uniformly at random, or both settings
-        are fixed for every round.  Random settings draw the four pairs'
-        round counts as one multinomial with that law, Multinomial(n_rounds;
-        1/4, 1/4, 1/4, 1/4), in ``_SETTING_PAIRS`` order.
+        Number of prepared copies; an integer, at least 1.
+    settings_policy : "random"
+        Each wing picks F or G uniformly at random: the pairs' round counts
+        are one Multinomial(n_rounds; 1/4, 1/4, 1/4, 1/4) in ``_SETTING_PAIRS``
+        order.  The only policy; kept while the benchmark passes it (ROADMAP item 2).
     rotations_policy : "identity" or "fresh"
         With "fresh", each wing's product basis gets an independent
         Haar-random common rotation every round; the tallied statistics must
@@ -320,22 +319,13 @@ def run_experiment(n_rounds: int, settings_policy="random",
     ExperimentRecord
         Outcome-pair counts per setting pair after classification.
     """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
+    n_rounds = check_count("n_rounds", n_rounds)
+    if settings_policy != "random":
+        raise ValueError(f"unknown settings_policy {settings_policy!r}")
     if rotations_policy not in ("identity", "fresh"):
         raise ValueError(f"unknown rotations_policy {rotations_policy!r}")
     rng = np.random.default_rng(seed)
-
-    if settings_policy == "random":
-        n_pairs = rng.multinomial(n_rounds, [0.25] * 4).tolist()
-        policy_name = "random"
-    else:
-        pa, pb = settings_policy
-        if pa not in ("F", "G") or pb not in ("F", "G"):
-            raise ValueError(f"bad fixed settings {settings_policy!r}")
-        n_pairs = [n_rounds if pair == (pa, pb) else 0 for pair in _SETTING_PAIRS]
-        policy_name = f"fixed:{pa},{pb}"
-
+    n_pairs = rng.multinomial(n_rounds, [0.25] * 4).tolist()
     counts = {}
     for (pa, pb), n_pair in zip(_SETTING_PAIRS, n_pairs):
         if rotations_policy == "identity":
@@ -347,7 +337,7 @@ def run_experiment(n_rounds: int, settings_policy="random",
                             for cell, count in _class_cells(tally, pa, pb).items()}
     return ExperimentRecord(
         n_rounds=n_rounds,
-        settings_policy=policy_name,
+        settings_policy=settings_policy,
         rotations_policy=rotations_policy,
         seed=seed,
         counts=counts,

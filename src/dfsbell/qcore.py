@@ -33,6 +33,7 @@ of ``DensityOperator`` on a whole stack of matrices at once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,16 @@ def _norm(a: np.ndarray) -> float:
     """Frobenius norm; np.linalg.norm costs more than the arithmetic on the
     small arrays that are checked once per draw."""
     return math.sqrt(np.vdot(a, a).real)
+
+
+def check_count(name: str, value, rule: str = "must be >= 1") -> int:
+    """``value`` as an int if it is an integer (not a bool or a float) of at
+    least 1; otherwise ValueError, ``f"{name} {rule}"`` below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} {rule}")
+    return int(value)
 
 
 def _as_amplitudes(amplitudes) -> np.ndarray:

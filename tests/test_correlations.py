@@ -152,8 +152,10 @@ def test_batched_suite_matches_the_per_tuple_route():
         assert abs(suite.max_deviation[k] - max(devs[k])) < 1e-14
         assert 0 <= suite.worst_sample[k] < n
         assert devs[k][suite.worst_sample[k]] >= max(devs[k]) - 1e-14
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_rotation_samples must be >= 1"):
         verify_correlation_suite(n_rotation_samples=0)
+    with pytest.raises(ValueError, match="n_rotation_samples must be an integer"):
+        verify_correlation_suite(n_rotation_samples=2.5)
 
 
 def test_null_probability_covers_all_four_settings():

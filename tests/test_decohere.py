@@ -14,8 +14,13 @@ from dfsbell.qcore import (DensityOperator, QuantumState, apply_collective,
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_samples must be positive"):
         CollectiveChannel(n_samples=0)
+    for n in (2.5, True):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            CollectiveChannel(n_samples=n)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        immunity_report(2.5)
     with pytest.raises(ValueError):
         CollectiveChannel(scope="local")
 

@@ -230,8 +230,9 @@ def test_theta_d_sums_are_polynomial_identities(monkeypatch):
 
 
 def test_theta_d_closed_form_matches_the_word_grid():
-    # lam = p - |q| and the find objective, from the five coefficients per
-    # (theta_b, theta_c), against the word grid at every tuple of r = 100
+    # lam = p - |q| and the summed squared support products, from the five
+    # coefficients per (theta_b, theta_c), against the word grid at every
+    # tuple of r = 100
     r = 100
     z = np.concatenate([z for _, _, z in _grid_chunks(r)], axis=2)
     _, p, q = _all_rows(r)
@@ -334,11 +335,11 @@ def test_the_overlap_does_not_depend_on_the_block_size(monkeypatch, omega):
 
 def test_row_floors_bound_every_tuple():
     # each floor of the module docstring's Row floors is at most its
-    # quantity at every tuple of r = 100: lam, the find objective and 8 ov^2.
-    # The find floor is also the exact minimum over theta_d: on a grid of
-    # spacing 4 pi / r in 4t it lies within |C4| (1 - cos(2 pi / r)) of the
-    # row's grid minimum, and the row's spread is at least 2 |C4| cos(2 pi /
-    # r), so a slip in C0 or C4 breaks one of the two bounds
+    # quantity at every tuple of r = 100: lam, 8 sum_w (psi_w perp_w)^2 and
+    # 8 ov^2.  The second floor is also the exact minimum over theta_d: on a
+    # grid of spacing 4 pi / r in 4t it lies within |C4| (1 - cos(2 pi / r))
+    # of the row's grid minimum, and the row's spread is at least 2 |C4|
+    # cos(2 pi / r), so a slip in C0 or C4 breaks one of the two bounds
     r = 100
     coef, p, q = _all_rows(r)
     n = r // 2
@@ -356,8 +357,8 @@ def test_row_floors_bound_every_tuple():
 
 
 def _reductions(table):
-    # p - |q| over the words 0bcd, the support overlap and the find
-    # objective, from a (16, 2) table of (psi, perp) components
+    # p - |q| over the words 0bcd, the support overlap and the summed
+    # squared support products, from a (16, 2) table of (psi, perp) components
     z = table[:8, 0] - 1j * table[:8, 1]
     z2 = z * z
     lam = np.sum(np.abs(z2) ** 2) - abs(np.sum(z2 * z2))
@@ -483,6 +484,20 @@ def test_the_floors_prune_nothing_that_holds_the_answer(monkeypatch):
         assert abs(grid_min_support_overlap(omega, resolution=100) - reference) < 1e-15
 
 
+def test_the_find_returns_the_overlap_grid_argmin():
+    # one search at fixed omega: the find answers exactly where the grid's
+    # minimum overlap passes the disjoint-support test, and its tuple holds
+    # that minimum, recomputed from the (16, 2) component table
+    for r in (100, 200):
+        for omega in (*(k * math.pi / 12 for k in range(12)), math.pi / 5, 1.0, 0.3):
+            value = grid_min_support_overlap(omega, resolution=r)
+            thetas = find_distinguishing_thetas(omega, resolution=r)
+            assert (thetas is None) == (value > SUPPORT_TOL)
+            if thetas is not None:
+                inst = DistinguishInstance(omega, thetas)
+                assert abs(support_overlap(inst) - value) <= 1e-15
+
+
 def test_the_overlap_evaluates_every_row_that_splits_the_pair(monkeypatch):
     # at k pi/6 the overlap's minimum is rounding noise near 1e-16, which
     # any row holding a splitting tuple can carry; so every such row of the
@@ -561,8 +576,9 @@ def test_find_rejects_a_grid_without_pi_over_four():
 
 
 def test_scan_resolution_bounds():
-    # 50 is below the floor and 1604 above the ceiling, both multiples of 4
-    for r in (50, 1604):
+    # 50 is below the floor and 1604 above the ceiling, both multiples of 4;
+    # 100.0 is in range but not an integer (before, the grids ran on it)
+    for r in (50, 1604, 100.0):
         with pytest.raises(ValueError):
             scan_distinguishable_omegas(resolution=r)
         with pytest.raises(ValueError):

@@ -214,6 +214,16 @@ def test_lhv_any_positive_joint_is_infeasible():
     # the contradiction does not depend on the particular value 9/112
     verdict = lhv_feasibility(standard_scenario(p_joint=Fraction(1, 1000)))
     assert isinstance(verdict, Infeasible)
+    # nor on its size, up to the end of the interval, given as an int
+    assert isinstance(lhv_feasibility(standard_scenario(p_joint=1)), Infeasible)
+
+
+@pytest.mark.parametrize("p", [-1, 2, Fraction(3, 2), 0.5, True, None])
+def test_lhv_probabilities_are_exact_and_in_the_unit_interval(p):
+    # before, -1, 2 and 3/2 gave Infeasible with "the required value -1 is
+    # positive", and 0.5 an AttributeError inside the exact solve
+    with pytest.raises(ValueError, match="probability must be"):
+        standard_scenario(p_joint=p)
 
 
 def test_lhv_feasible_scenario_with_positive_probability():
@@ -334,6 +344,12 @@ def test_grid_probabilities_match_the_per_pair_route():
 @pytest.mark.parametrize("n", [0, -3])
 def test_grid_probabilities_reject_sizes_below_one(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
+        grid_probabilities(n)
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_grid_probabilities_reject_sizes_that_are_not_integers(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
         grid_probabilities(n)
 
 

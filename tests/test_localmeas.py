@@ -159,10 +159,6 @@ def test_random_settings_draw_the_pair_counts_as_one_multinomial():
         record = run_experiment(n, "random", "identity", seed=seed)
         for pair in _SETTING_PAIRS:
             assert abs(record.setting_total(pair) - n / 4) < 5 * sigma, (seed, pair)
-    # fixed settings draw no settings: the seed goes straight to the word tally
-    counts = run_experiment(3000, ("G", "G"), seed=11).to_dict()["counts"]
-    assert counts["G,G"] == {"-1,-1": 1306, "-1,+1": 702, "+1,-1": 757, "+1,+1": 235}
-    assert all(sum(counts[key].values()) == 0 for key in ("F,F", "F,G", "G,F"))
 
 
 def test_eta_has_two_schmidt_terms():
@@ -333,15 +329,16 @@ def test_word_tally_leaves_a_word_of_probability_zero_empty():
 
 def test_fixed_frame_tally_matches_the_eigen_bras_route():
     # second route: the labelled eigen-bras of F and G on the 256-dim state;
-    # every cell within 5 sigma of its exact probability, zero cells empty
-    n = 10 ** 7
+    # every cell within 5 sigma of its exact probability, zero cells empty;
+    # each setting pair gets about 10**7 of the rounds
+    record = run_experiment(4 * 10 ** 7, seed=31)
     observables = {"F": make_f(), "G": make_g()}
     for pa in ("F", "G"):
         for pb in ("F", "G"):
             exact = joint_distribution(make_eta(), Setting(observables[pa]),
                                        Setting(observables[pb]))
-            counts = run_experiment(n, (pa, pb), seed=31).counts[(pa, pb)]
-            for cell, count in counts.items():
+            n = record.setting_total((pa, pb))
+            for cell, count in record.counts[(pa, pb)].items():
                 p = exact[cell]
                 if p < 1e-12:
                     assert count == 0, (pa, pb, cell)
@@ -351,9 +348,9 @@ def test_fixed_frame_tally_matches_the_eigen_bras_route():
 
 
 def test_run_experiment_traced_peak_memory():
-    # fixed frames build no per-round array, under either settings policy:
-    # random settings are one multinomial of four counts, so a run of 10**6
-    # or 10**12 rounds peaks at about 15 KB.  Fresh frames turn a 32-row
+    # fixed frames build no per-round array: random settings are one
+    # multinomial of four counts, so a run of 10**6 or 10**12 rounds peaks at
+    # about 15 KB.  Fresh frames turn a 32-row
     # table per wing, a block of 256 frames at a time: 8,000 rounds peak at
     # about 0.9 MB, where whole-chunk temporaries of 2,048 frames peaked at
     # 4.75 MB in an earlier kernel and (rounds, 256)
@@ -362,8 +359,7 @@ def test_run_experiment_traced_peak_memory():
     # imports are not traced.
     import numpy.random
     n = 10 ** 6
-    for rounds, settings, frames, limit in ((n, ("G", "G"), "identity", 10 ** 5),
-                                            (n, "random", "identity", 10 ** 5),
+    for rounds, settings, frames, limit in ((n, "random", "identity", 10 ** 5),
                                             (10 ** 12, "random", "identity", 10 ** 5),
                                             (8000, "random", "fresh", 3 * 10 ** 6)):
         tracemalloc.start()
@@ -419,13 +415,13 @@ def test_run_experiment_counts_and_determinism():
     assert rec.counts != other.counts
 
 
-def test_run_experiment_fixed_settings():
-    rec = run_experiment(500, settings_policy=("G", "G"), seed=2)
-    assert rec.setting_total(("G", "G")) == 500
-    for pair in (("F", "F"), ("F", "G"), ("G", "F")):
-        assert rec.setting_total(pair) == 0
-    assert rec.frequency(("G", "G"), (+1, +1)) <= 1.0
-    assert math.isnan(rec.frequency(("F", "F"), (+1, +1)))
+def test_an_empty_setting_pair_has_no_frequency():
+    # one round leaves three setting pairs without rounds: their frequencies
+    # are NaN, not 0
+    rec = run_experiment(1, seed=0)
+    empty = [pair for pair in rec.counts if rec.setting_total(pair) == 0]
+    assert len(empty) == 3
+    assert all(math.isnan(rec.frequency(pair, (+1, +1))) for pair in empty)
 
 
 def test_run_experiment_forbidden_events_stay_empty():
@@ -463,8 +459,13 @@ def test_record_serializes_to_json():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         run_experiment(0)
-    with pytest.raises(ValueError):
-        run_experiment(10, settings_policy="sometimes")
+    for policy in ("sometimes", "GG", ("G", "G"), None):
+        with pytest.raises(ValueError, match="unknown settings_policy"):
+            run_experiment(10, settings_policy=policy)
+    # counts are integers: no 1.5 rounds recorded as 1.5 and tallied as 1
+    for n_rounds, policy in ((1.5, "identity"), (7.9, "fresh"), (True, "identity")):
+        with pytest.raises(ValueError, match="n_rounds must be an integer"):
+            run_experiment(n_rounds, rotations_policy=policy)
     with pytest.raises(ValueError):
         run_experiment(10, rotations_policy="stale")
     with pytest.raises(ValueError):
@@ -472,3 +473,5 @@ def test_invalid_arguments():
     for n_frames in (0, -2):
         with pytest.raises(ValueError, match="n_frames must be >= 1"):
             max_frame_drift(n_frames, seed=17)
+    with pytest.raises(ValueError, match="n_frames must be an integer"):
+        max_frame_drift(2.5, seed=0)

@@ -11,10 +11,11 @@ from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas
 from dfsbell.hardy import HardyInstance
 from dfsbell.localmeas import wing_distribution, wing_outcome_distribution
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
-                           apply_collective, basis_state, check_density,
-                           check_unitary, collective_turn, haar_su2,
-                           haar_su2_batch, joint_probs, kron, partial_trace,
-                           permute_qubits, tensor, turn_table, wing_bras)
+                           apply_collective, basis_state, check_count,
+                           check_density, check_unitary, collective_turn,
+                           haar_su2, haar_su2_batch, joint_probs, kron,
+                           partial_trace, permute_qubits, tensor, turn_table,
+                           wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -68,6 +69,18 @@ def test_permute_qubits_inverse_roundtrip():
                         for k in range(1, 5))
         back = permute_qubits(permute_qubits(s, perm), inverse)
         assert np.allclose(back.amplitudes, s.amplitudes)
+
+
+def test_check_count_takes_integers_of_at_least_one():
+    assert check_count("n", 3) == 3
+    assert type(check_count("n", np.int64(3))) is int
+    for value in (True, False, 2.5, 100.0, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_count("n", value)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        check_count("n", -2)
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        check_count("n", 0, "must be positive")
 
 
 def test_unitary_validation():
