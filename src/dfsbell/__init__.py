@@ -3,7 +3,7 @@
 Two wings each hold a four-qubit spin-zero block.  States inside that sector
 are invariant under collective single-qubit rotations, so the nonlocal
 correlations studied here need no shared reference frame and shrug off
-collective decoherence.  The subpackages cover the state constructions, the
+collective decoherence.  The modules cover the state constructions, the
 exact correlation identities, product-basis measurement simulation, the
 distinguishable-pair scan, Hardy-type logic with an exact local-model
 refutation, and the decoherence-immunity evidence.
@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 
 from .qcore import (ATOL, MAX_QUBITS, DensityOperator, QuantumState, SizeError,
                     apply_collective, basis_state, check_unitary, haar_su2,
-                    haar_su2_batch, partial_trace, permute_qubits, tensor)
-from .dfs_states import (DfsVector, Observable, SubspaceError, dfs_embed,
-                         dfs_observable, dfs_project, make_eta, make_f, make_g,
-                         make_phi0, make_phi1, make_psi0, make_psi1, singlet)
+                    haar_su2_batch, partial_trace, permute_qubits)
+from .dfs_states import (Observable, dfs_observable, make_eta, make_f, make_g,
+                         make_phi0, make_phi1, make_psi0, make_psi1)
 from .correlations import (EXPECTED_CORRELATIONS, CorrelationSuiteResult,
                            LocalRotation, Setting, UndefinedConditionalError,
                            conditional_probability, joint_distribution,

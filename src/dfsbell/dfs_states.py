@@ -15,7 +15,8 @@ integer vectors, the columns of V with norms V_NORMS, and so is
 ETA_INT = 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0, whose coefficients over
 V_i (x) V_j are ETA_TABLE.  Every float of the sector is one of them scaled
 to unit norm: the (16, 2) basis SECTOR of columns phi0 and phi1, eta, and
-eta's coefficients ETA_COEFFS over phi_i (x) phi_j.
+eta's coefficients ETA_COEFFS over phi_i (x) phi_j.  Sector coordinates c
+are the amplitudes SECTOR @ c, and SECTOR.T maps a sector state back to c.
 """
 
 from __future__ import annotations
@@ -51,21 +52,6 @@ for _table in (V0, V1, V, ETA_TABLE, ETA_INT, V_NORMS, SECTOR, ETA_COEFFS):
     _table.setflags(write=False)
 
 
-class SubspaceError(ValueError):
-    """Input state does not lie in the singlet-sector span; carries the residual."""
-
-    def __init__(self, residual_norm: float):
-        super().__init__(
-            f"state lies outside span{{phi0, phi1}}: residual norm {residual_norm:.3e}"
-        )
-        self.residual_norm = residual_norm
-
-
-def singlet() -> QuantumState:
-    """Two-qubit singlet (|01> - |10>) / sqrt 2."""
-    return QuantumState(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
-
-
 def make_phi0() -> QuantumState:
     """Singlet-pair basis state: singlet(1,2) x singlet(3,4)."""
     return QuantumState(SECTOR[:, 0])
@@ -96,40 +82,6 @@ def make_eta() -> QuantumState:
 
 
 @dataclass(frozen=True)
-class DfsVector:
-    """A singlet-sector state given by its two coefficients in the (phi0, phi1) basis."""
-
-    c0: complex
-    c1: complex
-
-    def __post_init__(self):
-        nrm = math.hypot(abs(self.c0), abs(self.c1))
-        if not abs(nrm - 1.0) <= ATOL:
-            raise ValueError(f"coefficient norm {nrm} deviates from 1")
-
-
-def dfs_embed(v: DfsVector) -> QuantumState:
-    """c0 |phi0> + c1 |phi1> as a 16-dimensional vector."""
-    return QuantumState(SECTOR @ np.array([v.c0, v.c1]))
-
-
-def dfs_project(s: QuantumState) -> DfsVector:
-    """Coefficients of a 4-qubit state in the (phi0, phi1) basis.
-
-    Raises SubspaceError when the component outside the span has norm
-    >= 1e-8; the threshold is looser than the analytic tolerance so that
-    states surviving repeated rotations still project cleanly.
-    """
-    if s.n_qubits != 4:
-        raise ValueError("dfs_project expects a 4-qubit state")
-    c = SECTOR.T @ s.amplitudes
-    residual_norm = float(np.linalg.norm(s.amplitudes - SECTOR @ c))
-    if residual_norm >= 1e-8:
-        raise SubspaceError(residual_norm)
-    return DfsVector(complex(c[0]), complex(c[1]))
-
-
-@dataclass(frozen=True)
 class Observable:
     """Two-outcome observable: eigenvalue -1 on ``minus``, +1 on ``plus``.
 
@@ -151,10 +103,6 @@ class Observable:
         return Observable(apply_collective(self.minus, u, "all"),
                           apply_collective(self.plus, u, "all"))
 
-    def to_matrix(self) -> np.ndarray:
-        m, p = self.minus.amplitudes, self.plus.amplitudes
-        return np.outer(p, p.conj()) - np.outer(m, m.conj())
-
 
 def make_f() -> Observable:
     """Observable distinguishing the (1,2)(3,4) singlet pairing: -1 on phi0, +1 on phi1."""
@@ -173,4 +121,4 @@ def dfs_observable(alpha: float) -> Observable:
     alpha = 0 reproduces F up to an eigenvector sign; alpha = pi/3 reproduces
     G exactly, since |psi0> = cos(pi/3)|phi0> + sin(pi/3)|phi1>.
     """
-    return Observable(*(dfs_embed(DfsVector(*row)) for row in axis_rows(alpha)))
+    return Observable(*(QuantumState(SECTOR @ row) for row in axis_rows(alpha)))

@@ -118,7 +118,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import SECTOR
-from .qcore import axis_rows, check_count, product_bras
+from .qcore import axis_rows, check_count, check_finite, product_bras
 
 SUPPORT_TOL = 1e-8
 
@@ -148,12 +148,6 @@ _TABLES = np.array([
 ])
 
 
-def _check_finite(*angles):
-    """Raise ValueError unless every angle is finite."""
-    if not all(math.isfinite(t) for t in angles):
-        raise ValueError(f"angles must be finite, got {angles}")
-
-
 @dataclass(frozen=True)
 class DistinguishInstance:
     """One candidate: pair angle omega plus the four measurement angles."""
@@ -165,7 +159,7 @@ class DistinguishInstance:
         if len(self.thetas) != 4:
             raise ValueError("exactly four measurement angles required")
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        _check_finite(self.omega, *self.thetas)
+        check_finite(self.omega, *self.thetas)
 
 
 def component_table(inst: DistinguishInstance) -> np.ndarray:
@@ -211,13 +205,16 @@ def check_resolution(resolution: int) -> int:
 
     A multiple of 4 puts pi/4, and with it the images of the exact tuples, on
     the grid (module docstring).  The scan's traced peak memory grows as r^2
-    (4.7 MB at r = 400), so r = 1600 takes about 61 MB and 0.5 s.  Returns
-    the resolution as an int; raises ValueError otherwise.
+    (4.7 MB at r = 400), so r = 1600 takes about 61 MB and 0.5 s.  The type
+    is checked first (``check_count``), then the range and the multiple of
+    4.  Returns the resolution as an int; raises ValueError otherwise.
     """
-    if resolution % 4 or not 100 <= resolution <= 1600:
-        raise ValueError("resolution must be a multiple of 4 from 100 to 1600 "
-                         "points per angle, so that pi/4 is on the grid")
-    return check_count("resolution", resolution)
+    rule = ("must be a multiple of 4 from 100 to 1600 points per angle, so "
+            "that pi/4 is on the grid")
+    r = check_count("resolution", resolution, rule)
+    if r % 4 or not 100 <= r <= 1600:
+        raise ValueError(f"resolution {rule}")
+    return r
 
 
 def _grid_coefficients(resolution: int):
@@ -257,7 +254,7 @@ def _lam_floor(coef):
     return p0 - 2 * np.abs(p4) - np.abs(q4) - np.abs(q0) - np.abs(qm4)
 
 
-def _objective_floor(coef, rot4):
+def _overlap_floor(coef, rot4):
     """C0 - |C4| of each row, with ``rot4`` = e^{-4i omega}: the minimum over
     theta_d of 8 sum_w (psi_w perp_w)^2, and a floor of 8 ov^2 (Row floors)."""
     p0, p4, q4, q0, qm4 = coef
@@ -338,10 +335,10 @@ def _min_overlap(omega: float, resolution: int):
     """``(value, thetas)``: the smallest support overlap at fixed omega over
     the theta grid, and the first grid tuple (0, theta_b, theta_c, theta_d)
     in row-major order that attains it (Row floors)."""
-    _check_finite(omega)
+    check_finite(omega)
     rot = complex(math.cos(omega), -math.sin(omega))
     thetas, coef = _grid_coefficients(resolution)
-    floor = _objective_floor(coef, rot ** 4)
+    floor = _overlap_floor(coef, rot ** 4)
     # the blocks read only the floor; freed, the coefficients leave the
     # traced peak (0.2 MB of it at r = 100)
     del coef

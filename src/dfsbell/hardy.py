@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dfs_states import ETA_COEFFS, SECTOR
-from .qcore import QuantumState, axis_rows, check_count
+from .qcore import QuantumState, axis_rows, check_count, check_finite
 
 # The Hardy pattern as (Alice's setting, Bob's setting, Alice's outcome,
 # Bob's outcome): three events that never occur, and one that does.
@@ -84,8 +84,7 @@ class HardyInstance:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "alpha_a", float(self.alpha_a))
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
-        if not (math.isfinite(self.alpha_a) and math.isfinite(self.alpha_b)):
-            raise ValueError(f"angles must be finite, got {self.alpha_a}, {self.alpha_b}")
+        check_finite(self.alpha_a, self.alpha_b)
 
 
 def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:

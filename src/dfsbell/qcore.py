@@ -67,6 +67,12 @@ def check_count(name: str, value, rule: str = "must be >= 1") -> int:
     return int(value)
 
 
+def check_finite(*angles) -> None:
+    """Raise ValueError unless every angle is finite."""
+    if not all(math.isfinite(t) for t in angles):
+        raise ValueError(f"angles must be finite, got {angles}")
+
+
 def _as_amplitudes(amplitudes) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=complex)
     if a.ndim != 1:
@@ -96,12 +102,6 @@ class QuantumState:
     @property
     def n_qubits(self) -> int:
         return self.amplitudes.size.bit_length() - 1
-
-    def density(self) -> "DensityOperator":
-        """The projector |psi><psi|.  On it the density branch of
-        ``decohere.fidelity_samples`` is a second route to the pure-state
-        kernel's draws (``test_density_draws_match_the_pure_route``)."""
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def overlap(self, other: "QuantumState") -> complex:
         return complex(self.amplitudes.conj() @ other.amplitudes)
@@ -170,15 +170,6 @@ def basis_state(bits) -> QuantumState:
         index = (index << 1) | b
     amplitudes[index] = 1.0
     return QuantumState(amplitudes)
-
-
-def tensor(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Kronecker product; a's qubits become the most significant ones."""
-    if a.n_qubits + b.n_qubits > MAX_QUBITS:
-        raise SizeError(
-            f"tensor of {a.n_qubits}+{b.n_qubits} qubits exceeds {MAX_QUBITS}"
-        )
-    return QuantumState(np.kron(a.amplitudes, b.amplitudes))
 
 
 def permute_qubits(s: QuantumState, perm) -> QuantumState:

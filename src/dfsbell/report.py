@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from importlib import resources
 
 from . import __version__
 
@@ -136,8 +135,3 @@ def render_text(report: Report) -> str:
     lines.append(f"overall: {verdict} ({report.n_passed()}/{report.n_checks()} checks)")
     return "\n".join(lines) + "\n"
 
-
-def load_schema() -> dict:
-    """The JSON schema that serialized reports conform to."""
-    text = resources.files(__package__).joinpath("report_schema.json").read_text()
-    return json.loads(text)

@@ -8,6 +8,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 from click.testing import CliRunner
@@ -15,7 +16,7 @@ from click.testing import CliRunner
 import dfsbell as d
 from dfsbell.cli import main as cli_main
 from dfsbell.localmeas import wing_distribution
-from dfsbell.report import Check, Report, Section, load_schema, render_text
+from dfsbell.report import Check, Report, Section, render_text
 
 
 def _verdict(criterion, ok, detail):
@@ -183,7 +184,9 @@ def test_criterion_10_report_determinism():
         reproduced.append(result.output == render_text(mini))
     # every check names one of the four sources the schema admits; a
     # maximum over random samples is an estimate, not a closed form
-    labels = set(load_schema()["properties"]["sections"]["items"]["properties"]
+    schema = json.loads(
+        resources.files("dfsbell").joinpath("report_schema.json").read_text())
+    labels = set(schema["properties"]["sections"]["items"]["properties"]
                  ["checks"]["items"]["properties"]["source"]["enum"])
     sources = {c["name"]: c["source"] for s in sections.values() for c in s["checks"]}
     labelled = (set(sources.values()) <= labels

@@ -1,5 +1,6 @@
 import json
 import re
+from importlib import resources
 from pathlib import Path
 
 import click
@@ -263,11 +264,13 @@ def test_zero_tolerance_is_accepted():
 
 def test_report_all_timing_names_every_section(monkeypatch):
     jsonschema = pytest.importorskip("jsonschema")
-    from dfsbell.report import Check, Section, load_schema
+    from dfsbell.report import Check, Section
     monkeypatch.setattr(cli, "_build", lambda name, seed: Section(
         name, (Check(name="c", passed=True, source="closed form"),)))
     report = json.loads(_run(["report-all", "--timing"]).output)
-    jsonschema.validate(report, load_schema())
+    schema = json.loads(
+        resources.files("dfsbell").joinpath("report_schema.json").read_text())
+    jsonschema.validate(report, schema)
     timings = report["metadata"]["timings"]
     assert list(timings) == list(cli.SECTIONS)
     assert all(t >= 0 for t in timings.values())

@@ -9,8 +9,8 @@ from dfsbell.correlations import (EXPECTED_CORRELATIONS, NULL, OUTCOMES,
                                   conditional_probability, joint_distribution,
                                   joint_probability, verify_correlation_suite,
                                   wing_marginal)
-from dfsbell.dfs_states import make_eta, make_f, make_g, make_phi0, make_phi1
-from dfsbell.qcore import haar_su2, tensor
+from dfsbell.dfs_states import make_eta, make_f, make_g, make_phi0
+from dfsbell.qcore import QuantumState, haar_su2
 
 
 def test_joint_distribution_normalized_no_null():
@@ -62,7 +62,7 @@ def test_outcome_and_wing_validation():
         LocalRotation(haar_su2(np.random.default_rng(0)), "charlie")
     # a wing name other than "bob" is not read as Alice
     with pytest.raises(ValueError, match="wing must be 'alice' or 'bob'"):
-        wing_marginal(tensor(make_phi0(), make_phi1()), fa, "carol")
+        wing_marginal(eta, fa, "carol")
     with pytest.raises(ValueError, match="expects an 8-qubit state"):
         wing_marginal(make_phi0(), fa, "alice")
     with pytest.raises(ValueError, match="unknown outcome 0"):
@@ -73,7 +73,8 @@ def test_outcome_and_wing_validation():
 
 def test_conditioning_on_impossible_event():
     # on phi0 (x) phi0 Bob's fixed observable never reads +1
-    state = tensor(make_phi0(), make_phi0())
+    phi0 = make_phi0().amplitudes
+    state = QuantumState(np.kron(phi0, phi0))
     with pytest.raises(UndefinedConditionalError):
         conditional_probability(state, (Setting(make_g()), +1, "alice"),
                                 (Setting(make_f()), +1, "bob"))

@@ -10,7 +10,12 @@ from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel,
                               state_fidelity)
 from dfsbell.dfs_states import make_eta, make_phi0, make_phi1
 from dfsbell.qcore import (DensityOperator, QuantumState, apply_collective,
-                           basis_state, haar_su2, kron, partial_trace, tensor)
+                           basis_state, haar_su2, kron, partial_trace)
+
+
+def _density(s):
+    """The projector |s><s| of a pure state."""
+    return DensityOperator(np.outer(s.amplitudes, s.amplitudes.conj()))
 
 
 def test_channel_validation():
@@ -68,8 +73,8 @@ def test_state_fidelity_routes_agree():
         sa = QuantumState(a / np.linalg.norm(a))
         sb = QuantumState(b / np.linalg.norm(b))
         f_pp = state_fidelity(sa, sb)
-        f_pm = state_fidelity(sa, sb.density())
-        f_mm = state_fidelity(sa.density(), sb.density())
+        f_pm = state_fidelity(sa, _density(sb))
+        f_mm = state_fidelity(_density(sa), _density(sb))
         assert f_pm == pytest.approx(f_pp, abs=1e-10)
         assert f_mm == pytest.approx(f_pp, abs=1e-8)
 
@@ -79,7 +84,7 @@ def test_state_fidelity_known_values():
     assert state_fidelity(make_phi0(), make_phi1()) == pytest.approx(0.0, abs=1e-12)
     rho = partial_trace(make_eta(), keep=(1, 2, 3, 4))
     assert state_fidelity(make_phi0(), rho) == pytest.approx(4.0 / 7.0)
-    assert state_fidelity(rho, make_phi0().density()) == pytest.approx(4.0 / 7.0)
+    assert state_fidelity(rho, _density(make_phi0())) == pytest.approx(4.0 / 7.0)
 
 
 def test_density_rejects_per_wing_scope():
@@ -127,7 +132,7 @@ def test_density_draws_match_the_pure_route():
     s = QuantumState(amps / np.linalg.norm(amps))
     channel = CollectiveChannel(n_samples=20)
     pure = fidelity_samples(s, channel, seed=4)
-    mixed = fidelity_samples(s.density(), channel, seed=4)
+    mixed = fidelity_samples(_density(s), channel, seed=4)
     assert np.abs(pure - mixed).max() <= 1e-14
 
 
@@ -137,7 +142,7 @@ def _random_state(rng, n):
 
 
 def _random_density(rng, n, rank=3):
-    vs = [_random_state(rng, n).density().matrix for _ in range(rank)]
+    vs = [_density(_random_state(rng, n)).matrix for _ in range(rank)]
     return DensityOperator(sum(vs) / rank)
 
 
@@ -175,7 +180,7 @@ _PURE_CASES = {
     "random 4": (_random_state(np.random.default_rng(41), 4), "global"),
     "eta global": (make_eta(), "global"),
     "eta per-wing": (make_eta(), "per-wing"),
-    "0101 x 0101": (tensor(basis_state("0101"), basis_state("0101")), "per-wing"),
+    "0101 x 0101": (basis_state("01010101"), "per-wing"),
     "random 8": (_random_state(np.random.default_rng(42), 8), "per-wing"),
 }
 
@@ -224,8 +229,8 @@ def test_pure_chunks_match_the_per_draw_route(monkeypatch, name, n_samples):
     (basis_state("010101"), "global"),
     (basis_state("0101"), "per-wing"),
     (basis_state("010101"), "per-wing"),
-    (basis_state("01").density(), "global"),
-    (basis_state("01010101").density(), "global"),
+    (_density(basis_state("01")), "global"),
+    (_density(basis_state("01010101")), "global"),
 ])
 def test_unsupported_pure_inputs_raise_before_any_draw(monkeypatch, state, scope):
     drawn = []

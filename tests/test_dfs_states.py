@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from dfsbell.dfs_states import (ETA_COEFFS, ETA_INT, SECTOR, V0, V1,
-                                DfsVector, Observable, SubspaceError,
-                                dfs_embed, dfs_observable, dfs_project,
-                                make_eta, make_f, make_g, make_phi0, make_phi1,
-                                make_psi0, make_psi1, singlet)
-from dfsbell.qcore import (apply_collective, basis_state, haar_su2,
-                           partial_trace, tensor)
+                                Observable, dfs_observable, make_eta, make_f,
+                                make_g, make_phi0, make_phi1, make_psi0,
+                                make_psi1)
+from dfsbell.qcore import apply_collective, haar_su2, partial_trace
 
 R3 = math.sqrt(3.0)
+# the two-qubit singlet (|01> - |10>) / sqrt 2
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+
+
+def _matrix(obs):
+    """The observable's matrix, +1 on ``plus`` and -1 on ``minus``."""
+    m, p = obs.minus.amplitudes, obs.plus.amplitudes
+    return np.outer(p, p.conj()) - np.outer(m, m.conj())
 
 
 def test_phi0_amplitudes():
@@ -23,7 +29,7 @@ def test_phi0_amplitudes():
 
 
 def test_phi0_is_two_singlet_pairs():
-    assert abs(make_phi0().overlap(tensor(singlet(), singlet())) - 1.0) < 1e-12
+    assert abs(make_phi0().amplitudes @ np.kron(SINGLET, SINGLET) - 1.0) < 1e-12
 
 
 def test_phi1_amplitudes():
@@ -48,9 +54,9 @@ def test_the_integer_table_is_the_sector():
     assert np.abs(2 * R3 * make_phi1().amplitudes - V1).max() < 1e-15
     assert np.abs(4 * math.sqrt(7) * make_eta().amplitudes - ETA_INT).max() < 1e-15
     # and eta from the float basis by its expansion (1, sqrt3, sqrt3, 0)/sqrt7
-    phi0, phi1 = make_phi0(), make_phi1()
-    eta = (tensor(phi0, phi0).amplitudes + R3 * tensor(phi0, phi1).amplitudes
-           + R3 * tensor(phi1, phi0).amplitudes) / math.sqrt(7)
+    phi0, phi1 = make_phi0().amplitudes, make_phi1().amplitudes
+    eta = (np.kron(phi0, phi0) + R3 * np.kron(phi0, phi1)
+           + R3 * np.kron(phi1, phi0)) / math.sqrt(7)
     assert np.abs(4 * math.sqrt(7) * eta - ETA_INT).max() < 1e-14
     assert np.abs(ETA_COEFFS - np.array([[1, R3], [R3, 0]]) / math.sqrt(7)).max() < 1e-15
     # SECTOR is an isometry onto span{phi0, phi1}
@@ -93,7 +99,7 @@ def test_eta_expansion_coefficients():
     n = 1.0 / math.sqrt(7.0)
 
     def coef(left, right):
-        return tensor(left, right).overlap(eta)
+        return np.vdot(np.kron(left.amplitudes, right.amplitudes), eta.amplitudes)
 
     # in the phi (x) phi basis: (1, sqrt3, sqrt3, 0)/sqrt7
     want = {(0, 0): n, (0, 1): R3 * n, (1, 0): R3 * n, (1, 1): 0.0}
@@ -152,34 +158,11 @@ def test_eta_invariant_under_independent_wing_rotations():
         assert abs(eta.overlap(out) - 1.0) < 1e-12
 
 
-def test_dfs_embed_project_roundtrip():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        w = rng.uniform(0, 2 * math.pi)
-        v = DfsVector(math.cos(w), math.sin(w))
-        back = dfs_project(dfs_embed(v))
-        assert abs(back.c0 - v.c0) < 1e-12 and abs(back.c1 - v.c1) < 1e-12
-
-
-def test_dfs_project_rejects_outside_states():
-    with pytest.raises(SubspaceError) as err:
-        dfs_project(basis_state("0000"))
-    # the state is entirely outside the sector
-    assert err.value.residual_norm > 0.99
-
-
-def test_dfs_vector_validation():
-    with pytest.raises(ValueError):
-        DfsVector(1.0, 1.0)
-    v = DfsVector(math.cos(0.3), math.sin(0.3))
-    assert (v.c0, v.c1) == (math.cos(0.3), math.sin(0.3))
-
-
 def test_observable_lookup_and_matrix():
     f = make_f()
     assert abs(f.minus.overlap(make_phi0()) - 1.0) < 1e-12
     assert abs(f.plus.overlap(make_phi1()) - 1.0) < 1e-12
-    m = f.to_matrix()
+    m = _matrix(f)
     assert np.allclose(m, m.conj().T)
     v = make_phi1().amplitudes
     assert np.allclose(m @ v, v)
@@ -197,8 +180,8 @@ def test_rotated_observable_matches_conjugation():
     big = np.array([[1.0 + 0j]])
     for _ in range(4):
         big = np.kron(big, u)
-    assert np.allclose(g.rotated(u).to_matrix(),
-                       big @ g.to_matrix() @ big.conj().T, atol=1e-10)
+    assert np.allclose(_matrix(g.rotated(u)), big @ _matrix(g) @ big.conj().T,
+                       atol=1e-10)
 
 
 def test_g_is_f_conjugated_by_qubit23_swap():
@@ -208,15 +191,17 @@ def test_g_is_f_conjugated_by_qubit23_swap():
     for w in range(16):
         b2, b3 = (w >> 2) & 1, (w >> 1) & 1
         p[(w & 0b1001) | (b3 << 2) | (b2 << 1), w] = 1.0
-    assert np.allclose(make_g().to_matrix(), p @ make_f().to_matrix() @ p.T,
+    assert np.allclose(_matrix(make_g()), p @ _matrix(make_f()) @ p.T,
                        rtol=0, atol=1e-12)
 
 
 def test_dfs_observable_angles():
     # angle 0 reproduces the fixed observable's matrix
-    assert np.allclose(dfs_observable(0.0).to_matrix(), make_f().to_matrix())
-    # the sector image of the rotated minus-eigenvector is (cos a, sin a)
-    obs = dfs_observable(0.7)
-    v = dfs_project(obs.minus)
-    assert abs(v.c0 - math.cos(0.7)) < 1e-12
-    assert abs(v.c1 - math.sin(0.7)) < 1e-12
+    assert np.allclose(_matrix(dfs_observable(0.0)), _matrix(make_f()))
+    # the sector image of the rotated minus-eigenvector is (cos a, sin a),
+    # and the eigenvector lies in the sector
+    minus = dfs_observable(0.7).minus.amplitudes
+    v = SECTOR.T @ minus
+    assert abs(v[0] - math.cos(0.7)) < 1e-12
+    assert abs(v[1] - math.sin(0.7)) < 1e-12
+    assert np.abs(SECTOR @ v - minus).max() < 1e-12

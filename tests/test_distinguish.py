@@ -9,13 +9,13 @@ import pytest
 from dfsbell import distinguish, qcore
 from dfsbell.distinguish import (_CHUNK, _TABLES, SUPPORT_TOL,
                                  DistinguishInstance, _grid_coefficients, _lam_floor,
-                                 _objective_floor, _theta_d_rows, component_table,
+                                 _overlap_floor, _theta_d_rows, component_table,
                                  find_distinguishing_thetas,
                                  grid_min_support_overlap, is_distinguishing,
                                  omega_from_thetas,
                                  scan_distinguishable_omegas, support_overlap)
-from dfsbell.dfs_states import SECTOR, V0, V1, singlet
-from dfsbell.qcore import axis_rows, permute_qubits, tensor
+from dfsbell.dfs_states import SECTOR, V0, V1
+from dfsbell.qcore import QuantumState, axis_rows, permute_qubits
 
 F_THETAS = (0.0, 0.0, math.pi / 4, math.pi / 4)
 
@@ -347,7 +347,7 @@ def test_row_floors_bound_every_tuple():
     slack = (1 - math.cos(2 * math.pi / r)) / (2 * math.cos(2 * math.pi / r))
     for omega in FLOOR_OMEGAS:
         rot4 = complex(math.cos(4 * omega), -math.sin(4 * omega))
-        floor = _objective_floor(coef, rot4).reshape(n, n, 1)
+        floor = _overlap_floor(coef, rot4).reshape(n, n, 1)
         obj = p - (rot4 * q).real
         assert (floor <= obj + 1e-14).all()
         low, high = obj.min(axis=-1, keepdims=True), obj.max(axis=-1, keepdims=True)
@@ -585,6 +585,16 @@ def test_scan_resolution_bounds():
             grid_min_support_overlap(math.pi / 3, resolution=r)
         with pytest.raises(ValueError):
             find_distinguishing_thetas(math.pi / 3, resolution=r)
+    # the type is checked before any arithmetic: a string, None and a bool
+    # get the integer message, not a TypeError or the multiple-of-4 one
+    integer = "resolution must be an integer"
+    for r in ("100", None, True):
+        with pytest.raises(ValueError, match=integer):
+            scan_distinguishable_omegas(resolution=r)
+        with pytest.raises(ValueError, match=integer):
+            grid_min_support_overlap(math.pi / 3, resolution=r)
+        with pytest.raises(ValueError, match=integer):
+            find_distinguishing_thetas(math.pi / 3, resolution=r)
 
 
 def test_excluded_omegas_have_positive_overlap_floor():
@@ -614,7 +624,8 @@ def test_pairing_structure_of_the_special_angles():
     # omega 0, pi/3, 2pi/3 give the three ways of pairing four qubits into
     # two singlets, (12)(34), (13)(24) and (14)(23); each has a product
     # basis splitting the pair
-    pairs = tensor(singlet(), singlet())
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    pairs = QuantumState(np.kron(singlet, singlet))
     for k, perm in enumerate(((1, 2, 3, 4), (1, 3, 2, 4), (1, 3, 4, 2))):
         w = k * math.pi / 3
         psi = SECTOR @ axis_rows(w)[0]

@@ -10,13 +10,17 @@ and method is used somewhere in the package outside its own body, or is
 listed in ``UNREFERENCED`` with the reason it is kept.  Every private
 module-level function, class and constant is read in its own module outside
 its own definition.  What the benchmark's workloads call still exists, with
-the keywords they pass.
+the keywords they pass.  README's session runs as a doctest, and every name
+its module table cites exists in the module its row names.
 """
 
 import ast
+import dataclasses
+import doctest
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -27,6 +31,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dfsbell"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -99,16 +104,9 @@ UNREFERENCED = {
     "wing_marginal": "single-wing eigen-bra marginals, against the product words",
     "wing_outcome_distribution": "classified product words, against the eigen-bras",
     "dfs_observable": "the sector observable at any angle, reproducing F and G",
-    "dfs_project": "sector coefficients of a state, the inverse of dfs_embed",
     "to_full_state": "the 2x2 Hardy model, against the 256 amplitudes",
     "omega_from_thetas": "the closed-form angle condition behind the grid scan",
     "fixed_angle_maximum": "the fixed-angle curve, against the free-angle optimum",
-    "QuantumState.density": "the density branch, against the pure-state draws",
-    "singlet": "phi0 = singlet(1,2) x singlet(3,4)",
-    "tensor": "phi0 = singlet x singlet and eta's expansion, against the "
-              "integer sector table",
-    "Observable.to_matrix": "the matrix route of Observable.rotated",
-    "load_schema": "the schema check of report-all's output",
     "state_fidelity": "the per-draw route the pure and density chunks are "
                       "compared against",
 }
@@ -254,3 +252,38 @@ def test_benchmark_calls_match_the_package(monkeypatch):
 
     read = {name for kind, name in _reads(tree) if kind == "attr"}
     assert {name.rsplit(".", 1)[-1] for name in BENCHMARK_CALLS} <= read
+
+
+def test_readme_session_runs():
+    text = README.read_text()
+    session = re.search(r"```python\n(.*?)```", text, re.S)
+    lineno = text[:session.start()].count("\n") + 1
+    test = doctest.DocTestParser().get_doctest(session[1], {}, "README.md",
+                                               str(README), lineno)
+    out = []
+    result = doctest.DocTestRunner().run(test, out=out.append)
+    assert result.attempted and not result.failed, "".join(out)
+
+
+def _cites(module, token: str) -> bool:
+    """Whether ``token`` (``name`` or ``Class.name``) is an attribute of
+    ``module`` or of its class, or a field of a dataclass defined there."""
+    def fields(cls):
+        return ({f.name for f in dataclasses.fields(cls)}
+                if dataclasses.is_dataclass(cls) else set())
+    owner, _, name = token.rpartition(".")
+    if owner:
+        cls = getattr(module, owner, None)
+        return cls is not None and (hasattr(cls, name) or name in fields(cls))
+    return hasattr(module, name) or any(
+        name in fields(obj) for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__)
+
+
+def test_readme_module_table_names_what_exists():
+    rows = re.findall(r"^\| `dfsbell\.(\w+)` \|(.*)\|$", README.read_text(), re.M)
+    assert rows
+    missing = [f"{name}: {token}" for name, cell in rows
+               for token in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`", cell)
+               if not _cites(importlib.import_module(f"dfsbell.{name}"), token)]
+    assert missing == []

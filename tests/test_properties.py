@@ -9,11 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from dfsbell.correlations import Setting, joint_probability
-from dfsbell.dfs_states import (DfsVector, dfs_embed, dfs_observable, make_f,
-                                make_phi0, make_phi1, make_psi0, make_psi1)
+from dfsbell.dfs_states import (SECTOR, dfs_observable, make_f, make_phi0,
+                                make_phi1, make_psi0, make_psi1)
 from dfsbell.hardy import (HardyInstance, feasible_state, hardy_probability,
                            to_full_state)
 from dfsbell.localmeas import wing_outcome_distribution
+from dfsbell.qcore import QuantumState
 
 unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -28,7 +29,7 @@ def test_product_words_match_the_rank_two_projectors(c, q, protocol):
     norm = math.hypot(abs(c0), abs(c1))
     qn = np.asarray(q)
     assume(norm > 1e-3 and np.linalg.norm(qn) > 1e-3)
-    s = dfs_embed(DfsVector(c0 / norm, c1 / norm))
+    s = QuantumState(SECTOR @ np.array([c0 / norm, c1 / norm]))
     a, b, x, y = qn / np.linalg.norm(qn)
     u = np.array([[a + 1j * b, x + 1j * y], [-x + 1j * y, a - 1j * b]])
     classified = wing_outcome_distribution(s, protocol, rotation=u)

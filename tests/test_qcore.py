@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dfsbell.correlations import LocalRotation
-from dfsbell.dfs_states import DfsVector, make_g, make_phi0
+from dfsbell.dfs_states import make_g, make_phi0
 from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
                                  grid_min_support_overlap)
 from dfsbell.hardy import HardyInstance
@@ -14,7 +14,7 @@ from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            apply_collective, basis_state, check_count,
                            check_density, check_unitary, collective_turn,
                            haar_su2, haar_su2_batch, joint_probs, kron,
-                           partial_trace, permute_qubits, tensor, turn_table,
+                           partial_trace, permute_qubits, turn_table,
                            wing_bras)
 
 
@@ -40,13 +40,6 @@ def test_state_validation():
         QuantumState(np.array([1.0, 0.0, 0.0]))  # not a power of two
     with pytest.raises(SizeError):
         QuantumState(np.eye(2 ** 9)[0])  # nine qubits
-
-
-def test_tensor_order_and_size_cap():
-    ab = tensor(basis_state("01"), basis_state("10"))
-    assert ab.amplitudes[0b0110] == 1.0
-    with pytest.raises(SizeError):
-        tensor(basis_state("0" * 5), basis_state("0" * 4))
 
 
 def test_permute_qubits_transposition():
@@ -295,7 +288,7 @@ def test_apply_collective_matches_the_full_operator():
 def test_apply_collective_wing_scoping():
     rng = np.random.default_rng(4)
     u = haar_su2(rng)
-    s = tensor(basis_state("0000"), basis_state("0000"))
+    s = basis_state("0" * 8)
     left = apply_collective(s, u, wing="alice")
     right = apply_collective(s, u, wing="bob")
     # acting on one wing leaves the other wing's marginal pure and unchanged
@@ -311,7 +304,8 @@ def test_apply_collective_wing_scoping():
 
 def test_partial_trace_product_and_entangled():
     # product state: reduced state is pure
-    s = tensor(basis_state("01"), basis_state("10"))
+    s = QuantumState(np.kron(basis_state("01").amplitudes,
+                             basis_state("10").amplitudes))
     rho = partial_trace(s, keep=(1, 2))
     assert np.allclose(rho.matrix, np.outer([0, 1, 0, 0], [0, 1, 0, 0]))
     # singlet pair: either side is maximally mixed
@@ -326,7 +320,8 @@ def test_partial_trace_product_and_entangled():
 def test_partial_trace_accepts_density_and_validates_labels():
     s = basis_state("0101")
     direct = partial_trace(s, keep=(2, 4))
-    via_rho = partial_trace(s.density(), keep=(2, 4))
+    rho = DensityOperator(np.outer(s.amplitudes, s.amplitudes.conj()))
+    via_rho = partial_trace(rho, keep=(2, 4))
     assert np.allclose(direct.matrix, via_rho.matrix)
     with pytest.raises(ValueError):
         partial_trace(s, keep=(0, 1))
@@ -358,7 +353,6 @@ NAN = float("nan")
 
 @pytest.mark.parametrize("build", [
     lambda: QuantumState(np.array([NAN, 0.0])),
-    lambda: DfsVector(NAN, 0.0),
     lambda: HardyInstance((NAN, 0.0, 0.0, 0.0), 0.0, 0.0),
     lambda: HardyInstance((1, 0, 0, 0), NAN, 0.0),
     lambda: check_unitary(np.array([[NAN, 0.0], [0.0, 1.0]])),
@@ -368,7 +362,7 @@ NAN = float("nan")
     lambda: DistinguishInstance(0.0, (0.0, NAN, math.inf, 0.0)),
     lambda: grid_min_support_overlap(NAN, 100),
     lambda: find_distinguishing_thetas(NAN, 100),
-], ids=["QuantumState", "DfsVector", "HardyInstance", "HardyInstance-angle",
+], ids=["QuantumState", "HardyInstance", "HardyInstance-angle",
         "check_unitary", "DensityOperator", "DistinguishInstance",
         "DistinguishInstance-theta", "grid_min_support_overlap",
         "find_distinguishing_thetas"])

@@ -1,10 +1,11 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
 from dfsbell.report import (Check, Report, Section, approx_check, bound_check,
-                            load_schema, render_text, to_dict, to_json)
+                            render_text, to_dict, to_json)
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -62,7 +63,9 @@ def test_json_rejects_non_finite_values():
 
 
 def test_schema_validates_serialized_reports():
-    schema = load_schema()
+    # the schema ships as package data
+    schema = json.loads(
+        resources.files("dfsbell").joinpath("report_schema.json").read_text())
     jsonschema.validate(to_dict(_sample_report()), schema)
     jsonschema.validate(to_dict(_sample_report(False)), schema)
     with pytest.raises(jsonschema.ValidationError):
