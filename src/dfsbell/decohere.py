@@ -8,9 +8,10 @@ average.  Reference states outside the sector (a computational basis word, a
 GHZ state) lose most of their fidelity, which calibrates the comparison.
 
 Every draw takes its frames from the seeded stream in chunks of CHUNK
-draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in the global
-scope, (k, 2) per wing, so that draw by draw Alice's frame comes before
-Bob's, as k single draws would give them.
+(1,024) draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in
+the global scope, (k, 2) per wing, so that draw by draw Alice's frame comes
+before Bob's, as k single draws would give them.  The default 1,000 draws
+are one chunk per state, and the chunk bounds memory for any larger count.
 
 Each state is scored on its support only: r orthonormal columns S, cut
 where an eigenvalue falls below the 1e-12 that ``state_fidelity`` chops to
@@ -60,8 +61,11 @@ from .qcore import (DensityOperator, QuantumState, basis_state, check_count,
 IMMUNITY_ATOL = 1e-9
 
 # Draws per chunk: the unit of the kernels' work arrays, a (35, CHUNK)
-# stack of monomials and a turned table per wing.
-CHUNK = 256
+# stack of monomials and a turned table per wing.  At 1,024 the default
+# 1,000 draws take one chunk per state, so each kernel's numpy calls run
+# once per state, where per-call cost dominates; a larger count still
+# works chunk by chunk, with memory bounded by the chunk.
+CHUNK = 1024
 
 # Eigenvalues below this are exact zeros: of a density operator, and of
 # M M^dagger, the squared Schmidt coefficients of an 8-qubit state.

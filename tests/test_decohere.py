@@ -273,12 +273,24 @@ def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes
     assert widths == shapes
 
 
+def test_immunity_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    # the chunks cut the draws, not the products: every float of the report
+    # is the same at any CHUNK from 2 up.  One-draw chunks are left out:
+    # there three floats move by ulps, as a one-frame product takes another
+    # BLAS path (ROADMAP item 11).
+    reports = []
+    for chunk in (3, 7, 256, 1000, 1024):
+        monkeypatch.setattr(decohere, "CHUNK", chunk)
+        reports.append(immunity_report(300, seed=3))
+    assert all(r == reports[0] for r in reports[1:])
+
+
 def test_immunity_report_traced_memory():
-    # 1.39 MB traced, about 1 MB of it the 8-qubit density that partial_trace
-    # forms for the reduced state; a chunk of support columns adds a few
-    # hundred kB, where 1024-draw chunks would take the peak to 2.5 MB.
-    # numpy.random is imported first, so that its one-time imports are not
-    # traced.
+    # 1.39 MB traced at any CHUNK from 256 to 2,048: the peak is the 1 MB
+    # 8-qubit density that partial_trace forms for the reduced state.  A
+    # chunk's own work arrays peak below that, about 0.3 MB at 256 draws
+    # and about 1 MB at 1,024.  numpy.random is imported first, so that
+    # its one-time imports are not traced.
     import numpy.random  # noqa: F401
     tracemalloc.start()
     try:

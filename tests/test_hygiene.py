@@ -1,6 +1,7 @@
-"""Import hygiene of the package modules.
+"""Import hygiene of the package modules and the test files.
 
-Every name a package module imports is used in that module, and no module
+Every name a package module or test file imports is used in that file,
+unless its import line is marked ``# noqa: F401``, and no package module
 imports an underscore name from another package module.  No linter ships
 with the test environment, so these are those checks.  ``__init__.py`` is
 exempt: its imports are the package's re-exports.  Importing the command
@@ -33,12 +34,19 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dfsbell"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 README = PACKAGE.parent.parent / "README.md"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list:
-    tree = ast.parse(path.read_text())
+    text = path.read_text()
+    tree = ast.parse(text)
+    # a deliberate import, such as a warm-up before tracing, says so
+    exempt = {i for i, line in enumerate(text.splitlines(), 1)
+              if line.rstrip().endswith("# noqa: F401")}
     imported = set()
     for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in exempt:
+            continue
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
@@ -47,7 +55,7 @@ def _unused_imports(path: Path) -> list:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 

@@ -259,6 +259,17 @@ def test_frame_blocks_leave_the_chunk_tally():
         assert rng.random() == ref.random()
 
 
+def test_fresh_counts_do_not_depend_on_the_block_size(monkeypatch):
+    # the blocks cut the frames, not the products: the seeded counts are the
+    # same at any block size.  One-frame blocks, which agree too (ROADMAP
+    # item 11), are left out for their cost.
+    counts = []
+    for block in (7, 64, 256, 1000):
+        monkeypatch.setattr(localmeas, "_FRAMES_PER_BLOCK", block)
+        counts.append(run_experiment(3000, rotations_policy="fresh", seed=5).counts)
+    assert all(c == counts[0] for c in counts[1:])
+
+
 # Outcome-pair cells as (-,-), (-,+), (+,-), (+,+), and the nonzero words,
 # of each setting pair's unrotated word-pair distribution on eta
 EXACT_CELLS = {
@@ -357,7 +368,7 @@ def test_run_experiment_traced_peak_memory():
     # word-pair probabilities or (rounds, 16, 16) U^(x4) stacks would go
     # higher still.  numpy.random is imported first, so that its one-time
     # imports are not traced.
-    import numpy.random
+    import numpy.random  # noqa: F401
     n = 10 ** 6
     for rounds, settings, frames, limit in ((n, "random", "identity", 10 ** 5),
                                             (10 ** 12, "random", "identity", 10 ** 5),
