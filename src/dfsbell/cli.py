@@ -1,34 +1,29 @@
 """Command line front end for the verification suites.
 
 Exit codes: 0 all requested checks passed, 1 a verification check failed,
-2 usage error (including a negative --seed or DFSBELL_SEED, a negative or
-non-finite --tol, a --grid that ``distinguish.check_resolution`` refuses, and
-a --rounds, --rotations or --samples outside 1..2**63 - 1), 3 an output
-file could not be written, 4 internal error (an unexpected exception,
+2 usage error (including a negative --seed, a --grid that
+``distinguish.check_resolution`` refuses, and a --rounds, --rotations or
+--samples outside 1..2**63 - 1), 4 internal error (an unexpected exception,
 reported in one line on stderr).
 
-The root seed comes from --seed, falling back to the DFSBELL_SEED environment
-variable, then 0.  ``SECTIONS`` is the one table of report sections: each row
-gives a section's builder, its report-all config keys with their defaults,
-and the substreams of the root seed it draws from.  report-all builds every
-row; each section command builds its own row the same way, with its option
-defaults taken from the row, so ``verify-X --seed S`` reproduces report-all's
-section at seed S byte for byte, worst-sample details included.  ``simulate``
-tallies the simulation row's rounds from its first substream, so
-``simulate --seed S --rotate-each-round`` counts the rounds report-all's
-simulation section counted.  Substreams 3 and 4 are free: both Hardy optima
-are closed form and draw nothing.
+The root seed is --seed, 0 by default.  ``SECTIONS`` is the one table of
+report sections: each row gives a section's builder, its report-all config
+keys with their defaults, and the substreams of the root seed it draws from.
+report-all builds every row; each section command builds its own row the
+same way, with its option defaults taken from the row, so ``verify-X --seed
+S`` reproduces report-all's section at seed S byte for byte, worst-sample
+details included.  ``simulate`` tallies the simulation row's rounds from its
+first substream, so ``simulate --seed S --rotate-each-round`` counts the
+rounds report-all's simulation section counted.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import click
@@ -43,26 +38,6 @@ _FRAME_PAIRS = 100
 # Points per angle of the Hardy section's grid over [0, pi/2)^2.
 _HARDY_GRID = 64
 EXCLUDED_OMEGAS = ((math.pi / 5, "pi/5"), (math.pi / 4, "pi/4"))
-
-
-def _resolve_seed(ctx, param, seed):
-    if seed is not None:
-        return seed
-    raw = os.environ.get("DFSBELL_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise click.UsageError(f"DFSBELL_SEED must be an integer, got {raw!r}")
-    if seed < 0:
-        raise click.UsageError(f"DFSBELL_SEED must be non-negative, got {raw!r}")
-    return seed
-
-
-def _finite(ctx, param, value):
-    # FloatRange compares with < and >, which every NaN passes
-    if not math.isfinite(value):
-        raise click.BadParameter(f"{value!r} is not a finite number")
-    return value
 
 
 def _grid(ctx, param, value):
@@ -105,8 +80,7 @@ def _correlations_section(seed, *, rotations: int, identity_tol: float) -> Secti
 
 
 def _simulation_section(seed, frame_seed, *, sim_rounds: int) -> Section:
-    rec = localmeas.run_experiment(sim_rounds, settings_policy="random",
-                                   rotations_policy="fresh", seed=seed)
+    rec = localmeas.run_experiment(sim_rounds, rotations_policy="fresh", seed=seed)
     drift, worst = localmeas.max_frame_drift(_FRAME_PAIRS, frame_seed)
     checks = []
     for sa, sb, oa, ob in hardy.ZERO_EVENTS:
@@ -318,8 +292,8 @@ def _emit(name: str, seed: int = 0, **config) -> None:
 # Round, rotation and sample counts; numpy sizes its arrays by int64.
 _COUNT = click.IntRange(min=1, max=2 ** 63 - 1)
 
-_seed_option = click.option("--seed", default=None, type=click.IntRange(min=0),
-                            callback=_resolve_seed, help="Root RNG seed.")
+_seed_option = click.option("--seed", default=0, show_default=True,
+                            type=click.IntRange(min=0), help="Root RNG seed.")
 
 
 def _config_option(flag: str, key: str, **kwargs):
@@ -350,9 +324,6 @@ def main():
 @_config_option("--rotations", "rotations", type=_COUNT,
                 help="Random rotation tuples to sample.")
 @_seed_option
-@_config_option("--tol", "identity_tol", type=click.FloatRange(min=0.0),
-                callback=_finite,
-                help="Allowed deviation from the closed-form values.")
 def verify_correlations_cmd(**options):
     """Check the four correlation identities, with and without rotations."""
     _emit("correlations", **options)
@@ -364,25 +335,13 @@ def verify_correlations_cmd(**options):
 @_seed_option
 @click.option("--rotate-each-round", is_flag=True,
               help="Give each wing a fresh random reference frame every round.")
-@click.option("--out", default=None, type=click.Path(dir_okay=False),
-              help="Write the tally record as JSON to this file.")
-def simulate_cmd(sim_rounds, seed, rotate_each_round, out):
+def simulate_cmd(sim_rounds, seed, rotate_each_round):
     """Simulate two-wing measurement rounds and emit the tally record."""
     policy = "fresh" if rotate_each_round else "identity"
     stream = SECTIONS["simulation"].streams[0]
-    rec = localmeas.run_experiment(sim_rounds, settings_policy="random",
-                                   rotations_policy=policy,
+    rec = localmeas.run_experiment(sim_rounds, rotations_policy=policy,
                                    seed=_subseed(seed, stream))
-    payload = json.dumps(rec.to_dict(), indent=2) + "\n"
-    if out is None:
-        click.echo(payload, nl=False)
-        return
-    try:
-        Path(out).write_text(payload)
-    except OSError as exc:
-        click.echo(f"cannot write {out}: {exc}", err=True)
-        sys.exit(3)
-    click.echo(f"wrote {out}")
+    click.echo(json.dumps(rec.to_dict(), indent=2))
 
 
 @main.command("verify-decoherence")

@@ -86,7 +86,7 @@ class CollectiveChannel:
     scope: str = "global"
 
     def __post_init__(self):
-        check_count("n_samples", self.n_samples, "must be positive")
+        check_count("n_samples", self.n_samples)
         if self.scope not in _SCOPES:
             raise ValueError(f"scope must be one of {_SCOPES}")
 

@@ -138,6 +138,7 @@ def feasible_state(alpha_a: float, alpha_b: float) -> HardyInstance:
     Not unique when both angles are pi/2, where the rows lose rank and every
     feasible state has probability zero; raises ValueError there.
     """
+    check_finite(alpha_a, alpha_b)
     amps = _feasible_amplitudes(axis_rows(alpha_a), axis_rows(alpha_b))
     return HardyInstance(tuple(amps), alpha_a, alpha_b)
 
@@ -370,6 +371,7 @@ def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
     the feasible state unique up to phase; the rank drops only when both
     angles are pi/2.
     """
+    check_finite(alpha_a, alpha_b)
     rows = _coefficient_rows(alpha_a, alpha_b)
     s = np.linalg.svd(np.array([rows[e] for e in ZERO_EVENTS]), compute_uv=False)
     return int(np.count_nonzero(np.cumprod(s) >= _RANK_TOL))

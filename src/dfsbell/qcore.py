@@ -57,12 +57,16 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(np.vdot(a, a).real)
 
 
+def _check_integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_count(name: str, value, rule: str = "must be >= 1") -> int:
     """``value`` as an int if it is an integer (not a bool or a float) of at
     least 1; otherwise ValueError, ``f"{name} {rule}"`` below 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
+    if _check_integer(name, value) < 1:
         raise ValueError(f"{name} {rule}")
     return int(value)
 
@@ -175,11 +179,11 @@ def basis_state(bits) -> QuantumState:
 def permute_qubits(s: QuantumState, perm) -> QuantumState:
     """Reorder qubits: output qubit k carries input qubit perm[k-1] (1-based).
 
-    ``perm`` must be a bijection of {1..n}; a transposition such as
-    (1, 3, 2, 4) swaps qubits 2 and 3.
+    ``perm`` must be a bijection of {1..n} in integers; a transposition such
+    as (1, 3, 2, 4) swaps qubits 2 and 3.
     """
     n = s.n_qubits
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(_check_integer("perm label", p) for p in perm)
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"perm {perm} is not a bijection of 1..{n}")
     axes = [p - 1 for p in perm]
@@ -379,7 +383,7 @@ def partial_trace(state_or_rho, keep) -> DensityOperator:
         n = state_or_rho.n_qubits
     else:
         raise TypeError("expected QuantumState or DensityOperator")
-    keep = sorted(int(k) for k in keep)
+    keep = sorted(_check_integer("keep label", k) for k in keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
     if keep[0] < 1 or keep[-1] > n or len(set(keep)) != len(keep):

@@ -175,11 +175,17 @@ def test_criterion_10_report_determinism():
     # section must equal the command's output byte for byte
     sections = {s["name"]: s for s in json.loads(outputs[0])["sections"]}
     reproduced = []
-    for cmd, name in (("verify-correlations", "correlation identities"),
-                      ("verify-decoherence", "collective decoherence immunity")):
-        result = runner.invoke(cli_main, [cmd, "--seed", "7"])
+    # (the last three sections draw nothing, so their commands print no seed)
+    for cmd, name, seed in (
+            (["verify-correlations", "--seed", "7"], "correlation identities", 7),
+            (["verify-decoherence", "--seed", "7"],
+             "collective decoherence immunity", 7),
+            (["verify-distinguish"], "distinguishable-pair scan", None),
+            (["optimize-hardy"], "Hardy optimization", None),
+            (["lhv-check"], "local model feasibility", None)):
+        result = runner.invoke(cli_main, cmd)
         checks = tuple(Check(**c) for c in sections[name]["checks"])
-        mini = Report(title=f"dfsbell: {name}", seed=7, config={},
+        mini = Report(title=f"dfsbell: {name}", seed=seed, config={},
                       sections=(Section(name, checks),))
         reproduced.append(result.output == render_text(mini))
     # every check names one of the four sources the schema admits; a

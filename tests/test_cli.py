@@ -56,18 +56,12 @@ def test_verify_correlations_passes():
     assert "overall: PASS" in result.output
 
 
-def test_seed_env_fallback_matches_explicit_seed():
-    explicit = _run(["verify-correlations", "--rotations", "3", "--seed", "9"])
-    via_env = _run(["verify-correlations", "--rotations", "3"],
+def test_seed_is_zero_without_the_option_whatever_the_environment():
+    explicit = _run(["verify-correlations", "--rotations", "3", "--seed", "0"])
+    default = _run(["verify-correlations", "--rotations", "3"],
                    env={"DFSBELL_SEED": "9"})
-    assert explicit.output == via_env.output
-
-
-def test_invalid_seed_env_is_usage_error():
-    result = _run(["verify-correlations", "--rotations", "1"],
-                  env={"DFSBELL_SEED": "ten"})
-    assert result.exit_code == 2
-    assert "DFSBELL_SEED" in result.output
+    assert default.output.splitlines()[1] == "seed 0"
+    assert default.output == explicit.output
 
 
 def test_simulate_stdout_json():
@@ -78,12 +72,11 @@ def test_simulate_stdout_json():
     assert payload["rotations_policy"] == "identity"
 
 
-def test_simulate_rotate_flag_and_outfile(tmp_path):
-    out = tmp_path / "rec.json"
+def test_simulate_rotate_flag():
     result = _run(["simulate", "--rounds", "50", "--seed", "3",
-                   "--rotate-each-round", "--out", str(out)])
+                   "--rotate-each-round"])
     assert result.exit_code == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(result.output)
     assert payload["rotations_policy"] == "fresh"
 
 
@@ -96,13 +89,6 @@ def test_simulate_tallies_the_simulation_section():
     check = next(c for c in section.checks
                  if c.name == "(G,G) outcome (+1,+1) frequency")
     assert counts["+1,+1"] / sum(counts.values()) == check.value
-
-
-def test_simulate_unwritable_outfile_is_io_error():
-    result = _run(["simulate", "--rounds", "10",
-                   "--out", "/nonexistent-dir/rec.json"])
-    assert result.exit_code == 3
-    assert "cannot write" in result.output
 
 
 def test_verify_decoherence_passes():
@@ -240,26 +226,6 @@ def test_negative_seed_option_is_usage_error():
         result = _run(cmd + ["--seed", "-3"])
         assert result.exit_code == 2, cmd
         assert "--seed" in result.output
-
-
-def test_negative_seed_env_is_usage_error():
-    result = _run(["verify-correlations", "--rotations", "2"],
-                  env={"DFSBELL_SEED": "-3"})
-    assert result.exit_code == 2
-    assert "DFSBELL_SEED" in result.output
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_bad_tolerance_is_usage_error(tol):
-    result = _run(["verify-correlations", "--rotations", "2", "--tol", tol])
-    assert result.exit_code == 2
-    assert "--tol" in result.output
-
-
-def test_zero_tolerance_is_accepted():
-    result = _run(["verify-correlations", "--rotations", "2", "--seed", "5",
-                   "--tol", "0"])
-    assert result.exit_code in (0, 1)
 
 
 def test_report_all_timing_names_every_section(monkeypatch):

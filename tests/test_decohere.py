@@ -19,7 +19,7 @@ def _density(s):
 
 
 def test_channel_validation():
-    with pytest.raises(ValueError, match="n_samples must be positive"):
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
         CollectiveChannel(n_samples=0)
     for n in (2.5, True):
         with pytest.raises(ValueError, match="n_samples must be an integer"):

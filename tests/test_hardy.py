@@ -62,6 +62,15 @@ def test_feasible_state_degenerate_angles():
         feasible_state(math.pi / 2, math.pi / 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_angles_that_are_not_finite_are_refused_as_angles(bad):
+    for call in (lambda: feasible_state(bad, 0.3),
+                 lambda: zero_constraint_rank(0.1, bad),
+                 lambda: optimize_constrained(bad)):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            call()
+
+
 def test_zero_constraint_rank():
     rng = np.random.default_rng(63)
     for aa, ab in rng.uniform(0.0, math.pi / 2, size=(20, 2)):

@@ -48,8 +48,11 @@ def test_permute_qubits_transposition():
     s = basis_state("0100")
     swapped = permute_qubits(s, (1, 3, 2, 4))
     assert swapped.amplitudes[0b0010] == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a bijection"):
         permute_qubits(s, (1, 2, 2, 4))
+    for perm in ((1.2, 3.9, 2, 4), (True, 3, 2, 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            permute_qubits(s, perm)
 
 
 def test_permute_qubits_inverse_roundtrip():
@@ -323,10 +326,13 @@ def test_partial_trace_accepts_density_and_validates_labels():
     rho = DensityOperator(np.outer(s.amplitudes, s.amplitudes.conj()))
     via_rho = partial_trace(rho, keep=(2, 4))
     assert np.allclose(direct.matrix, via_rho.matrix)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a subset"):
         partial_trace(s, keep=(0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a subset"):
         partial_trace(s, keep=(1, 1))
+    for keep in ((1.7, 2, 3, 4), (True, 2, 3, 4)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            partial_trace(s, keep=keep)
 
 
 def test_density_operator_validation():
