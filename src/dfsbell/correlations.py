@@ -1,16 +1,10 @@
 """Exact joint and conditional outcome probabilities on the two-wing state.
 
 Alice holds qubits 1-4, Bob qubits 5-8.  Each wing measures a rank-2
-observable (F or G, possibly conjugated by a collective rotation of that
-wing); outcomes are -1, +1, or "null" for the 14-dimensional complement.
-All probabilities here are computed analytically from amplitudes, never
-sampled.
-
-A wing's measurement is the matrix of its two eigen-bras (conjugated
-eigenvectors, the -1 row then the +1 row); a rotated setting turns them
-with ``qcore.wing_bras`` and ``qcore.joint_probs`` gives the labelled pair
-probabilities.  The correlation suite evaluates all its rotation tuples in
-one batched call.
+observable, F or G, possibly turned by a collective rotation of that wing,
+through its two eigen-bras, the -1 row then the +1 row; outcomes are -1, +1,
+or "null" for the 14-dimensional complement.  Every probability is computed
+from amplitudes, never sampled.
 """
 
 from __future__ import annotations
@@ -195,14 +189,11 @@ class CorrelationSuiteResult:
 
 def verify_correlation_suite(n_rotation_samples: int = 100,
                              seed=0) -> CorrelationSuiteResult:
-    """Recompute the four correlation quantities under random rotation tuples.
-
-    Each sample draws four independent Haar rotations (one per wing per
-    observable, in the order F on Alice, G on Alice, F on Bob, G on Bob) and
-    records the worst deviation from the closed-form values.  Also tracks
-    the largest null-outcome probability over all four settings, unrotated
-    and rotated, which must stay at zero for spin-zero states.
-    """
+    """The four correlation quantities unrotated, and their worst deviation
+    from ``EXPECTED_CORRELATIONS`` over ``n_rotation_samples`` tuples of four
+    Haar rotations, drawn in ``_SUITE_SETTINGS`` order, with the largest
+    null-outcome probability of any setting, which spin-zero states hold at
+    zero."""
     check_count("n_rotation_samples", n_rotation_samples)
     m = make_eta().amplitudes.reshape(16, 16)
     rng = np.random.default_rng(seed)

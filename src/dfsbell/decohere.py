@@ -1,49 +1,15 @@
 """Collective rotation noise and which states survive it.
 
-The noise model applies the same random SU(2) element to every qubit in
-scope: either one draw for the whole register, or independent draws for the
-two wings.  Singlet-sector states are exactly invariant under either scope,
-so their fidelity with the noisy state is 1 for every draw, not just on
-average.  Reference states outside the sector (a computational basis word, a
-GHZ state) lose most of their fidelity, which calibrates the comparison.
-
-Every draw takes its frames from the seeded stream in chunks of CHUNK
-(1,024) draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in
-the global scope, (k, 2) per wing, so that draw by draw Alice's frame comes
-before Bob's, as k single draws would give them.  The default 1,000 draws
-are one chunk per state, and the chunk bounds memory for any larger count.
-
-Each state is scored on its support only: r orthonormal columns S, cut
-where an eigenvalue falls below the 1e-12 that ``state_fidelity`` chops to
-zero.  It takes the (r^2, 35) ``qcore.turn_table`` of S^dagger and S per
-wing, whose ``qcore.collective_turn`` is the r x r table S^dagger U^(x4) S,
-and each chunk makes one turn per wing, with no U^(x4) formed and no turned
-state or density operator built.
-
-- A pure state, as a 16 x 16 matrix M with Alice's index first when it has
-  8 qubits, keeps the r eigenvectors L of M M^dagger past the cut (its
-  Schmidt support; r = 2 for the two-wing state).  With R = M^dagger L it
-  gives <psi|U_a^(x4) x U_b^(x4)|psi> = sum_ij X_ij Y_ij for the tables
-  X = L^dagger U_a^(x4) L and Y = R^T U_b^(x4) conj(R), not 16 x 16.  This
-  scores psi' = (L L^dagger x 1) psi, which differs from psi by a vector of
-  squared norm e, the sum of the dropped eigenvalues (below 1.5e-11); the
-  fidelity moves by at most 4 sqrt(e) + 2 e.  When psi has Schmidt rank r
-  exactly, as the two-wing state does, e is rounding noise.  A 4-qubit
-  state is the one-wing case L = psi, whose 1 x 1 table is the overlap
-  <psi|rotated>.  Either way the fidelity is the overlap's squared modulus.
-- A 4-qubit density operator rho = V D^2 V^dagger keeps its eigenvectors V
-  past the cut and D = diag(sqrt p) of their eigenvalues p.  With
-  sqrt(rho) = V D V^dagger, the Uhlmann fidelity with
-  sigma = U^(x4) rho U^(x4)^dagger is ||sqrt(rho) U^(x4) sqrt(rho)||_1^2, the
-  squared sum of the singular values of D X D for X = V^dagger U^(x4) V: the
-  square roots of the eigenvalues of (D X D)(D X D)^dagger, which are the
-  nonzero eigenvalues of sqrt(rho) sigma sqrt(rho), one batched eigensolve
-  per chunk.  The identity needs U unitary, and the final clamp to 1 would
-  hide a frame that is not, so every chunk's frames pass
-  ``qcore.check_unitary`` first.
-
-``state_fidelity`` is the per-draw route the tests compare the chunks
-against.
+The noise applies one random SU(2) frame to every qubit in scope: one draw
+for the whole register ("global"), or independent draws for the two wings
+("per-wing").  Singlet-sector states are invariant under either, so their
+fidelity is 1 for every draw; reference states outside the sector lose most
+of theirs.  ``fidelity_samples`` scores each state on its support, through
+r x r tables S^dagger U^(x4) S and no U^(x4)
+(test_every_turned_table_has_r_squared_rows): a pure state by an overlap
+(test_pure_chunks_match_the_per_draw_route), a density operator by Uhlmann's
+fidelity (test_density_chunks_match_the_per_draw_route).  ``state_fidelity``
+is the per-draw route those tests compare against.
 """
 
 from __future__ import annotations
@@ -76,11 +42,8 @@ _SCOPES = ("global", "per-wing")
 
 @dataclass(frozen=True)
 class CollectiveChannel:
-    """Random collective rotations, averaged over ``n_samples`` Haar draws.
-
-    scope "global" rotates every qubit by one common element; "per-wing"
-    draws independently for the first and second half of the register.
-    """
+    """``n_samples`` (an integer of at least 1) Haar collective rotations of
+    ``scope`` "global" or "per-wing"; ValueError otherwise."""
 
     n_samples: int = 1000
     scope: str = "global"
@@ -101,13 +64,10 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
 
 
 def state_fidelity(a, b) -> float:
-    """Fidelity between states or density operators (squared-overlap form).
-
-    Eigenvalues below 1e-12 are treated as exact zeros in the mixed-mixed
-    branch; the square root otherwise amplifies their noise past the
-    immunity tolerance.  This is the per-draw route: the tests rebuild each
-    draw of ``fidelity_samples`` from single frames and compare through it.
-    """
+    """Fidelity between states or density operators (squared-overlap form),
+    clamped to 1.  Between two density operators eigenvalues below 1e-12 are
+    exact zeros, whose noise the square root would amplify past the immunity
+    tolerance."""
     if isinstance(a, QuantumState) and isinstance(b, QuantumState):
         return min(1.0, float(abs(a.overlap(b)) ** 2))
     if isinstance(a, QuantumState):
@@ -125,8 +85,8 @@ def _mixed_fidelities(table: np.ndarray, d: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
     (k, 2, 2) frames, on rho's support: ``table`` is the (r r, 35)
-    ``turn_table`` of X in the module docstring, and ``d`` (r,) the square
-    roots of the kept eigenvalues."""
+    ``turn_table`` of X = V^dagger U^(x4) V, and ``d`` (r,) the square roots
+    of the kept eigenvalues (test_density_chunks_match_the_per_draw_route)."""
     x = collective_turn(table, check_unitary(u)).T.reshape(-1, len(d), len(d))
     dxd = d[:, None] * x * d
     ev = np.linalg.eigvalsh(dxd @ dxd.conj().swapaxes(-1, -2))
@@ -135,9 +95,9 @@ def _mixed_fidelities(table: np.ndarray, d: np.ndarray,
 
 def _pure_fidelities(tables: tuple, u: np.ndarray) -> np.ndarray:
     """|<psi|rotated>|^2 of a pure state for a chunk of frames, on its
-    Schmidt support: ``tables`` holds the (r r, 35) ``turn_table``s of X, or
-    of X and Y, in the module docstring.  ``u`` is (k, 2, 2) in the global
-    scope and (k, 2, 2, 2) per wing, Alice's frame first."""
+    Schmidt support, from the ``turn_table``s of one or both wings
+    (test_pure_chunks_match_the_per_draw_route).  ``u`` is (k, 2, 2) in the
+    global scope and (k, 2, 2, 2) per wing, Alice's frame first."""
     wings = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
     overlaps = np.prod([collective_turn(t, w) for t, w in zip(tables, wings)],
                        axis=0).sum(axis=0)
@@ -153,13 +113,10 @@ def _support(h: np.ndarray):
 
 
 def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
-    """Per-draw fidelity between a state (pure or mixed) and its rotated copy.
-
-    Draw i of the result uses the frames of draw i of the stream, in the
-    order of the module docstring.  A pure state must have 4 or 8 qubits,
-    a density operator 4, and the per-wing scope takes only a pure 8-qubit
-    state; other inputs raise ValueError before any draw.
-    """
+    """Per-draw fidelity between a state and its rotated copy, draw i from
+    the frames of draw i of the seeded stream, Alice's before Bob's.  It takes
+    a pure state of 4 or 8 qubits or a density operator of 4, per wing only a
+    pure 8-qubit state; other inputs raise ValueError before any draw."""
     if isinstance(state, DensityOperator):
         if channel.scope != "global":
             raise ValueError("density operators support only the global scope")
@@ -217,14 +174,11 @@ def _ghz4() -> QuantumState:
 
 
 def immunity_report(n_samples: int = 1000, seed=0) -> ImmunityReport:
-    """Fidelity statistics for the protected states and two references.
-
-    The four sector basis states face the global channel; the two-wing state
-    faces independent per-wing rotations, the stricter scope it must survive.
-    A state counts as immune when the smallest sampled fidelity stays within
-    IMMUNITY_ATOL of 1.  The references (a basis word and a GHZ state, mean
-    fidelity 1/5 each under the global channel) show what failure looks like.
-    """
+    """Fidelity statistics of the sector states, the reduced density (global
+    channel) and the two-wing state (per wing), and of two references, a
+    basis word and a GHZ state, whose mean fidelity is 1/5
+    (test_reference_states_lose_fidelity).  A state is immune when its
+    smallest fidelity is within IMMUNITY_ATOL of 1."""
     cases = [
         ("sector phi0", dfs_states.make_phi0(), "global"),
         ("sector phi1", dfs_states.make_phi1(), "global"),

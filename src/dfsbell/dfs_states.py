@@ -1,22 +1,15 @@
 """Four-qubit singlet-sector states and the rank-2 observables built on them.
 
-The total-spin-zero subspace of four qubits is two dimensional.  We use the
-orthonormal basis
+The total-spin-zero subspace of four qubits has the orthonormal basis
 
     |phi0> = (|0101> - |0110> - |1001> + |1010>) / 2
     |phi1> = (2|0011> - |0101> - |0110> - |1001> - |1010> + 2|1100>) / (2 sqrt 3)
 
-i.e. |phi0> is the product of singlets on pairs (1,2) and (3,4).  Every state
-in this span is invariant under U x U x U x U for U in SU(2), which is what
-makes all constructions here immune to collective rotations.
-
-One integer table defines the sector: V0 = 2 phi0 and V1 = 2 sqrt3 phi1 are
-integer vectors, the columns of V with norms V_NORMS, and so is
-ETA_INT = 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0, whose coefficients over
-V_i (x) V_j are ETA_TABLE.  Every float of the sector is one of them scaled
-to unit norm: the (16, 2) basis SECTOR of columns phi0 and phi1, eta, and
-eta's coefficients ETA_COEFFS over phi_i (x) phi_j.  Sector coordinates c
-are the amplitudes SECTOR @ c, and SECTOR.T maps a sector state back to c.
+|phi0> being the product of singlets on pairs (1,2) and (3,4).  Every state
+in this span is invariant under U x U x U x U for U in SU(2).  The integer
+vectors V0 = 2 phi0 and V1 = 2 sqrt3 phi1 (the columns of V) and ETA_INT =
+4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0 define the sector; SECTOR, eta and
+ETA_COEFFS are these scaled to unit norm (test_the_integer_table_is_the_sector).
 """
 
 from __future__ import annotations
@@ -73,22 +66,17 @@ def make_psi1() -> QuantumState:
 
 
 def make_eta() -> QuantumState:
-    """Eight-qubit two-wing resource state (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3 |phi1 phi0>)/sqrt 7.
-
-    The |phi1 phi1> component is absent by construction; that single missing
-    term is what forbids the (+1, +1) outcome when both wings measure F.
-    """
+    """Eight-qubit two-wing state (|phi0 phi0> + sqrt3 |phi0 phi1> + sqrt3
+    |phi1 phi0>)/sqrt 7; its missing |phi1 phi1> term forbids (+1, +1) when
+    both wings measure F."""
     return QuantumState(ETA_INT * _ETA_SCALE)
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Two-outcome observable: eigenvalue -1 on ``minus``, +1 on ``plus``.
-
-    The orthogonal complement of the two eigenvectors is the explicit "null"
-    outcome, kept so that "null never occurs" is a testable statement rather
-    than an assumption.
-    """
+    """Two-outcome observable: eigenvalue -1 on ``minus``, +1 on ``plus``,
+    orthogonal within ATOL.  Their complement is the explicit "null" outcome,
+    so that "null never occurs" is tested rather than assumed."""
 
     minus: QuantumState
     plus: QuantumState
@@ -115,10 +103,7 @@ def make_g() -> Observable:
 
 
 def dfs_observable(alpha: float) -> Observable:
-    """Rank-2 observable whose -1 eigenvector is cos(a)|phi0> + sin(a)|phi1>.
-
-    Its eigenvectors are the rows of ``axis_rows(alpha)`` over (phi0, phi1).
-    alpha = 0 reproduces F up to an eigenvector sign; alpha = pi/3 reproduces
-    G exactly, since |psi0> = cos(pi/3)|phi0> + sin(pi/3)|phi1>.
-    """
+    """Rank-2 observable whose eigenvectors are the rows of
+    ``axis_rows(alpha)`` over (phi0, phi1): F up to a sign at 0, and G at
+    pi/3, since |psi0> = cos(pi/3)|phi0> + sin(pi/3)|phi1>."""
     return Observable(*(QuantumState(SECTOR @ row) for row in axis_rows(alpha)))

@@ -1,24 +1,14 @@
 """Hardy-type logic on the two-wing singlet sectors.
 
-Each wing carries a protected qubit spanned by the wing's two singlet-sector
-basis states.  Alice and Bob each choose between the fixed observable F and
-a rotated one G, whose bras are the rows of ``axis_rows`` at 0 and alpha.  A
-state is a Hardy witness when the three joint probabilities of
-``ZERO_EVENTS`` vanish exactly while that of ``POSITIVE_EVENT`` stays
+Each wing carries a protected qubit spanned by its two sector basis states,
+and chooses between the fixed observable F and a rotated one G, whose bras
+are the rows of ``axis_rows`` at 0 and alpha.  A Hardy witness has the three
+probabilities of ``ZERO_EVENTS`` zero and that of ``POSITIVE_EVENT``
 positive; on the shared state it is ``P_POSITIVE`` = 9/112.
-
-Any local deterministic model satisfying the three zeros is forced to assign
-zero weight to every strategy consistent with the fourth event, so a positive
-fourth probability has no local account.  ``lhv_feasibility`` certifies this
-in exact rational arithmetic.
-
-The three zeros are real linear rows on the amplitudes c in C^4, of rank 3
-unless both angles are pi/2, so the feasible state is unique up to phase
-(``feasible_state``).  With x = sin^2(alpha_a), y = sin^2(alpha_b) its fourth
-probability is P = x (1 - x) y (1 - y) / (1 - x y).  P is 0 on the whole
-boundary of the unit square and its only interior stationary point is
-x = y = (sqrt 5 - 1)/2, so both optima, at a fixed angle and with the angles
-free, are closed form and need no search.
+``lhv_feasibility`` shows in exact arithmetic that no local deterministic
+model meets that pattern (test_lhv_standard_scenario_is_infeasible).  Both
+optima are closed form, through the reduction of the positive-event
+probability to P(x, y) (test_exact_certificate_of_both_optima).
 """
 
 from __future__ import annotations
@@ -59,16 +49,9 @@ _RANK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HardyInstance:
-    """A two-wing protected-qubit state plus the two rotated-observable angles.
-
-    Parameters
-    ----------
-    amplitudes : tuple of 4 complex
-        Coefficients (c00, c01, c10, c11) over the product of per-wing basis
-        states, normalized to unit length.
-    alpha_a, alpha_b : float
-        Rotation angles of Alice's and Bob's second observable.
-    """
+    """A two-wing protected-qubit state, its unit-norm coefficients (c00,
+    c01, c10, c11) over the products of the wings' basis states, plus the
+    finite angles of Alice's and Bob's G; ValueError otherwise."""
 
     amplitudes: tuple
     alpha_a: float
@@ -88,12 +71,9 @@ class HardyInstance:
 
 
 def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
-    """Real coefficient vectors of the four Hardy events, keyed by event.
-
-    Each event's probability is |row . c|^2 where c are the instance
-    amplitudes; the row is the Kronecker product of the two wings' bras
-    (outcome -1 first in each wing's rows).
-    """
+    """Real rows of the four Hardy events, keyed by event: each event's
+    probability is |row . c|^2 for the amplitudes c, the row the Kronecker
+    product of the two wings' bras."""
     alice = {"F": _F_ROWS, "G": axis_rows(alpha_a)}
     bob = {"F": _F_ROWS, "G": axis_rows(alpha_b)}
     return {
@@ -104,15 +84,8 @@ def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
 
 
 def hardy_probability(inst: HardyInstance):
-    """The positive-event probability and the three zero-constraint residuals.
-
-    Returns
-    -------
-    (float, dict)
-        The probability of ``POSITIVE_EVENT``, and the residual joint
-        probabilities that a Hardy witness must hold at zero, keyed by the
-        events of ``ZERO_EVENTS``.
-    """
+    """``(p, residuals)``: the probability of ``POSITIVE_EVENT``, and those of
+    the ``ZERO_EVENTS``, which a witness holds at zero, keyed by event."""
     rows = _coefficient_rows(inst.alpha_a, inst.alpha_b)
     c = np.array(inst.amplitudes)
     vals = {event: float(abs(np.dot(row, c)) ** 2) for event, row in rows.items()}
@@ -144,15 +117,10 @@ def feasible_state(alpha_a: float, alpha_b: float) -> HardyInstance:
 
 
 def grid_probabilities(n: int) -> np.ndarray:
-    """Positive-event probability of the feasible state at every grid pair.
-
-    Entry (ka, kb) is ``hardy_probability(feasible_state(ka * step, kb *
-    step))[0]`` with step = pi / (2 n), to a few ulps, in one array pass: the
-    feasible states of every pair as ``feasible_state`` builds them, from the
-    n ``axis_rows``, and the event's amplitude as one einsum of its own rows.
-    Raises ValueError where ``feasible_state`` would, and unless n is an
-    integer of at least 1.
-    """
+    """(n, n) array whose entry (ka, kb) is ``hardy_probability(
+    feasible_state(ka * step, kb * step))[0]``, step = pi / (2 n), to a few
+    ulps, in one array pass.  ValueError where ``feasible_state`` would, and
+    unless n is an integer of at least 1."""
     check_count("n", n)
     step = math.pi / (2 * n)
     rows = np.stack([axis_rows(k * step) for k in range(n)])
@@ -169,6 +137,7 @@ def fixed_angle_maximum(alpha: float) -> float:
 
     Closed form sin^4(a) cos^2(a) / (1 + sin^2(a)); equals 9/112 at pi/3.
     """
+    check_finite(alpha)
     s2 = math.sin(alpha) ** 2
     return s2 * s2 * (1.0 - s2) / (1.0 + s2)
 
@@ -240,15 +209,10 @@ def standard_scenario(p_joint: Fraction = P_POSITIVE) -> LhvScenario:
 
 
 def _phase1_simplex(rows, rhs):
-    """Exact feasibility of rows @ w = rhs, w >= 0, by phase-1 simplex.
-
-    Bland's rule on an integer-preserving (Edmonds-Bareiss) tableau.  Rows
-    and right-hand sides are scaled by the lcm of their denominators and the
-    artificial columns kept at I: a positive scaling of columns and of the
-    objective, which moves no sign, ratio order or tie, so every pivot is
-    the Fraction tableau's.  The stored integers over the last pivot d are
-    that tableau, each pivot updates a row as (p a - f q) // d, exactly, and
-    the ratio test cross-multiplies.  Returns the solution list or None.
+    """Exact feasibility of rows @ w = rhs, w >= 0, by phase-1 simplex with
+    Bland's rule: the solution list, or None.  It pivots in integers, each
+    pivot the Fraction tableau's
+    (test_phase1_simplex_matches_the_fraction_tableau).
     """
     m, n = len(rows), len(rows[0])
     scale = math.lcm(*(a.denominator for row in rows for a in row),
@@ -305,18 +269,11 @@ def _strategy_label(s) -> str:
 
 
 def lhv_feasibility(scenario: LhvScenario):
-    """Decide whether any local deterministic weighting meets the scenario.
-
-    Solves the exact linear program over the 16 strategy weights (the
-    constraints plus normalization).  On infeasibility the certificate walks
-    the forced-zero propagation: each zero constraint kills its consistent
-    strategies, and a positive constraint whose support is fully killed is
-    the contradiction.
-
-    Returns
-    -------
-    Feasible or Infeasible
-    """
+    """``Feasible`` with weights over the 16 strategies that meet the
+    scenario and sum to 1, by the exact linear program, or ``Infeasible``.
+    Its certificate walks the forced zeros: each zero constraint kills its
+    strategies, and a positive constraint whose support is all killed is the
+    contradiction."""
     rows = [[Fraction(int(con.predicate(s))) for s in STRATEGIES]
             for con in scenario.constraints]
     rows.append([Fraction(1)] * len(STRATEGIES))
@@ -363,14 +320,10 @@ class OptimizationResult:
 
 
 def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
-    """Rank of the three zero-constraint rows at these angles.
-
-    The largest k whose k leading singular values multiply to at least
-    ``_RANK_TOL``; at k = 3 that product is the volume the rows span, so the
-    rank is below 3 exactly where ``feasible_state`` raises.  Rank 3 makes
-    the feasible state unique up to phase; the rank drops only when both
-    angles are pi/2.
-    """
+    """Rank of the three zero-constraint rows at these finite angles: the
+    largest k whose k leading singular values multiply to at least
+    ``_RANK_TOL``, so it is below 3 exactly where ``feasible_state`` raises,
+    which happens only when both angles are pi/2 (mod pi)."""
     check_finite(alpha_a, alpha_b)
     rows = _coefficient_rows(alpha_a, alpha_b)
     s = np.linalg.svd(np.array([rows[e] for e in ZERO_EVENTS]), compute_uv=False)
@@ -379,14 +332,11 @@ def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
 
 def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,
                          seed=0) -> OptimizationResult:
-    """Maximize the positive-event probability at a fixed common angle.
-
-    With rank-3 zero constraints the feasible state is unique up to phase,
-    so it is the maximizer: no search is needed (the result reports one
-    feasible point).  At alpha = pi/3 the optimum is 9/112.  Where the rank
-    drops (alpha = pi/2 mod pi), ``feasible_state`` raises ValueError.
-    ``n_starts`` and ``seed`` are unused, kept while the benchmark passes
-    them (ROADMAP item 1, test_benchmark_calls_match_the_package).
+    """The largest positive-event probability at a common angle alpha: that
+    of the feasible state, unique up to phase, 9/112 at pi/3.  ValueError
+    where the rank drops.  ``n_starts`` and ``seed`` are unused, kept while
+    the benchmark passes them (ROADMAP item 1,
+    test_benchmark_calls_match_the_package).
     """
     inst = feasible_state(alpha, alpha)
     p, residuals = hardy_probability(inst)
@@ -394,14 +344,9 @@ def optimize_constrained(alpha: float = math.pi / 3, n_starts: int = 64,
 
 
 def optimize_unconstrained_measurements(n_starts: int = 64, seed=0) -> OptimizationResult:
-    """Maximize over both angles, the state following as the feasible state.
-
-    P = x (1 - x) y (1 - y) / (1 - x y) is 0 on the whole boundary of the
-    square of x = sin^2(alpha_a), y = sin^2(alpha_b), and its only interior
-    stationary point is x = y = (sqrt 5 - 1)/2 (the exact certificate is in
-    the tests), so that point is the maximum: the fixed-angle optimum at
-    sin^2(alpha) = (sqrt 5 - 1)/2, probability ((sqrt 5 - 1)/2)^5.  No search
-    is needed (the result reports one feasible point); ``n_starts`` and
-    ``seed`` are unused and kept as in ``optimize_constrained``.
-    """
+    """The largest positive-event probability over both angles: the
+    fixed-angle optimum at sin^2(alpha) = (sqrt 5 - 1)/2, probability
+    ((sqrt 5 - 1)/2)^5 (test_exact_certificate_of_both_optima).
+    ``n_starts`` and ``seed`` are unused and kept as in
+    ``optimize_constrained``."""
     return optimize_constrained(math.asin(math.sqrt(FREE_OPTIMAL_SIN_SQ)))

@@ -1,45 +1,14 @@
 """Individual-qubit realization of the F and G measurements.
 
-Instead of projecting onto 16-dimensional eigenvectors, each wing measures
-every qubit separately: two qubits along a common direction and the other two
-along a perpendicular one.  A protocol is its four x-z plane angles, and the
-qubits that share an angle form its two pairs.  The 16-outcome word then
-classifies the wing's state: outcome -1 (the singlet-pair state) exactly when
-the bits differ within both pairs.  For F, qubits (1,2) share the z axis and
-(3,4) the x axis; G is the same table with qubits 2 and 3 exchanging roles.
-
-Every wing measurement is one matrix of bras, one row per outcome word
-(``qcore.product_bras``), and ``qcore.joint_probs`` gives the word-pair
-probabilities on the two-wing state.  The exact checks turn a wing's frame by
-``qcore.wing_bras`` of those rows.
-
-In unrotated frames every probability is exact: twice the bras are integer
-matrices B_p, so each setting pair's 256-word distribution is the integer
-table (B_a ETA_INT B_b^T)^2 over 1792.  Fixed frames draw from these tables,
-the frame-drift check compares against them, and ``exact_class_cells`` reads
-their outcome-pair cells as Fractions.
-
-The simulation keeps only word tallies.  Random settings draw the four setting
-pairs' round counts as one multinomial, the first draw of the seeded stream;
-fixed frames draw each setting pair's 256-word tally as one multinomial, fresh
-frames draw one word pair per round, and either way the tally is classified
-once into outcome pairs.  Fresh frames turn the state's factors instead of
-the bras: eta is L R^T with L = SECTOR ETA_COEFFS and R = SECTOR, and each
-wing's bras and factor are one ``qcore.turn_table``, built at import from the
-integer bras, V and ETA_TABLE and scaled once, so that a block of frames
-costs one ``qcore.collective_turn`` per wing.  Bob's turned R is orthonormal,
-so Alice's marginal ignores his frame: at the round's one uniform Alice's
-word comes from her 16-word marginal, then Bob's from his row given hers,
-which reads the 256 word pairs' inverse CDF in Alice-major order; in each
-stage a uniform past a row's end takes its last possible word.  Bob's row
-given Alice's word a is his two turned columns contracted with her turned row
-xa[a], since R xa[a] lies in R's span: linearity alone, no invariance of the
-state, and every frame is applied numerically on both wings.  Two units split
-the fresh-frame work: the seeded stream is drawn a chunk of
-``_ROUNDS_PER_CHUNK`` rounds at a time (Alice's frames, then Bob's, then the
-uniforms), and the word kernel runs on blocks of ``_FRAMES_PER_BLOCK`` of
-those frames, a size set by cache, not by the stream; a round's words depend
-on the rest of its block only through the rounding of the turn's product.
+Each wing measures every qubit separately along an x-z plane angle
+(``PROTOCOLS``); the qubits that share an angle form a pair, and an outcome
+word is -1 (the singlet-pair state) exactly when its bits differ within both
+pairs.  F pairs qubits (1,2) on the z axis and (3,4) on the x axis; G
+exchanges qubits 2 and 3.  ``run_experiment`` keeps only word tallies: fixed
+frames draw from the exact integer word tables
+(test_word_tables_are_exact_integer_distributions), and fresh frames draw
+each round's Alice word from her marginal, then Bob's given hers
+(test_two_stage_draw_is_the_bra_route_draw_for_draw).
 """
 
 from __future__ import annotations
@@ -86,11 +55,8 @@ def _thetas(protocol: str) -> tuple:
 
 
 def classify_outcome(word, protocol: str) -> int:
-    """Map a 4-bit outcome word to -1 (singlet-pair class) or +1.
-
-    The qubits that share an angle form a pair; the word is -1 exactly when
-    its bits differ within both pairs.
-    """
+    """-1 if the 4-bit outcome word's bits differ within both pairs of the
+    protocol (the singlet-pair class), else +1."""
     thetas = _thetas(protocol)
     bits = tuple(int(b) for b in word)
     if len(bits) != 4 or any(b not in (0, 1) for b in bits):
@@ -185,15 +151,10 @@ class ExperimentRecord:
 
 
 def _draw_words(p, r) -> tuple:
-    """Inverse-CDF word draws: column i of ``p``, frame last, clipped at
-    _PROB_CLIP, at r[i].
-
-    A column's last cumulative value can fall a few ulps short of the mass
-    it stands for, and an r above it would count past the last word; such a
-    draw takes the column's last word of positive probability.  Every other
-    draw is the plain count of cumulative values below r.  Returns the words
-    and the cumulative columns.
-    """
+    """``(words, cumulative columns)``: the inverse-CDF draw of column i of
+    ``p``, frame last, clipped at _PROB_CLIP, at r[i].  An r past a column's
+    last cumulative value, which can fall a few ulps short, draws the
+    column's last word of positive probability."""
     p = np.where(p < _PROB_CLIP, 0.0, p)
     c = np.cumsum(p, axis=0)
     words = (c < r).sum(axis=0)
@@ -203,14 +164,10 @@ def _draw_words(p, r) -> tuple:
 
 
 def _fresh_words(table_a, ua, table_b, ub, r) -> np.ndarray:
-    """Word pairs 16 a + b of the rounds in frames (ua, ub) at uniforms r.
-
-    ``table_a`` and ``table_b`` are the ``turn_table``s of each wing's bras
-    with the factors (L, R) of the state L R^T, R with orthonormal columns,
-    so Bob's turned R is orthonormal: Alice's marginal is the squared row
-    norms of her turned xa.  Bob's amplitudes given her word a are R xa[a]
-    turned, which by linearity is his turned R times xa[a].
-    """
+    """Word pairs 16 a + b of the rounds in frames (ua, ub) at uniforms r,
+    from the ``turn_table``s of each wing's bras with the factors (L, R) of
+    the state L R^T, R orthonormal
+    (test_two_stage_draw_needs_no_rotation_invariance)."""
     frames = np.arange(r.size)
     xa = collective_turn(table_a, ua.conj().swapaxes(-1, -2)).reshape(16, -1, r.size)
     pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)
@@ -241,14 +198,10 @@ def _sample_fresh_rotations(table_a, table_b, n, rng):
 
 
 def max_frame_drift(n_frames: int, seed) -> tuple:
-    """Largest change of a word-pair probability when both wings turn their frames.
-
-    Draws ``n_frames`` Haar pairs (U_a, U_b) and, for every setting pair,
-    compares the 256-word joint distribution of the rotated product bases on
-    the two-wing state with the exact unrotated one, its integer table over
-    its sum.  The alignment-free claim makes the drift zero up to rounding.
-    Returns the drift and the index of the frame pair that produced it.
-    """
+    """``(drift, index)``: the largest change of a word-pair probability of
+    any setting pair, over ``n_frames`` Haar frame pairs (U_a, U_b), from the
+    exact unrotated table, and the frame pair that gives it.  The
+    alignment-free claim makes the drift zero up to rounding."""
     check_count("n_frames", n_frames)
     rng = np.random.default_rng(seed)
     ua = haar_su2_batch(rng, (n_frames,))
@@ -264,13 +217,9 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
 
 
 def _word_tally(p, n: int, rng) -> np.ndarray:
-    """Word tally of n rounds that all draw from the weights ``p``.
-
-    One multinomial over the words of positive weight, with ``p``
-    normalized there: numpy gives the last category whatever the others
-    leave, and a row summing a few ulps below 1 must not hand that remainder
-    to a word of probability 0.
-    """
+    """Word tally of n rounds drawn from the weights ``p``, one multinomial
+    over the words of positive weight only: numpy gives the last category
+    what the others leave, which must not reach a word of weight 0."""
     support = np.flatnonzero(p)
     tally = np.zeros(p.size, dtype=np.int64)
     tally[support] = rng.multinomial(n, p[support] / p[support].sum())
@@ -294,30 +243,14 @@ def exact_class_cells() -> dict:
 
 def run_experiment(n_rounds: int, settings_policy="random",
                    rotations_policy: str = "identity", seed: int = 0) -> ExperimentRecord:
-    """Simulate n_rounds of the two-wing experiment on the shared state.
+    """Outcome-pair counts per setting pair of ``n_rounds`` (an integer of at
+    least 1) two-wing rounds on the shared state, seeded by ``seed``.
 
-    Fixed frames draw one word tally per setting pair, fresh frames one word
-    per round; either way each pair's 256-word tally is classified once.
-
-    Parameters
-    ----------
-    n_rounds : int
-        Number of prepared copies; an integer, at least 1.
-    settings_policy : "random"
-        Each wing picks F or G uniformly at random: the pairs' round counts
-        are one Multinomial(n_rounds; 1/4, 1/4, 1/4, 1/4) in ``_SETTING_PAIRS``
-        order.  The only policy; kept while the benchmark passes it (ROADMAP item 2).
-    rotations_policy : "identity" or "fresh"
-        With "fresh", each wing's product basis gets an independent
-        Haar-random common rotation every round; the tallied statistics must
-        not change, which is the alignment-free claim.
-    seed : int
-        Root seed for settings, rotations, and outcome draws.
-
-    Returns
-    -------
-    ExperimentRecord
-        Outcome-pair counts per setting pair after classification.
+    Each wing picks F or G uniformly at random, the only
+    ``settings_policy``, kept while the benchmark passes it (ROADMAP item
+    2).  ``rotations_policy`` "fresh" gives each wing an independent Haar
+    frame every round, "identity" none; the statistics must not differ,
+    which is the alignment-free claim.
     """
     n_rounds = check_count("n_rounds", n_rounds)
     if settings_policy != "random":

@@ -1,33 +1,11 @@
 """Dense state-vector primitives for few-qubit simulation.
 
-Everything here is a pure function on small immutable values.  States are
-dense complex vectors of dimension at most 2^8 = 256; qubit 1 is the most
-significant bit of the basis index, so ``|q1 q2 q3 q4>`` reads left to right.
-
-A wing measurement is a matrix of bras, one row per outcome, and
-``joint_probs`` gives its outcome-pair probabilities on a two-wing state.
-A turned frame takes one route, a polynomial: U^(x4) = sum_mu mu(U) T_mu over
-the 35 monomials mu of degree 4 in U's entries, the T_mu integer 0/1 matrices
-that partition the 16 x 16 grid.  ``turn_table`` contracts fixed rows and
-vecs with every T_mu once, and ``collective_turn`` gives rows U^(x4) vecs for
-a whole stack of frames as one product of that table with their monomials,
-frame last; no U^(x4) is formed.  ``wing_bras`` turns a wing's bras through
-it; ``kron`` builds product-basis bras and the U^(x k) of
-``apply_collective``.
-
-A product basis measures each qubit along an x-z plane direction theta: the
-qubit's two outcome bras are the rows of ``axis_rows(theta)``, and
-``product_bras`` joins four such rows into the 16 bras of the outcome words.
-
-A frame is a ``(..., 2, 2)`` array of SU(2) matrices, one form for a single
-frame and for a stack of them; ``check_unitary`` is its one unitarity check,
-and every function that takes a frame from a caller makes it.  Haar frames
-come from ``haar_su2_batch``, as every module of the package draws them;
-``haar_su2`` is its single draw, the per-draw form the tests rebuild the
-batches from, so a batch of shape S consumes the same normals as prod(S)
-single draws and returns the same matrices in row-major order: batching a
-draw site never moves a seeded stream.  ``check_density`` makes the checks
-of ``DensityOperator`` on a whole stack of matrices at once.
+A state is a unit vector of at most 2^8 = 256 amplitudes, qubit 1 the most
+significant bit of the basis index.  A frame is a ``(..., 2, 2)`` array of
+SU(2) matrices that ``check_unitary`` has passed.  A wing measurement is a
+matrix of bras, one row per outcome: ``turn_table`` and ``collective_turn``
+turn it by U^(x4) with no U^(x4) formed, and ``joint_probs`` gives its
+outcome-pair probabilities on a two-wing state.
 """
 
 from __future__ import annotations
@@ -52,8 +30,7 @@ class SizeError(ValueError):
 
 
 def _norm(a: np.ndarray) -> float:
-    """Frobenius norm; np.linalg.norm costs more than the arithmetic on the
-    small arrays that are checked once per draw."""
+    """Frobenius norm, cheaper than ``np.linalg.norm`` on small arrays."""
     return math.sqrt(np.vdot(a, a).real)
 
 
@@ -113,7 +90,8 @@ class QuantumState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive semidefinite operator on n qubits."""
+    """Hermitian, unit-trace, positive semidefinite operator on n qubits,
+    each within ATOL; ValueError otherwise."""
 
     matrix: np.ndarray
 
@@ -124,25 +102,18 @@ class DensityOperator:
         n = m.shape[0].bit_length() - 1
         if m.shape[0] != 2**n or n < 1 or n > MAX_QUBITS:
             raise SizeError(f"dimension {m.shape[0]} is not 2^n with n in 1..{MAX_QUBITS}")
-        check_density(m)
+        if not np.linalg.norm(m - m.conj().T) <= ATOL:
+            raise ValueError("matrix is not Hermitian within 1e-10")
+        if not abs(np.trace(m).real - 1.0) <= ATOL:
+            raise ValueError(f"trace {np.trace(m)} deviates from 1")
+        if not np.linalg.eigvalsh(m)[0] >= -ATOL:
+            raise ValueError("matrix has an eigenvalue below -1e-10")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
     def n_qubits(self) -> int:
         return self.matrix.shape[0].bit_length() - 1
-
-
-def check_density(m: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of the ``(..., d, d)`` stack ``m``
-    is Hermitian, has unit trace and has no eigenvalue below -ATOL."""
-    if not np.all(np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) <= ATOL):
-        raise ValueError("matrix is not Hermitian within 1e-10")
-    trace = np.trace(m, axis1=-2, axis2=-1)
-    if not np.all(np.abs(trace.real - 1.0) <= ATOL):
-        raise ValueError(f"trace {trace} deviates from 1")
-    if not np.all(np.linalg.eigvalsh(m).min(axis=-1) >= -ATOL):
-        raise ValueError("matrix has an eigenvalue below -1e-10")
 
 
 def check_unitary(u) -> np.ndarray:
@@ -164,8 +135,9 @@ def check_unitary(u) -> np.ndarray:
 
 
 def basis_state(bits) -> QuantumState:
-    """Computational basis state from a bit string like "0101" or a bit sequence."""
-    bits = [int(b) for b in bits]
+    """Computational basis state from a bit string like "0101" or a sequence
+    of integer bits; ValueError for any other bit."""
+    bits = [int(b) if isinstance(bits, str) else _check_integer("bit", b) for b in bits]
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
     amplitudes = np.zeros(2 ** len(bits), dtype=complex)
@@ -177,11 +149,8 @@ def basis_state(bits) -> QuantumState:
 
 
 def permute_qubits(s: QuantumState, perm) -> QuantumState:
-    """Reorder qubits: output qubit k carries input qubit perm[k-1] (1-based).
-
-    ``perm`` must be a bijection of {1..n} in integers; a transposition such
-    as (1, 3, 2, 4) swaps qubits 2 and 3.
-    """
+    """Reorder qubits: output qubit k carries input qubit perm[k-1], for a
+    bijection ``perm`` of the integers 1..n; ValueError otherwise."""
     n = s.n_qubits
     perm = tuple(_check_integer("perm label", p) for p in perm)
     if sorted(perm) != list(range(1, n + 1)):
@@ -192,12 +161,8 @@ def permute_qubits(s: QuantumState, perm) -> QuantumState:
 
 
 def kron(factors) -> np.ndarray:
-    """Kronecker product of a sequence of ``(..., 2, 2)`` arrays, left to right.
-
-    Leading axes broadcast, so a stack of n unitaries gives n copies of
-    U^(x k), and the per-qubit rows of a product basis give its (16, 16)
-    bra matrix.
-    """
+    """Kronecker product of a sequence of ``(..., 2, 2)`` arrays, left to
+    right, with leading axes broadcast."""
     factors = iter(factors)
     out = next(factors)
     for m in factors:
@@ -207,23 +172,24 @@ def kron(factors) -> np.ndarray:
 
 
 def axis_rows(theta: float) -> np.ndarray:
-    """Rows are the two basis bras for one qubit measured at angle theta."""
+    """The two basis bras of one qubit measured at x-z plane angle theta:
+    rows (cos t, sin t) for outcome -1 and (sin t, -cos t) for +1.  Unchecked,
+    so that exact tests such as test_axis_rows_quarter_turn can evaluate it
+    at a sympy symbol."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]])
 
 
 def product_bras(thetas) -> np.ndarray:
-    """(16, 16) matrix whose row w is the bra of outcome word w."""
+    """(16, 16) matrix whose row w is the bra of outcome word w, for four
+    finite angles; ValueError otherwise."""
+    check_finite(*thetas)
     return kron([axis_rows(t) for t in thetas])
 
 
 def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Bras of one wing's measurement with its frame turned by U^(x4).
-
-    ``bras`` is (k, 16), one row per outcome; ``u`` is (..., 2, 2).  Returns
-    the contiguous ``bras @ (U^(x4))^dagger`` of shape (..., k, 16), the bra
-    of U^(x4)|w> for each outcome ket |w>: the bras' turn by the adjoints.
-    """
+    """The contiguous (..., k, 16) ``bras @ (U^(x4))^dagger`` of (k, 16)
+    ``bras`` and (..., 2, 2) frames ``u``: the bras of U^(x4)|w>."""
     uh = u.conj().swapaxes(-1, -2).reshape(-1, 2, 2)
     turned = collective_turn(turn_table(bras), uh).T
     return np.ascontiguousarray(turned).reshape(*u.shape[:-2], *bras.shape)
@@ -273,11 +239,8 @@ def _monomials(u: np.ndarray) -> np.ndarray:
 def turn_table(rows: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
     """(k r, 35) table whose row (i, j) holds rows[i] T_mu vecs[:, j] for the
     35 monomials mu, so that ``collective_turn`` of it gives rows U^(x4) vecs.
-
-    ``rows`` is (k, 16) and ``vecs`` (16, r), the identity when omitted; the
-    table takes their dtype, so integer rows and vecs give an integer table,
-    exactly and with no float product.
-    """
+    ``rows`` is (k, 16), ``vecs`` (16, r) or the identity; integer inputs
+    give an exact integer table."""
     t = rows @ _T if vecs is None else rows @ (_T @ vecs)
     return np.ascontiguousarray(t.reshape(35, -1).T)
 
@@ -286,13 +249,11 @@ def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """rows U^(x4) vecs for the (k r, 35) ``turn_table`` of rows and vecs and
     a stack of (m, 2, 2) frames: (k r, m) complex, frame last.
 
-    U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, unitary or not,
-    so the turn is ``table @ monomials(u)``, one product over every frame,
-    real on the monomials' float view when the table is real.  A frame's
-    result depends on the other frames of the stack only through the BLAS
-    product's rounding: within 1e-15 for unitary frames and rows and vecs
-    of unit norm
-    (``test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15``).
+    U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, so the turn is
+    one product of the table with the monomials.  A frame's result depends
+    on the rest of the stack only through that product's rounding, within
+    1e-15 for unit frames, rows and vecs
+    (test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15).
     """
     mono = _monomials(u)
     if table.dtype.kind == "c":
@@ -301,23 +262,16 @@ def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:
-    """Born probabilities |bras_a M bras_b^T|^2 of every outcome pair.
-
-    ``amp16`` is the two-wing state as a (16, 16) matrix M (Alice's index
-    first); the bras broadcast over leading axes, so the result has shape
-    (..., k_a, k_b).
-    """
+    """Born probabilities |bras_a M bras_b^T|^2 of every outcome pair, shape
+    (..., k_a, k_b), for the two-wing state as a (16, 16) matrix M, Alice's
+    index first; the bras broadcast over leading axes."""
     return np.abs(bras_a @ amp16 @ bras_b.swapaxes(-1, -2)) ** 2
 
 
 def apply_collective(s: QuantumState, u: np.ndarray, wing: str = "all") -> QuantumState:
-    """Apply the same single-qubit unitary, the (2, 2) frame ``u``, to every
-    qubit of the chosen wing.
-
-    ``wing`` is one of "all", "alice" (qubits 1-4), "bob" (qubits 5-8); the
-    named wings are only defined for 8-qubit states.  U^(x k) acts on blocks
-    of at most four qubits, so no operator larger than 16 x 16 is formed.
-    """
+    """The state with the (2, 2) frame ``u`` applied to every qubit of
+    ``wing``: "all", or "alice" (qubits 1-4) or "bob" (5-8) of an 8-qubit
+    state.  No operator larger than 16 x 16 is formed."""
     u = check_unitary(u)
     n = s.n_qubits
     if wing == "all":
@@ -348,33 +302,25 @@ def _haar_matrices(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random element of SU(2), a (2, 2) array: the batch of shape
-    (), which consumes exactly four normal variates."""
+    """One Haar-random SU(2) frame: ``haar_su2_batch`` of shape ()."""
     return haar_su2_batch(rng, ())
 
 
 def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Independent Haar-random SU(2) matrices as a ``(*shape, 2, 2)`` array.
+    """Independent Haar-random SU(2) matrices as a ``(*shape, 2, 2)`` array,
+    checked by ``check_unitary``.
 
-    A batch of shape S consumes the same normals as prod(S) single
-    ``haar_su2`` draws and returns the same matrices, in row-major order,
-    so batching never moves a seeded stream.  Every draw passes
-    ``check_unitary``, made once for the whole batch.
-
-    Uses the quaternion parametrization: a point (a, b, c, d) drawn uniformly
-    on the 3-sphere (four independent standard normals, normalized) maps to
-
-        [[a + i b,  c + i d],
-         [-c + i d, a - i b]],
-
-    which has unit determinant a^2 + b^2 + c^2 + d^2 = 1.  Uniformity on S^3
-    is exactly the Haar measure of SU(2).
+    Four normals per draw, normalized, are a uniform point of S^3, whose
+    image under ``_QUAT`` is Haar on SU(2).  A batch of shape S returns the
+    prod(S) single ``haar_su2`` draws in row-major order, so batching never
+    moves a seeded stream (test_haar_su2_batch_is_the_single_draw_stream).
     """
     return check_unitary(_haar_matrices(rng, shape))
 
 
 def partial_trace(state_or_rho, keep) -> DensityOperator:
-    """Trace out all qubits not in ``keep`` (1-based labels, ascending output order)."""
+    """Reduced density operator on the qubits ``keep`` (1-based integer
+    labels, ascending output order); ValueError for other labels."""
     if isinstance(state_or_rho, QuantumState):
         rho = np.outer(state_or_rho.amplitudes, state_or_rho.amplitudes.conj())
         n = state_or_rho.n_qubits

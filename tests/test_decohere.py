@@ -153,6 +153,16 @@ _TEST_CHUNK = 32
 
 @pytest.mark.parametrize("n_samples", [1, _TEST_CHUNK, _TEST_CHUNK + 1])
 def test_density_chunks_match_the_per_draw_route(monkeypatch, n_samples):
+    """A 4-qubit density operator rho = V D^2 V^dagger keeps its eigenvectors V
+    past the cut and D = diag(sqrt p) of their eigenvalues p.  With sqrt(rho) =
+    V D V^dagger, the Uhlmann fidelity with sigma = U^(x4) rho U^(x4)^dagger is
+    ||sqrt(rho) U^(x4) sqrt(rho)||_1^2, the squared sum of the singular values
+    of D X D for X = V^dagger U^(x4) V: the square roots of the eigenvalues of
+    (D X D)(D X D)^dagger, which are the nonzero eigenvalues of sqrt(rho) sigma
+    sqrt(rho), one batched eigensolve per chunk.  The identity needs U unitary,
+    and the final clamp to 1 would hide a frame that is not, so every chunk's
+    frames pass ``qcore.check_unitary`` first.
+    """
     monkeypatch.setattr(decohere, "CHUNK", _TEST_CHUNK)
     rho = _random_density(np.random.default_rng(31), 4)
     chunked = fidelity_samples(rho, CollectiveChannel(n_samples), seed=5)
@@ -207,6 +217,24 @@ def _per_draw_route(state, scope, n_samples, seed):
 @pytest.mark.parametrize("n_samples", [1, _TEST_CHUNK, _TEST_CHUNK + 1])
 @pytest.mark.parametrize("name", list(_PURE_CASES))
 def test_pure_chunks_match_the_per_draw_route(monkeypatch, name, n_samples):
+    """Every draw takes its frames from the seeded stream in chunks of CHUNK
+    (1,024) draws, one ``qcore.haar_su2_batch`` call per chunk: shape (k,) in
+    the global scope, (k, 2) per wing, so that draw by draw Alice's frame comes
+    before Bob's, as k single draws would give them.  The default 1,000 draws
+    are one chunk per state, and the chunk bounds memory for any larger count.
+
+    A pure state, as a 16 x 16 matrix M with Alice's index first when it has 8
+    qubits, keeps the r eigenvectors L of M M^dagger past the cut (its Schmidt
+    support; r = 2 for the two-wing state).  With R = M^dagger L it gives
+    <psi|U_a^(x4) x U_b^(x4)|psi> = sum_ij X_ij Y_ij for the tables X =
+    L^dagger U_a^(x4) L and Y = R^T U_b^(x4) conj(R), not 16 x 16.  This scores
+    psi' = (L L^dagger x 1) psi, which differs from psi by a vector of squared
+    norm e, the sum of the dropped eigenvalues (below 1.5e-11); the fidelity
+    moves by at most 4 sqrt(e) + 2 e.  When psi has Schmidt rank r exactly, as
+    the two-wing state does, e is rounding noise.  A 4-qubit state is the
+    one-wing case L = psi, whose 1 x 1 table is the overlap <psi|rotated>.
+    Either way the fidelity is the overlap's squared modulus.
+    """
     monkeypatch.setattr(decohere, "CHUNK", _TEST_CHUNK)
     state, scope = _PURE_CASES[name]
     drawn, original = [], decohere.haar_su2_batch
@@ -260,6 +288,13 @@ def test_a_frame_that_is_not_unitary_raises_in_the_density_kernel(monkeypatch):
     (make_eta(), "per-wing", [(4, 35), (4, 35)]),
 ], ids=["pure 4", "reduced density", "rank-3 density", "eta per-wing"])
 def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes):
+    """Each state is scored on its support only: r orthonormal columns S, cut
+    where an eigenvalue falls below the 1e-12 that ``state_fidelity`` chops to
+    zero.  It takes the (r^2, 35) ``qcore.turn_table`` of S^dagger and S per
+    wing, whose ``qcore.collective_turn`` is the r x r table S^dagger U^(x4) S,
+    and each chunk makes one turn per wing, with no U^(x4) formed and no turned
+    state or density operator built.
+    """
     # a support of r columns turns the r x r table V^dagger U^(x4) V, r^2
     # rows: 2 Schmidt columns per wing of the two-wing state, 4 rows, not the
     # 256 of a 16 x 16 block, and 2 columns of its reduced density, not 16 x 2

@@ -43,6 +43,14 @@ def test_phi1_amplitudes():
 
 
 def test_the_integer_table_is_the_sector():
+    """One integer table defines the sector: V0 = 2 phi0 and V1 = 2 sqrt3 phi1
+    are integer vectors, the columns of V with norms V_NORMS, and so is ETA_INT
+    = 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0, whose coefficients over V_i (x) V_j
+    are ETA_TABLE.  Every float of the sector is one of them scaled to unit
+    norm: the (16, 2) basis SECTOR of columns phi0 and phi1, eta, and eta's
+    coefficients ETA_COEFFS over phi_i (x) phi_j.  Sector coordinates c are the
+    amplitudes SECTOR @ c, and SECTOR.T maps a sector state back to c.
+    """
     # integer facts, exact: V0 and V1 are orthogonal with norms 2 and
     # 2 sqrt3, and 4 sqrt7 eta = V0 V0 + V0 V1 + V1 V0 has norm^2 112
     for v in (V0, V1, ETA_INT):

@@ -124,6 +124,13 @@ def test_pair_and_its_complement_share_the_verdict():
 
 
 def test_component_complement_symmetry():
+    """Half the words.  Flipping all four bits multiplies a component by
+    (-1)^(number of zeros) (test_component_complement_symmetry), and with
+    theta_a = 0 the qubit-a row of bit 0 is [1, 0].  So the 8 words 0bcd, taken
+    from the first half of the state, carry everything: a sum of squares over
+    16 words is twice the sum over those 8, and a maximum of magnitudes is the
+    same.
+    """
     # flipping every bit multiplies a component by (-1)^(number of zeros)
     rng = np.random.default_rng(52)
     for _ in range(5):
@@ -158,6 +165,16 @@ def test_omega_from_thetas_known_point_and_degeneracy():
 
 
 def test_grid_chunks_match_component_table():
+    """Complex packing.  phi0, phi1 and the axis rows are real, so the
+    components (A_w, B_w) of (phi0, phi1) on word w are the real and imaginary
+    parts of the single component z_w = A_w + i B_w of phi0 + i phi1, and one
+    contraction gives both.  The pair's components at angle omega are then
+
+        e^{-i omega} z_w = psi_w - i perp_w,
+
+    so the support overlap is max_w min(|Re|, |Im|) of e^{-i omega} z_w and the
+    summed squared support products are sum_w (Re * Im)^2.
+    """
     # the reference word grid's z = A + iB on words 0bcd, and through the
     # bit-flip sign on words 1bcd, against the direct product-basis
     # components; the quarter grid of r = 100 has 50 angles, not a multiple
@@ -201,9 +218,25 @@ def test_axis_rows_quarter_turn(monkeypatch):
 
 
 def test_theta_d_sums_are_polynomial_identities(monkeypatch):
+    """Closed form in theta_d.  With qubits b and c contracted, the components
+    (F0, F1) of qubit d's computational bits give, at theta_d = t and e =
+    e^{it}, z = A e + B / e for d = 0 and z = -i (A e - B / e) for d = 1, with
+    A = (F0 - i F1) / 2 and B = (F0 + i F1) / 2.  Summed over d, and then over
+    the bits b and c (test_theta_d_sums_are_polynomial_identities),
+
+        p(t) = P0 + 2 Re(P4 e^{4it}),   q(t) = Q4 e^{4it} + Q0 + Q-4 e^{-4it},
+
+    with P0 = 2 sum (|A|^4 + |B|^4 + 4 |A|^2 |B|^2), P4 = 2 sum A^2 conj(B)^2,
+    Q4 = 2 sum A^4, Q0 = 12 sum A^2 B^2 and Q-4 = 2 sum B^4.  So the scan takes
+    five numbers per (theta_b, theta_c) and evaluates p and q on the theta_d
+    grid, with no word grid.  The overlap max_w min(|Re|, |Im|) has no such
+    form and evaluates the words: it contracts qubit c once at every grid
+    angle, then qubit b on each row it evaluates, then qubit d at every theta_d
+    as one real product for each of the planes Re and Im.
+    """
     # qubit d's rows of axis_rows(t) take the front components (F0, F1) to
     # z = A e + B / e and z = -i (A e - B / e), e = e^{it}; summed over d,
-    # z^4 and |z^2|^2 are the two closed forms of the module docstring.
+    # z^4 and |z^2|^2 are the two closed forms above.
     # Ac, Bc stand for conj(A), conj(B), and conj(e) = 1 / e
     sp = pytest.importorskip("sympy")
     t = sp.Symbol("t", real=True)
@@ -230,6 +263,17 @@ def test_theta_d_sums_are_polynomial_identities(monkeypatch):
 
 
 def test_theta_d_closed_form_matches_the_word_grid():
+    """Closed-form omega.  Writing z^2 = (A^2 - B^2) + i 2AB, the 2x2 moment
+    matrix of the vectors (A^2 - B^2, 2AB) over the 16 words has, with p = sum
+    |z^2|^2 and q = sum z^4 over the 8 words 0bcd,
+
+        lam_min = p - |q|,   sxx = p + Re q,   sxy = Im q,
+
+    and its small eigenvector gives the only omega that can split the pair at
+    that theta tuple.  The summed squared support products sum_w (Re * Im)^2 of
+    e^{-i omega} z over the words 0bcd are (p - Re(e^{-4i omega} q)) / 8, since
+    (Re u Im u)^2 = (|u|^4 - Re u^4) / 8.
+    """
     # lam = p - |q| and the summed squared support products, from the five
     # coefficients per (theta_b, theta_c), against the word grid at every
     # tuple of r = 100
@@ -248,8 +292,9 @@ def test_theta_d_closed_form_matches_the_word_grid():
 
 
 def _coefficients(front):
-    """(P0, P4, Q4, Q0, Q-4) of each front row as the module docstring's sums
-    over the bits b and c: the per-row reference route of the tables."""
+    """(P0, P4, Q4, Q0, Q-4) of each front row as the sums over the bits b
+    and c of test_theta_d_sums_are_polynomial_identities: the per-row
+    reference route of the tables."""
     f0, f1 = front.reshape(len(front), 4, 2).transpose(2, 0, 1)
     a, b = (f0 - 1j * f1) / 2, (f0 + 1j * f1) / 2
     a2, b2 = a * a, b * b
@@ -284,6 +329,16 @@ def test_coefficient_tables_hold_off_the_grid():
 
 
 def test_coefficient_tables_are_exact(monkeypatch):
+    """Closed form in theta_b and theta_c.  Each coefficient sums, over the
+    bits b and c, a quartic form in qubit b's row, and the row of bit 1 at t is
+    minus the row of bit 0 at t + pi/2 (quarter turn); so the sum is f(t) + f(t
+    + pi/2), which keeps only the harmonics 0 and +-4t, and likewise for c.
+    Each coefficient is thus basis_b T basis_c^T over (1, E, 1/E), E = e^{4i
+    theta}, with 576 T a constant 3x3 table over Z[i sqrt3] (_TABLES, exact by
+    test_coefficient_tables_are_exact); P0 = (9 + cos 4theta_b + cos 4theta_c +
+    cos 4(theta_b - theta_c)) / 48.  The grid's coefficients take two small
+    products, with no word component.
+    """
     # exact values in Q(sqrt3, i) at the 3 x 3 nodes theta in {0, pi/6,
     # pi/3}, where every row entry and e^{4i theta} lie in that field.  The
     # basis (1, E, 1/E) at E = 1, e^{2i pi/3}, e^{-2i pi/3} is the invertible
@@ -334,12 +389,25 @@ def test_the_overlap_does_not_depend_on_the_block_size(monkeypatch, omega):
 
 
 def test_row_floors_bound_every_tuple():
-    # each floor of the module docstring's Row floors is at most its
-    # quantity at every tuple of r = 100: lam, 8 sum_w (psi_w perp_w)^2 and
-    # 8 ov^2.  The second floor is also the exact minimum over theta_d: on a
-    # grid of spacing 4 pi / r in 4t it lies within |C4| (1 - cos(2 pi / r))
-    # of the row's grid minimum, and the row's spread is at least 2 |C4|
-    # cos(2 pi / r), so a slip in C0 or C4 breaks one of the two bounds
+    """Row floors.  The five coefficients also bound each (theta_b, theta_c)
+    row over all theta_d.  With E = e^{4it} and rho = e^{-4i omega},
+
+        p - |q| >= P0 - 2 |P4| - |Q4| - |Q0| - |Q-4|,
+        p - Re(rho q) = C0 + Re(C4 E) >= C0 - |C4|,
+        8 ov^2 >= C0 - |C4|,
+
+    with C0 = P0 - Re(rho Q0) and C4 = 2 P4 - rho Q4 - conj(rho Q-4), so C0 -
+    |C4| is the exact minimum over t of 8 sum_w (psi_w perp_w)^2.  The third
+    holds for the overlap ov = max_w min(|psi_w|, |perp_w|) because psi_w^2 +
+    perp_w^2 = |z_w|^2 and the 8 words 0bcd carry sum |z_w|^2 = 1, so sum
+    (psi_w perp_w)^2 <= ov^2 sum max(|psi_w|, |perp_w|)^2 <= ov^2.
+    """
+    # each floor above is at most its quantity at every tuple of r = 100:
+    # lam, 8 sum_w (psi_w perp_w)^2 and 8 ov^2.  The second floor is also the
+    # exact minimum over theta_d: on a grid of spacing 4 pi / r in 4t it lies
+    # within |C4| (1 - cos(2 pi / r)) of the row's grid minimum, and the
+    # row's spread is at least 2 |C4| cos(2 pi / r), so a slip in C0 or C4
+    # breaks one of the two bounds
     r = 100
     coef, p, q = _all_rows(r)
     n = r // 2
@@ -367,6 +435,17 @@ def _reductions(table):
 
 
 def test_quarter_grid_images_carry_the_same_reductions():
+    """Quarter grid.  axis_rows(t + pi/2) is axis_rows(t) with its two rows
+    swapped and the new first row negated (test_axis_rows_quarter_turn).  So
+    after shifting theta_b, theta_c or theta_d by pi/2, the component of word w
+    is the old component of w with that qubit's bit flipped, negated where the
+    bit of w is 0; with theta_a = 0 the 8 words 0bcd map onto themselves.  The
+    per-tuple reductions (p, q and the omega they give, the overlap max_w
+    min(|Re|, |Im|) and sum_w (Re * Im)^2) are unchanged by a permutation of
+    words with signs, so the grids cover [0, pi/2)^3 with spacing pi/r, and
+    every tuple of [0, pi)^3 has the values of its image there
+    (test_quarter_grid_images_carry_the_same_reductions).
+    """
     # a tuple of the full r = 100 grid on [0, pi)^3 against its image on
     # the quarter grid (indices mod 50): each shifted qubit flips its bit
     # and negates the components whose bit was 0
@@ -439,7 +518,26 @@ def test_report_values_are_pinned():
 
 
 def test_the_scan_cut_passes_exactly_three_tuples(monkeypatch):
-    # the scan docstring's claim: each tuple below the lam cut is checked
+    """Grid search over (theta_b, theta_c, theta_d) with theta_a = 0 (exact
+    reduction, see the distinguish module docstring), spacing pi /
+    ``resolution``, over [0, pi/2)^3, which carries every value of [0, pi)^3
+    (test_quarter_grid_images_carry_the_same_reductions).  For each
+    tuple the best omega is closed-form: a word splits the pair iff sin(2w)
+    (A^2 - B^2) = cos(2w) 2AB where (A, B) are the word's components of (phi0,
+    phi1), so all words must agree on 2w mod pi; the smallest eigenvalue of the
+    2x2 moment matrix of the vectors (A^2 - B^2, 2AB) measures the disagreement
+    and its eigenvector gives the candidate omega.  The eigenvalue comes from
+    the closed form in theta_d (test_theta_d_sums_are_polynomial_identities),
+    on the rows whose floor can reach the cut
+    (test_row_floors_bound_every_tuple).  Each candidate with eigenvalue below 1e-5
+    counts when, at its grid tuple and that omega, the summed squared support
+    products sum_w (psi_w perp_w)^2 are at most 1e-20 and the disjoint-support
+    test passes.  At r = 100, 104, 200 and 400 the cut passes exactly three
+    tuples, the images of the exact ones with omega = pi/6, pi/3 and pi/2
+    (test_the_scan_cut_passes_exactly_three_tuples), so the counted angles need
+    no clustering.
+    """
+    # the claim above: each tuple below the lam cut is checked
     # through component_table twice, once for the summed support products
     # and once inside is_distinguishing
     calls = []
@@ -450,7 +548,7 @@ def test_the_scan_cut_passes_exactly_three_tuples(monkeypatch):
         return table(inst)
 
     monkeypatch.setattr(distinguish, "component_table", counted)
-    for r in (100, 104, 200):
+    for r in (100, 104, 200, 400):
         calls.clear()
         assert len(scan_distinguishable_omegas(resolution=r)) == 6
         assert len(calls) == 6
@@ -458,6 +556,16 @@ def test_the_scan_cut_passes_exactly_three_tuples(monkeypatch):
 
 
 def test_the_floors_prune_nothing_that_holds_the_answer(monkeypatch):
+    """The scan evaluates only the rows whose first floor is below its cut on
+    lam.  At fixed omega only the overlap's search evaluates rows: the row with
+    the smallest floor first, whose best value U bounds the answer, then, in
+    row-major order, every row whose floor is at most 8 U^2.  So its minimum,
+    and the first tuple in row-major order that attains it, which the find
+    returns, are those of the whole grid.  Each comparison allows _FLOOR_MARGIN
+    for rounding, on the floor's own scale: a margin added after a square root
+    would be far too small next to the floors' rounding, which near ov = 0 is
+    many times 8 ov^2.
+    """
     # an infinite margin passes every row: the unpruned grid.  The scan's
     # list and the find's argmin tuple (the grid tuple before the
     # disjoint-support test) are the same objects with and without the
@@ -561,6 +669,9 @@ def test_scan_traced_memory_at_800():
 
 
 def test_scan_rejects_a_grid_without_pi_over_four():
+    """Near-misses on grids without pi/4 stay above the candidate cut, and
+    nothing is found.
+    """
     # off such grids the exact tuples are missed and the scan would find
     # nothing, which reads as a physics failure
     for r in (101, 102):
@@ -634,6 +745,14 @@ def test_pairing_structure_of_the_special_angles():
 
 
 def test_exact_certificate_of_the_six_angles():
+    """Answers at grid tuples.  With theta_a = 0 and theta_b, theta_c, theta_d
+    on the pi/4 lattice {0, pi/4, pi/2, 3pi/4}, exactly the six angles k pi/6
+    are split (test_exact_certificate_of_the_six_angles, in exact arithmetic).
+    The grids have a multiple of 4 points per angle (``check_resolution``), so
+    they contain {0, pi/4}, the quarter-grid images of that lattice: the scan
+    checks each candidate at its grid tuple with the closed-form omega, and the
+    find returns the grid tuple of smallest overlap, with no local search.
+    """
     # theta_a = 0 and theta_b, theta_c, theta_d on the pi/4 lattice: in exact
     # arithmetic the pairs split by these bases are exactly omega = k pi/6.
     # Shifting one angle by pi/2 permutes the 16 words with signs (quarter

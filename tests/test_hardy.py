@@ -104,6 +104,14 @@ def test_zero_constraint_rank():
 
 
 def test_exact_certificate_of_both_optima():
+    """The three zeros are real linear rows on the amplitudes c in C^4, of rank
+    3 unless both angles are pi/2, so the feasible state is unique up to phase
+    (``feasible_state``).  With x = sin^2(alpha_a), y = sin^2(alpha_b) its
+    fourth probability is P = x (1 - x) y (1 - y) / (1 - x y).  P is 0 on the
+    whole boundary of the unit square and its only interior stationary point is
+    x = y = (sqrt 5 - 1)/2, so both optima, at a fixed angle and with the
+    angles free, are closed form and need no search.
+    """
     sp = pytest.importorskip("sympy")
     a, b = sp.symbols("alpha_a alpha_b", positive=True)
     x, y, t = sp.symbols("x y t", positive=True)
@@ -200,6 +208,11 @@ def test_optimize_free_angles_recovers_golden_point():
 
 
 def test_lhv_standard_scenario_is_infeasible():
+    """Any local deterministic model satisfying the three zeros is forced to
+    assign zero weight to every strategy consistent with the fourth event, so a
+    positive fourth probability has no local account.  ``lhv_feasibility``
+    certifies this in exact rational arithmetic.
+    """
     verdict = lhv_feasibility(standard_scenario())
     assert isinstance(verdict, Infeasible)
     assert "forces zero weight" in verdict.certificate
@@ -283,6 +296,14 @@ def _fraction_simplex(rows, rhs):
 
 
 def test_phase1_simplex_matches_the_fraction_tableau():
+    """Bland's rule on an integer-preserving (Edmonds-Bareiss) tableau.  Rows
+    and right-hand sides are scaled by the lcm of their denominators and the
+    artificial columns kept at I: a positive scaling of columns and of the
+    objective, which moves no sign, ratio order or tie, so every pivot is the
+    Fraction tableau's.  The stored integers over the last pivot d are that
+    tableau, each pivot updates a row as (p a - f q) // d, exactly, and the
+    ratio test cross-multiplies.
+    """
     # rational entries of mixed signs and negative right-hand sides, and
     # degenerate 0/1 systems like the strategy LPs, where ratio ties are
     # common; every second system has a nonnegative solution by

@@ -12,7 +12,10 @@ listed in ``UNREFERENCED`` with the reason it is kept.  Every private
 module-level function, class and constant is read in its own module outside
 its own definition.  What the benchmark's workloads call still exists, with
 the keywords they pass.  README's session runs as a doctest, and every name
-its module table cites exists in the module its row names.
+its module table cites exists in the module its row names.  Every
+``test_...`` name that a package docstring or comment cites, to say which
+test checks a derivation, is a test defined under ``tests/`` or
+``perfbench/``.
 """
 
 import ast
@@ -24,6 +27,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -295,3 +299,23 @@ def test_readme_module_table_names_what_exists():
                for token in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)?)`", cell)
                if not _cites(importlib.import_module(f"dfsbell.{name}"), token)]
     assert missing == []
+
+
+def _cited_tests(path: Path) -> set:
+    """The ``test_...`` names in the docstrings and comments of ``path``."""
+    tree = ast.parse(path.read_text())
+    texts = [ast.get_docstring(node) or "" for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    with path.open() as f:
+        texts += [tok.string for tok in tokenize.generate_tokens(f.readline)
+                  if tok.type == tokenize.COMMENT]
+    return {name for text in texts for name in re.findall(r"\btest_\w+", text)}
+
+
+def test_docstrings_cite_tests_that_exist():
+    cited = set().union(*map(_cited_tests, PACKAGE.glob("*.py")))
+    defined = {node.name for path in [*TESTS, *PERFBENCH.glob("*.py")]
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert cited
+    assert sorted(cited - defined) == []

@@ -144,6 +144,12 @@ def test_fixed_frame_stream_is_pinned():
 
 
 def test_random_settings_draw_the_pair_counts_as_one_multinomial():
+    """The simulation keeps only word tallies.  Random settings draw the four
+    setting pairs' round counts as one multinomial, the first draw of the
+    seeded stream; fixed frames draw each setting pair's 256-word tally as one
+    multinomial, fresh frames draw one word pair per round, and either way the
+    tally is classified once into outcome pairs.
+    """
     # the four pairs' round counts are one Multinomial(n; 1/4, 1/4, 1/4, 1/4),
     # the first draw of the seeded stream, whichever frames the rounds use
     for frames in ("identity", "fresh"):
@@ -171,6 +177,12 @@ def test_eta_has_two_schmidt_terms():
 
 
 def test_fresh_tables_are_the_tables_of_the_float_factors():
+    """Fresh frames turn the state's factors instead of the bras: eta is L R^T
+    with L = SECTOR ETA_COEFFS and R = SECTOR, and each wing's bras and factor
+    are one ``qcore.turn_table``, built at import from the integer bras, V and
+    ETA_TABLE and scaled once, so that a block of frames costs one
+    ``qcore.collective_turn`` per wing.
+    """
     # the tables built at import from integers are those of each wing's bras
     # with eta's float factors L = SECTOR ETA_COEFFS and R = SECTOR
     for p in ("F", "G"):
@@ -190,6 +202,12 @@ def _bra_route_words(amp16, bras_a, ua, bras_b, ub, r):
 
 
 def test_two_stage_draw_is_the_bra_route_draw_for_draw():
+    """Bob's turned R is orthonormal, so Alice's marginal ignores his frame: at
+    the round's one uniform Alice's word comes from her 16-word marginal, then
+    Bob's from his row given hers, which reads the 256 word pairs' inverse CDF
+    in Alice-major order; in each stage a uniform past a row's end takes its
+    last possible word.
+    """
     # Alice's word from her marginal, then Bob's from his row given hers,
     # at the round's one uniform, draws the word pair one draw from the
     # 256-word joint distribution of the turned bras would
@@ -206,6 +224,11 @@ def test_two_stage_draw_is_the_bra_route_draw_for_draw():
 
 
 def test_two_stage_draw_needs_no_rotation_invariance():
+    """Bob's row given Alice's word a is his two turned columns contracted with
+    her turned row xa[a], since R xa[a] lies in R's span: linearity alone, no
+    invariance of the state, and every frame is applied numerically on both
+    wings.
+    """
     # on states that the frames do move, with tables of general factors
     # (M, I): the marginal times the conditional row is the joint
     # distribution of the turned bras, and the draws are the bra route's
@@ -238,6 +261,13 @@ def test_two_stage_draw_needs_no_rotation_invariance():
 
 
 def test_frame_blocks_leave_the_chunk_tally():
+    """Two units split the fresh-frame work: the seeded stream is drawn a chunk
+    of ``_ROUNDS_PER_CHUNK`` rounds at a time (Alice's frames, then Bob's, then
+    the uniforms), and the word kernel runs on blocks of ``_FRAMES_PER_BLOCK``
+    of those frames, a size set by cache, not by the stream; a round's words
+    depend on the rest of its block only through the rounding of the turn's
+    product.
+    """
     # each chunk draws its frames and uniforms in one piece and runs the word
     # kernel block by block; with a ragged last chunk and a ragged last block
     # the tally is that of one kernel call per whole chunk, and the stream
@@ -281,6 +311,12 @@ EXACT_CELLS = {
 
 
 def test_word_tables_are_exact_integer_distributions():
+    """In unrotated frames every probability is exact: twice the bras are
+    integer matrices B_p, so each setting pair's 256-word distribution is the
+    integer table (B_a ETA_INT B_b^T)^2 over 1792.  Fixed frames draw from
+    these tables, the frame-drift check compares against them, and
+    ``exact_class_cells`` reads their outcome-pair cells as Fractions.
+    """
     cells = exact_class_cells()
     assert list(_TABLES) == list(EXACT_CELLS)
     for pair, (*fractions, nonzero) in EXACT_CELLS.items():

@@ -8,14 +8,13 @@ from dfsbell.correlations import LocalRotation
 from dfsbell.dfs_states import make_g, make_phi0
 from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
                                  grid_min_support_overlap)
-from dfsbell.hardy import HardyInstance
+from dfsbell.hardy import HardyInstance, fixed_angle_maximum
 from dfsbell.localmeas import wing_distribution, wing_outcome_distribution
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            apply_collective, basis_state, check_count,
-                           check_density, check_unitary, collective_turn,
-                           haar_su2, haar_su2_batch, joint_probs, kron,
-                           partial_trace, permute_qubits, turn_table,
-                           wing_bras)
+                           check_unitary, collective_turn, haar_su2,
+                           haar_su2_batch, joint_probs, kron, partial_trace,
+                           permute_qubits, product_bras, turn_table, wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -31,6 +30,10 @@ def test_basis_state_bit_order():
 def test_basis_state_rejects_non_bits():
     with pytest.raises(ValueError):
         basis_state("0121")
+    # a float bit is refused, not truncated to the word 1001
+    for bits in ([1.5, 0, 0, 1], [1.0, 0, 0, 1], [True, 0, 0, 1]):
+        with pytest.raises(ValueError, match="must be an integer"):
+            basis_state(bits)
 
 
 def test_state_validation():
@@ -129,6 +132,15 @@ def test_every_frame_entry_point_checks_its_frame(entry, frame):
 
 
 def test_haar_su2_is_special_unitary():
+    """Uses the quaternion parametrization: a point (a, b, c, d) drawn uniformly
+    on the 3-sphere (four independent standard normals, normalized) maps to
+
+        [[a + i b,  c + i d],
+         [-c + i d, a - i b]],
+
+    which has unit determinant a^2 + b^2 + c^2 + d^2 = 1.  Uniformity on S^3
+    is exactly the Haar measure of SU(2).
+    """
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = haar_su2(rng)
@@ -345,15 +357,6 @@ def test_density_operator_validation():
         DensityOperator(bad)
 
 
-def test_check_density_tests_every_matrix_of_a_stack():
-    good = np.diag([0.75, 0.25])
-    check_density(np.stack([good, np.eye(2) / 2]))
-    for bad in (np.array([[0.5, 0.5j], [0.5j, 0.5]]), np.eye(2),
-                np.diag([1.5, -0.5])):
-        with pytest.raises(ValueError):
-            check_density(np.stack([good, good, bad]))
-
-
 NAN = float("nan")
 
 
@@ -368,10 +371,12 @@ NAN = float("nan")
     lambda: DistinguishInstance(0.0, (0.0, NAN, math.inf, 0.0)),
     lambda: grid_min_support_overlap(NAN, 100),
     lambda: find_distinguishing_thetas(NAN, 100),
+    lambda: fixed_angle_maximum(NAN),
+    lambda: product_bras((0.0, NAN, 0.0, 0.0)),
 ], ids=["QuantumState", "HardyInstance", "HardyInstance-angle",
         "check_unitary", "DensityOperator", "DistinguishInstance",
         "DistinguishInstance-theta", "grid_min_support_overlap",
-        "find_distinguishing_thetas"])
+        "find_distinguishing_thetas", "fixed_angle_maximum", "product_bras"])
 def test_nan_fails_every_validated_type(build):
     # each check reads ``not err <= tol``: a NaN error compares False
     # against every tolerance, so ``err > tol`` would let it through; an
