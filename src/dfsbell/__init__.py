@@ -28,9 +28,9 @@ from .distinguish import (DistinguishInstance, component_table,
                           is_distinguishing, omega_from_thetas,
                           scan_distinguishable_omegas, support_overlap)
 from .hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, Feasible, HardyInstance,
-                    Infeasible, LhvConstraint, LhvScenario, OptimizationResult,
-                    eta_instance, feasible_state, fixed_angle_maximum,
-                    hardy_probability, lhv_feasibility, optimize_constrained,
+                    Infeasible, LhvConstraint, OptimizationResult, eta_instance,
+                    feasible_state, fixed_angle_maximum, hardy_probability,
+                    lhv_feasibility, optimize_constrained,
                     optimize_unconstrained_measurements, standard_scenario,
                     to_full_state, zero_constraint_rank)
 from .decohere import (CollectiveChannel, ImmunityReport, StateImmunity,

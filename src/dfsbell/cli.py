@@ -37,6 +37,10 @@ from .report import (Check, Report, Section, approx_check, bound_check,
 _FRAME_PAIRS = 100
 # Points per angle of the Hardy section's grid over [0, pi/2)^2.
 _HARDY_GRID = 64
+# Tolerance of the correlation section's identities and drifts.
+_IDENTITY_TOL = 1e-9
+# Points per angle of the distinguish section's two exclusion grids.
+_EXCLUSION_GRID = 100
 EXCLUDED_OMEGAS = ((math.pi / 5, "pi/5"), (math.pi / 4, "pi/4"))
 
 
@@ -55,25 +59,25 @@ def _subseed(root: int, index: int) -> int:
 # Section builders: the substream seeds of their row, then its config keys
 # ---------------------------------------------------------------------------
 
-def _correlations_section(seed, *, rotations: int, identity_tol: float) -> Section:
+def _correlations_section(seed, *, rotations: int) -> Section:
     suite = correlations.verify_correlation_suite(
         n_rotation_samples=rotations, seed=seed)
     checks = []
     for key, expected in correlations.EXPECTED_CORRELATIONS.items():
         checks.append(approx_check(
-            key, suite.identity_values[key], expected, identity_tol,
+            key, suite.identity_values[key], expected, _IDENTITY_TOL,
             description="joint or conditional probability on the shared state",
             source="closed form"))
         checks.append(bound_check(
-            f"{key} rotation drift", suite.max_deviation[key], identity_tol,
-            description=f"worst deviation over {suite.n_samples} "
+            f"{key} rotation drift", suite.max_deviation[key], _IDENTITY_TOL,
+            description=f"worst deviation over {rotations} "
                         "random collective rotation tuples",
             source="sampled estimate",
             detail=f"largest at rotation tuple {suite.worst_sample[key]}"))
     setting, sample = suite.worst_null
     where = "unrotated" if sample is None else f"rotation tuple {sample}"
     checks.append(bound_check(
-        "null outcome probability", suite.max_null_probability, identity_tol,
+        "null outcome probability", suite.max_null_probability, _IDENTITY_TOL,
         description="spin-zero states never leave the labelled eigenspaces",
         source="sampled estimate", detail=f"largest at {setting}, {where}"))
     return Section("correlation identities", tuple(checks))
@@ -131,8 +135,9 @@ def _decoherence_section(seed, *, decoherence_samples: int) -> Section:
         if e.name.startswith("sector"):
             checks.append(Check(
                 name=f"{e.name} immune under {e.scope} rotations",
-                passed=e.immune,
-                description=f"smallest fidelity over {e.n_samples} random draws",
+                passed=e.min_fidelity > 1.0 - decohere.IMMUNITY_ATOL,
+                description=f"smallest fidelity over {decoherence_samples} "
+                            "random draws",
                 source="sampled estimate", value=e.min_fidelity,
                 expected=1.0, tolerance=decohere.IMMUNITY_ATOL,
                 detail=f"smallest at draw {e.worst_draw}"))
@@ -147,8 +152,7 @@ def _decoherence_section(seed, *, decoherence_samples: int) -> Section:
     return Section("collective decoherence immunity", tuple(checks))
 
 
-def _distinguish_section(*, scan_resolution: int,
-                         exclusion_resolution: int) -> Section:
+def _distinguish_section(*, scan_resolution: int) -> Section:
     found = distinguish.scan_distinguishable_omegas(resolution=scan_resolution)
     checks = [approx_check(
         "distinguishable pair angles found", len(found), 6, 0,
@@ -164,12 +168,13 @@ def _distinguish_section(*, scan_resolution: int,
             source="frozen numerical solve"))
     for omega, label in EXCLUDED_OMEGAS:
         resid = distinguish.grid_min_support_overlap(
-            omega, resolution=exclusion_resolution)
+            omega, resolution=_EXCLUSION_GRID)
         checks.append(Check(
             name=f"no distinguishing basis at {label}",
             passed=resid > 1e-3,
-            description="smallest support overlap over the angle grid stays "
-                        "far above the disjointness tolerance",
+            description="smallest support overlap over the angle grid of "
+                        f"{_EXCLUSION_GRID} points per angle stays far above "
+                        "the disjointness tolerance",
             source="frozen numerical solve", value=resid))
     return Section("distinguishable-pair scan", tuple(checks))
 
@@ -257,12 +262,10 @@ class _Row(NamedTuple):
 # report-all's sections in report order.  Substreams 3 and 4 are free: both
 # Hardy optima are closed form and draw nothing.
 SECTIONS = {
-    "correlations": _Row(_correlations_section,
-                        {"rotations": 100, "identity_tol": 1e-9}, (0,)),
+    "correlations": _Row(_correlations_section, {"rotations": 100}, (0,)),
     "simulation": _Row(_simulation_section, {"sim_rounds": 50000}, (1, 5)),
     "decoherence": _Row(_decoherence_section, {"decoherence_samples": 1000}, (2,)),
-    "distinguish": _Row(_distinguish_section,
-                       {"scan_resolution": 200, "exclusion_resolution": 100}),
+    "distinguish": _Row(_distinguish_section, {"scan_resolution": 200}),
     "hardy": _Row(_hardy_section, {}),
     "lhv": _Row(_lhv_section, {}),
 }

@@ -181,7 +181,6 @@ class CorrelationSuiteResult:
 
     identity_values: dict
     max_deviation: dict
-    n_samples: int
     max_null_probability: float
     worst_sample: dict
     worst_null: tuple
@@ -223,7 +222,6 @@ def verify_correlation_suite(n_rotation_samples: int = 100,
     return CorrelationSuiteResult(
         identity_values={k: float(v[0]) for k, v in values.items()},
         max_deviation={k: float(d.max()) for k, d in dev.items()},
-        n_samples=n_rotation_samples,
         max_null_probability=max(0.0, float(null.max())),
         worst_sample={k: int(d.argmax()) for k, d in dev.items()},
         worst_null=(_SUITE_SETTINGS[setting],

@@ -177,11 +177,6 @@ class LhvConstraint:
 
 
 @dataclass(frozen=True)
-class LhvScenario:
-    constraints: tuple
-
-
-@dataclass(frozen=True)
 class Feasible:
     """A witnessing weight assignment, strategies with zero weight omitted."""
 
@@ -201,11 +196,12 @@ def _event_constraint(event: tuple, probability: Fraction) -> LhvConstraint:
                          lambda s: s[ia] == oa and s[ib] == ob, probability)
 
 
-def standard_scenario(p_joint: Fraction = P_POSITIVE) -> LhvScenario:
-    """The three Hardy zeros plus a positive joint probability."""
-    return LhvScenario(constraints=tuple(
-        _event_constraint(event, Fraction(0)) for event in ZERO_EVENTS
-    ) + (_event_constraint(POSITIVE_EVENT, p_joint),))
+def standard_scenario(p_joint: Fraction = P_POSITIVE) -> tuple:
+    """The constraints of the Hardy pattern, as the tuple of
+    ``LhvConstraint`` that ``lhv_feasibility`` takes: the three zeros, then
+    the positive joint event at ``p_joint``."""
+    return tuple(_event_constraint(event, Fraction(0)) for event in ZERO_EVENTS
+                 ) + (_event_constraint(POSITIVE_EVENT, p_joint),)
 
 
 def _phase1_simplex(rows, rhs):
@@ -268,40 +264,40 @@ def _strategy_label(s) -> str:
     return "(" + ", ".join(f"{n}={v:+d}" for n, v in zip(names, s)) + ")"
 
 
-def lhv_feasibility(scenario: LhvScenario):
-    """``Feasible`` with weights over the 16 strategies that meet the
-    scenario and sum to 1, by the exact linear program, or ``Infeasible``.
-    Its certificate walks the forced zeros: each zero constraint kills its
-    strategies, and a positive constraint whose support is all killed is the
-    contradiction."""
+def lhv_feasibility(constraints: tuple):
+    """``Feasible`` with weights over the 16 strategies that meet every
+    ``LhvConstraint`` of ``constraints`` and sum to 1, by the exact linear
+    program, or ``Infeasible``.  Its certificate walks the forced zeros: each
+    zero constraint kills its strategies, and a positive constraint whose
+    support is empty or all killed is the contradiction."""
     rows = [[Fraction(int(con.predicate(s))) for s in STRATEGIES]
-            for con in scenario.constraints]
+            for con in constraints]
     rows.append([Fraction(1)] * len(STRATEGIES))
-    rhs = [con.probability for con in scenario.constraints] + [Fraction(1)]
+    rhs = [con.probability for con in constraints] + [Fraction(1)]
     w = _phase1_simplex(rows, rhs)
     if w is not None:
         weights = {s: wi for s, wi in zip(STRATEGIES, w) if wi != 0}
         return Feasible(weights=weights)
     dead = set()
     lines = []
-    for con in scenario.constraints:
+    for con in constraints:
         if con.probability != 0:
             continue
         killed = [s for s in STRATEGIES if con.predicate(s) and s not in dead]
         dead.update(killed)
         lines.append(f"{con.description} forces zero weight on "
                      f"{len(killed)} strategies")
-    for con in scenario.constraints:
+    for con in constraints:
         if con.probability == 0:
             continue
         support = [s for s in STRATEGIES if con.predicate(s)]
         if all(s in dead for s in support):
-            lines.append(
-                f"every strategy consistent with the event in "
-                f"'{con.description}' is already forced to zero weight, "
-                f"for example {_strategy_label(support[0])}, so the event "
-                f"probability must be 0; the required value "
-                f"{con.probability} is positive")
+            event = f"the event in '{con.description}'"
+            why = (f"every strategy consistent with {event} is already forced "
+                   f"to zero weight, for example {_strategy_label(support[0])}"
+                   if support else f"no strategy is consistent with {event}")
+            lines.append(f"{why}, so the event probability must be 0; the "
+                         f"required value {con.probability} is positive")
             return Infeasible(certificate="\n".join(lines))
     return Infeasible(certificate="the exact linear program over strategy "
                                   "weights admits no nonnegative solution")

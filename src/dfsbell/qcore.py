@@ -318,17 +318,12 @@ def haar_su2_batch(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return check_unitary(_haar_matrices(rng, shape))
 
 
-def partial_trace(state_or_rho, keep) -> DensityOperator:
-    """Reduced density operator on the qubits ``keep`` (1-based integer
-    labels, ascending output order); ValueError for other labels."""
-    if isinstance(state_or_rho, QuantumState):
-        rho = np.outer(state_or_rho.amplitudes, state_or_rho.amplitudes.conj())
-        n = state_or_rho.n_qubits
-    elif isinstance(state_or_rho, DensityOperator):
-        rho = state_or_rho.matrix
-        n = state_or_rho.n_qubits
-    else:
-        raise TypeError("expected QuantumState or DensityOperator")
+def partial_trace(state: QuantumState, keep) -> DensityOperator:
+    """Reduced density operator of the pure ``state`` on the qubits ``keep``
+    (1-based integer labels, ascending output order); ValueError for other
+    labels."""
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    n = state.n_qubits
     keep = sorted(_check_integer("keep label", k) for k in keep)
     if not keep:
         raise ValueError("keep set must be nonempty")

@@ -45,6 +45,17 @@ def test_readme_synopsis_lists_each_commands_options():
         assert synopsis[name] == options, name
 
 
+def test_every_config_key_is_set_by_exactly_one_option():
+    # a report-all config key that no option sets is a constant, not config;
+    # _config_option raises KeyError for a key outside _CONFIG
+    options = [param for command in main.commands.values()
+               for param in command.params if isinstance(param, click.Option)]
+    set_by = sorted(p.name for p in options if p.name in cli._CONFIG)
+    assert set_by == sorted(cli._CONFIG)
+    assert all(p.default == cli._CONFIG[p.name]
+               for p in options if p.name in cli._CONFIG)
+
+
 def test_unknown_option_is_usage_error():
     result = _run(["verify-correlations", "--bogus"])
     assert result.exit_code == 2
@@ -68,6 +79,7 @@ def test_simulate_stdout_json():
     result = _run(["simulate", "--rounds", "200", "--seed", "3"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
+    assert list(payload) == ["n_rounds", "rotations_policy", "seed", "counts"]
     assert payload["n_rounds"] == 200
     assert payload["rotations_policy"] == "identity"
 
@@ -317,7 +329,7 @@ MANIFEST = [
 
 # Small sizes at which every section still gives its full list of checks.
 SMALL = {"rotations": 2, "sim_rounds": 200, "decoherence_samples": 4,
-         "scan_resolution": 100, "exclusion_resolution": 100}
+         "scan_resolution": 100}
 
 
 def test_report_all_check_manifest():

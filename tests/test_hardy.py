@@ -8,7 +8,7 @@ import pytest
 from dfsbell import hardy
 from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
                            ZERO_EVENTS, Feasible, HardyInstance, Infeasible,
-                           LhvConstraint, LhvScenario, _coefficient_rows,
+                           LhvConstraint, _coefficient_rows,
                            eta_instance, feasible_state,
                            fixed_angle_maximum, grid_probabilities,
                            hardy_probability,
@@ -227,7 +227,7 @@ def test_lhv_zero_joint_control_is_feasible():
     scenario = standard_scenario(p_joint=Fraction(0))
     total = sum(verdict.weights.values())
     assert total == 1
-    for con in scenario.constraints:
+    for con in scenario:
         mass = sum(w for s, w in verdict.weights.items() if con.predicate(s))
         assert mass == con.probability
 
@@ -249,10 +249,10 @@ def test_lhv_probabilities_are_exact_and_in_the_unit_interval(p):
 
 
 def test_lhv_feasible_scenario_with_positive_probability():
-    scenario = LhvScenario(constraints=(
+    scenario = (
         LhvConstraint("P(f_A=+1) = 1/2", lambda s: s[0] == +1, Fraction(1, 2)),
         LhvConstraint("P(g_B=+1) = 1/3", lambda s: s[3] == +1, Fraction(1, 3)),
-    ))
+    )
     verdict = lhv_feasibility(scenario)
     assert isinstance(verdict, Feasible)
     mass = sum(w for s, w in verdict.weights.items() if s[0] == +1)
@@ -347,13 +347,25 @@ def test_phase1_simplex_breaks_ratio_ties_by_blands_rule():
 def test_lhv_infeasible_without_forced_zero_narrative():
     # two events that each demand full weight on disjoint strategy sets;
     # no zero constraint exists, so the generic certificate is returned
-    scenario = LhvScenario(constraints=(
+    scenario = (
         LhvConstraint("P(f_A=+1) = 1", lambda s: s[0] == +1, Fraction(1)),
         LhvConstraint("P(f_A=-1) = 1", lambda s: s[0] == -1, Fraction(1)),
-    ))
+    )
     verdict = lhv_feasibility(scenario)
     assert isinstance(verdict, Infeasible)
     assert "no nonnegative solution" in verdict.certificate
+
+
+def test_lhv_positive_event_that_no_strategy_meets_is_infeasible():
+    # an event with empty support has probability 0 in every local model;
+    # before, the forced-zero walk read the first strategy of that empty
+    # support and raised IndexError
+    verdict = lhv_feasibility((
+        LhvConstraint("never", lambda s: False, Fraction(1, 2)),))
+    assert isinstance(verdict, Infeasible)
+    assert verdict.certificate == (
+        "no strategy is consistent with the event in 'never', so the event "
+        "probability must be 0; the required value 1/2 is positive")
 
 
 def test_strategy_enumeration():
