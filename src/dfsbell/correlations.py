@@ -130,7 +130,8 @@ def wing_marginal(state: QuantumState, setting: Setting, wing: str) -> dict:
 
 
 def conditional_probability(state: QuantumState, target, given) -> float:
-    """P(target | given) where target and given are (setting, outcome, wing) triples.
+    """P(target | given) where target and given are (setting, outcome, wing) triples:
+    the joint probability over the given wing's marginal.
 
     The two triples must name different wings.  Conditioning on an event of
     probability below 1e-12 raises UndefinedConditionalError rather than
@@ -141,19 +142,14 @@ def conditional_probability(state: QuantumState, target, given) -> float:
     if {t_wing, g_wing} != {"alice", "bob"}:
         raise ValueError("target and given must be on opposite wings")
     _check_outcomes(t_outcome, g_outcome)
-    if t_wing == "alice":
-        dist = joint_distribution(state, t_setting, g_setting)
-        p_joint = dist[(t_outcome, g_outcome)]
-        p_given = sum(dist[(o, g_outcome)] for o in OUTCOMES)
-    else:
-        dist = joint_distribution(state, g_setting, t_setting)
-        p_joint = dist[(g_outcome, t_outcome)]
-        p_given = sum(dist[(g_outcome, o)] for o in OUTCOMES)
+    p_given = wing_marginal(state, g_setting, g_wing)[g_outcome]
     if p_given < _ZERO_EVENT:
         raise UndefinedConditionalError(
             f"conditioning event has probability {p_given:.3e}"
         )
-    return p_joint / p_given
+    pair = ((t_setting, t_outcome), (g_setting, g_outcome))
+    (a, oa), (b, ob) = pair if t_wing == "alice" else pair[::-1]
+    return joint_probability(state, a, b, oa, ob) / p_given
 
 
 # The four correlation facts the whole construction rests on, with their

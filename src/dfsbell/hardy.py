@@ -61,32 +61,31 @@ class HardyInstance:
         amps = tuple(complex(a) for a in self.amplitudes)
         if len(amps) != 4:
             raise ValueError("exactly four amplitudes required")
-        norm = math.fsum(abs(a) ** 2 for a in amps)
-        if not abs(norm - 1.0) <= 1e-8:
-            raise ValueError(f"amplitudes must be normalized, got norm^2 = {norm}")
+        QuantumState(amps)  # unit norm within ATOL
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "alpha_a", float(self.alpha_a))
         object.__setattr__(self, "alpha_b", float(self.alpha_b))
         check_finite(self.alpha_a, self.alpha_b)
 
 
-def _coefficient_rows(alpha_a: float, alpha_b: float) -> dict:
-    """Real rows of the four Hardy events, keyed by event: each event's
-    probability is |row . c|^2 for the amplitudes c, the row the Kronecker
-    product of the two wings' bras."""
-    alice = {"F": _F_ROWS, "G": axis_rows(alpha_a)}
-    bob = {"F": _F_ROWS, "G": axis_rows(alpha_b)}
-    return {
-        (sa, sb, oa, ob): np.multiply.outer(alice[sa][int(oa > 0)],
-                                            bob[sb][int(ob > 0)]).ravel()
-        for sa, sb, oa, ob in ZERO_EVENTS + (POSITIVE_EVENT,)
-    }
+def _coefficient_rows(rows_a, rows_b) -> dict:
+    """Real rows of the four Hardy events, keyed by event, from broadcasting
+    ``axis_rows`` stacks of Alice's and Bob's G: each event's probability is
+    |row . c|^2 for the amplitudes c, the row the Kronecker product of the
+    two wings' bras."""
+    alice = {"F": _F_ROWS, "G": rows_a}
+    bob = {"F": _F_ROWS, "G": rows_b}
+    rows = {}
+    for sa, sb, oa, ob in ZERO_EVENTS + (POSITIVE_EVENT,):
+        row = alice[sa][..., int(oa > 0), :, None] * bob[sb][..., int(ob > 0), None, :]
+        rows[sa, sb, oa, ob] = row.reshape(*row.shape[:-2], 4)
+    return rows
 
 
 def hardy_probability(inst: HardyInstance):
     """``(p, residuals)``: the probability of ``POSITIVE_EVENT``, and those of
     the ``ZERO_EVENTS``, which a witness holds at zero, keyed by event."""
-    rows = _coefficient_rows(inst.alpha_a, inst.alpha_b)
+    rows = _coefficient_rows(axis_rows(inst.alpha_a), axis_rows(inst.alpha_b))
     c = np.array(inst.amplitudes)
     vals = {event: float(abs(np.dot(row, c)) ** 2) for event, row in rows.items()}
     p = vals.pop(POSITIVE_EVENT)
@@ -124,12 +123,9 @@ def grid_probabilities(n: int) -> np.ndarray:
     check_count("n", n)
     step = math.pi / (2 * n)
     rows = np.stack([axis_rows(k * step) for k in range(n)])
-    states = _feasible_amplitudes(rows[:, None], rows).reshape(n, n, 2, 2)
-    wing = {"F": np.broadcast_to(_F_ROWS, rows.shape), "G": rows}
-    sa, sb, oa, ob = POSITIVE_EVENT
-    amp = np.einsum("ai,bj,abij->ab", wing[sa][:, int(oa > 0)],
-                    wing[sb][:, int(ob > 0)], states)
-    return amp ** 2
+    states = _feasible_amplitudes(rows[:, None], rows)
+    row = _coefficient_rows(rows[:, None], rows)[POSITIVE_EVENT]
+    return (row * states).sum(-1) ** 2
 
 
 def fixed_angle_maximum(alpha: float) -> float:
@@ -321,7 +317,7 @@ def zero_constraint_rank(alpha_a: float, alpha_b: float) -> int:
     ``_RANK_TOL``, so it is below 3 exactly where ``feasible_state`` raises,
     which happens only when both angles are pi/2 (mod pi)."""
     check_finite(alpha_a, alpha_b)
-    rows = _coefficient_rows(alpha_a, alpha_b)
+    rows = _coefficient_rows(axis_rows(alpha_a), axis_rows(alpha_b))
     s = np.linalg.svd(np.array([rows[e] for e in ZERO_EVENTS]), compute_uv=False)
     return int(np.count_nonzero(np.cumprod(s) >= _RANK_TOL))
 

@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .dfs_states import ETA_INT, ETA_NORM, ETA_TABLE, V, V_NORMS, make_eta
-from .qcore import (QuantumState, check_count, check_unitary, collective_turn,
-                    haar_su2_batch, joint_probs, kron, product_bras, turn_table,
-                    wing_bras)
+from .qcore import (QuantumState, check_bits, check_count, check_unitary,
+                    collective_turn, haar_su2_batch, joint_probs, kron,
+                    product_bras, turn_table, wing_bras)
 
 # Fresh-frame marginal and conditional word probabilities analytically zero
 # come out of floating-point amplitude algebra at ~1e-32; clipping below this
@@ -56,10 +56,11 @@ def _thetas(protocol: str) -> tuple:
 
 def classify_outcome(word, protocol: str) -> int:
     """-1 if the 4-bit outcome word's bits differ within both pairs of the
-    protocol (the singlet-pair class), else +1."""
+    protocol (the singlet-pair class), else +1; the word is four bits that
+    ``check_bits`` passes, or ValueError."""
     thetas = _thetas(protocol)
-    bits = tuple(int(b) for b in word)
-    if len(bits) != 4 or any(b not in (0, 1) for b in bits):
+    bits = check_bits(word)
+    if len(bits) != 4:
         raise ValueError(f"word must be four bits, got {word!r}")
     pairs = ([b for t, b in zip(thetas, bits) if t == theta] for theta in set(thetas))
     return -1 if all(a != b for a, b in pairs) else +1

@@ -48,22 +48,27 @@ def check_count(name: str, value, rule: str = "must be >= 1") -> int:
     return int(value)
 
 
+def check_bits(bits) -> tuple:
+    """``bits`` as a tuple of ints 0 and 1, from a string like "0101" or a
+    sequence of integer bits (not bools or floats); ValueError otherwise."""
+    bits = tuple(int(b) if isinstance(bits, str) else _check_integer("bit", b)
+                 for b in bits)
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+    return bits
+
+
 def check_finite(*angles) -> None:
     """Raise ValueError unless every angle is finite."""
     if not all(math.isfinite(t) for t in angles):
         raise ValueError(f"angles must be finite, got {angles}")
 
 
-def _as_amplitudes(amplitudes) -> np.ndarray:
-    a = np.asarray(amplitudes, dtype=complex)
-    if a.ndim != 1:
-        raise ValueError(f"amplitudes must be a vector, got shape {a.shape}")
-    n = a.size.bit_length() - 1
-    if a.size != 2**n:
-        raise ValueError(f"length {a.size} is not a power of two")
-    if n < 1 or n > MAX_QUBITS:
-        raise SizeError(f"supported qubit counts are 1..{MAX_QUBITS}, got {n}")
-    return a
+def _check_qubit_count(dim: int) -> None:
+    """Raise SizeError unless ``dim`` is 2^n with n in 1..MAX_QUBITS."""
+    n = dim.bit_length() - 1
+    if dim != 2**n or not 1 <= n <= MAX_QUBITS:
+        raise SizeError(f"dimension {dim} is not 2^n with n in 1..{MAX_QUBITS}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,10 @@ class QuantumState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = _as_amplitudes(self.amplitudes)
+        a = np.asarray(self.amplitudes, dtype=complex)
+        if a.ndim != 1:
+            raise ValueError(f"amplitudes must be a vector, got shape {a.shape}")
+        _check_qubit_count(a.size)
         nrm = _norm(a)
         if not abs(nrm - 1.0) <= ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 by more than {ATOL}")
@@ -99,9 +107,7 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got {m.shape}")
-        n = m.shape[0].bit_length() - 1
-        if m.shape[0] != 2**n or n < 1 or n > MAX_QUBITS:
-            raise SizeError(f"dimension {m.shape[0]} is not 2^n with n in 1..{MAX_QUBITS}")
+        _check_qubit_count(m.shape[0])
         if not np.linalg.norm(m - m.conj().T) <= ATOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
         if not abs(np.trace(m).real - 1.0) <= ATOL:
@@ -135,11 +141,8 @@ def check_unitary(u) -> np.ndarray:
 
 
 def basis_state(bits) -> QuantumState:
-    """Computational basis state from a bit string like "0101" or a sequence
-    of integer bits; ValueError for any other bit."""
-    bits = [int(b) if isinstance(bits, str) else _check_integer("bit", b) for b in bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
+    """Computational basis state of the bits that ``check_bits`` passes."""
+    bits = check_bits(bits)
     amplitudes = np.zeros(2 ** len(bits), dtype=complex)
     index = 0
     for b in bits:

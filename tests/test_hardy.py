@@ -17,6 +17,7 @@ from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
                            standard_scenario, to_full_state,
                            zero_constraint_rank)
 from dfsbell.dfs_states import ETA_INT
+from dfsbell.qcore import axis_rows
 
 
 def test_eta_instance_probabilities():
@@ -45,7 +46,7 @@ def test_feasible_state_is_the_null_vector_of_the_zero_events():
     angles = (np.arange(16) + 0.5) * (math.pi / 32)
     for aa in angles:
         for ab in angles:
-            rows = _coefficient_rows(aa, ab)
+            rows = _coefficient_rows(axis_rows(aa), axis_rows(ab))
             null = np.linalg.svd(np.array([rows[e] for e in ZERO_EVENTS]))[2][-1]
             c = np.array(feasible_state(aa, ab).amplitudes)
             assert abs(abs(np.dot(null, c)) - 1.0) < 1e-12, (aa, ab)

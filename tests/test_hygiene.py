@@ -10,11 +10,11 @@ Haar frames are drawn in batches everywhere.  Every public function, class
 and method is used somewhere in the package outside its own body, or is
 listed in ``UNREFERENCED`` with the reason it is kept.  Every private
 module-level function, class and constant is read in its own module outside
-its own definition.  What the benchmark's workloads call still exists, with
-the keywords they pass.  README's session runs as a doctest, and every name
-its module table cites exists in the module its row names.  Every
-``test_...`` name that a package docstring or comment cites, to say which
-test checks a derivation, is a test defined under ``tests/`` or
+its own definition.  What the benchmark's workloads and tests call still
+exists, with the keywords they pass.  README's session runs as a doctest,
+and every name its module table cites exists in the module its row names.
+Every ``test_...`` name that a package docstring or comment cites, to say
+which test checks a derivation, is a test defined under ``tests/`` or
 ``perfbench/``.
 """
 
@@ -111,9 +111,7 @@ def test_no_module_draws_one_frame_at_a_time():
 # requires this list to be exact, so a name that gains a caller leaves it.
 UNREFERENCED = {
     # the second, independent route of a claim
-    "joint_probability": "eigen-bra Born probabilities, against the product words",
     "conditional_probability": "the conditional identities from eigen-bras",
-    "wing_marginal": "single-wing eigen-bra marginals, against the product words",
     "wing_outcome_distribution": "classified product words, against the eigen-bras",
     "dfs_observable": "the sector observable at any angle, reproducing F and G",
     "to_full_state": "the 2x2 Hardy model, against the 256 amplitudes",
@@ -213,34 +211,63 @@ def test_every_private_name_is_read_in_its_module(path):
             if not (loads - _loads(node))[name]] == []
 
 
+def _import_from(module: str, name: str):
+    """What ``from module import name`` binds: a submodule, else an attribute."""
+    try:
+        return importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError:
+        return getattr(importlib.import_module(module), name)
+
+
+def _package_imports(tree) -> dict:
+    """Each name that a ``from dfsbell... import`` anywhere in ``tree``, a
+    function body included, binds, to the module or object it names."""
+    return {a.asname or a.name: _import_from(node.module, a.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dfsbell"
+            for a in node.names}
+
+
 def test_benchmark_calls_match_the_package(monkeypatch):
-    """The benchmark's workloads reach the package through names and keywords
-    that this test pins, so a change to the package that would break a
-    benchmark run fails here first.  What the benchmark alone holds in place,
-    which ROADMAP item 2 deletes once item 1 has changed the workloads: the
-    unused ``n_starts`` and ``seed`` of both Hardy solves, the scan's
-    ``refine_tol`` and ``OptimizationResult.n_feasible``, all read in the
-    static part, and the per-frame chain of the layer pass, run once below:
-    a ``haar_su2`` frame into ``apply_collective``, ``Observable.rotated``
-    and ``LocalRotation``."""
+    """The benchmark's workloads and its own tests reach the package through
+    names and keywords that this test pins, so a change to the package that
+    would break a benchmark run or test fails here first.  What the benchmark
+    alone holds in place, which ROADMAP item 2 deletes once item 1 has
+    changed the workloads: the unused ``n_starts`` and ``seed`` of both Hardy
+    solves, the scan's ``refine_tol``, ``OptimizationResult.n_feasible`` and
+    ``ExperimentRecord``'s ``settings_policy``, all read in the static part,
+    and the per-frame chain of the layer pass, run once below: a
+    ``haar_su2`` frame into ``apply_collective``, ``Observable.rotated`` and
+    ``LocalRotation``."""
     tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    modules = {a.asname or a.name: importlib.import_module(f"dfsbell.{a.name}")
-               for node in tree.body if isinstance(node, ast.ImportFrom)
-               and node.module == "dfsbell" for a in node.names}
+    modules = _package_imports(tree)
     assert {"hardy", "qcore", "distinguish"} <= set(modules)
 
-    # every module attribute read, and every keyword of a direct module call
-    def module_attr(node):
-        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules)
-    for node in ast.walk(tree):
-        if module_attr(node):
-            assert hasattr(modules[node.value.id], node.attr), node.attr
-        if isinstance(node, ast.Call) and module_attr(node.func):
-            params = inspect.signature(
-                getattr(modules[node.func.value.id], node.func.attr)).parameters
+    # every module attribute read, and every keyword of a call to an
+    # imported name or to a module attribute
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "test_perfbench.py"):
+        file_tree = ast.parse(path.read_text())
+        bound = _package_imports(file_tree)
+
+        def module_attr(node):
+            return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and inspect.ismodule(bound.get(node.value.id)))
+        for node in ast.walk(file_tree):
+            if module_attr(node):
+                assert hasattr(bound[node.value.id], node.attr), node.attr
+            if not isinstance(node, ast.Call):
+                continue
+            if module_attr(node.func):
+                name = node.func.attr
+                callee = getattr(bound[node.func.value.id], name)
+            elif isinstance(node.func, ast.Name) and node.func.id in bound:
+                name = node.func.id
+                callee = bound[name]
+            else:
+                continue
+            params = inspect.signature(callee).parameters
             for kw in node.keywords:
-                assert kw.arg in params, f"{node.func.attr}({kw.arg}=...)"
+                assert kw.arg in params, f"{path.name}: {name}({kw.arg}=...)"
 
     # the solvers behind a loop variable, run as the workloads run them
     monkeypatch.syspath_prepend(str(PERFBENCH))

@@ -9,7 +9,8 @@ from dfsbell.dfs_states import make_g, make_phi0
 from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
                                  grid_min_support_overlap)
 from dfsbell.hardy import HardyInstance, fixed_angle_maximum
-from dfsbell.localmeas import wing_distribution, wing_outcome_distribution
+from dfsbell.localmeas import (classify_outcome, wing_distribution,
+                               wing_outcome_distribution)
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            apply_collective, basis_state, check_count,
                            check_unitary, collective_turn, haar_su2,
@@ -34,6 +35,16 @@ def test_basis_state_rejects_non_bits():
     for bits in ([1.5, 0, 0, 1], [1.0, 0, 0, 1], [True, 0, 0, 1]):
         with pytest.raises(ValueError, match="must be an integer"):
             basis_state(bits)
+
+
+@pytest.mark.parametrize("read", [basis_state, lambda w: classify_outcome(w, "F")],
+                         ids=["basis_state", "classify_outcome"])
+@pytest.mark.parametrize("word", [(0, 1.7, 0, 1), (True, False, True, False)],
+                         ids=["float", "bool"])
+def test_float_and_bool_bits_are_refused(read, word):
+    # one 0/1-word rule, check_bits: 1.7 is not truncated to 1, nor True read as 1
+    with pytest.raises(ValueError, match="bit must be an integer"):
+        read(word)
 
 
 def test_state_validation():
@@ -344,6 +355,21 @@ def test_partial_trace_validates_labels():
     for keep in ((1.7, 2, 3, 4), (True, 2, 3, 4)):
         with pytest.raises(ValueError, match="must be an integer"):
             partial_trace(s, keep=keep)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: QuantumState(np.eye(3)[0]), SizeError),
+    (lambda: QuantumState(np.eye(2 ** 9)[0]), SizeError),
+    (lambda: DensityOperator(np.eye(3) / 3), SizeError),
+    (lambda: DensityOperator(np.eye(2 ** 9) / 2 ** 9), SizeError),
+    (lambda: HardyInstance((1 + 1e-9, 0, 0, 0), 0.1, 0.1), ValueError),
+], ids=["QuantumState-3", "QuantumState-2^9", "DensityOperator-3",
+        "DensityOperator-2^9", "HardyInstance-norm"])
+def test_validated_types_share_one_size_and_norm_rule(build, error):
+    # both types count qubits alike, and a Hardy instance is a two-qubit
+    # state: its norm, not its norm squared, must be 1 within ATOL
+    with pytest.raises(error):
+        build()
 
 
 def test_density_operator_validation():
