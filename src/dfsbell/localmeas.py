@@ -4,11 +4,12 @@ Each wing measures every qubit separately along an x-z plane angle
 (``PROTOCOLS``); the qubits that share an angle form a pair, and an outcome
 word is -1 (the singlet-pair state) exactly when its bits differ within both
 pairs.  F pairs qubits (1,2) on the z axis and (3,4) on the x axis; G
-exchanges qubits 2 and 3.  ``run_experiment`` keeps only word tallies: fixed
-frames draw from the exact integer word tables
+exchanges qubits 2 and 3.  ``run_experiment`` keeps only outcome-pair cells:
+fixed frames draw them from the exact integer word tables
 (test_word_tables_are_exact_integer_distributions), and fresh frames draw
 each round's Alice word from her marginal, then Bob's given hers
-(test_two_stage_draw_is_the_bra_route_draw_for_draw).
+(test_two_stage_draw_is_the_bra_route_draw_for_draw), and sum the word
+tally into cells.
 """
 
 from __future__ import annotations
@@ -77,6 +78,26 @@ _INT_BRAS = {p: kron([_INT_ROWS[t] for t in thetas]) for p, thetas in PROTOCOLS.
 _TABLES = {(a, b): ((_INT_BRAS[a] @ ETA_INT.reshape(16, 16) @ _INT_BRAS[b].T) ** 2).ravel()
            for a, b in _SETTING_PAIRS}
 _AMP16 = make_eta().amplitudes.reshape(16, 16)
+# Outcome pairs (oa, ob) in the order of their cell 2 [oa = +1] + [ob = +1].
+_CELLS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _fixed_draw(cells, weights) -> tuple:
+    """``(cells, weights)`` as arrays, of the words of positive weight only:
+    numpy's multinomial gives the last category what the others leave, which
+    must not reach a word of weight 0."""
+    kept = [(c, w) for c, w in zip(cells, weights) if w > 0]
+    return np.array([c for c, _ in kept]), np.array([w for _, w in kept])
+
+
+# Per setting pair, the cell of each word pair 16 a + b, and the fixed-frame
+# draw.  Python ints only: numpy masks at import add to the peak RSS of every
+# run, the ones that never simulate included.
+_CELL_INDEX = {(a, b): np.array([2 * (sa > 0) + (sb > 0) for sa in _SIGNS[a].tolist()
+                                 for sb in _SIGNS[b].tolist()])
+               for a, b in _SETTING_PAIRS}
+_FIXED_DRAWS = {pair: _fixed_draw(cells.tolist(), _TABLES[pair].tolist())
+                for pair, cells in _CELL_INDEX.items()}
 
 
 def _factor_tables(vecs, scale) -> dict:
@@ -218,28 +239,19 @@ def max_frame_drift(n_frames: int, seed) -> tuple:
     return float(drift.max()), int(drift.argmax())
 
 
-def _word_tally(p, n: int, rng) -> np.ndarray:
-    """Word tally of n rounds drawn from the weights ``p``, one multinomial
-    over the words of positive weight only: numpy gives the last category
-    what the others leave, which must not reach a word of weight 0."""
-    support = np.flatnonzero(p)
-    tally = np.zeros(p.size, dtype=np.int64)
-    tally[support] = rng.multinomial(n, p[support] / p[support].sum())
-    return tally
-
-
-def _class_cells(tally, pa: str, pb: str) -> dict:
-    """A 256-word tally of setting pair (pa, pb), summed per outcome pair."""
-    cells = tally.reshape(16, 16)
-    return {(oa, ob): cells[np.ix_(_SIGNS[pa] == oa, _SIGNS[pb] == ob)].sum()
-            for oa in (-1, 1) for ob in (-1, 1)}
+def _cell_sums(cells, counts) -> list:
+    """Sums of the int64 ``counts`` per cell index in ``cells``, in _CELLS
+    order; exact, where a float route rounds totals past 2^53."""
+    sums = np.zeros(4, dtype=np.int64)
+    np.add.at(sums, cells, counts)
+    return sums.tolist()
 
 
 def exact_class_cells() -> dict:
     """cells[(pa, pb)][(oa, ob)]: the class cells of the unrotated word
     tables, over each table's sum, as Fractions."""
-    return {pair: {cell: Fraction(int(weight), int(table.sum()))
-                   for cell, weight in _class_cells(table, *pair).items()}
+    return {pair: {cell: Fraction(weight, int(table.sum())) for cell, weight
+                   in zip(_CELLS, _cell_sums(_CELL_INDEX[pair], table))}
             for pair, table in _TABLES.items()}
 
 
@@ -264,12 +276,13 @@ def run_experiment(n_rounds: int, settings_policy="random",
     counts = {}
     for (pa, pb), n_pair in zip(_SETTING_PAIRS, n_pairs):
         if rotations_policy == "identity":
-            tally = _word_tally(_TABLES[(pa, pb)], n_pair, rng)
+            cells, weights = _FIXED_DRAWS[(pa, pb)]
+            tally = rng.multinomial(n_pair, weights / weights.sum())
         else:
+            cells = _CELL_INDEX[(pa, pb)]
             tally = _sample_fresh_rotations(_ALICE_TABLES[pa], _BOB_TABLES[pb],
                                             n_pair, rng)
-        counts[(pa, pb)] = {cell: int(count)
-                            for cell, count in _class_cells(tally, pa, pb).items()}
+        counts[(pa, pb)] = dict(zip(_CELLS, _cell_sums(cells, tally)))
     return ExperimentRecord(
         n_rounds=n_rounds,
         rotations_policy=rotations_policy,

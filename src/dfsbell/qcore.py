@@ -301,7 +301,7 @@ def _haar_matrices(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """(*shape, 2, 2) unchecked SU(2) matrices from one block of normals."""
     q = rng.normal(size=(*shape, 4))
     q /= np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
-    return (q @ _QUAT).reshape(*shape, 2, 2)
+    return (q.reshape(-1, 4) @ _QUAT).reshape(*shape, 2, 2)
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:

@@ -10,11 +10,11 @@ import pytest
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
 from dfsbell.localmeas import (PROTOCOLS, _ALICE_TABLES, _BOB_TABLES, _BRAS,
+                               _CELL_INDEX, _CELLS, _FIXED_DRAWS,
                                _FRAMES_PER_BLOCK, _INT_BRAS, _PROB_CLIP,
                                _ROUNDS_PER_CHUNK, _SETTING_PAIRS, _TABLES,
-                               _draw_words, _fresh_words, _sample_fresh_rotations,
-                               _word_tally,
-                               classify_outcome, exact_class_cells,
+                               _cell_sums, _draw_words, _fixed_draw, _fresh_words,
+                               _sample_fresh_rotations, classify_outcome, exact_class_cells,
                                max_frame_drift, run_experiment,
                                wing_distribution, wing_outcome_distribution)
 from dfsbell.dfs_states import (ETA_COEFFS, SECTOR, make_eta, make_f, make_g,
@@ -141,14 +141,23 @@ def test_fixed_frame_stream_is_pinned():
         "G,F": {"-1,-1": 410, "-1,+1": 78, "+1,-1": 0, "+1,+1": 220},
         "G,G": {"-1,-1": 319, "-1,+1": 182, "+1,-1": 203, "+1,+1": 60},
     }
+    # and at the benchmark's fixed-frame size
+    counts = run_experiment(4_000_000, "random", "identity", seed=11).to_dict()["counts"]
+    assert counts == {
+        "F,F": {"-1,-1": 142779, "-1,+1": 427934, "+1,-1": 428663, "+1,+1": 0},
+        "F,G": {"-1,-1": 572768, "-1,+1": 0, "+1,-1": 107831, "+1,+1": 320983},
+        "G,F": {"-1,-1": 571159, "-1,+1": 107551, "+1,-1": 0, "+1,+1": 319676},
+        "G,G": {"-1,-1": 438159, "-1,+1": 240916, "+1,-1": 240910, "+1,+1": 80671},
+    }
 
 
 def test_random_settings_draw_the_pair_counts_as_one_multinomial():
-    """The simulation keeps only word tallies.  Random settings draw the four
-    setting pairs' round counts as one multinomial, the first draw of the
-    seeded stream; fixed frames draw each setting pair's 256-word tally as one
-    multinomial, fresh frames draw one word pair per round, and either way the
-    tally is classified once into outcome pairs.
+    """The simulation keeps only outcome-pair cells.  Random settings draw
+    the four setting pairs' round counts as one multinomial, the first draw
+    of the seeded stream; fixed frames draw each setting pair's tally of its
+    words of positive weight as one multinomial and sum it into cells, and
+    fresh frames draw one word pair per round and sum the 256-word tally
+    into cells.
     """
     # the four pairs' round counts are one Multinomial(n; 1/4, 1/4, 1/4, 1/4),
     # the first draw of the seeded stream, whichever frames the rounds use
@@ -364,14 +373,44 @@ def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
 def test_word_tally_leaves_a_word_of_probability_zero_empty():
     # numpy's multinomial gives the last category what the others leave; on
     # a row summing 1e-6 below 1 the full row would put about 1000 of 1e9
-    # rounds on its last word, which has probability 0
+    # rounds on its last word, which has probability 0.  Each word is its own
+    # cell here, and the draw is run_experiment's.
     p = np.random.default_rng(23).random(256)
     p[[7, 100, 255]] = 0.0
     p *= (1.0 - 1e-6) / p.sum()
-    tally = _word_tally(p, 10 ** 9, np.random.default_rng(29))
+    words, weights = _fixed_draw(range(256), p.tolist())
+    assert words.tolist() == np.flatnonzero(p).tolist()
+    tally = np.zeros(256, dtype=np.int64)
+    tally[words] = np.random.default_rng(29).multinomial(10 ** 9, weights / weights.sum())
     assert tally.sum() == 10 ** 9
     assert tally[255] == 0
     assert not tally[p == 0].any()
+
+
+def _ix_cells(tally, pa, pb):
+    """Reference route: a 256-word tally of (pa, pb) summed per outcome pair
+    through boolean masks of each wing's word classes, in _CELLS order."""
+    minus = {"F": F_MINUS_WORDS, "G": G_MINUS_WORDS}
+    signs = {p: np.array([-1 if w in minus[p] else 1 for w in range(16)]) for p in minus}
+    cells = tally.reshape(16, 16)
+    return [int(cells[np.ix_(signs[pa] == oa, signs[pb] == ob)].sum()) for oa, ob in _CELLS]
+
+
+def test_cell_sums_are_the_mask_route():
+    # the precomputed cell index sums a tally as the per-class masks do: on
+    # the exact tables and their fixed draws, on random tallies, and exactly
+    # on a tally of 2**63 - 1 rounds, whose cells a float sum would round
+    rng = np.random.default_rng(41)
+    top = rng.multinomial(2 ** 63 - 1, np.full(256, 1 / 256))
+    for pair, table in _TABLES.items():
+        cells = _CELL_INDEX[pair]
+        assert _cell_sums(cells, table) == _ix_cells(table, *pair), pair
+        assert _cell_sums(*_FIXED_DRAWS[pair]) == _ix_cells(table, *pair), pair
+        for tally in (rng.integers(0, 2 ** 40, 256), top):
+            assert _cell_sums(cells, tally) == _ix_cells(tally, *pair), pair
+        assert sum(_cell_sums(cells, top)) == 2 ** 63 - 1
+    # non-vacuity: a float route misses on this tally
+    assert np.bincount(cells, weights=top).astype(np.int64).sum() != 2 ** 63 - 1
 
 
 def test_fixed_frame_tally_matches_the_eigen_bras_route():
