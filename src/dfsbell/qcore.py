@@ -252,16 +252,25 @@ def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     """rows U^(x4) vecs for the (k r, 35) ``turn_table`` of rows and vecs and
     a stack of (m, 2, 2) frames: (k r, m) complex, frame last.
 
-    U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, so the turn is
-    one product of the table with the monomials.  A frame's result depends
-    on the rest of the stack only through that product's rounding, within
-    1e-15 for unit frames, rows and vecs
+    U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, so every turn
+    is one real product of a real table with the monomials' interleaved
+    real and imaginary parts.  A complex table goes through its stacked
+    real and imaginary planes, whose two turns combine as re + i im
+    (test_complex_turn_is_the_turn_of_its_planes): OpenBLAS hands a
+    complex product to its worker threads at far smaller sizes than a real
+    one, and a small product can then wait milliseconds for them.  A
+    frame's result depends on the rest of the stack only through that
+    product's rounding, within 1e-15 for unit frames, rows and vecs
     (test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15).
     """
-    mono = _monomials(u)
-    if table.dtype.kind == "c":
-        return table @ mono
-    return (table @ mono.view(float)).view(complex)
+    mono = _monomials(u).view(float)
+    if table.dtype.kind != "c":
+        return (table @ mono).view(complex)
+    n = len(table)
+    planes = (np.concatenate([table.real, table.imag]) @ mono).view(complex)
+    out = planes[n:] * 1j
+    out += planes[:n]
+    return out
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:

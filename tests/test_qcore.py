@@ -293,6 +293,28 @@ def test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15():
             assert np.abs(collective_turn(table, u[a:b]) - whole[:, a:b]).max() < 1e-15
 
 
+def test_complex_turn_is_the_turn_of_its_planes():
+    # a complex table turns as its real plane's turn plus i times its
+    # imaginary plane's turn, within 1e-15 for unit rows, vecs and frames;
+    # k r = 1 is the one-row table, which BLAS multiplies as a vector
+    rng = np.random.default_rng(47)
+    u = haar_su2_batch(rng, (1000,))
+    for k, r in ((1, 1), (1, 2), (4, 1), (16, 2), (3, 5)):
+        rows = rng.normal(size=(k, 16)) + 1j * rng.normal(size=(k, 16))
+        vecs = rng.normal(size=(16, r)) + 1j * rng.normal(size=(16, r))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        vecs /= np.linalg.norm(vecs, axis=0)
+        real_rows = rows.real / np.linalg.norm(rows.real, axis=1, keepdims=True)
+        real_vecs = vecs.real / np.linalg.norm(vecs.real, axis=0)
+        for rows_c, vecs_c in ((rows, vecs), (real_rows, vecs), (rows, real_vecs)):
+            table = turn_table(rows_c, vecs_c)
+            assert table.dtype.kind == "c"
+            for frames in (u, u[:3], u[7:8]):
+                planes = (collective_turn(table.real, frames)
+                          + 1j * collective_turn(table.imag, frames))
+                assert np.abs(collective_turn(table, frames) - planes).max() < 1e-15, (k, r)
+
+
 def test_apply_collective_matches_the_full_operator():
     # U^(x k) acts per block of at most four qubits; compare with the
     # explicit 2^n x 2^n operator on every qubit count and wing
