@@ -4,12 +4,19 @@ The noise applies one random SU(2) frame to every qubit in scope: one draw
 for the whole register ("global"), or independent draws for the two wings
 ("per-wing").  Singlet-sector states are invariant under either, so their
 fidelity is 1 for every draw; reference states outside the sector lose most
-of theirs.  ``fidelity_samples`` scores each state on its support, through
-r x r tables S^dagger U^(x4) S and no U^(x4)
+of theirs.  Each state is scored on its support, through r x r tables
+S^dagger U^(x4) S and no U^(x4)
 (test_every_turned_table_has_r_squared_rows): a pure state by an overlap
 (test_pure_chunks_match_the_per_draw_route), a density operator by Uhlmann's
 fidelity (test_density_chunks_match_the_per_draw_route).  ``state_fidelity``
 is the per-draw route those tests compare against.
+
+The states of one scope share its draws: each chunk's frames are drawn,
+checked and expanded into one ``qcore.frame_monomials`` stack per wing once,
+and every state turns its own small tables from that stack with
+``qcore.monomial_turn``.  ``fidelity_samples`` is the one-state case, and
+``immunity_report`` scores all the states of a scope on one seeded stream
+(test_immunity_report_draws_each_frame_once_per_scope).
 """
 
 from __future__ import annotations
@@ -21,16 +28,19 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (DensityOperator, QuantumState, basis_state, check_count,
-                    check_unitary, collective_turn, haar_su2_batch, partial_trace,
-                    turn_table)
+                    check_unitary, frame_monomials, haar_su2_batch, monomial_turn,
+                    partial_trace, turn_table)
 
 IMMUNITY_ATOL = 1e-9
 
 # Draws per chunk: the unit of the kernels' work arrays, a (35, CHUNK)
-# stack of monomials and a turned table per wing.  At 1,024 the default
-# 1,000 draws take one chunk per state, so each kernel's numpy calls run
-# once per state, where per-call cost dominates; a larger count still
-# works chunk by chunk, with memory bounded by the chunk.
+# stack of monomials per wing, shared by every state of the scope, and each
+# state's turned tables.  At 1,024 the default 1,000 draws take one chunk
+# per scope, so each kernel's numpy calls run once per state, where per-call
+# cost dominates.  A larger count still works chunk by chunk: the immunity
+# report keeps only each state's running minimum and its draw, so its memory
+# is bounded by the chunk (test_immunity_report_memory_does_not_grow_with_the_draws),
+# while ``fidelity_samples`` returns one float per draw.
 CHUNK = 1024
 
 # Eigenvalues below this are exact zeros: of a density operator, and of
@@ -81,25 +91,25 @@ def state_fidelity(a, b) -> float:
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
-def _mixed_fidelities(table: np.ndarray, d: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
+def _mixed_fidelities(table: np.ndarray, d: np.ndarray, wings: tuple) -> np.ndarray:
     """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
-    (k, 2, 2) frames, on rho's support: ``table`` is the (r r, 35)
-    ``turn_table`` of X = V^dagger U^(x4) V, and ``d`` (r,) the square roots
-    of the kept eigenvalues (test_density_chunks_match_the_per_draw_route)."""
-    x = collective_turn(table, check_unitary(u)).T.reshape(-1, len(d), len(d))
+    global frames, given as ``_scope_chunks``' monomial ``wings``, on rho's
+    support: ``table`` is the (r r, 35) ``turn_table`` of X = V^dagger U^(x4)
+    V, and ``d`` (r,) the square roots of the kept eigenvalues
+    (test_density_chunks_match_the_per_draw_route)."""
+    x = monomial_turn(table, wings[0]).T.reshape(-1, len(d), len(d))
     dxd = d[:, None] * x * d
     ev = np.linalg.eigvalsh(dxd @ dxd.conj().swapaxes(-1, -2))
     return np.minimum(1.0, np.sum(np.sqrt(_chop(ev)), axis=-1) ** 2)
 
 
-def _pure_fidelities(tables: tuple, u: np.ndarray) -> np.ndarray:
+def _pure_fidelities(tables: tuple, wings: tuple) -> np.ndarray:
     """|<psi|rotated>|^2 of a pure state for a chunk of frames, on its
     Schmidt support, from the ``turn_table``s of one or both wings
-    (test_pure_chunks_match_the_per_draw_route).  ``u`` is (k, 2, 2) in the
-    global scope and (k, 2, 2, 2) per wing, Alice's frame first."""
-    wings = (u, u) if u.ndim == 3 else (u[:, 0], u[:, 1])
-    overlaps = np.prod([collective_turn(t, w) for t, w in zip(tables, wings)],
+    (test_pure_chunks_match_the_per_draw_route), each turned by its wing's
+    monomials in ``_scope_chunks``' ``wings``; a 4-qubit state's one table
+    takes the first."""
+    overlaps = np.prod([monomial_turn(t, m) for t, m in zip(tables, wings)],
                        axis=0).sum(axis=0)
     return np.minimum(1.0, overlaps.real ** 2 + overlaps.imag ** 2)
 
@@ -112,40 +122,60 @@ def _support(h: np.ndarray):
     return v[:, keep], p[keep]
 
 
-def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
-    """Per-draw fidelity between a state and its rotated copy, draw i from
-    the frames of draw i of the seeded stream, Alice's before Bob's.  It takes
-    a pure state of 4 or 8 qubits or a density operator of 4, per wing only a
-    pure 8-qubit state; other inputs raise ValueError before any draw."""
+def _scorer(state, scope: str):
+    """The chunk kernel that scores ``state`` in ``scope``, a function of
+    ``_scope_chunks``' monomial ``wings``; the inputs that ``fidelity_samples``
+    does not take raise ValueError here, before any draw."""
     if isinstance(state, DensityOperator):
-        if channel.scope != "global":
+        if scope != "global":
             raise ValueError("density operators support only the global scope")
         if state.n_qubits != 4:
             raise ValueError(
                 f"density operators of 4 qubits only, got {state.n_qubits}")
         vecs, p = _support(state.matrix)
-        score = partial(_mixed_fidelities, turn_table(vecs.conj().T, vecs), np.sqrt(p))
-    elif state.n_qubits == 8:
+        return partial(_mixed_fidelities, turn_table(vecs.conj().T, vecs), np.sqrt(p))
+    if state.n_qubits == 8:
         m = state.amplitudes.reshape(16, 16)
         left, _ = _support(m @ m.conj().T)
         right = m.conj().T @ left
-        score = partial(_pure_fidelities, (turn_table(left.conj().T, left),
-                                           turn_table(right.T, right.conj())))
-    elif state.n_qubits == 4:
-        if channel.scope == "per-wing":
+        return partial(_pure_fidelities, (turn_table(left.conj().T, left),
+                                          turn_table(right.T, right.conj())))
+    if state.n_qubits == 4:
+        if scope == "per-wing":
             raise ValueError("the per-wing scope requires an 8-qubit state, "
                              f"got {state.n_qubits}")
         psi = state.amplitudes
-        score = partial(_pure_fidelities, (turn_table(psi.conj()[None], psi[:, None]),))
-    else:
-        raise ValueError(
-            f"pure states of 4 or 8 qubits only, got {state.n_qubits}")
-    frames = (2,) if channel.scope == "per-wing" else ()
+        return partial(_pure_fidelities, (turn_table(psi.conj()[None], psi[:, None]),))
+    raise ValueError(f"pure states of 4 or 8 qubits only, got {state.n_qubits}")
+
+
+def _scope_chunks(scorers: list, channel: CollectiveChannel, seed):
+    """Each chunk of the channel's draws from the seeded stream, as its first
+    draw index and every scorer's fidelities on it.  A chunk's frames are
+    drawn in one ``haar_su2_batch`` call, Alice's before Bob's per wing,
+    checked unitary and expanded into monomials once for all the scorers:
+    ``wings`` is Alice's stack and Bob's, in the global scope twice the one."""
+    per_wing = channel.scope == "per-wing"
     rng = np.random.default_rng(seed)
-    out = np.empty(channel.n_samples)
     for start in range(0, channel.n_samples, CHUNK):
         k = min(CHUNK, channel.n_samples - start)
-        out[start:start + k] = score(haar_su2_batch(rng, (k, *frames)))
+        u = check_unitary(haar_su2_batch(rng, (k, 2) if per_wing else (k,)))
+        wings = ((frame_monomials(u[:, 0]), frame_monomials(u[:, 1])) if per_wing
+                 else (frame_monomials(u),) * 2)
+        yield start, [score(wings) for score in scorers]
+        # freed before the next chunk's frames and stacks are built
+        del u, wings
+
+
+def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:
+    """Per-draw fidelity between a state and its rotated copy, draw i from
+    the frames of draw i of the seeded stream, Alice's before Bob's.  It takes
+    a pure state of 4 or 8 qubits or a density operator of 4, per wing only a
+    pure 8-qubit state; other inputs raise ValueError before any draw."""
+    score = _scorer(state, channel.scope)
+    out = np.empty(channel.n_samples)
+    for start, (fids,) in _scope_chunks([score], channel, seed):
+        out[start:start + len(fids)] = fids
     return out
 
 
@@ -171,13 +201,18 @@ def _ghz4() -> QuantumState:
 
 
 def immunity_report(n_samples: int = 1000, seed=0) -> ImmunityReport:
-    """The smallest fidelity over ``n_samples`` draws, on substream
-    ``(seed, i)`` for entry i, of the sector states, the reduced density
-    (global channel) and the two-wing state (per wing), and of two
-    references, a basis word and a GHZ state, whose mean fidelity is 1/5
-    (test_reference_states_lose_fidelity).  Verdicts are the caller's: the
-    command line calls a sector state immune when its smallest fidelity is
-    within IMMUNITY_ATOL of 1."""
+    """The smallest fidelity over ``n_samples`` draws of the sector states,
+    the reduced density (global channel) and the two-wing state (per wing),
+    and of two references, a basis word and a GHZ state, whose mean fidelity
+    is 1/5 (test_reference_states_lose_fidelity).  The states of a scope
+    share its draws, from substream ``(seed, i)`` for the index i of its first
+    entry: (seed, 0) for the global scope, (seed, 5) per wing.  So each entry
+    equals ``fidelity_samples`` of its state on that substream
+    (test_worst_draw_reproduces_the_smallest_fidelity), and one report draws
+    n_samples global frames and n_samples per-wing pairs.  Each chunk keeps
+    only every state's running minimum and the first draw that gives it.
+    Verdicts are the caller's: the command line calls a sector state immune
+    when its smallest fidelity is within IMMUNITY_ATOL of 1."""
     cases = [
         ("sector phi0", dfs_states.make_phi0(), "global"),
         ("sector phi1", dfs_states.make_phi1(), "global"),
@@ -189,12 +224,19 @@ def immunity_report(n_samples: int = 1000, seed=0) -> ImmunityReport:
         ("reference basis word 0101", basis_state((0, 1, 0, 1)), "global"),
         ("reference GHZ", _ghz4(), "global"),
     ]
-    entries = []
-    for i, (name, state, scope) in enumerate(cases):
+    entries = [None] * len(cases)
+    for scope in _SCOPES:
+        members = [i for i, case in enumerate(cases) if case[2] == scope]
         channel = CollectiveChannel(n_samples=n_samples, scope=scope)
-        fids = fidelity_samples(state, channel,
-                                seed=np.random.SeedSequence((seed, i)))
-        entries.append(StateImmunity(
-            name=name, scope=scope, min_fidelity=float(fids.min()),
-            worst_draw=int(fids.argmin())))
+        scorers = [_scorer(cases[i][1], scope) for i in members]
+        best = [(np.inf, 0)] * len(members)
+        for start, chunk in _scope_chunks(scorers, channel,
+                                          np.random.SeedSequence((seed, members[0]))):
+            for j, fids in enumerate(chunk):
+                w = int(fids.argmin())
+                if fids[w] < best[j][0]:
+                    best[j] = (float(fids[w]), start + w)
+        for i, (low, draw) in zip(members, best):
+            entries[i] = StateImmunity(name=cases[i][0], scope=scope,
+                                       min_fidelity=low, worst_draw=draw)
     return ImmunityReport(entries=tuple(entries))

@@ -221,10 +221,11 @@ def _grid_table() -> np.ndarray:
 _T = _grid_table()
 
 
-def _monomials(u: np.ndarray) -> np.ndarray:
+def frame_monomials(u: np.ndarray) -> np.ndarray:
     """(35, m) complex monomials of the (m, 2, 2) frames, frame last, in
     ``_grid_table``'s order: 4 multiplies make the 10 pair products, 10 more
-    multiply each pair by its suffix of the pairs."""
+    multiply each pair by its suffix of the pairs.  ``monomial_turn`` turns
+    any number of tables from one stack."""
     x = np.ascontiguousarray(u.reshape(-1, 4).T)
     pairs = np.empty((10, x.shape[1]), complex)
     mono = np.empty((35, x.shape[1]), complex)
@@ -248,9 +249,9 @@ def turn_table(rows: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(35, -1).T)
 
 
-def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+def monomial_turn(table: np.ndarray, mono: np.ndarray) -> np.ndarray:
     """rows U^(x4) vecs for the (k r, 35) ``turn_table`` of rows and vecs and
-    a stack of (m, 2, 2) frames: (k r, m) complex, frame last.
+    the (35, m) ``frame_monomials`` of m frames: (k r, m) complex, frame last.
 
     U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, so every turn
     is one real product of a real table with the monomials' interleaved
@@ -263,7 +264,7 @@ def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     product's rounding, within 1e-15 for unit frames, rows and vecs
     (test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15).
     """
-    mono = _monomials(u).view(float)
+    mono = mono.view(float)
     if table.dtype.kind != "c":
         return (table @ mono).view(complex)
     n = len(table)
@@ -271,6 +272,11 @@ def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
     out = planes[n:] * 1j
     out += planes[:n]
     return out
+
+
+def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``monomial_turn`` of a table by a stack of (m, 2, 2) frames."""
+    return monomial_turn(table, frame_monomials(u))
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ from dfsbell import decohere
 from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel,
                               fidelity_samples, immunity_report,
                               state_fidelity)
-from dfsbell.dfs_states import make_eta, make_phi0, make_phi1
+from dfsbell.dfs_states import (make_eta, make_phi0, make_phi1, make_psi0,
+                                make_psi1)
 from dfsbell.qcore import (DensityOperator, QuantumState, apply_collective,
                            basis_state, haar_su2, kron, partial_trace)
 
@@ -112,15 +113,51 @@ def test_immunity_report_seeded_repeatability():
     assert [e.min_fidelity for e in a.entries] == [e.min_fidelity for e in b.entries]
 
 
-def test_worst_draw_reproduces_the_smallest_fidelity():
-    # entry 6 is the basis word 0101 on substream (seed, 6)
-    rep = immunity_report(n_samples=40, seed=12)
-    e = rep.entries[6]
-    fids = fidelity_samples(basis_state((0, 1, 0, 1)),
-                            CollectiveChannel(n_samples=40),
-                            seed=np.random.SeedSequence((12, 6)))
-    assert e.worst_draw == int(np.argmin(fids))
-    assert fids[e.worst_draw] == e.min_fidelity
+def _report_states():
+    """The states of ``immunity_report``'s entries, in its order."""
+    reduced = partial_trace(make_eta(), keep=(1, 2, 3, 4))
+    return [make_phi0(), make_phi1(), make_psi0(), make_psi1(), reduced,
+            make_eta(), basis_state((0, 1, 0, 1)), _ghz4()]
+
+
+def test_worst_draw_reproduces_the_smallest_fidelity(monkeypatch):
+    # every entry is fidelity_samples of its state on its scope's substream,
+    # (seed, 0) global and (seed, 5) per wing, bit for bit.  Across chunks of
+    # 7 draws the running minimum keeps argmin's first index on ties: here
+    # phi1 has its minimum at draws 19 and 27, the two-wing state at 2, 16
+    # and 35
+    for chunk in (decohere.CHUNK, 7):
+        monkeypatch.setattr(decohere, "CHUNK", chunk)
+        rep = immunity_report(n_samples=40, seed=12)
+        assert len(rep.entries) == 8
+        for e, state in zip(rep.entries, _report_states()):
+            substream = 5 if e.scope == "per-wing" else 0
+            fids = fidelity_samples(state, CollectiveChannel(40, e.scope),
+                                    seed=np.random.SeedSequence((12, substream)))
+            assert e.worst_draw == int(np.argmin(fids)), (chunk, e.name)
+            assert fids[e.worst_draw] == e.min_fidelity, (chunk, e.name)
+
+
+def test_immunity_report_draws_each_frame_once_per_scope(monkeypatch):
+    # the seven global states share n frames and their monomial stacks, the
+    # two-wing state has its n frame pairs: 3n frames drawn and expanded, not
+    # n (or 2n) per entry
+    monkeypatch.setattr(decohere, "CHUNK", 64)
+    drawn, expanded = [], []
+    draw, expand = decohere.haar_su2_batch, decohere.frame_monomials
+
+    def counted_draw(rng, shape):
+        drawn.append(math.prod(shape))
+        return draw(rng, shape)
+
+    def counted_expand(u):
+        expanded.append(len(u))
+        return expand(u)
+    monkeypatch.setattr(decohere, "haar_su2_batch", counted_draw)
+    monkeypatch.setattr(decohere, "frame_monomials", counted_expand)
+    immunity_report(100, seed=1)
+    assert sum(drawn) == 300
+    assert sum(expanded) == 300
 
 
 def test_density_draws_match_the_pure_route():
@@ -291,19 +328,19 @@ def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes
     """Each state is scored on its support only: r orthonormal columns S, cut
     where an eigenvalue falls below the 1e-12 that ``state_fidelity`` chops to
     zero.  It takes the (r^2, 35) ``qcore.turn_table`` of S^dagger and S per
-    wing, whose ``qcore.collective_turn`` is the r x r table S^dagger U^(x4) S,
-    and each chunk makes one turn per wing, with no U^(x4) formed and no turned
-    state or density operator built.
+    wing, whose ``qcore.monomial_turn`` by the chunk's monomials is the r x r
+    table S^dagger U^(x4) S, and each chunk makes one turn per wing, with no
+    U^(x4) formed and no turned state or density operator built.
     """
     # a support of r columns turns the r x r table V^dagger U^(x4) V, r^2
     # rows: 2 Schmidt columns per wing of the two-wing state, 4 rows, not the
     # 256 of a 16 x 16 block, and 2 columns of its reduced density, not 16 x 2
-    widths, original = [], decohere.collective_turn
+    widths, original = [], decohere.monomial_turn
 
-    def recorded(table, u):
+    def recorded(table, mono):
         widths.append(table.shape)
-        return original(table, u)
-    monkeypatch.setattr(decohere, "collective_turn", recorded)
+        return original(table, mono)
+    monkeypatch.setattr(decohere, "monomial_turn", recorded)
     fidelity_samples(state, CollectiveChannel(3, scope), seed=1)
     assert widths == shapes
 
@@ -330,6 +367,20 @@ def test_immunity_report_traced_memory():
     tracemalloc.start()
     try:
         immunity_report(n_samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_immunity_report_memory_does_not_grow_with_the_draws():
+    # each chunk keeps every state's running minimum and its draw, with no
+    # array of one float per draw, so 100,000 draws stay under the bound
+    # that 1,000 draws meet above
+    import numpy.random  # noqa: F401
+    tracemalloc.start()
+    try:
+        immunity_report(n_samples=100_000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -127,6 +127,9 @@ BENCHMARK_CALLS = {
                           "package module turns observables",
     "haar_su2": "the layer pass draws its probe frames with it, and its call "
                 "counter wraps it",
+    "fidelity_samples": "the layer pass times one state per scope with it; "
+                        "immunity_report scores its scopes through the same "
+                        "chunk scorer",
 }
 UNREFERENCED.update(BENCHMARK_CALLS)
 
