@@ -11,9 +11,11 @@ S^dagger U^(x4) S and no U^(x4)
 fidelity (test_density_chunks_match_the_per_draw_route).  ``state_fidelity``
 is the per-draw route those tests compare against.
 
-The states of one scope share its draws: each chunk's frames are drawn,
-checked and expanded into one ``qcore.frame_monomials`` stack per wing once,
-and every state turns its own small tables from that stack with
+The states of one scope share its draws: each chunk's frames are drawn
+and checked once and expanded into one ``qcore.frame_monomials`` stack per
+wing, of only the monomials that the wing's tables use (the union of their
+non-zero columns, about 12 of 35 in the global scope), and every state
+turns its own small tables, cut to those columns, from that stack with
 ``qcore.monomial_turn``.  ``fidelity_samples`` is the one-state case, and
 ``immunity_report`` scores all the states of a scope on one seeded stream
 (test_immunity_report_draws_each_frame_once_per_scope).
@@ -28,19 +30,20 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (DensityOperator, QuantumState, basis_state, check_count,
-                    check_unitary, frame_monomials, haar_su2_batch, monomial_turn,
+                    frame_monomials, haar_su2_batch, monomial_turn,
                     partial_trace, turn_table)
 
 IMMUNITY_ATOL = 1e-9
 
-# Draws per chunk: the unit of the kernels' work arrays, a (35, CHUNK)
-# stack of monomials per wing, shared by every state of the scope, and each
-# state's turned tables.  At 1,024 the default 1,000 draws take one chunk
-# per scope, so each kernel's numpy calls run once per state, where per-call
-# cost dominates.  A larger count still works chunk by chunk: the immunity
-# report keeps only each state's running minimum and its draw, so its memory
-# is bounded by the chunk (test_immunity_report_memory_does_not_grow_with_the_draws),
-# while ``fidelity_samples`` returns one float per draw.
+# Draws per chunk: the unit of the kernels' work arrays, a (c, CHUNK) stack
+# of the c used monomials per wing, shared by every state of the scope, and
+# each state's turned tables.  At 1,024 the default 1,000 draws take one
+# chunk per scope, so each kernel's numpy calls run once per state, where
+# per-call cost dominates.  A larger count still works chunk by chunk: the
+# immunity report keeps only each state's running minimum and its draw, so
+# its memory is bounded by the chunk
+# (test_immunity_report_memory_does_not_grow_with_the_draws), while
+# ``fidelity_samples`` returns one float per draw.
 CHUNK = 1024
 
 # Eigenvalues below this are exact zeros: of a density operator, and of
@@ -91,26 +94,22 @@ def state_fidelity(a, b) -> float:
     return min(1.0, float(np.sum(np.sqrt(_chop(ev))) ** 2))
 
 
-def _mixed_fidelities(table: np.ndarray, d: np.ndarray, wings: tuple) -> np.ndarray:
+def _mixed_fidelities(d: np.ndarray, turned: tuple) -> np.ndarray:
     """Uhlmann fidelity of rho with U^(x4) rho U^(x4)^dagger for a chunk of
-    global frames, given as ``_scope_chunks``' monomial ``wings``, on rho's
-    support: ``table`` is the (r r, 35) ``turn_table`` of X = V^dagger U^(x4)
-    V, and ``d`` (r,) the square roots of the kept eigenvalues
-    (test_density_chunks_match_the_per_draw_route)."""
-    x = monomial_turn(table, wings[0]).T.reshape(-1, len(d), len(d))
+    global frames, on rho's support: ``turned`` holds the turn of the
+    ``turn_table`` of X = V^dagger U^(x4) V, and ``d`` (r,) the square roots
+    of the kept eigenvalues (test_density_chunks_match_the_per_draw_route)."""
+    x = turned[0].T.reshape(-1, len(d), len(d))
     dxd = d[:, None] * x * d
     ev = np.linalg.eigvalsh(dxd @ dxd.conj().swapaxes(-1, -2))
     return np.minimum(1.0, np.sum(np.sqrt(_chop(ev)), axis=-1) ** 2)
 
 
-def _pure_fidelities(tables: tuple, wings: tuple) -> np.ndarray:
+def _pure_fidelities(turned: tuple) -> np.ndarray:
     """|<psi|rotated>|^2 of a pure state for a chunk of frames, on its
-    Schmidt support, from the ``turn_table``s of one or both wings
-    (test_pure_chunks_match_the_per_draw_route), each turned by its wing's
-    monomials in ``_scope_chunks``' ``wings``; a 4-qubit state's one table
-    takes the first."""
-    overlaps = np.prod([monomial_turn(t, m) for t, m in zip(tables, wings)],
-                       axis=0).sum(axis=0)
+    Schmidt support, from the turned ``turn_table``s of one or both wings
+    (test_pure_chunks_match_the_per_draw_route)."""
+    overlaps = np.prod(turned, axis=0).sum(axis=0)
     return np.minimum(1.0, overlaps.real ** 2 + overlaps.imag ** 2)
 
 
@@ -122,10 +121,12 @@ def _support(h: np.ndarray):
     return v[:, keep], p[keep]
 
 
-def _scorer(state, scope: str):
-    """The chunk kernel that scores ``state`` in ``scope``, a function of
-    ``_scope_chunks``' monomial ``wings``; the inputs that ``fidelity_samples``
-    does not take raise ValueError here, before any draw."""
+def _scorer(state, scope: str) -> tuple:
+    """``(tables, kernel)`` that score ``state`` in ``scope``: the
+    ``turn_table`` of each wing, Alice's first (a 4-qubit state or a density
+    operator has one), and the chunk kernel of their turns.  The inputs that
+    ``fidelity_samples`` does not take raise ValueError here, before any
+    draw."""
     if isinstance(state, DensityOperator):
         if scope != "global":
             raise ValueError("density operators support only the global scope")
@@ -133,38 +134,50 @@ def _scorer(state, scope: str):
             raise ValueError(
                 f"density operators of 4 qubits only, got {state.n_qubits}")
         vecs, p = _support(state.matrix)
-        return partial(_mixed_fidelities, turn_table(vecs.conj().T, vecs), np.sqrt(p))
+        return (turn_table(vecs.conj().T, vecs),), partial(_mixed_fidelities, np.sqrt(p))
     if state.n_qubits == 8:
         m = state.amplitudes.reshape(16, 16)
         left, _ = _support(m @ m.conj().T)
         right = m.conj().T @ left
-        return partial(_pure_fidelities, (turn_table(left.conj().T, left),
-                                          turn_table(right.T, right.conj())))
+        return (turn_table(left.conj().T, left),
+                turn_table(right.T, right.conj())), _pure_fidelities
     if state.n_qubits == 4:
         if scope == "per-wing":
             raise ValueError("the per-wing scope requires an 8-qubit state, "
                              f"got {state.n_qubits}")
         psi = state.amplitudes
-        return partial(_pure_fidelities, (turn_table(psi.conj()[None], psi[:, None]),))
+        return (turn_table(psi.conj()[None], psi[:, None]),), _pure_fidelities
     raise ValueError(f"pure states of 4 or 8 qubits only, got {state.n_qubits}")
 
 
 def _scope_chunks(scorers: list, channel: CollectiveChannel, seed):
     """Each chunk of the channel's draws from the seeded stream, as its first
     draw index and every scorer's fidelities on it.  A chunk's frames are
-    drawn in one ``haar_su2_batch`` call, Alice's before Bob's per wing,
-    checked unitary and expanded into monomials once for all the scorers:
-    ``wings`` is Alice's stack and Bob's, in the global scope twice the one."""
-    per_wing = channel.scope == "per-wing"
+    drawn in one ``haar_su2_batch`` call, which checks them unitary, Alice's
+    before Bob's per wing, and expanded once for all the scorers into one
+    monomial stack per wing (the one global frame's in the global scope).
+    A stack holds the monomials of the union of the non-zero columns of the
+    tables it turns, and every table is cut to its stack's columns: only
+    exact zeros are dropped, so each turn's sum loses only zero terms."""
+    n_wings = 2 if channel.scope == "per-wing" else 1
+    used = np.zeros((n_wings, 35), bool)
+    for tables, _ in scorers:
+        for w, table in enumerate(tables):
+            used[w % n_wings] |= table.any(axis=0)
+    cols = [np.flatnonzero(wing) for wing in used]
+    cut = [[table[:, cols[w % n_wings]] for w, table in enumerate(tables)]
+           for tables, _ in scorers]
     rng = np.random.default_rng(seed)
     for start in range(0, channel.n_samples, CHUNK):
         k = min(CHUNK, channel.n_samples - start)
-        u = check_unitary(haar_su2_batch(rng, (k, 2) if per_wing else (k,)))
-        wings = ((frame_monomials(u[:, 0]), frame_monomials(u[:, 1])) if per_wing
-                 else (frame_monomials(u),) * 2)
-        yield start, [score(wings) for score in scorers]
+        shape = (k, 2) if n_wings == 2 else (k,)
+        u = haar_su2_batch(rng, shape).reshape(k, n_wings, 2, 2)
+        stacks = [frame_monomials(u[:, w], c) for w, c in enumerate(cols)]
+        yield start, [kernel([monomial_turn(table, stacks[w % n_wings])
+                              for w, table in enumerate(tables)])
+                      for tables, (_, kernel) in zip(cut, scorers)]
         # freed before the next chunk's frames and stacks are built
-        del u, wings
+        del u, stacks
 
 
 def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:

@@ -190,7 +190,9 @@ def _fresh_words(table_a, ua, table_b, ub, r) -> np.ndarray:
     """Word pairs 16 a + b of the rounds in frames (ua, ub) at uniforms r,
     from the ``turn_table``s of each wing's bras with the factors (L, R) of
     the state L R^T, R orthonormal
-    (test_two_stage_draw_needs_no_rotation_invariance)."""
+    (test_two_stage_draw_needs_no_rotation_invariance).  Each wing's turn is
+    one ``collective_turn``, which builds and turns only the monomials of
+    the table's non-zero columns: the 3 of det(U)^2 for eta's tables."""
     frames = np.arange(r.size)
     xa = collective_turn(table_a, ua.conj().swapaxes(-1, -2)).reshape(16, -1, r.size)
     pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)

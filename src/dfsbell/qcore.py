@@ -192,25 +192,32 @@ def product_bras(thetas) -> np.ndarray:
 
 def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The contiguous (..., k, 16) ``bras @ (U^(x4))^dagger`` of (k, 16)
-    ``bras`` and (..., 2, 2) frames ``u``: the bras of U^(x4)|w>."""
+    ``bras`` and (..., 2, 2) frames ``u``: the bras of U^(x4)|w>.  It turns
+    by the full stack of 35 monomials, not ``collective_turn``'s used
+    columns: a bra-only table uses all 35, and dropping the zero columns of
+    the correlation suite's eigen-bra tables moved the last bits of a
+    rotation drift in ``report-all --seed 7``, through the product's shorter
+    sums."""
     uh = u.conj().swapaxes(-1, -2).reshape(-1, 2, 2)
-    turned = collective_turn(turn_table(bras), uh).T
+    turned = monomial_turn(turn_table(bras), frame_monomials(uh)).T
     return np.ascontiguousarray(turned).reshape(*u.shape[:-2], *bras.shape)
 
 
 # The 10 pair products x_a x_b (a <= b) of U's entries x = (u00, u01, u10,
 # u11): a monomial x_a x_b x_c x_d of degree 4 (a <= b <= c <= d) is pair
 # (a, b) times a pair of the suffix of _PAIRS that starts at (b, b).
+# _ORDER lists each monomial's entries (a, b, c, d) in that order.
 _PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
 _SUFFIX = [_PAIRS.index((b, b)) for _, b in _PAIRS]
+_ORDER = np.array([pair + _PAIRS[k] for pair, s in zip(_PAIRS, _SUFFIX)
+                   for k in range(s, 10)])
 
 
 def _grid_table() -> np.ndarray:
     """The (35, 16, 16) 0/1 matrices T_mu of U^(x4) = sum_mu mu(U) T_mu.
     Entry (I, J) of U^(x4) is the product of the four u[i_q, j_q]: u01 on
     the qubits set in J alone, u10 in I alone and u11 in both."""
-    order = [pair + _PAIRS[k] for pair, s in zip(_PAIRS, _SUFFIX) for k in range(s, 10)]
-    index = {tuple(map(key.count, (1, 2, 3))): mu for mu, key in enumerate(order)}
+    index = {tuple(map(key.count, (1, 2, 3))): mu for mu, key in enumerate(_ORDER.tolist())}
     mu = [index[(~i & j).bit_count(), (i & ~j).bit_count(), (i & j).bit_count()]
           for i in range(16) for j in range(16)]
     t = np.zeros((35, 256), dtype=np.int8)
@@ -221,12 +228,23 @@ def _grid_table() -> np.ndarray:
 _T = _grid_table()
 
 
-def frame_monomials(u: np.ndarray) -> np.ndarray:
+def frame_monomials(u: np.ndarray, cols=None) -> np.ndarray:
     """(35, m) complex monomials of the (m, 2, 2) frames, frame last, in
-    ``_grid_table``'s order: 4 multiplies make the 10 pair products, 10 more
-    multiply each pair by its suffix of the pairs.  ``monomial_turn`` turns
-    any number of tables from one stack."""
+    ``_grid_table``'s order, or only the rows ``cols`` (ascending indices).
+    The full stack takes 4 multiplies for the 10 pair products and 10 more,
+    each pair times its suffix of the pairs; a kept row is the same two
+    products (x_a x_b)(x_c x_d), so that from 2 frames up it equals the full
+    stack's row bit for bit (test_kept_monomials_are_the_full_stacks_rows).
+    A single frame's full stack is the exception: numpy multiplies its
+    one-element pair rows by another loop, which rounds some products
+    differently.  ``monomial_turn`` turns any number of tables from one
+    stack."""
     x = np.ascontiguousarray(u.reshape(-1, 4).T)
+    if cols is not None:
+        mono = np.empty((len(cols), x.shape[1]), complex)
+        for row, (a, b, c, d) in zip(mono, _ORDER[cols].tolist()):
+            np.multiply(x[a] * x[b], x[c] * x[d], out=row)
+        return mono
     pairs = np.empty((10, x.shape[1]), complex)
     mono = np.empty((35, x.shape[1]), complex)
     lo = 0
@@ -251,7 +269,9 @@ def turn_table(rows: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
 
 def monomial_turn(table: np.ndarray, mono: np.ndarray) -> np.ndarray:
     """rows U^(x4) vecs for the (k r, 35) ``turn_table`` of rows and vecs and
-    the (35, m) ``frame_monomials`` of m frames: (k r, m) complex, frame last.
+    the (35, m) ``frame_monomials`` of m frames, or both restricted to the
+    columns that hold every non-zero of the table: (k r, m) complex, frame
+    last.
 
     U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, so every turn
     is one real product of a real table with the monomials' interleaved
@@ -275,8 +295,19 @@ def monomial_turn(table: np.ndarray, mono: np.ndarray) -> np.ndarray:
 
 
 def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``monomial_turn`` of a table by a stack of (m, 2, 2) frames."""
-    return monomial_turn(table, frame_monomials(u))
+    """``monomial_turn`` of a table by a stack of (m, 2, 2) frames, on the
+    table's non-zero columns only, with the monomials of those columns.  The
+    rule has no cut: a zero column adds only zero terms, and the shorter
+    product agrees with the full one within 1e-15
+    (test_collective_turn_drops_only_zero_columns).  The integer sector
+    tables are outer products with det(U)^2's coefficients (1, -2, 1) on the
+    columns 9, 14 and 23
+    (test_sector_tables_are_det_squared_times_the_fixed_table), so each of
+    eta's fresh-frame tables turns 3 columns of 35, on a full block of frames
+    bit for bit as the full stack does
+    (test_fresh_turns_are_the_full_stacks_turns_bit_for_bit)."""
+    cols = np.flatnonzero(table.any(axis=0))
+    return monomial_turn(table[:, cols], frame_monomials(u, cols))
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dfsbell import decohere
+from dfsbell import decohere, qcore
 from dfsbell.decohere import (IMMUNITY_ATOL, CollectiveChannel,
                               fidelity_samples, immunity_report,
                               state_fidelity)
@@ -141,7 +141,7 @@ def test_worst_draw_reproduces_the_smallest_fidelity(monkeypatch):
 def test_immunity_report_draws_each_frame_once_per_scope(monkeypatch):
     # the seven global states share n frames and their monomial stacks, the
     # two-wing state has its n frame pairs: 3n frames drawn and expanded, not
-    # n (or 2n) per entry
+    # n (or 2n) per entry; the stand-in forwards the stacks' used columns
     monkeypatch.setattr(decohere, "CHUNK", 64)
     drawn, expanded = [], []
     draw, expand = decohere.haar_su2_batch, decohere.frame_monomials
@@ -150,9 +150,9 @@ def test_immunity_report_draws_each_frame_once_per_scope(monkeypatch):
         drawn.append(math.prod(shape))
         return draw(rng, shape)
 
-    def counted_expand(u):
+    def counted_expand(u, cols):
         expanded.append(len(u))
-        return expand(u)
+        return expand(u, cols)
     monkeypatch.setattr(decohere, "haar_su2_batch", counted_draw)
     monkeypatch.setattr(decohere, "frame_monomials", counted_expand)
     immunity_report(100, seed=1)
@@ -309,9 +309,10 @@ def test_unsupported_pure_inputs_raise_before_any_draw(monkeypatch, state, scope
 def test_a_frame_that_is_not_unitary_raises_in_the_density_kernel(monkeypatch):
     # the density fidelity ||sqrt(rho) U sqrt(rho)||_1^2 holds only for a
     # unitary U, and the clamp of the fidelity to 1 would hide a frame that is
-    # not: each chunk's frames must pass the unitarity check
-    original = decohere.haar_su2_batch
-    monkeypatch.setattr(decohere, "haar_su2_batch",
+    # not: each chunk's frames must pass the unitarity check that
+    # haar_su2_batch runs on the frames it draws
+    original = qcore._haar_matrices
+    monkeypatch.setattr(qcore, "_haar_matrices",
                         lambda rng, shape: original(rng, shape) * (1 + 1e-6))
     rho = partial_trace(make_eta(), keep=(1, 2, 3, 4))
     with pytest.raises(ValueError, match="not unitary"):
@@ -319,10 +320,10 @@ def test_a_frame_that_is_not_unitary_raises_in_the_density_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("state, scope, shapes", [
-    (make_phi0(), "global", [(1, 35)]),
-    (partial_trace(make_eta(), keep=(1, 2, 3, 4)), "global", [(4, 35)]),
+    (make_phi0(), "global", [(1, 3)]),
+    (partial_trace(make_eta(), keep=(1, 2, 3, 4)), "global", [(4, 8)]),
     (_random_density(np.random.default_rng(31), 4), "global", [(9, 35)]),
-    (make_eta(), "per-wing", [(4, 35), (4, 35)]),
+    (make_eta(), "per-wing", [(4, 8), (4, 3)]),
 ], ids=["pure 4", "reduced density", "rank-3 density", "eta per-wing"])
 def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes):
     """Each state is scored on its support only: r orthonormal columns S, cut
@@ -330,11 +331,15 @@ def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes
     zero.  It takes the (r^2, 35) ``qcore.turn_table`` of S^dagger and S per
     wing, whose ``qcore.monomial_turn`` by the chunk's monomials is the r x r
     table S^dagger U^(x4) S, and each chunk makes one turn per wing, with no
-    U^(x4) formed and no turned state or density operator built.
+    U^(x4) formed and no turned state or density operator built.  The turn
+    keeps only the k columns of the table that are not exactly zero.
     """
     # a support of r columns turns the r x r table V^dagger U^(x4) V, r^2
     # rows: 2 Schmidt columns per wing of the two-wing state, 4 rows, not the
-    # 256 of a 16 x 16 block, and 2 columns of its reduced density, not 16 x 2
+    # 256 of a 16 x 16 block, and 2 columns of its reduced density, not 16 x 2.
+    # A sector state uses the 3 monomials of det(U)^2; the reduced density
+    # and Alice's wing of the two-wing state 8, five of them at about 1e-32,
+    # which stay; the rank-3 density all 35
     widths, original = [], decohere.monomial_turn
 
     def recorded(table, mono):
@@ -360,9 +365,10 @@ def test_immunity_report_does_not_depend_on_the_chunk_size(monkeypatch):
 def test_immunity_report_traced_memory():
     # 1.39 MB traced at any CHUNK from 256 to 2,048: the peak is the 1 MB
     # 8-qubit density that partial_trace forms for the reduced state.  A
-    # chunk's own work arrays peak below that, about 0.3 MB at 256 draws
-    # and about 1 MB at 1,024.  numpy.random is imported first, so that
-    # its one-time imports are not traced.
+    # chunk's own work arrays peak below that, as each wing's monomial stack
+    # holds only its 3 to 12 used columns; two full (35, 1,024) stacks per
+    # wing took the peak to about 1.7 MB.  numpy.random is imported first,
+    # so that its one-time imports are not traced.
     import numpy.random  # noqa: F401
     tracemalloc.start()
     try:
@@ -370,13 +376,13 @@ def test_immunity_report_traced_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+    assert peak < 1.6e6
 
 
 def test_immunity_report_memory_does_not_grow_with_the_draws():
     # each chunk keeps every state's running minimum and its draw, with no
     # array of one float per draw, so 100,000 draws stay under the bound
-    # that 1,000 draws meet above
+    # that 1,000 draws meet above (1.39 MB traced at either count)
     import numpy.random  # noqa: F401
     tracemalloc.start()
     try:
@@ -384,4 +390,4 @@ def test_immunity_report_memory_does_not_grow_with_the_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6
+    assert peak < 1.6e6

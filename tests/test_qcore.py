@@ -1,9 +1,11 @@
+import itertools
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from dfsbell import qcore
 from dfsbell.correlations import LocalRotation
 from dfsbell.dfs_states import make_g, make_phi0
 from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
@@ -13,9 +15,10 @@ from dfsbell.localmeas import (classify_outcome, wing_distribution,
                                wing_outcome_distribution)
 from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            apply_collective, basis_state, check_count,
-                           check_unitary, collective_turn, haar_su2,
-                           haar_su2_batch, joint_probs, kron, partial_trace,
-                           permute_qubits, product_bras, turn_table, wing_bras)
+                           check_unitary, collective_turn, frame_monomials,
+                           haar_su2, haar_su2_batch, joint_probs, kron,
+                           partial_trace, permute_qubits, product_bras,
+                           turn_table, wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -255,6 +258,66 @@ def test_grid_tables_partition_the_grid_and_sum_to_the_kron():
     u = (rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))) / math.sqrt(2)
     turned = collective_turn(grid, u).reshape(16, 16, 9)
     assert np.abs(np.moveaxis(turned, -1, 0) - kron([u] * 4)).max() < 1e-14
+
+
+def test_grid_table_is_exact_on_the_integer_grid():
+    # sum_mu mu(U) T_mu - U^(x4) has degree at most 4 in each entry of U, so
+    # it is zero for every 2 x 2 matrix once it is zero on the 5^4 integer
+    # matrices with entries 0..4, where the monomials and T_mu are exact
+    # integers
+    u = np.array(list(itertools.product(range(5), repeat=4))).reshape(-1, 2, 2)
+    mono = frame_monomials(u)
+    assert not mono.imag.any()
+    turned = np.einsum("mf,mij->fij", mono.real.astype(np.int64),
+                       qcore._T.astype(np.int64))
+    assert np.array_equal(turned, kron([u] * 4))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 33, 256, 1000])
+def test_kept_monomials_are_the_full_stacks_rows(m):
+    # a kept row is the full stack's two products (x_a x_b)(x_c x_d), equal
+    # bit for bit, also for frames read through a strided view.  One frame
+    # is left out: its full stack multiplies one-element rows by another
+    # numpy loop (frame_monomials' docstring)
+    rng = np.random.default_rng(48)
+    u = haar_su2_batch(rng, (m,))
+    for frames in (u, u.conj().swapaxes(-1, -2)):
+        full = frame_monomials(frames)
+        for cols in ([9, 14, 23], [9], [0, 20, 30, 34], list(range(35)),
+                     np.sort(rng.choice(35, 12, replace=False))):
+            assert np.array_equal(frame_monomials(frames, cols), full[cols]), cols
+
+
+def test_collective_turn_drops_only_zero_columns(monkeypatch):
+    # the turn multiplies the table's non-zero columns by their monomials
+    # only, within 1e-15 of the full stack's turn for unit rows and vecs,
+    # here with 12 random columns set to zero; a table with no zero column
+    # turns all 35
+    rng = np.random.default_rng(49)
+    u = haar_su2_batch(rng, (300,))
+    rows = rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16))
+    vecs = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    vecs /= np.linalg.norm(vecs, axis=0)
+    real_rows = rows.real / np.linalg.norm(rows.real, axis=1, keepdims=True)
+    real_vecs = vecs.real / np.linalg.norm(vecs.real, axis=0)
+    shapes, original = [], qcore.monomial_turn
+
+    def recorded(table, mono):
+        shapes.append((table.shape, mono.shape))
+        return original(table, mono)
+    monkeypatch.setattr(qcore, "monomial_turn", recorded)
+    for table in (turn_table(real_rows, real_vecs), turn_table(rows, vecs)):
+        assert table.any(axis=0).all()
+        zeroed = table.copy()
+        zeroed[:, rng.choice(35, 12, replace=False)] = 0
+        full = original(zeroed, frame_monomials(u))
+        shapes.clear()
+        assert np.abs(collective_turn(zeroed, u) - full).max() < 1e-15
+        assert shapes == [((8, 23), (23, 300))]
+        shapes.clear()
+        collective_turn(table, u)
+        assert shapes == [((8, 35), (35, 300))]
 
 
 def test_collective_turn_matches_the_full_operator():
