@@ -12,13 +12,12 @@ fidelity (test_density_chunks_match_the_per_draw_route).  ``state_fidelity``
 is the per-draw route those tests compare against.
 
 The states of one scope share its draws: each chunk's frames are drawn
-and checked once and expanded into one ``qcore.frame_monomials`` stack per
-wing, of only the monomials that the wing's tables use (the union of their
-non-zero columns, about 12 of 35 in the global scope), and every state
-turns its own small tables, cut to those columns, from that stack with
-``qcore.monomial_turn``.  ``fidelity_samples`` is the one-state case, and
-``immunity_report`` scores all the states of a scope on one seeded stream
-(test_immunity_report_draws_each_frame_once_per_scope).
+and checked once, and every state's small tables of one wing are one
+``qcore.collective_turn`` by that wing's frames, which builds one stack of
+only the monomials those tables use (the union of their non-zero columns,
+about 12 of 35 in the global scope).  ``fidelity_samples`` is the one-state
+case, and ``immunity_report`` scores all the states of a scope on one seeded
+stream (test_immunity_report_draws_each_frame_once_per_scope).
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ import numpy as np
 
 from . import dfs_states
 from .qcore import (DensityOperator, QuantumState, basis_state, check_count,
-                    frame_monomials, haar_su2_batch, monomial_turn,
-                    partial_trace, turn_table)
+                    collective_turn, haar_su2_batch, partial_trace,
+                    turn_table)
 
 IMMUNITY_ATOL = 1e-9
 
@@ -154,30 +153,24 @@ def _scope_chunks(scorers: list, channel: CollectiveChannel, seed):
     """Each chunk of the channel's draws from the seeded stream, as its first
     draw index and every scorer's fidelities on it.  A chunk's frames are
     drawn in one ``haar_su2_batch`` call, which checks them unitary, Alice's
-    before Bob's per wing, and expanded once for all the scorers into one
-    monomial stack per wing (the one global frame's in the global scope).
-    A stack holds the monomials of the union of the non-zero columns of the
-    tables it turns, and every table is cut to its stack's columns: only
-    exact zeros are dropped, so each turn's sum loses only zero terms."""
+    before Bob's per wing, and each wing's tables, in scorer order, are one
+    ``collective_turn`` by that wing's frames (the one global frame's in the
+    global scope): one monomial stack per wing for all the scorers."""
     n_wings = 2 if channel.scope == "per-wing" else 1
-    used = np.zeros((n_wings, 35), bool)
-    for tables, _ in scorers:
-        for w, table in enumerate(tables):
-            used[w % n_wings] |= table.any(axis=0)
-    cols = [np.flatnonzero(wing) for wing in used]
-    cut = [[table[:, cols[w % n_wings]] for w, table in enumerate(tables)]
-           for tables, _ in scorers]
+    tables = [table for scorer_tables, _ in scorers for table in scorer_tables]
     rng = np.random.default_rng(seed)
     for start in range(0, channel.n_samples, CHUNK):
         k = min(CHUNK, channel.n_samples - start)
         shape = (k, 2) if n_wings == 2 else (k,)
         u = haar_su2_batch(rng, shape).reshape(k, n_wings, 2, 2)
-        stacks = [frame_monomials(u[:, w], c) for w, c in enumerate(cols)]
-        yield start, [kernel([monomial_turn(table, stacks[w % n_wings])
-                              for w, table in enumerate(tables)])
-                      for tables, (_, kernel) in zip(cut, scorers)]
-        # freed before the next chunk's frames and stacks are built
-        del u, stacks
+        turned = [None] * len(tables)
+        for w in range(n_wings):
+            turned[w::n_wings] = collective_turn(tables[w::n_wings], u[:, w])
+        turns = iter(turned)
+        yield start, [kernel([next(turns) for _ in scorer_tables])
+                      for scorer_tables, kernel in scorers]
+        # freed before the next chunk's frames and turns are built
+        del u, turned, turns
 
 
 def fidelity_samples(state, channel: CollectiveChannel, seed=0) -> np.ndarray:

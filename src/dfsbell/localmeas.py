@@ -191,15 +191,17 @@ def _fresh_words(table_a, ua, table_b, ub, r) -> np.ndarray:
     from the ``turn_table``s of each wing's bras with the factors (L, R) of
     the state L R^T, R orthonormal
     (test_two_stage_draw_needs_no_rotation_invariance).  Each wing's turn is
-    one ``collective_turn``, which builds and turns only the monomials of
-    the table's non-zero columns: the 3 of det(U)^2 for eta's tables."""
+    one ``collective_turn`` of its table alone, which builds and turns only
+    the monomials of its non-zero columns: the 3 of det(U)^2 for eta's
+    tables."""
     frames = np.arange(r.size)
-    xa = collective_turn(table_a, ua.conj().swapaxes(-1, -2)).reshape(16, -1, r.size)
+    (xa,) = collective_turn((table_a,), ua.conj().swapaxes(-1, -2))
+    xa = xa.reshape(16, -1, r.size)
     pa = (xa.real ** 2 + xa.imag ** 2).sum(axis=1)
     total = pa.sum(axis=0)
     a, ca = _draw_words(pa / total, r)
-    xb = collective_turn(table_b, ub.conj().swapaxes(-1, -2)).reshape(16, -1, r.size)
-    amps = (xb * xa[a, :, frames].T).sum(axis=1)
+    (xb,) = collective_turn((table_b,), ub.conj().swapaxes(-1, -2))
+    amps = (xb.reshape(16, -1, r.size) * xa[a, :, frames].T).sum(axis=1)
     # Bob's word on what r leaves past Alice's words before a
     b, _ = _draw_words((amps.real ** 2 + amps.imag ** 2) / total,
                        r - np.where(a > 0, ca[a - 1, frames], 0.0))

@@ -5,11 +5,14 @@ significant bit of the basis index.  A frame is a ``(..., 2, 2)`` array of
 SU(2) matrices that ``check_unitary`` has passed.  A wing measurement is a
 matrix of bras, one row per outcome: ``turn_table`` and ``collective_turn``
 turn it by U^(x4) with no U^(x4) formed, and ``joint_probs`` gives its
-outcome-pair probabilities on a two-wing state.
+outcome-pair probabilities on a two-wing state.  Every turn in the package
+is one ``collective_turn`` of the tables that share a stack of frames: it
+builds only the monomials of their non-zero columns, once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -192,25 +195,17 @@ def product_bras(thetas) -> np.ndarray:
 
 def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The contiguous (..., k, 16) ``bras @ (U^(x4))^dagger`` of (k, 16)
-    ``bras`` and (..., 2, 2) frames ``u``: the bras of U^(x4)|w>.  It turns
-    by the full stack of 35 monomials, not ``collective_turn``'s used
-    columns: a bra-only table uses all 35, and dropping the zero columns of
-    the correlation suite's eigen-bra tables moved the last bits of a
-    rotation drift in ``report-all --seed 7``, through the product's shorter
-    sums."""
+    ``bras`` and (..., 2, 2) frames ``u``: the bras of U^(x4)|w>, one
+    ``collective_turn`` of their table, which uses all 35 monomials for
+    product bras and det(U)^2's 3 for bras of sector states."""
     uh = u.conj().swapaxes(-1, -2).reshape(-1, 2, 2)
-    turned = monomial_turn(turn_table(bras), frame_monomials(uh)).T
+    turned = collective_turn((turn_table(bras),), uh)[0].T
     return np.ascontiguousarray(turned).reshape(*u.shape[:-2], *bras.shape)
 
 
-# The 10 pair products x_a x_b (a <= b) of U's entries x = (u00, u01, u10,
-# u11): a monomial x_a x_b x_c x_d of degree 4 (a <= b <= c <= d) is pair
-# (a, b) times a pair of the suffix of _PAIRS that starts at (b, b).
-# _ORDER lists each monomial's entries (a, b, c, d) in that order.
-_PAIRS = [(a, b) for a in range(4) for b in range(a, 4)]
-_SUFFIX = [_PAIRS.index((b, b)) for _, b in _PAIRS]
-_ORDER = np.array([pair + _PAIRS[k] for pair, s in zip(_PAIRS, _SUFFIX)
-                   for k in range(s, 10)])
+# Each degree-4 monomial x_a x_b x_c x_d of U's entries x = (u00, u01, u10,
+# u11) as its entries (a, b, c, d), a <= b <= c <= d, in lexicographic order.
+_ORDER = np.array(list(itertools.combinations_with_replacement(range(4), 4)))
 
 
 def _grid_table() -> np.ndarray:
@@ -228,33 +223,18 @@ def _grid_table() -> np.ndarray:
 _T = _grid_table()
 
 
-def frame_monomials(u: np.ndarray, cols=None) -> np.ndarray:
-    """(35, m) complex monomials of the (m, 2, 2) frames, frame last, in
-    ``_grid_table``'s order, or only the rows ``cols`` (ascending indices).
-    The full stack takes 4 multiplies for the 10 pair products and 10 more,
-    each pair times its suffix of the pairs; a kept row is the same two
-    products (x_a x_b)(x_c x_d), so that from 2 frames up it equals the full
-    stack's row bit for bit (test_kept_monomials_are_the_full_stacks_rows).
-    A single frame's full stack is the exception: numpy multiplies its
-    one-element pair rows by another loop, which rounds some products
-    differently.  ``monomial_turn`` turns any number of tables from one
-    stack."""
+def frame_monomials(u: np.ndarray, cols) -> np.ndarray:
+    """(len(cols), m) complex monomials ``cols`` (indices in ``_grid_table``'s
+    order) of the (m, 2, 2) frames, frame last.  Each row is the product
+    (x_a x_b)(x_c x_d) of contiguous rows of entries, elementwise over the
+    frames, so a frame's monomials do not depend on the other frames or
+    columns asked for (test_kept_monomials_are_the_full_stacks_rows).  Rows
+    are written in place: gathering the entries by fancy indexing gives the
+    same bits, but raised the peak resident set of a fresh-frame run."""
     x = np.ascontiguousarray(u.reshape(-1, 4).T)
-    if cols is not None:
-        mono = np.empty((len(cols), x.shape[1]), complex)
-        for row, (a, b, c, d) in zip(mono, _ORDER[cols].tolist()):
-            np.multiply(x[a] * x[b], x[c] * x[d], out=row)
-        return mono
-    pairs = np.empty((10, x.shape[1]), complex)
-    mono = np.empty((35, x.shape[1]), complex)
-    lo = 0
-    for a in range(4):
-        np.multiply(x[a], x[a:], out=pairs[lo:lo + 4 - a])
-        lo += 4 - a
-    lo = 0
-    for k, s in enumerate(_SUFFIX):
-        np.multiply(pairs[k], pairs[s:], out=mono[lo:lo + 10 - s])
-        lo += 10 - s
+    mono = np.empty((len(cols), x.shape[1]), complex)
+    for row, (a, b, c, d) in zip(mono, _ORDER[cols].tolist()):
+        np.multiply(x[a] * x[b], x[c] * x[d], out=row)
     return mono
 
 
@@ -268,10 +248,9 @@ def turn_table(rows: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
 
 
 def monomial_turn(table: np.ndarray, mono: np.ndarray) -> np.ndarray:
-    """rows U^(x4) vecs for the (k r, 35) ``turn_table`` of rows and vecs and
-    the (35, m) ``frame_monomials`` of m frames, or both restricted to the
-    columns that hold every non-zero of the table: (k r, m) complex, frame
-    last.
+    """rows U^(x4) vecs for a ``turn_table`` of rows and vecs, cut to some
+    c of its 35 columns, and the (c, m) ``frame_monomials`` of those columns
+    of m frames: (k r, m) complex, frame last.
 
     U^(x4) = sum_mu mu(U) T_mu holds for every 2 x 2 matrix, so every turn
     is one real product of a real table with the monomials' interleaved
@@ -294,20 +273,26 @@ def monomial_turn(table: np.ndarray, mono: np.ndarray) -> np.ndarray:
     return out
 
 
-def collective_turn(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``monomial_turn`` of a table by a stack of (m, 2, 2) frames, on the
-    table's non-zero columns only, with the monomials of those columns.  The
-    rule has no cut: a zero column adds only zero terms, and the shorter
-    product agrees with the full one within 1e-15
-    (test_collective_turn_drops_only_zero_columns).  The integer sector
-    tables are outer products with det(U)^2's coefficients (1, -2, 1) on the
-    columns 9, 14 and 23
+def collective_turn(tables, u: np.ndarray) -> list:
+    """The ``monomial_turn`` of each table of ``tables`` by a stack of (m, 2,
+    2) frames, as a list, all from one stack of the monomials of the union
+    of the tables' non-zero columns
+    (test_collective_turn_of_several_tables_builds_their_union_once).  This
+    is the one rule by which the package turns a table.  It has no cut: a
+    zero column adds only zero terms, and the shorter product agrees with
+    the full one within 1e-15 (test_collective_turn_drops_only_zero_columns).
+    The integer sector tables are outer products with det(U)^2's
+    coefficients (1, -2, 1) on the columns 9, 14 and 23
     (test_sector_tables_are_det_squared_times_the_fixed_table), so each of
     eta's fresh-frame tables turns 3 columns of 35, on a full block of frames
     bit for bit as the full stack does
     (test_fresh_turns_are_the_full_stacks_turns_bit_for_bit)."""
-    cols = np.flatnonzero(table.any(axis=0))
-    return monomial_turn(table[:, cols], frame_monomials(u, cols))
+    used = tables[0].any(axis=0)
+    for table in tables[1:]:
+        used |= table.any(axis=0)
+    cols = np.flatnonzero(used)
+    mono = frame_monomials(u, cols)
+    return [monomial_turn(table[:, cols], mono) for table in tables]
 
 
 def joint_probs(bras_a: np.ndarray, amp16: np.ndarray, bras_b: np.ndarray) -> np.ndarray:

@@ -144,7 +144,7 @@ def test_immunity_report_draws_each_frame_once_per_scope(monkeypatch):
     # n (or 2n) per entry; the stand-in forwards the stacks' used columns
     monkeypatch.setattr(decohere, "CHUNK", 64)
     drawn, expanded = [], []
-    draw, expand = decohere.haar_su2_batch, decohere.frame_monomials
+    draw, expand = decohere.haar_su2_batch, qcore.frame_monomials
 
     def counted_draw(rng, shape):
         drawn.append(math.prod(shape))
@@ -154,7 +154,7 @@ def test_immunity_report_draws_each_frame_once_per_scope(monkeypatch):
         expanded.append(len(u))
         return expand(u, cols)
     monkeypatch.setattr(decohere, "haar_su2_batch", counted_draw)
-    monkeypatch.setattr(decohere, "frame_monomials", counted_expand)
+    monkeypatch.setattr(qcore, "frame_monomials", counted_expand)
     immunity_report(100, seed=1)
     assert sum(drawn) == 300
     assert sum(expanded) == 300
@@ -340,12 +340,12 @@ def test_every_turned_table_has_r_squared_rows(monkeypatch, state, scope, shapes
     # A sector state uses the 3 monomials of det(U)^2; the reduced density
     # and Alice's wing of the two-wing state 8, five of them at about 1e-32,
     # which stay; the rank-3 density all 35
-    widths, original = [], decohere.monomial_turn
+    widths, original = [], qcore.monomial_turn
 
     def recorded(table, mono):
         widths.append(table.shape)
         return original(table, mono)
-    monkeypatch.setattr(decohere, "monomial_turn", recorded)
+    monkeypatch.setattr(qcore, "monomial_turn", recorded)
     fidelity_samples(state, CollectiveChannel(3, scope), seed=1)
     assert widths == shapes
 

@@ -6,11 +6,12 @@ imports an underscore name from another package module.  No linter ships
 with the test environment, so these are those checks.  ``__init__.py`` is
 exempt: its imports are the package's re-exports.  Importing the command
 line loads no scipy module, which would cost every process its import time.
-Haar frames are drawn in batches everywhere.  Every public function, class
-and method is used somewhere in the package outside its own body, or is
-listed in ``UNREFERENCED`` with the reason it is kept.  Every private
-module-level function, class and constant is read in its own module outside
-its own definition.  What the benchmark's workloads and tests call still
+Haar frames are drawn in batches everywhere, and tables are turned by
+``collective_turn`` alone.  Every public function, class and method is used
+somewhere in the package outside its own body, or is listed in
+``UNREFERENCED`` with the reason it is kept.  Every private module-level
+function, class and constant is read in its own module outside its own
+definition.  What the benchmark's workloads and tests call still
 exists, with the keywords they pass.  README's session runs as a doctest,
 and every name its module table cites exists in the module its row names.
 Every ``test_...`` name that a package docstring or comment cites, to say
@@ -91,20 +92,32 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def _callers(names: set, paths) -> list:
+    """``file:definition`` of each top-level definition in ``paths`` that
+    calls one of ``names``, by bare name or attribute, anywhere in it."""
+    def called(node):
+        func = getattr(node, "func", None)
+        return (getattr(func, "id", None) in names
+                or getattr(func, "attr", None) in names)
+    return sorted(
+        f"{path.name}:{getattr(top, 'name', '<module>')}" for path in paths
+        for top in ast.parse(path.read_text()).body
+        if any(map(called, ast.walk(top))))
+
+
 def test_no_module_draws_one_frame_at_a_time():
     """Every module draws its Haar frames with ``haar_su2_batch``, whose
     draws equal the single draws on the same stream; no module calls
     ``haar_su2``."""
-    def called(node):
-        func = getattr(node, "func", None)
-        return (getattr(func, "id", None) == "haar_su2"
-                or getattr(func, "attr", None) == "haar_su2")
-    # callers by top-level definition, so a call anywhere in a module counts
-    callers = sorted(
-        f"{path.name}:{getattr(top, 'name', '<module>')}" for path in MODULES
-        for top in ast.parse(path.read_text()).body
-        if any(map(called, ast.walk(top))))
-    assert callers == []
+    assert _callers({"haar_su2"}, MODULES) == []
+
+
+def test_only_collective_turn_builds_monomials():
+    """Every module turns its tables with ``qcore.collective_turn``, the one
+    place that decides which monomials a turn builds: it alone calls
+    ``frame_monomials`` and ``monomial_turn``."""
+    assert _callers({"frame_monomials", "monomial_turn"}, MODULES) == [
+        "qcore.py:collective_turn"]
 
 
 # Public names that no package module uses, each kept on purpose.  The test

@@ -217,7 +217,7 @@ def test_sector_tables_are_det_squared_times_the_fixed_table():
     c[[9, 14, 23]] = 1, -2, 1
     u = haar_su2_batch(np.random.default_rng(50), (20,))
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
-    assert np.abs(c @ frame_monomials(u) - det ** 2).max() < 1e-15
+    assert np.abs(c @ frame_monomials(u, range(35)) - det ** 2).max() < 1e-15
     for rows in (np.eye(16, dtype=np.int64), _INT_BRAS["F"], _INT_BRAS["G"]):
         for vecs in (V, V @ ETA_TABLE):
             table = turn_table(rows, vecs)
@@ -233,14 +233,13 @@ def test_fresh_turns_are_the_full_stacks_turns_bit_for_bit():
     # At 1 or 2 mod 4 this OpenBLAS sums the product's last columns in
     # another order, and the two turns differ in their last bits (the last
     # block of a setting pair's rounds, whose draws have not moved at any
-    # seed checked); one frame's full stack also rounds differently
-    # (frame_monomials' docstring)
+    # seed checked)
     rng = np.random.default_rng(51)
     for m in (1, 2, 3, 4, 5, 6, 100, 255, _FRAMES_PER_BLOCK):
         uh = haar_su2_batch(rng, (m,)).conj().swapaxes(-1, -2)
         for table in (*_ALICE_TABLES.values(), *_BOB_TABLES.values()):
-            expect = monomial_turn(table, frame_monomials(uh))
-            turned = collective_turn(table, uh)
+            expect = monomial_turn(table, frame_monomials(uh, range(35)))
+            (turned,) = collective_turn([table], uh)
             if m % 4 in (0, 3):
                 assert np.array_equal(turned, expect), m
             assert np.abs(turned - expect).max() < 1e-15, m
@@ -300,7 +299,8 @@ def test_two_stage_draw_needs_no_rotation_invariance():
                 r = rng.random(256)
                 joint = joint_probs(wing_bras(_BRAS[pa], ua), amp16,
                                     wing_bras(_BRAS[pb], ub))
-                xa, xb = (collective_turn(t, u.conj().swapaxes(-1, -2)).reshape(16, 16, 256)
+                xa, xb = (collective_turn([t], u.conj().swapaxes(-1, -2))[0]
+                          .reshape(16, 16, 256)
                           for t, u in ((table_a, ua), (table_b, ub)))
                 marginal = (np.abs(xa) ** 2).sum(axis=1).T
                 assert np.abs(marginal - joint.sum(axis=2)).max() < 1e-14
@@ -396,19 +396,23 @@ def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
     # non-vacuity of the fresh-frame check: once the turn leaves one qubit
     # alone, (F,F) (+1,+1) happens.  The stand-in turns the rows and vecs of
     # each wing's table by U^(x3) x I through kron, in the order of the
-    # table's rows and collective_turn's frame-last layout.
+    # table's rows and collective_turn's frame-last layout, one turn per
+    # table of the list it takes.
     assert run_experiment(2000, "random", "fresh", seed=5).counts[("F", "F")][(1, 1)] == 0
     factors = (SECTOR @ ETA_COEFFS, SECTOR)
     routes = {id(tables[p]): (_BRAS[p], factor)
               for tables, factor in zip((_ALICE_TABLES, _BOB_TABLES), factors)
               for p in PROTOCOLS}
     for skipped in range(4):
-        def partial_turn(table, u):
-            rows, vecs = routes[id(table)]
+        def partial_turn(tables, u):
             turns = [u] * 4
             turns[skipped] = np.broadcast_to(np.eye(2), u.shape)
-            turned = np.einsum("ai,mij,jr->arm", rows, kron(turns), vecs)
-            return turned.reshape(-1, len(u))
+            out = []
+            for table in tables:
+                rows, vecs = routes[id(table)]
+                turned = np.einsum("ai,mij,jr->arm", rows, kron(turns), vecs)
+                out.append(turned.reshape(-1, len(u)))
+            return out
 
         monkeypatch.setattr(localmeas, "collective_turn", partial_turn)
         counts = run_experiment(2000, "random", "fresh", seed=5).counts

@@ -7,7 +7,7 @@ import pytest
 
 from dfsbell import qcore
 from dfsbell.correlations import LocalRotation
-from dfsbell.dfs_states import make_g, make_phi0
+from dfsbell.dfs_states import SECTOR, make_g, make_phi0
 from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
                                  grid_min_support_overlap)
 from dfsbell.hardy import HardyInstance, fixed_angle_maximum
@@ -256,7 +256,7 @@ def test_grid_tables_partition_the_grid_and_sum_to_the_kron():
     assert (grid.sum(axis=1) == 1).all() and grid.sum(axis=0).min() > 0
     rng = np.random.default_rng(46)
     u = (rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))) / math.sqrt(2)
-    turned = collective_turn(grid, u).reshape(16, 16, 9)
+    turned = collective_turn([grid], u)[0].reshape(16, 16, 9)
     assert np.abs(np.moveaxis(turned, -1, 0) - kron([u] * 4)).max() < 1e-14
 
 
@@ -266,26 +266,28 @@ def test_grid_table_is_exact_on_the_integer_grid():
     # matrices with entries 0..4, where the monomials and T_mu are exact
     # integers
     u = np.array(list(itertools.product(range(5), repeat=4))).reshape(-1, 2, 2)
-    mono = frame_monomials(u)
+    mono = frame_monomials(u, range(35))
     assert not mono.imag.any()
     turned = np.einsum("mf,mij->fij", mono.real.astype(np.int64),
                        qcore._T.astype(np.int64))
     assert np.array_equal(turned, kron([u] * 4))
 
 
-@pytest.mark.parametrize("m", [2, 3, 7, 33, 256, 1000])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 33, 256, 1000])
 def test_kept_monomials_are_the_full_stacks_rows(m):
-    # a kept row is the full stack's two products (x_a x_b)(x_c x_d), equal
-    # bit for bit, also for frames read through a strided view.  One frame
-    # is left out: its full stack multiplies one-element rows by another
-    # numpy loop (frame_monomials' docstring)
+    # a kept row of m frames is the full stack's row for them in a batch of
+    # 1,000, bit for bit, also for frames read through a strided view: one
+    # frame's monomials are its column in the batch
     rng = np.random.default_rng(48)
-    u = haar_su2_batch(rng, (m,))
+    u = haar_su2_batch(rng, (1000,))
     for frames in (u, u.conj().swapaxes(-1, -2)):
-        full = frame_monomials(frames)
-        for cols in ([9, 14, 23], [9], [0, 20, 30, 34], list(range(35)),
-                     np.sort(rng.choice(35, 12, replace=False))):
-            assert np.array_equal(frame_monomials(frames, cols), full[cols]), cols
+        full = frame_monomials(frames, range(35))
+        for lo in range(0, 1000, m)[:40]:
+            part = frames[lo:lo + m]
+            for cols in ([9, 14, 23], [9], [0, 20, 30, 34], list(range(35)),
+                         np.sort(rng.choice(35, 12, replace=False))):
+                assert np.array_equal(frame_monomials(part, cols),
+                                      full[cols, lo:lo + m]), (lo, cols)
 
 
 def test_collective_turn_drops_only_zero_columns(monkeypatch):
@@ -311,13 +313,37 @@ def test_collective_turn_drops_only_zero_columns(monkeypatch):
         assert table.any(axis=0).all()
         zeroed = table.copy()
         zeroed[:, rng.choice(35, 12, replace=False)] = 0
-        full = original(zeroed, frame_monomials(u))
+        full = original(zeroed, frame_monomials(u, range(35)))
         shapes.clear()
-        assert np.abs(collective_turn(zeroed, u) - full).max() < 1e-15
+        assert np.abs(collective_turn([zeroed], u)[0] - full).max() < 1e-15
         assert shapes == [((8, 23), (23, 300))]
         shapes.clear()
-        collective_turn(table, u)
+        collective_turn([table], u)
         assert shapes == [((8, 35), (35, 300))]
+
+
+def test_collective_turn_of_several_tables_builds_their_union_once(monkeypatch):
+    # a sector table (det(U)^2's columns 9, 14 and 23) and a GHZ table (the
+    # four u_ij^4) turn from one stack of the union of their 7 columns, built
+    # once, each within 1e-15 of its turn alone
+    u = haar_su2_batch(np.random.default_rng(52), (300,))
+    ghz = np.zeros(16)
+    ghz[[0, 15]] = 1 / math.sqrt(2)
+    tables = (turn_table(np.eye(16), SECTOR), turn_table(ghz[None], ghz[:, None]))
+    alone = [collective_turn([table], u)[0] for table in tables]
+    used = [set(np.flatnonzero(table.any(axis=0)).tolist()) for table in tables]
+    assert used[0] == {9, 14, 23} and len(used[1]) == 4
+    built, original = [], qcore.frame_monomials
+
+    def recorded(frames, cols):
+        built.append(list(cols))
+        return original(frames, cols)
+    monkeypatch.setattr(qcore, "frame_monomials", recorded)
+    together = collective_turn(tables, u)
+    assert built == [sorted(used[0] | used[1])]
+    for turned, expect in zip(together, alone):
+        assert turned.shape == expect.shape
+        assert np.abs(turned - expect).max() < 1e-15
 
 
 def test_collective_turn_matches_the_full_operator():
@@ -334,7 +360,7 @@ def test_collective_turn_matches_the_full_operator():
                                       (rows + 1j * rows[:, ::-1], vecs, complex)):
             table = turn_table(rows_c, vecs_c)
             assert table.shape == (k * r, 35) and table.dtype == dtype
-            turned = collective_turn(table, u)
+            (turned,) = collective_turn([table], u)
             assert turned.shape == (k * r, 33) and turned.flags.c_contiguous
             expect = np.einsum("ai,mij,jr->arm", rows_c, full, vecs_c).reshape(k * r, 33)
             assert np.abs(turned - expect).max() < 1e-13, (k, r)
@@ -351,9 +377,10 @@ def test_collective_turn_of_a_frame_slice_is_that_slice_within_1e_15():
     vecs = rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2))
     for v in (vecs.real, vecs):
         table = turn_table(rows, v / np.linalg.norm(v, axis=0))
-        whole = collective_turn(table, u)
+        (whole,) = collective_turn([table], u)
         for a, b in ((0, 512), (512, 700), (3, 4), (100, 611), (5, 261)):
-            assert np.abs(collective_turn(table, u[a:b]) - whole[:, a:b]).max() < 1e-15
+            (part,) = collective_turn([table], u[a:b])
+            assert np.abs(part - whole[:, a:b]).max() < 1e-15
 
 
 def test_complex_turn_is_the_turn_of_its_planes():
@@ -373,9 +400,9 @@ def test_complex_turn_is_the_turn_of_its_planes():
             table = turn_table(rows_c, vecs_c)
             assert table.dtype.kind == "c"
             for frames in (u, u[:3], u[7:8]):
-                planes = (collective_turn(table.real, frames)
-                          + 1j * collective_turn(table.imag, frames))
-                assert np.abs(collective_turn(table, frames) - planes).max() < 1e-15, (k, r)
+                (re,), (im,), (turned,) = (collective_turn([t], frames) for t in
+                                           (table.real, table.imag, table))
+                assert np.abs(turned - (re + 1j * im)).max() < 1e-15, (k, r)
 
 
 def test_apply_collective_matches_the_full_operator():
