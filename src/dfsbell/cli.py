@@ -33,7 +33,8 @@ from . import __version__, correlations, decohere, distinguish, hardy, localmeas
 from .report import (Check, Report, Section, approx_check, bound_check,
                      render_text, to_json)
 
-# Haar frame pairs of the simulation section's exact alignment-free check.
+# Haar frame pairs of the simulation section's alignment-free check, a float
+# check against the exact integer word tables.
 _FRAME_PAIRS = 100
 # Points per angle of the Hardy section's grid over [0, pi/2)^2.
 _HARDY_GRID = 64

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dfs_states import Observable, make_eta, make_f, make_g
 from .hardy import P_POSITIVE
-from .qcore import (QuantumState, check_count, check_unitary, haar_su2_batch,
+from .qcore import (QuantumState, check_count, check_frame, haar_su2_batch,
                     joint_probs, wing_bras)
 
 NULL = "null"
@@ -61,7 +61,7 @@ class LocalRotation:
     wing: str
 
     def __post_init__(self):
-        object.__setattr__(self, "u", check_unitary(self.u))
+        object.__setattr__(self, "u", check_frame(self.u))
         _check_wing(self.wing)
 
 

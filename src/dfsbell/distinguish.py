@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dfs_states import SECTOR
-from .qcore import axis_rows, check_count, check_finite, product_bras
+from .qcore import axis_rows, check_count, check_finite, kron
 
 SUPPORT_TOL = 1e-8
 
@@ -76,7 +76,7 @@ class DistinguishInstance:
 def component_table(inst: DistinguishInstance) -> np.ndarray:
     """(16, 2) array: column 0 components of |psi>, column 1 of |psi_perp>,
     the sector basis turned by the rows of ``axis_rows(omega)``."""
-    return product_bras(inst.thetas) @ SECTOR @ axis_rows(inst.omega).T
+    return kron([axis_rows(t) for t in inst.thetas]) @ SECTOR @ axis_rows(inst.omega).T
 
 
 def support_overlap(inst: DistinguishInstance) -> float:

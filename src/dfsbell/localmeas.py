@@ -20,10 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dfs_states import ETA_INT, ETA_NORM, ETA_TABLE, V, V_NORMS, make_eta
-from .qcore import (QuantumState, check_bits, check_count, check_unitary,
+from .dfs_states import ETA_INT, ETA_NORM, ETA_TABLE, V, V_NORMS
+from .qcore import (QuantumState, check_bits, check_count, check_frame,
                     collective_turn, haar_su2_batch, joint_probs, kron,
-                    product_bras, turn_table, wing_bras)
+                    turn_table, wing_bras)
 
 # Fresh-frame marginal and conditional word probabilities analytically zero
 # come out of floating-point amplitude algebra at ~1e-32; clipping below this
@@ -69,15 +69,14 @@ def classify_outcome(word, protocol: str) -> int:
 
 _SIGNS = {p: np.array([classify_outcome(f"{w:04b}", p) for w in range(16)])
           for p in PROTOCOLS}
-_BRAS = {p: product_bras(thetas) for p, thetas in PROTOCOLS.items()}
-# B_p = 2 product_bras: the z row at angle 0, the x row at pi/4 times sqrt 2
+# The integer bras B_p behind every word probability: qubit rows axis_rows(0)
+# and sqrt 2 axis_rows(pi/4), so twice the product bras of the protocol
 _INT_ROWS = {0.0: np.array([[1, 0], [0, -1]]), math.pi / 4: np.array([[1, 1], [1, -1]])}
 _INT_BRAS = {p: kron([_INT_ROWS[t] for t in thetas]) for p, thetas in PROTOCOLS.items()}
 # Each setting pair's integer word-pair weights (B_a ETA_INT B_b^T)^2, which sum
 # to 1792: over that sum they are the unrotated words' Born probabilities.
 _TABLES = {(a, b): ((_INT_BRAS[a] @ ETA_INT.reshape(16, 16) @ _INT_BRAS[b].T) ** 2).ravel()
            for a, b in _SETTING_PAIRS}
-_AMP16 = make_eta().amplitudes.reshape(16, 16)
 # Outcome pairs (oa, ob) in the order of their cell 2 [oa = +1] + [ob = +1].
 _CELLS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -118,20 +117,21 @@ _BOB_TABLES = _factor_tables(V, 1.0 / V_NORMS)
 
 def wing_distribution(state: QuantumState, protocol: str,
                       rotation: np.ndarray | None = None) -> np.ndarray:
-    """Exact 16-word Born distribution for one wing's product measurement,
-    its frame turned by the (2, 2) ``rotation`` when one is given."""
+    """16-word Born distribution |B_p psi|^2 / 4 of one wing's integer bras,
+    turned by the one (2, 2) frame ``rotation`` when one is given."""
     if state.n_qubits != 4:
         raise ValueError("wing_distribution expects a 4-qubit state")
     _thetas(protocol)  # unknown names raise here
-    bras = _BRAS[protocol]
+    bras = _INT_BRAS[protocol]
     if rotation is not None:
-        bras = wing_bras(bras, check_unitary(rotation))
-    return np.abs(bras @ state.amplitudes) ** 2
+        bras = wing_bras(bras, check_frame(rotation))
+    return np.abs(bras @ state.amplitudes) ** 2 / 4
 
 
 def wing_outcome_distribution(state: QuantumState, protocol: str,
                               rotation: np.ndarray | None = None) -> dict:
-    """Exact induced distribution over {-1, +1} after classification."""
+    """The induced distribution over {-1, +1} of ``wing_distribution``'s
+    words after classification."""
     probs = wing_distribution(state, protocol, rotation)
     signs = _SIGNS[protocol]
     return {-1: float(probs[signs == -1].sum()), +1: float(probs[signs == +1].sum())}
@@ -227,19 +227,21 @@ def _sample_fresh_rotations(table_a, table_b, n, rng):
 def max_frame_drift(n_frames: int, seed) -> tuple:
     """``(drift, index)``: the largest change of a word-pair probability of
     any setting pair, over ``n_frames`` Haar frame pairs (U_a, U_b), from the
-    exact unrotated table, and the frame pair that gives it.  The
-    alignment-free claim makes the drift zero up to rounding."""
+    exact integer table, and the frame pair that gives it.  The turned
+    integer bras are scored on ``ETA_INT`` in the tables' units, so identity
+    frames give exactly 0; the alignment-free claim makes the drift zero up
+    to the turn's rounding."""
     check_count("n_frames", n_frames)
     rng = np.random.default_rng(seed)
     ua = haar_su2_batch(rng, (n_frames,))
     ub = haar_su2_batch(rng, (n_frames,))
-    alice = {p: wing_bras(bras, ua) for p, bras in _BRAS.items()}
-    bob = {p: wing_bras(bras, ub) for p, bras in _BRAS.items()}
+    alice = {p: wing_bras(bras, ua) for p, bras in _INT_BRAS.items()}
+    bob = {p: wing_bras(bras, ub) for p, bras in _INT_BRAS.items()}
     drift = np.zeros(n_frames)
     for (pa, pb), table in _TABLES.items():
-        rotated = joint_probs(alice[pa], _AMP16, bob[pb])
-        fixed = (table / table.sum()).reshape(16, 16)
-        drift = np.maximum(drift, np.abs(rotated - fixed).max(axis=(1, 2)))
+        rotated = joint_probs(alice[pa], ETA_INT.reshape(16, 16), bob[pb])
+        drift = np.maximum(drift, np.abs(rotated - table.reshape(16, 16)).max(axis=(1, 2))
+                           / table.sum())
     return float(drift.max()), int(drift.argmax())
 
 

@@ -2,7 +2,8 @@
 
 A state is a unit vector of at most 2^8 = 256 amplitudes, qubit 1 the most
 significant bit of the basis index.  A frame is a ``(..., 2, 2)`` array of
-SU(2) matrices that ``check_unitary`` has passed.  A wing measurement is a
+SU(2) matrices that ``check_unitary`` has passed; an entry point that takes
+one frame checks it with ``check_frame``.  A wing measurement is a
 matrix of bras, one row per outcome: ``turn_table`` and ``collective_turn``
 turn it by U^(x4) with no U^(x4) formed, and ``joint_probs`` gives its
 outcome-pair probabilities on a two-wing state.  Every turn in the package
@@ -143,6 +144,14 @@ def check_unitary(u) -> np.ndarray:
     return u
 
 
+def check_frame(u) -> np.ndarray:
+    """``u`` as an array, after checking that it is one (2, 2) frame that
+    ``check_unitary`` passes, not a stack of them; otherwise ValueError."""
+    if np.shape(u) != (2, 2):
+        raise ValueError(f"expected one (2, 2) frame, got shape {np.shape(u)}")
+    return check_unitary(u)
+
+
 def basis_state(bits) -> QuantumState:
     """Computational basis state of the bits that ``check_bits`` passes."""
     bits = check_bits(bits)
@@ -184,13 +193,6 @@ def axis_rows(theta: float) -> np.ndarray:
     at a sympy symbol."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [s, -c]])
-
-
-def product_bras(thetas) -> np.ndarray:
-    """(16, 16) matrix whose row w is the bra of outcome word w, for four
-    finite angles; ValueError otherwise."""
-    check_finite(*thetas)
-    return kron([axis_rows(t) for t in thetas])
 
 
 def wing_bras(bras: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -306,7 +308,7 @@ def apply_collective(s: QuantumState, u: np.ndarray, wing: str = "all") -> Quant
     """The state with the (2, 2) frame ``u`` applied to every qubit of
     ``wing``: "all", or "alice" (qubits 1-4) or "bob" (5-8) of an 8-qubit
     state.  No operator larger than 16 x 16 is formed."""
-    u = check_unitary(u)
+    u = check_frame(u)
     n = s.n_qubits
     if wing == "all":
         blocks = [(q, min(4, n - q)) for q in range(0, n, 4)]

@@ -9,7 +9,7 @@ import pytest
 
 from dfsbell.correlations import Setting, joint_distribution
 from dfsbell import localmeas
-from dfsbell.localmeas import (PROTOCOLS, _ALICE_TABLES, _BOB_TABLES, _BRAS,
+from dfsbell.localmeas import (PROTOCOLS, _ALICE_TABLES, _BOB_TABLES,
                                _CELL_INDEX, _CELLS, _FIXED_DRAWS,
                                _FRAMES_PER_BLOCK, _INT_BRAS, _PROB_CLIP,
                                _ROUNDS_PER_CHUNK, _SETTING_PAIRS, _TABLES,
@@ -21,8 +21,8 @@ from dfsbell.dfs_states import (ETA_COEFFS, ETA_TABLE, SECTOR, V, make_eta,
                                 make_f, make_g, make_phi0, make_phi1, make_psi0)
 from dfsbell.qcore import (QuantumState, basis_state, collective_turn,
                            frame_monomials, haar_su2, haar_su2_batch,
-                           joint_probs, kron, monomial_turn, product_bras,
-                           turn_table, wing_bras)
+                           joint_probs, kron, monomial_turn, turn_table,
+                           wing_bras)
 
 F_MINUS_WORDS = {0b0101, 0b0110, 0b1001, 0b1010}
 G_MINUS_WORDS = {0b0011, 0b0110, 0b1001, 0b1100}
@@ -102,6 +102,10 @@ def _protocol_bras(protocol):
     return reduce(np.kron, rows)
 
 
+# the float bras of that reference route, which the kernel tests compare against
+_FLOAT_BRAS = {p: _protocol_bras(p) for p in PROTOCOLS}
+
+
 def test_rotated_frames_leave_the_word_pair_distribution_exactly():
     # the alignment-free claim is exact: for every frame pair (U_a, U_b) the
     # 256-word distribution on the two-wing state is the unrotated one
@@ -119,6 +123,15 @@ def test_rotated_frames_leave_the_word_pair_distribution_exactly():
     drift, worst = max_frame_drift(100, seed=17)
     assert drift < 1e-12
     assert 0 <= worst < 100
+
+
+def test_frame_drift_in_identity_frames_is_exactly_zero(monkeypatch):
+    # the drift compares the turned integer bras with the integer tables in
+    # the tables' own units, so unturned frames leave no rounding to read:
+    # whatever it reports comes from the frames alone
+    monkeypatch.setattr(localmeas, "haar_su2_batch",
+                        lambda rng, shape: np.tile(np.eye(2, dtype=complex), (*shape, 1, 1)))
+    assert max_frame_drift(5, 0) == (0.0, 0)
 
 
 def test_fresh_frame_stream_is_pinned():
@@ -199,7 +212,7 @@ def test_fresh_tables_are_the_tables_of_the_float_factors():
         for table, factor in ((_ALICE_TABLES[p], SECTOR @ ETA_COEFFS),
                               (_BOB_TABLES[p], SECTOR)):
             assert table.dtype == float and table.shape == (32, 35)
-            assert np.abs(table - turn_table(_BRAS[p], factor)).max() < 1e-15
+            assert np.abs(table - turn_table(_FLOAT_BRAS[p], factor)).max() < 1e-15
 
 
 def test_sector_tables_are_det_squared_times_the_fixed_table():
@@ -272,7 +285,7 @@ def test_two_stage_draw_is_the_bra_route_draw_for_draw():
             ub = haar_su2_batch(rng, (2048,))
             r = rng.random(2048)
             words = _fresh_words(_ALICE_TABLES[pa], ua, _BOB_TABLES[pb], ub, r)
-            expect = _bra_route_words(eta16, _BRAS[pa], ua, _BRAS[pb], ub, r)
+            expect = _bra_route_words(eta16, _FLOAT_BRAS[pa], ua, _FLOAT_BRAS[pb], ub, r)
             assert (words == expect).all(), (seed, pa, pb)
 
 
@@ -292,13 +305,13 @@ def test_two_stage_draw_needs_no_rotation_invariance():
         amp16 = state.reshape(16, 16)
         for pa in ("F", "G"):
             for pb in ("F", "G"):
-                table_a = turn_table(_BRAS[pa], amp16)
-                table_b = turn_table(_BRAS[pb], np.eye(16))
+                table_a = turn_table(_FLOAT_BRAS[pa], amp16)
+                table_b = turn_table(_FLOAT_BRAS[pb], np.eye(16))
                 ua = haar_su2_batch(rng, (256,))
                 ub = haar_su2_batch(rng, (256,))
                 r = rng.random(256)
-                joint = joint_probs(wing_bras(_BRAS[pa], ua), amp16,
-                                    wing_bras(_BRAS[pb], ub))
+                joint = joint_probs(wing_bras(_FLOAT_BRAS[pa], ua), amp16,
+                                    wing_bras(_FLOAT_BRAS[pb], ub))
                 xa, xb = (collective_turn([t], u.conj().swapaxes(-1, -2))[0]
                           .reshape(16, 16, 256)
                           for t, u in ((table_a, ua), (table_b, ub)))
@@ -308,9 +321,10 @@ def test_two_stage_draw_needs_no_rotation_invariance():
                 conditional = rows / marginal[:, :, None]
                 assert np.abs(marginal[:, :, None] * conditional - joint).max() < 1e-14
                 words = _fresh_words(table_a, ua, table_b, ub, r)
-                expect = _bra_route_words(amp16, _BRAS[pa], ua, _BRAS[pb], ub, r)
+                expect = _bra_route_words(amp16, _FLOAT_BRAS[pa], ua,
+                                          _FLOAT_BRAS[pb], ub, r)
                 assert (words == expect).all(), pa + pb
-                still = joint_probs(_BRAS[pa], amp16, _BRAS[pb])
+                still = joint_probs(_FLOAT_BRAS[pa], amp16, _FLOAT_BRAS[pb])
                 assert np.abs(joint - still).max() > 1e-3
 
 
@@ -386,9 +400,9 @@ def test_word_tables_are_the_float_born_probabilities():
     # is the word-pair distribution of the float amplitudes
     amp16 = make_eta().amplitudes.reshape(16, 16)
     for p in ("F", "G"):
-        assert np.abs(2 * product_bras(PROTOCOLS[p]) - _INT_BRAS[p]).max() < 1e-15
+        assert np.abs(2 * _protocol_bras(p) - _INT_BRAS[p]).max() < 1e-15
     for (pa, pb), table in _TABLES.items():
-        p = joint_probs(product_bras(PROTOCOLS[pa]), amp16, product_bras(PROTOCOLS[pb]))
+        p = joint_probs(_protocol_bras(pa), amp16, _protocol_bras(pb))
         assert np.abs(table / 1792 - p.ravel()).max() < 1e-16
 
 
@@ -400,7 +414,7 @@ def test_a_frame_that_skips_a_qubit_breaks_the_forbidden_event(monkeypatch):
     # table of the list it takes.
     assert run_experiment(2000, "random", "fresh", seed=5).counts[("F", "F")][(1, 1)] == 0
     factors = (SECTOR @ ETA_COEFFS, SECTOR)
-    routes = {id(tables[p]): (_BRAS[p], factor)
+    routes = {id(tables[p]): (_FLOAT_BRAS[p], factor)
               for tables, factor in zip((_ALICE_TABLES, _BOB_TABLES), factors)
               for p in PROTOCOLS}
     for skipped in range(4):
@@ -518,7 +532,7 @@ def test_a_uniform_past_the_last_cumulative_value_draws_a_possible_word():
     rng = np.random.default_rng(5)
     ua = haar_su2_batch(rng, (512,))
     ub = haar_su2_batch(rng, (512,))
-    bras = _BRAS["F"]
+    bras = _FLOAT_BRAS["F"]
     p = joint_probs(wing_bras(bras, ua), make_eta().amplitudes.reshape(16, 16),
                     wing_bras(bras, ub)).reshape(512, 256)
     words = _fresh_words(_ALICE_TABLES["F"], ua, _BOB_TABLES["F"], ub, np.full(512, top))

@@ -17,8 +17,8 @@ from dfsbell.qcore import (ATOL, DensityOperator, QuantumState, SizeError,
                            apply_collective, basis_state, check_count,
                            check_unitary, collective_turn, frame_monomials,
                            haar_su2, haar_su2_batch, joint_probs, kron,
-                           partial_trace, permute_qubits, product_bras,
-                           turn_table, wing_bras)
+                           partial_trace, permute_qubits, turn_table,
+                           wing_bras)
 
 
 def test_basis_state_bit_order():
@@ -136,7 +136,8 @@ _FRAME_ENTRY_POINTS = {
     np.diag([1.0, 1.0 + 1e-6]),
     np.array([[float("nan"), 0.0], [0.0, 1.0]]),
     np.eye(3),
-], ids=["non-unitary", "nan", "3x3"])
+    np.stack([np.eye(2)] * 3),
+], ids=["non-unitary", "nan", "3x3", "stack"])
 @pytest.mark.parametrize("entry", list(_FRAME_ENTRY_POINTS))
 def test_every_frame_entry_point_checks_its_frame(entry, frame):
     call = _FRAME_ENTRY_POINTS[entry]
@@ -509,11 +510,10 @@ NAN = float("nan")
     lambda: grid_min_support_overlap(NAN, 100),
     lambda: find_distinguishing_thetas(NAN, 100),
     lambda: fixed_angle_maximum(NAN),
-    lambda: product_bras((0.0, NAN, 0.0, 0.0)),
 ], ids=["QuantumState", "HardyInstance", "HardyInstance-angle",
         "check_unitary", "DensityOperator", "DistinguishInstance",
         "DistinguishInstance-theta", "grid_min_support_overlap",
-        "find_distinguishing_thetas", "fixed_angle_maximum", "product_bras"])
+        "find_distinguishing_thetas", "fixed_angle_maximum"])
 def test_nan_fails_every_validated_type(build):
     # each check reads ``not err <= tol``: a NaN error compares False
     # against every tolerance, so ``err > tol`` would let it through; an
