@@ -94,7 +94,9 @@ def is_distinguishing(inst: DistinguishInstance) -> bool:
 def omega_from_thetas(theta_a: float, theta_b: float,
                       theta_c: float, theta_d: float):
     """cot(omega) that zeroes the first (and last) component, or None where
-    theta_a = theta_b or theta_c = theta_d (mod pi) and no omega does."""
+    theta_a = theta_b or theta_c = theta_d (mod pi) and no omega does;
+    ValueError unless every angle is finite."""
+    check_finite(theta_a, theta_b, theta_c, theta_d)
     sab = math.sin(theta_a - theta_b)
     scd = math.sin(theta_c - theta_d)
     if abs(sab) < _DEGENERATE_TOL or abs(scd) < _DEGENERATE_TOL:

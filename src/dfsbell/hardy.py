@@ -6,9 +6,12 @@ are the rows of ``axis_rows`` at 0 and alpha.  A Hardy witness has the three
 probabilities of ``ZERO_EVENTS`` zero and that of ``POSITIVE_EVENT``
 positive; on the shared state it is ``P_POSITIVE`` = 9/112.
 ``lhv_feasibility`` shows in exact arithmetic that no local deterministic
-model meets that pattern (test_lhv_standard_scenario_is_infeasible).  Both
-optima are closed form, through the reduction of the positive-event
-probability to P(x, y) (test_exact_certificate_of_both_optima).
+model meets that pattern.  Its certificate is the simplex's Farkas weights
+(1, 1, 1, -1) on the four events, which read as Hardy's inequality
+P(G_A=+, G_B=+) <= P(F_A=+, F_B=+) + P(F_A=-, G_B=+) + P(G_A=+, F_B=-), broken
+by 9/112 (test_lhv_standard_scenario_is_infeasible).  Both optima are closed
+form, through the reduction of the positive-event probability to P(x, y)
+(test_exact_certificate_of_both_optima).
 """
 
 from __future__ import annotations
@@ -181,6 +184,10 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Infeasible:
+    """Integer Farkas weights, one per constraint and the last on the sum of
+    the strategy weights, and the ``certificate`` text that states them."""
+
+    farkas: tuple
     certificate: str
 
 
@@ -202,16 +209,18 @@ def standard_scenario(p_joint: Fraction = P_POSITIVE) -> tuple:
 
 def _phase1_simplex(rows, rhs):
     """Exact feasibility of rows @ w = rhs, w >= 0, by phase-1 simplex with
-    Bland's rule: the solution list, or None.  It pivots in integers, each
-    pivot the Fraction tableau's
+    Bland's rule: ``(w, None)`` with the solution list, or ``(None, z)`` with
+    integer Farkas weights, z . column >= 0 on every column of rows and
+    z . rhs < 0, read off the final cost row and reduced by their gcd.  It
+    pivots in integers, each pivot the Fraction tableau's
     (test_phase1_simplex_matches_the_fraction_tableau).
     """
     m, n = len(rows), len(rows[0])
     scale = math.lcm(*(a.denominator for row in rows for a in row),
                      *(b.denominator for b in rhs))
+    signs = [-1 if b < 0 else 1 for b in rhs]
     tab = []
-    for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
+    for i, sign in enumerate(signs):
         art = [0] * m
         art[i] = 1
         tab.append([int(sign * scale * a) for a in rows[i]] + art
@@ -247,56 +256,46 @@ def _phase1_simplex(rows, rhs):
         basis[best] = enter
         d = p
     if cost[-1] != 0:
-        return None
+        # artificial column i holds d (1 - y_i) for the duals y; z = -y, with
+        # each row's sign flip undone
+        z = [sign * (c - d) for sign, c in zip(signs, cost[n:n + m])]
+        g = math.gcd(*z)
+        return None, tuple(zi // g for zi in z)
     w = [Fraction(0)] * n
     for i, j in enumerate(basis):
         if j < n:
             w[j] = Fraction(tab[i][-1], d)
-    return w
-
-
-def _strategy_label(s) -> str:
-    names = ("f_A", "g_A", "f_B", "g_B")
-    return "(" + ", ".join(f"{n}={v:+d}" for n, v in zip(names, s)) + ")"
+    return w, None
 
 
 def lhv_feasibility(constraints: tuple):
     """``Feasible`` with weights over the 16 strategies that meet every
     ``LhvConstraint`` of ``constraints`` and sum to 1, by the exact linear
-    program, or ``Infeasible``.  Its certificate walks the forced zeros: each
-    zero constraint kills its strategies, and a positive constraint whose
-    support is empty or all killed is the contradiction."""
-    rows = [[Fraction(int(con.predicate(s))) for s in STRATEGIES]
-            for con in constraints]
-    rows.append([Fraction(1)] * len(STRATEGIES))
-    rhs = [con.probability for con in constraints] + [Fraction(1)]
-    w = _phase1_simplex(rows, rhs)
+    program, or ``Infeasible`` with Farkas weights under which every strategy
+    scores at least 0 and the required probabilities below 0.  Either answer
+    is checked against the rows apart from the simplex; RuntimeError if not."""
+    rows = [[int(con.predicate(s)) for s in STRATEGIES] for con in constraints]
+    rows.append([1] * len(STRATEGIES))
+    rhs = [con.probability for con in constraints] + [1]
+    w, z = _phase1_simplex(rows, rhs)
     if w is not None:
-        weights = {s: wi for s, wi in zip(STRATEGIES, w) if wi != 0}
-        return Feasible(weights=weights)
-    dead = set()
-    lines = []
-    for con in constraints:
-        if con.probability != 0:
-            continue
-        killed = [s for s in STRATEGIES if con.predicate(s) and s not in dead]
-        dead.update(killed)
-        lines.append(f"{con.description} forces zero weight on "
-                     f"{len(killed)} strategies")
-    for con in constraints:
-        if con.probability == 0:
-            continue
-        support = [s for s in STRATEGIES if con.predicate(s)]
-        if all(s in dead for s in support):
-            event = f"the event in '{con.description}'"
-            why = (f"every strategy consistent with {event} is already forced "
-                   f"to zero weight, for example {_strategy_label(support[0])}"
-                   if support else f"no strategy is consistent with {event}")
-            lines.append(f"{why}, so the event probability must be 0; the "
-                         f"required value {con.probability} is positive")
-            return Infeasible(certificate="\n".join(lines))
-    return Infeasible(certificate="the exact linear program over strategy "
-                                  "weights admits no nonnegative solution")
+        support = [(j, x) for j, x in enumerate(w) if x != 0]
+        if (any(x < 0 for _, x in support)
+                or [sum(row[j] * x for j, x in support) for row in rows] != rhs):
+            raise RuntimeError("the simplex's weights are negative or miss a row")
+        return Feasible(weights={STRATEGIES[j]: x for j, x in support})
+    score = sum(zi * b for zi, b in zip(z, rhs))
+    if score >= 0 or any(sum(zi * a for zi, a in zip(z, col)) < 0
+                         for col in zip(*rows)):
+        raise RuntimeError(f"the simplex's Farkas weights {z} fail the rows")
+    lines = [f"weight {zi:+d} on {con.description}" for zi, con in zip(z, constraints)]
+    if z[-1]:
+        lines.append(f"weight {z[-1]:+d} on the normalisation, the strategy "
+                     "weights summing to 1")
+    lines.append("every strategy scores at least 0 under these weights, so "
+                 "every local model does; the required probabilities score "
+                 f"{score}")
+    return Infeasible(farkas=z, certificate="\n".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -154,11 +154,18 @@ def test_criterion_08_optimality():
 
 
 def test_criterion_09_lhv_infeasibility():
-    verdict = d.lhv_feasibility(d.standard_scenario())
+    scenario = d.standard_scenario()
+    verdict = d.lhv_feasibility(scenario)
     refuted = isinstance(verdict, d.Infeasible) and bool(verdict.certificate)
+    # the Farkas weights score the required probabilities, normalisation last
+    rhs = [con.probability for con in scenario] + [1]
+    score = sum(z * p for z, p in zip(verdict.farkas, rhs)) if refuted else None
     control = d.lhv_feasibility(d.standard_scenario(p_joint=Fraction(0)))
-    ok = refuted and isinstance(control, d.Feasible)
-    _verdict(9, ok, "exact refutation with certificate, control feasible")
+    ok = (refuted and score == Fraction(-9, 112)
+          and verdict.certificate.endswith(f"score {score}")
+          and isinstance(control, d.Feasible))
+    _verdict(9, ok, f"exact refutation with certificate, score {score}, "
+                    "control feasible")
 
 
 def test_criterion_10_report_determinism():

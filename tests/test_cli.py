@@ -123,7 +123,8 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
 def test_lhv_check_prints_certificate():
     result = _run(["lhv-check"])
     assert result.exit_code == 0
-    assert "forces zero weight" in result.output
+    assert "weight -1 on P(G_A=+1 and G_B=+1) = 9/112\n" in result.output
+    assert "the required probabilities score -9/112\n" in result.output
     assert "overall: PASS" in result.output
 
 

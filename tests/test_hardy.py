@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from dfsbell import hardy
-from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, STRATEGIES,
-                           ZERO_EVENTS, Feasible, HardyInstance, Infeasible,
-                           LhvConstraint, _coefficient_rows,
+from dfsbell.cli import main
+from dfsbell.hardy import (FREE_MAXIMUM, FREE_OPTIMAL_SIN_SQ, P_POSITIVE,
+                           STRATEGIES, ZERO_EVENTS, Feasible, HardyInstance,
+                           Infeasible, LhvConstraint, _coefficient_rows,
                            eta_instance, feasible_state,
                            fixed_angle_maximum, grid_probabilities,
                            hardy_probability,
@@ -209,15 +211,23 @@ def test_optimize_free_angles_recovers_golden_point():
 
 
 def test_lhv_standard_scenario_is_infeasible():
-    """Any local deterministic model satisfying the three zeros is forced to
-    assign zero weight to every strategy consistent with the fourth event, so a
-    positive fourth probability has no local account.  ``lhv_feasibility``
-    certifies this in exact rational arithmetic.
+    """Every deterministic strategy that meets the positive event meets one of
+    the three zero events, so weights (1, 1, 1, -1) score every strategy at
+    least 0: Hardy's inequality, P(G_A=+, G_B=+) <= P(F_A=+, F_B=+) +
+    P(F_A=-, G_B=+) + P(G_A=+, F_B=-).  The required probabilities score
+    -9/112.  ``lhv_feasibility`` reads these weights off the simplex and checks
+    them against the rows in exact rational arithmetic.
     """
     verdict = lhv_feasibility(standard_scenario())
     assert isinstance(verdict, Infeasible)
-    assert "forces zero weight" in verdict.certificate
-    assert "9/112 is positive" in verdict.certificate
+    assert verdict.farkas == (1, 1, 1, -1, 0)
+    assert verdict.certificate == (
+        "weight +1 on P(F_A=+1 and F_B=+1) = 0\n"
+        "weight +1 on P(F_A=-1 and G_B=+1) = 0\n"
+        "weight +1 on P(G_A=+1 and F_B=-1) = 0\n"
+        "weight -1 on P(G_A=+1 and G_B=+1) = 9/112\n"
+        "every strategy scores at least 0 under these weights, so every local "
+        "model does; the required probabilities score -9/112")
 
 
 def test_lhv_zero_joint_control_is_feasible():
@@ -237,8 +247,12 @@ def test_lhv_any_positive_joint_is_infeasible():
     # the contradiction does not depend on the particular value 9/112
     verdict = lhv_feasibility(standard_scenario(p_joint=Fraction(1, 1000)))
     assert isinstance(verdict, Infeasible)
+    assert verdict.farkas == (1, 1, 1, -1, 0)
+    assert verdict.certificate.endswith("score -1/1000")
     # nor on its size, up to the end of the interval, given as an int
-    assert isinstance(lhv_feasibility(standard_scenario(p_joint=1)), Infeasible)
+    verdict = lhv_feasibility(standard_scenario(p_joint=1))
+    assert isinstance(verdict, Infeasible)
+    assert verdict.farkas == (1, 1, 1, -1, 0)
 
 
 @pytest.mark.parametrize("p", [-1, 2, Fraction(3, 2), 0.5, True, None])
@@ -303,7 +317,8 @@ def test_phase1_simplex_matches_the_fraction_tableau():
     objective, which moves no sign, ratio order or tie, so every pivot is the
     Fraction tableau's.  The stored integers over the last pivot d are that
     tableau, each pivot updates a row as (p a - f q) // d, exactly, and the
-    ratio test cross-multiplies.
+    ratio test cross-multiplies.  Every infeasible system returns coprime
+    integer Farkas weights z, z . column >= 0 on every column and z . rhs < 0.
     """
     # rational entries of mixed signs and negative right-hand sides, and
     # degenerate 0/1 systems like the strategy LPs, where ratio ties are
@@ -322,7 +337,8 @@ def test_phase1_simplex_matches_the_fraction_tableau():
             w0 = [Fraction(rnd.choice((0, 0, 1, 2)), 3) for _ in range(n)]
         rhs = [sum(a * x for a, x in zip(row, w0)) + Fraction(trial % 2, 7)
                for row in rows]
-        w = hardy._phase1_simplex(rows, rhs)
+        w, z = hardy._phase1_simplex(rows, rhs)
+        assert (w is None) != (z is None)
         assert w == _fraction_simplex(rows, rhs), (rows, rhs)
         if trial % 2 == 0:
             assert w is not None
@@ -330,6 +346,11 @@ def test_phase1_simplex_matches_the_fraction_tableau():
             feasible += 1
             assert min(w) >= 0
             assert [sum(a * x for a, x in zip(row, w)) for row in rows] == rhs
+        else:
+            assert all(type(zi) is int for zi in z) and math.gcd(*z) == 1
+            assert all(sum(Fraction(zi) * a for zi, a in zip(z, col)) >= 0
+                       for col in zip(*rows))
+            assert sum(Fraction(zi) * b for zi, b in zip(z, rhs)) < 0
     assert 200 < feasible < 400
 
 
@@ -341,32 +362,68 @@ def test_phase1_simplex_breaks_ratio_ties_by_blands_rule():
     # artificial instead ends at the other vertex (0, 1, 1, 1).
     rows = [[Fraction(a) for a in row] for row in ((0, 1, 0, 1), (1, 1, 1, 0), (0, 0, 1, 1))]
     rhs = [Fraction(2)] * 3
-    assert hardy._phase1_simplex(rows, rhs) == [2, 0, 0, 2]
+    assert hardy._phase1_simplex(rows, rhs) == ([2, 0, 0, 2], None)
     assert _fraction_simplex(rows, rhs) == [2, 0, 0, 2]
 
 
 def test_lhv_infeasible_without_forced_zero_narrative():
-    # two events that each demand full weight on disjoint strategy sets;
-    # no zero constraint exists, so the generic certificate is returned
+    # two events that each demand full weight on disjoint strategy sets; no
+    # zero constraint exists, and the certificate leans on the normalisation:
+    # every strategy meets exactly one event, so -1, -1 and +1 on the sum
+    # score it 0, and the required probabilities score -1
     scenario = (
         LhvConstraint("P(f_A=+1) = 1", lambda s: s[0] == +1, Fraction(1)),
         LhvConstraint("P(f_A=-1) = 1", lambda s: s[0] == -1, Fraction(1)),
     )
     verdict = lhv_feasibility(scenario)
     assert isinstance(verdict, Infeasible)
-    assert "no nonnegative solution" in verdict.certificate
+    assert verdict.farkas == (-1, -1, 1)
+    assert verdict.certificate == (
+        "weight -1 on P(f_A=+1) = 1\n"
+        "weight -1 on P(f_A=-1) = 1\n"
+        "weight +1 on the normalisation, the strategy weights summing to 1\n"
+        "every strategy scores at least 0 under these weights, so every local "
+        "model does; the required probabilities score -1")
 
 
 def test_lhv_positive_event_that_no_strategy_meets_is_infeasible():
-    # an event with empty support has probability 0 in every local model;
-    # before, the forced-zero walk read the first strategy of that empty
-    # support and raised IndexError
+    # an event with empty support has probability 0 in every local model, so
+    # its row is zero and -1 on it alone scores every strategy 0
     verdict = lhv_feasibility((
         LhvConstraint("never", lambda s: False, Fraction(1, 2)),))
     assert isinstance(verdict, Infeasible)
+    assert verdict.farkas == (-1, 0)
     assert verdict.certificate == (
-        "no strategy is consistent with the event in 'never', so the event "
-        "probability must be 0; the required value 1/2 is positive")
+        "weight -1 on never\n"
+        "every strategy scores at least 0 under these weights, so every local "
+        "model does; the required probabilities score -1/2")
+
+
+# (-1, -1, -1, -1) and (-1, -1, +1, -1) meet no event of the Hardy pattern, so
+# 2 and -1 on them meet every row of the zero-joint control
+_NEGATIVE_WITNESS = [Fraction(0)] * 16
+_NEGATIVE_WITNESS[STRATEGIES.index((-1, -1, -1, -1))] = Fraction(2)
+_NEGATIVE_WITNESS[STRATEGIES.index((-1, -1, 1, -1))] = Fraction(-1)
+
+
+@pytest.mark.parametrize("p_joint, answer", [
+    # (+1, +1, -1, +1) meets the positive event and, of the zero events,
+    # only the third, which this z drops: it scores -1
+    (P_POSITIVE, (None, (1, 1, 0, -1, 0))),
+    # every strategy scores at least 0, but so do the required probabilities
+    (Fraction(0), (None, (1, 1, 1, -1, 0))),
+    # all weight on a strategy that misses the positive event
+    (P_POSITIVE, ([Fraction(1)] + [Fraction(0)] * 15, None)),
+    (Fraction(0), (_NEGATIVE_WITNESS, None)),
+], ids=["farkas-column", "farkas-score", "weights-row", "weights-negative"])
+def test_lhv_feasibility_checks_the_simplex_answer_against_the_rows(
+        monkeypatch, p_joint, answer):
+    monkeypatch.setattr(hardy, "_phase1_simplex", lambda rows, rhs: answer)
+    with pytest.raises(RuntimeError, match="the simplex's"):
+        lhv_feasibility(standard_scenario(p_joint))
+    result = CliRunner().invoke(main, ["lhv-check"])
+    assert result.exit_code == 4
+    assert result.stderr.startswith("internal error: RuntimeError: the simplex's")
 
 
 def test_strategy_enumeration():

@@ -9,7 +9,7 @@ from dfsbell import qcore
 from dfsbell.correlations import LocalRotation
 from dfsbell.dfs_states import SECTOR, make_g, make_phi0
 from dfsbell.distinguish import (DistinguishInstance, find_distinguishing_thetas,
-                                 grid_min_support_overlap)
+                                 grid_min_support_overlap, omega_from_thetas)
 from dfsbell.hardy import HardyInstance, fixed_angle_maximum
 from dfsbell.localmeas import (classify_outcome, wing_distribution,
                                wing_outcome_distribution)
@@ -498,27 +498,31 @@ def test_density_operator_validation():
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: QuantumState(np.array([NAN, 0.0])),
-    lambda: HardyInstance((NAN, 0.0, 0.0, 0.0), 0.0, 0.0),
-    lambda: HardyInstance((1, 0, 0, 0), NAN, 0.0),
-    lambda: check_unitary(np.array([[NAN, 0.0], [0.0, 1.0]])),
+@pytest.mark.parametrize("build, match", [
+    (lambda: QuantumState(np.array([NAN, 0.0])), "state norm nan"),
+    (lambda: HardyInstance((NAN, 0.0, 0.0, 0.0), 0.0, 0.0), "state norm nan"),
+    (lambda: HardyInstance((1, 0, 0, 0), NAN, 0.0), "finite"),
+    (lambda: check_unitary(np.array([[NAN, 0.0], [0.0, 1.0]])), "not unitary"),
     # unit trace, so only the Hermitian and eigenvalue tests see the NaN
-    lambda: DensityOperator(np.array([[1.0, NAN], [NAN, 0.0]])),
-    lambda: DistinguishInstance(NAN, (0.0, 0.0, 0.0, 0.0)),
-    lambda: DistinguishInstance(0.0, (0.0, NAN, math.inf, 0.0)),
-    lambda: grid_min_support_overlap(NAN, 100),
-    lambda: find_distinguishing_thetas(NAN, 100),
-    lambda: fixed_angle_maximum(NAN),
+    (lambda: DensityOperator(np.array([[1.0, NAN], [NAN, 0.0]])), "not Hermitian"),
+    (lambda: DistinguishInstance(NAN, (0.0, 0.0, 0.0, 0.0)), "finite"),
+    (lambda: DistinguishInstance(0.0, (0.0, NAN, math.inf, 0.0)), "finite"),
+    (lambda: grid_min_support_overlap(NAN, 100), "finite"),
+    (lambda: find_distinguishing_thetas(NAN, 100), "finite"),
+    (lambda: fixed_angle_maximum(NAN), "finite"),
+    # before, NaN came back as NaN and inf raised "math domain error"
+    (lambda: omega_from_thetas(NAN, 0.0, 0.3, 0.5), "finite"),
+    (lambda: omega_from_thetas(0.0, 0.1, math.inf, 0.5), "finite"),
 ], ids=["QuantumState", "HardyInstance", "HardyInstance-angle",
         "check_unitary", "DensityOperator", "DistinguishInstance",
         "DistinguishInstance-theta", "grid_min_support_overlap",
-        "find_distinguishing_thetas", "fixed_angle_maximum"])
-def test_nan_fails_every_validated_type(build):
+        "find_distinguishing_thetas", "fixed_angle_maximum",
+        "omega_from_thetas-nan", "omega_from_thetas-inf"])
+def test_nan_fails_every_validated_type(build, match):
     # each check reads ``not err <= tol``: a NaN error compares False
     # against every tolerance, so ``err > tol`` would let it through; an
     # angle has no tolerance and must be finite
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=match):
         build()
 
 
